@@ -49,7 +49,6 @@ from .graph import GRAPH_VERSION, build_graph
 from .models import (
     ARCHITECTURES,
     EmbeddingTable,
-    concat_premises,
     load_model,
     load_pretrained_vectors,
 )
@@ -524,18 +523,9 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     )
 
     def forward():
-        if kind == "sum-of-experts":
-            logits, _ = model.forward(
-                [list(p) for p in GRADCHECK_PREMISES], list(GRADCHECK_HYPOTHESIS)
-            )
-        elif kind == "attention":
-            logits, _ = model.forward(
-                concat_premises(GRADCHECK_PREMISES), list(GRADCHECK_HYPOTHESIS)
-            )
-        else:
-            logits = model.forward(
-                concat_premises(GRADCHECK_PREMISES), list(GRADCHECK_HYPOTHESIS)
-            )
+        logits = model.logits(
+            [list(p) for p in GRADCHECK_PREMISES], list(GRADCHECK_HYPOTHESIS)
+        )
         return cross_entropy(logits, 1)
 
     return grad_check(

@@ -15,9 +15,7 @@ label_source records which route produced each final label.
 from __future__ import annotations
 
 import json
-import os
 import random
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +24,7 @@ from .graph import PhraseGraph, simplify_hypothesis
 from .text import (
     OverlapUndefinedError,
     Sentence,
+    _atomic_write,
     normalize,
     word_overlap,
 )
@@ -52,19 +51,6 @@ def label_index(label: str) -> int:
         return LABELS.index(label)
     except ValueError:
         raise ValueError(f"unknown label {label!r}, expected one of {LABELS}") from None
-
-
-def _atomic_write(path: str | Path, content: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass(frozen=True)
@@ -735,15 +721,14 @@ def load_spe_pairs(path: str | Path) -> list[SpePair]:
     return pairs
 
 
-def save_judgments(judgments: Mapping[str, Sequence[str]], path: str | Path) -> None:
-    lines = [
-        f"{item_id}\t{','.join(judgments[item_id])}" for item_id in sorted(judgments)
-    ]
+def _save_label_table(table: Mapping[str, Sequence[str]], path: str | Path) -> None:
+    """Write `item_id<TAB>L,L,...` lines sorted by id."""
+    lines = [f"{item_id}\t{','.join(table[item_id])}" for item_id in sorted(table)]
     _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_judgments(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read `item_id<TAB>J,J,J,J,J` lines into an id -> judgments map."""
+def _load_label_table(path: str | Path, count: int) -> dict[str, tuple[str, ...]]:
+    """Read `item_id<TAB>L,L,...` lines, each holding exactly `count` labels."""
     path = Path(path)
     out: dict[str, tuple[str, ...]] = {}
     with path.open(encoding="utf-8") as fh:
@@ -756,10 +741,12 @@ def load_judgments(path: str | Path) -> dict[str, tuple[str, ...]]:
                 raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {line!r}")
             item_id, labels_s = parts
             if item_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate judgments for {item_id}")
+                raise ValueError(f"{path}:{lineno}: duplicate labels for {item_id}")
             labels = tuple(labels_s.split(","))
-            if len(labels) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 labels, got {len(labels)}")
+            if len(labels) != count:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {count} labels, got {len(labels)}"
+                )
             for label in labels:
                 if label not in LABELS:
                     raise ValueError(f"{path}:{lineno}: bad label {label!r}")
@@ -767,27 +754,19 @@ def load_judgments(path: str | Path) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def save_judgments(judgments: Mapping[str, Sequence[str]], path: str | Path) -> None:
+    _save_label_table(judgments, path)
+
+
+def load_judgments(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """Read `item_id<TAB>J,J,J,J,J` lines into an id -> judgments map."""
+    return _load_label_table(path, 5)
+
+
 def save_decisions(decisions: Mapping[str, str], path: str | Path) -> None:
-    lines = [f"{item_id}\t{decisions[item_id]}" for item_id in sorted(decisions)]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    _save_label_table({item_id: (label,) for item_id, label in decisions.items()}, path)
 
 
 def load_decisions(path: str | Path) -> dict[str, str]:
     """Read `item_id<TAB>label` adjudication decisions."""
-    path = Path(path)
-    out: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>label, got {line!r}")
-            item_id, label = parts
-            if label not in LABELS:
-                raise ValueError(f"{path}:{lineno}: bad label {label!r}")
-            if item_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate decision for {item_id}")
-            out[item_id] = label
-    return out
+    return {item_id: labels[0] for item_id, labels in _load_label_table(path, 1).items()}

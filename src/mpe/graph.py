@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .text import Sentence, _read_word_list
+from .text import Sentence, _atomic_write, _read_word_list
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -54,46 +54,63 @@ def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
     return {k: tuple(sorted(v)) for k, v in table.items()}
 
 
-def _check_acyclic(hypernyms: Mapping[str, tuple[str, ...]]) -> None:
+def _find_cycle(parents: Mapping) -> list | None:
+    """One cycle of the parent relation as [a, b, ..., a], or None.
+
+    Depth-first from each key in sorted order, with an explicit stack so that
+    long chains cannot exhaust the interpreter's recursion limit.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
+    color: dict = {}
+    for root in sorted(parents):
+        if color.get(root, WHITE) != WHITE:
+            continue
+        color[root] = GRAY
+        trail = [root]
+        pending = [iter(parents.get(root, ()))]
+        while pending:
+            for parent in pending[-1]:
+                c = color.get(parent, WHITE)
+                if c == GRAY:
+                    return trail[trail.index(parent):] + [parent]
+                if c == WHITE:
+                    color[parent] = GRAY
+                    trail.append(parent)
+                    pending.append(iter(parents.get(parent, ())))
+                    break
+            else:
+                color[trail.pop()] = BLACK
+                pending.pop()
+    return None
 
-    def visit(tok: str, trail: list[str]) -> None:
-        color[tok] = GRAY
-        trail.append(tok)
-        for parent in hypernyms.get(tok, ()):
-            c = color.get(parent, WHITE)
-            if c == GRAY:
-                cycle = trail[trail.index(parent):] + [parent]
-                raise LexiconCycleError(" -> ".join(cycle))
-            if c == WHITE:
-                visit(parent, trail)
-        trail.pop()
-        color[tok] = BLACK
 
-    for tok in sorted(hypernyms):
-        if color.get(tok, WHITE) == WHITE:
-            visit(tok, [])
-
-
-def _check_edge_dag(parents: Mapping[int, set[int]]) -> None:
-    """Reject cyclic edge sets (only possible in hand-edited graph files)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    def visit(nid: int) -> None:
-        color[nid] = GRAY
-        for parent in parents.get(nid, ()):
-            c = color.get(parent, WHITE)
-            if c == GRAY:
-                raise ValueError(f"graph contains a cycle through node {parent}")
-            if c == WHITE:
-                visit(parent)
-        color[nid] = BLACK
-
-    for nid in sorted(parents):
-        if color.get(nid, WHITE) == WHITE:
-            visit(nid)
+def _ancestors(
+    parents: Mapping[int, Iterable[int]],
+    cache: dict[int, frozenset[int]],
+    node_id: int,
+) -> frozenset[int]:
+    """Every node reachable from node_id through `parents`, memoized in cache."""
+    cached = cache.get(node_id)
+    if cached is not None:
+        return cached
+    # Iterative DFS; post-order so parents resolve first.
+    stack = [(node_id, False)]
+    while stack:
+        nid, expanded = stack.pop()
+        if nid in cache:
+            continue
+        if expanded:
+            acc: set[int] = set()
+            for p in parents.get(nid, ()):
+                acc.add(p)
+                acc |= cache[p]
+            cache[nid] = frozenset(acc)
+        else:
+            stack.append((nid, True))
+            for p in parents.get(nid, ()):
+                if p not in cache:
+                    stack.append((p, False))
+    return cache[node_id]
 
 
 @dataclass(frozen=True)
@@ -106,7 +123,9 @@ class ReductionRuleSet:
     hypernyms: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
-        _check_acyclic(self.hypernyms)
+        cycle = _find_cycle(self.hypernyms)
+        if cycle:
+            raise LexiconCycleError(" -> ".join(cycle))
 
     @classmethod
     def default(cls) -> "ReductionRuleSet":
@@ -277,27 +296,7 @@ class PhraseGraph:
 
     def ancestors(self, node_id: int) -> frozenset[int]:
         """All strictly more generic nodes reachable from node_id."""
-        cached = self._ancestor_cache.get(node_id)
-        if cached is not None:
-            return cached
-        # Iterative DFS with memoization; post-order so parents resolve first.
-        stack = [(node_id, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if nid in self._ancestor_cache:
-                continue
-            if expanded:
-                acc: set[int] = set()
-                for p in self._parents.get(nid, ()):
-                    acc.add(p)
-                    acc |= self._ancestor_cache[p]
-                self._ancestor_cache[nid] = frozenset(acc)
-            else:
-                stack.append((nid, True))
-                for p in self._parents.get(nid, ()):
-                    if p not in self._ancestor_cache:
-                        stack.append((p, False))
-        return self._ancestor_cache[node_id]
+        return _ancestors(self._parents, self._ancestor_cache, node_id)
 
     def save(self, path: str | Path) -> None:
         lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}"]
@@ -311,7 +310,7 @@ class PhraseGraph:
             lines.append(f"edge\t{parent}\t{child}")
         for raw in sorted(self.caption_index):
             lines.append(f"caption\t{self.caption_index[raw]}\t{raw}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
@@ -321,7 +320,7 @@ class PhraseGraph:
         header = lines[0].split("\t")
         if len(header) != 2 or header[0] != GRAPH_FORMAT:
             raise ValueError(f"{path}:1: bad header {lines[0]!r}")
-        if int(header[1]) != GRAPH_VERSION:
+        if header[1] != str(GRAPH_VERSION):
             raise ValueError(f"{path}:1: unsupported version {header[1]}")
         nodes: dict[int, PhraseNode] = {}
         parents: dict[int, set[int]] = {}
@@ -330,29 +329,38 @@ class PhraseGraph:
             if not line:
                 continue
             kind, _, rest = line.partition("\t")
-            if kind == "node":
-                nid_s, phrase_s, support_s, count_s = rest.split("\t")
-                nid = int(nid_s)
-                support = frozenset(support_s.split(",")) if support_s else frozenset()
-                nodes[nid] = PhraseNode(
-                    id=nid,
-                    phrase=tuple(phrase_s.split(" ")),
-                    support=support,
-                    caption_count=int(count_s),
-                )
-            elif kind == "edge":
-                parent_s, child_s = rest.split("\t")
-                parents.setdefault(int(child_s), set()).add(int(parent_s))
-            elif kind == "caption":
-                nid_s, _, raw = rest.partition("\t")
-                caption_index[raw] = int(nid_s)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            try:
+                if kind == "node":
+                    nid_s, phrase_s, support_s, count_s = rest.split("\t")
+                    nid = int(nid_s)
+                    support = (
+                        frozenset(support_s.split(",")) if support_s else frozenset()
+                    )
+                    nodes[nid] = PhraseNode(
+                        id=nid,
+                        phrase=tuple(phrase_s.split(" ")),
+                        support=support,
+                        caption_count=int(count_s),
+                    )
+                elif kind == "edge":
+                    parent_s, child_s = rest.split("\t")
+                    parents.setdefault(int(child_s), set()).add(int(parent_s))
+                elif kind == "caption":
+                    nid_s, _, raw = rest.partition("\t")
+                    caption_index[raw] = int(nid_s)
+                else:
+                    raise ValueError("unknown record kind")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {kind!r} record: {exc}") from None
         for child, ps in parents.items():
             unknown = (ps | {child}) - nodes.keys()
             if unknown:
                 raise ValueError(f"{path}: edge references unknown node {sorted(unknown)}")
-        _check_edge_dag(parents)
+        cycle = _find_cycle(parents)
+        if cycle:
+            raise ValueError(
+                f"{path}: graph contains a cycle: {' -> '.join(map(str, cycle))}"
+            )
         return cls(
             nodes=nodes,
             parents={c: tuple(sorted(p)) for c, p in parents.items()},
@@ -365,33 +373,15 @@ def _transitive_reduction(
 ) -> dict[int, tuple[int, ...]]:
     """Drop edges implied by longer derivation paths (reachability preserved)."""
     full: dict[int, frozenset[int]] = {}
-
-    def ancestors(nid: int) -> frozenset[int]:
-        stack = [(nid, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if cur in full:
-                continue
-            if expanded:
-                acc: set[int] = set()
-                for p in step_parents.get(cur, ()):
-                    acc.add(p)
-                    acc |= full[p]
-                full[cur] = frozenset(acc)
-            else:
-                stack.append((cur, True))
-                for p in step_parents.get(cur, ()):
-                    if p not in full:
-                        stack.append((p, False))
-        return full[nid]
-
     reduced: dict[int, tuple[int, ...]] = {}
     for child in sorted(step_parents):
         direct = step_parents[child]
         kept = []
         for parent in sorted(direct):
             implied = any(
-                parent in ancestors(mid) for mid in direct if mid != parent
+                parent in _ancestors(step_parents, full, mid)
+                for mid in direct
+                if mid != parent
             )
             if not implied:
                 kept.append(parent)

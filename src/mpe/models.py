@@ -11,7 +11,15 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
   separately and sums the per-premise logits in a canonical order, which
   makes the output bitwise invariant under premise reordering.
 
-All weights are float64 tensors named for checkpointing.
+`model.logits(premises, hypothesis)` is the one entry point callers use: it
+takes the premises as a list of token lists, and each architecture decides
+itself whether to read them joined by `concat_premises` or one at a time.
+`forward` is the architecture's own call form and also returns its extras
+(attention weights, per-premise experts).
+
+All weights are float64 tensors named for checkpointing. Every model owns
+its embeddings, one conditional core and an ordered list of head tensors;
+`params()` and `all_tensors()` are derived from those three.
 """
 
 from __future__ import annotations
@@ -272,6 +280,18 @@ class ConditionalCore:
             LstmCell.random(input_dim, state_dim, rng, "hypothesis_lstm"),
         )
 
+    def read_premise(
+        self, premise_rows: Sequence[Tensor]
+    ) -> tuple[list[Tensor], Tensor]:
+        """Returns (premise hidden rows, final premise cell state)."""
+        h = _zero_state(self.state_dim)
+        c = _zero_state(self.state_dim)
+        premise_states = []
+        for x in premise_rows:
+            h, c = self.premise_cell.step(x, h, c)
+            premise_states.append(h)
+        return premise_states, c
+
     def run(
         self, premise_rows: Sequence[Tensor], hypothesis_rows: Sequence[Tensor]
     ) -> tuple[list[Tensor], Tensor, Tensor]:
@@ -279,26 +299,14 @@ class ConditionalCore:
         hypothesis hidden)."""
         if not premise_rows or not hypothesis_rows:
             raise ValueError("premise and hypothesis sequences must be non-empty")
-        h = _zero_state(self.state_dim)
-        c = _zero_state(self.state_dim)
-        premise_states = []
-        for x in premise_rows:
-            h, c = self.premise_cell.step(x, h, c)
-            premise_states.append(h)
-        premise_final = h
+        premise_states, c = self.read_premise(premise_rows)
         h = _zero_state(self.state_dim)
         for x in hypothesis_rows:
             h, c = self.hypothesis_cell.step(x, h, c)
-        return premise_states, premise_final, h
+        return premise_states, premise_states[-1], h
 
     def params(self) -> list[Tensor]:
         return self.premise_cell.params() + self.hypothesis_cell.params()
-
-    def all_tensors(self) -> dict[str, Tensor]:
-        return {
-            t.name: t
-            for t in self.premise_cell.params() + self.hypothesis_cell.params()
-        }
 
 
 def _affine(name: str, rows: int, cols: int, rng: np.random.Generator):
@@ -311,12 +319,20 @@ def _affine(name: str, rows: int, cols: int, rng: np.random.Generator):
 
 class _ModelBase:
     architecture = ""
+    embeddings: EmbeddingTable
+    core: ConditionalCore
+    head: list[Tensor]
 
     def params(self) -> list[Tensor]:
-        raise NotImplementedError
+        """Trainable tensors: embeddings, then the core, then the head."""
+        return self.embeddings.params() + self.core.params() + self.head
 
     def all_tensors(self) -> dict[str, Tensor]:
-        raise NotImplementedError
+        """Every named tensor, frozen embeddings included; the checkpoint set."""
+        tensors = self.embeddings.all_tensors()
+        for t in self.core.params() + self.head:
+            tensors[t.name] = t
+        return tensors
 
     def _meta(self) -> dict:
         return {
@@ -390,6 +406,7 @@ class ConditionalLstmModel(_ModelBase):
         self.hidden_b = hidden_b
         self.out_w = out_w
         self.out_b = out_b
+        self.head = [hidden_w, hidden_b, out_w, out_b]
         self.keep_prob = keep_prob
         self.state_dim = core.state_dim
 
@@ -429,19 +446,15 @@ class ConditionalLstmModel(_ModelBase):
         hidden = tanh(add(matmul(pair, self.hidden_w), self.hidden_b))
         return flatten(add(matmul(hidden, self.out_w), self.out_b))
 
-    def params(self) -> list[Tensor]:
-        return (
-            self.embeddings.params()
-            + self.core.params()
-            + [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
-        )
-
-    def all_tensors(self) -> dict[str, Tensor]:
-        tensors = dict(self.embeddings.all_tensors())
-        tensors.update(self.core.all_tensors())
-        for t in (self.hidden_w, self.hidden_b, self.out_w, self.out_b):
-            tensors[t.name] = t
-        return tensors
+    def logits(
+        self,
+        premises: Sequence[Sequence[str]],
+        hypothesis: Sequence[str],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The 3 logits, reading the premises as one joined sequence."""
+        return self.forward(concat_premises(premises), hypothesis, train=train, rng=rng)
 
 
 class AttentionModel(_ModelBase):
@@ -472,6 +485,7 @@ class AttentionModel(_ModelBase):
         self.score_w = score_w
         self.out_w = out_w
         self.out_b = out_b
+        self.head = [*(attn[s] for s in self.ATTN_NAMES), score_w, out_w, out_b]
         self.keep_prob = keep_prob
         self.state_dim = core.state_dim
 
@@ -517,15 +531,7 @@ class AttentionModel(_ModelBase):
             raise ValueError("training mode needs a dropout rng")
         premise_rows = self.embeddings.embed(premise)
         hypothesis_rows = self.embeddings.embed(hypothesis)
-        if not premise_rows or not hypothesis_rows:
-            raise ValueError("premise and hypothesis sequences must be non-empty")
-
-        h = _zero_state(self.state_dim)
-        c = _zero_state(self.state_dim)
-        premise_states = []
-        for x in premise_rows:
-            h, c = self.core.premise_cell.step(x, h, c)
-            premise_states.append(h)
+        premise_states, c = self.core.read_premise(premise_rows)
         memory = concat(premise_states, axis=0)  # (premise_len, k)
         projected = matmul(memory, self.attn["Wy"])
 
@@ -554,24 +560,16 @@ class AttentionModel(_ModelBase):
         logits = flatten(add(matmul(pair, self.out_w), self.out_b))
         return logits, np.stack(weights_rows)
 
-    def params(self) -> list[Tensor]:
-        return (
-            self.embeddings.params()
-            + self.core.params()
-            + [self.attn[s] for s in self.ATTN_NAMES]
-            + [self.score_w, self.out_w, self.out_b]
-        )
-
-    def all_tensors(self) -> dict[str, Tensor]:
-        tensors = dict(self.embeddings.all_tensors())
-        tensors.update(self.core.all_tensors())
-        for t in [self.attn[s] for s in self.ATTN_NAMES] + [
-            self.score_w,
-            self.out_w,
-            self.out_b,
-        ]:
-            tensors[t.name] = t
-        return tensors
+    def logits(
+        self,
+        premises: Sequence[Sequence[str]],
+        hypothesis: Sequence[str],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The 3 logits, attending over the premises as one joined sequence."""
+        joined = concat_premises(premises)
+        return self.forward(joined, hypothesis, train=train, rng=rng)[0]
 
 
 class SumOfExpertsModel(_ModelBase):
@@ -596,6 +594,7 @@ class SumOfExpertsModel(_ModelBase):
         self.core = core
         self.expert_w = expert_w
         self.expert_b = expert_b
+        self.head = [expert_w, expert_b]
         self.keep_prob = keep_prob
         self.state_dim = core.state_dim
 
@@ -653,17 +652,15 @@ class SumOfExpertsModel(_ModelBase):
         total = add(add(ranked[0], ranked[1]), add(ranked[2], ranked[3]))
         return total, experts
 
-    def params(self) -> list[Tensor]:
-        return (
-            self.embeddings.params() + self.core.params() + [self.expert_w, self.expert_b]
-        )
-
-    def all_tensors(self) -> dict[str, Tensor]:
-        tensors = dict(self.embeddings.all_tensors())
-        tensors.update(self.core.all_tensors())
-        tensors[self.expert_w.name] = self.expert_w
-        tensors[self.expert_b.name] = self.expert_b
-        return tensors
+    def logits(
+        self,
+        premises: Sequence[Sequence[str]],
+        hypothesis: Sequence[str],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The 3 logits, summed over one expert per premise."""
+        return self.forward(premises, hypothesis, train=train, rng=rng)[0]
 
 
 ARCHITECTURES = {

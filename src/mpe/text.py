@@ -8,7 +8,9 @@ to the same Sentence.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +40,21 @@ class EmptySentenceError(ValueError):
 
 class OverlapUndefinedError(ValueError):
     """Raised when a hypothesis has no content tokens to count."""
+
+
+def _atomic_write(path: str | Path, content: str) -> None:
+    """Replace path with content in one step; a failed write leaves the old
+    file and no temp file behind."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_word_list(path: Path) -> list[str]:

@@ -18,13 +18,7 @@ import numpy as np
 
 from .autodiff import Adam, Tape, Tensor, cross_entropy, scale, save_checkpoint
 from .dataset import Item, LABELS, SpePair, label_index
-from .models import (
-    ARCHITECTURES,
-    AttentionModel,
-    ConditionalLstmModel,
-    SumOfExpertsModel,
-    concat_premises,
-)
+from .models import ARCHITECTURES, _ModelBase
 from .text import Sentence, tokenize
 
 
@@ -78,24 +72,27 @@ PRESETS: dict[str, TrainConfig] = {
 }
 
 
-def item_id(item: "Item | SpePair") -> str:
-    return item.id
+def _fields(
+    item: "Item | SpePair",
+) -> tuple[tuple["Sentence | str", ...], "Sentence | str", str | None]:
+    """(premises, hypothesis, gold label) of an MPE item or a single pair."""
+    if isinstance(item, Item):
+        return item.premises, item.hypothesis, item.gold_label
+    if isinstance(item, SpePair):
+        return (item.premise,), item.hypothesis, item.label
+    raise TypeError(f"not a trainable item: {type(item).__name__}")
 
 
 def item_gold(item: "Item | SpePair") -> str | None:
-    if isinstance(item, Item):
-        return item.gold_label
-    if isinstance(item, SpePair):
-        return item.label
-    raise TypeError(f"not a trainable item: {type(item).__name__}")
+    return _fields(item)[2]
 
 
 def vocabulary_from_items(items: Iterable["Item | SpePair"]) -> list[str]:
     """Sorted token set over every premise and hypothesis."""
     tokens: set[str] = set()
     for item in items:
-        premises = item.premises if isinstance(item, Item) else (item.premise,)
-        for text in (*premises, item.hypothesis):
+        premises, hypothesis, _ = _fields(item)
+        for text in (*premises, hypothesis):
             tokens.update(_tokens(text))
     return sorted(tokens)
 
@@ -107,22 +104,13 @@ def forward_logits(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run any architecture on a labeled item, returning its 3 logits."""
-    if isinstance(item, Item):
-        premises = [list(_tokens(p)) for p in item.premises]
-    elif isinstance(item, SpePair):
-        premises = [list(_tokens(item.premise))]
-    else:
-        raise TypeError(f"cannot train on {type(item).__name__}")
-    hypothesis = list(_tokens(item.hypothesis))
-    if isinstance(model, SumOfExpertsModel):
-        logits, _ = model.forward(premises, hypothesis, train=train, rng=rng)
-    elif isinstance(model, AttentionModel):
-        joined = concat_premises(premises)
-        logits, _ = model.forward(joined, hypothesis, train=train, rng=rng)
-    else:
-        joined = concat_premises(premises)
-        logits = model.forward(joined, hypothesis, train=train, rng=rng)
-    return logits
+    premises, hypothesis, _ = _fields(item)
+    return model.logits(
+        [list(_tokens(p)) for p in premises],
+        list(_tokens(hypothesis)),
+        train=train,
+        rng=rng,
+    )
 
 
 def predict(model, item: "Item | SpePair") -> str:
@@ -174,7 +162,7 @@ class EpochLog:
 class TrainResult:
     """Final model plus the per-epoch log and the retained best snapshot."""
 
-    model: "ConditionalLstmModel | AttentionModel | SumOfExpertsModel"
+    model: _ModelBase
     logs: tuple[EpochLog, ...]
     best_phase: str
     best_epoch: int
@@ -204,7 +192,7 @@ class Trainer:
             raise ValueError("cannot train on an empty dataset")
         for item in items:
             if item_gold(item) is None:
-                raise ValueError(f"item {item_id(item)} has no gold label")
+                raise ValueError(f"item {item.id} has no gold label")
 
     def _snapshot(self, phase: str, epoch: int, metric: float) -> None:
         if self._best_metric is None or metric > self._best_metric:
@@ -383,7 +371,7 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
         raise ValueError("cannot evaluate an empty dataset")
     for item in items:
         if item_gold(item) is None:
-            raise ValueError(f"item {item_id(item)} has no gold label")
+            raise ValueError(f"item {item.id} has no gold label")
 
     predictions = []
     confusion = [[0] * len(LABELS) for _ in LABELS]

@@ -12,7 +12,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import LABELS, Item, UnknownItemError, _atomic_write, label_index
+from .dataset import (
+    LABELS,
+    Item,
+    UnknownItemError,
+    _load_label_table,
+    _save_label_table,
+    label_index,
+)
 
 PAIR_COUNT = 4
 
@@ -121,31 +128,11 @@ def attach_pair_labels(
 
 
 def save_pair_labels(pair_labels: Mapping[str, Sequence[str]], path: str | Path) -> None:
-    lines = [
-        f"{item_id}\t{','.join(_validated(pair_labels[item_id]))}"
-        for item_id in sorted(pair_labels)
-    ]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    _save_label_table(
+        {item_id: _validated(labels) for item_id, labels in pair_labels.items()}, path
+    )
 
 
 def load_pair_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read `item_id<TAB>L,L,L,L` lines into an id -> pair-labels map."""
-    path = Path(path)
-    out: dict[str, tuple[str, ...]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {line!r}")
-            item_id, labels_s = parts
-            if item_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate pair labels for {item_id}")
-            labels = labels_s.split(",")
-            try:
-                out[item_id] = _validated(labels)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return _load_label_table(path, PAIR_COUNT)

@@ -1,5 +1,8 @@
 """Reduction rules, closure, graph construction, and hypothesis candidates."""
 
+import os
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,6 +438,42 @@ class TestSerialization:
         )
         with pytest.raises(ValueError, match="cycle"):
             PhraseGraph.load(path)
+
+    def test_long_chain_loads(self, tmp_path):
+        n = 3000
+        lines = ["mpe-graph\t1"]
+        lines += [f"node\t{i}\tw{i}\tg1\t1" for i in range(n)]
+        # Node i's parent is i + 1, so the walk from node 0 is n deep.
+        lines += [f"edge\t{i + 1}\t{i}" for i in range(n - 1)]
+        path = tmp_path / "chain.graph"
+        path.write_text("\n".join(lines) + "\n")
+        graph = PhraseGraph.load(path)
+        assert len(graph) == n and graph.parents(0) == (1,)
+
+    @pytest.mark.parametrize(
+        "record",
+        ["node\t0\tdog run\tg1", "edge\t0", "node\tx\tdog run\tg1\t1"],
+        ids=["node-3-fields", "edge-1-field", "node-id-not-int"],
+    )
+    def test_malformed_record_located(self, tmp_path, record):
+        path = tmp_path / "bad.graph"
+        path.write_text(f"mpe-graph\t1\nnode\t1\tdog\tg1\t1\n{record}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            PhraseGraph.load(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        graph, _ = build_fixture_graph()
+        path = tmp_path / "fixture.graph"
+        path.write_text("previous contents\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            graph.save(path)
+        assert path.read_text() == "previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fixture.graph"]
 
 
 class TestPhraseNodeValidation:

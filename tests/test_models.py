@@ -485,3 +485,55 @@ class TestCheckpointDispatch:
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert "perceptron" in str(exc.value)
+
+
+class TestModelInterface:
+    CELL = [
+        f"{gate}.{part}"
+        for gate in ("candidate", "forget", "input", "output")
+        for part in ("Wh", "Wx", "b")
+    ]
+    CORE = [f"premise_lstm.{n}" for n in CELL] + [f"hypothesis_lstm.{n}" for n in CELL]
+    HEADS = {
+        "conditional-lstm": ["hidden.W", "hidden.b", "output.W", "output.b"],
+        "attention": [
+            *(f"attention.{n}" for n in ("Wy", "Wh", "Wr", "Wt", "Wp", "Wx")),
+            "attention.score",
+            "output.W",
+            "output.b",
+        ],
+        "sum-of-experts": ["experts.W", "experts.b"],
+    }
+
+    @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_tensor_names_pinned(self, arch, trainable):
+        model = ARCHITECTURES[arch].init(
+            VOCAB, 6, 7, np.random.default_rng(0), trainable_embeddings=trainable
+        )
+        embeddings = ["embeddings.main"] if trainable else []
+        assert [t.name for t in model.params()] == (
+            embeddings + ["embeddings.special"] + self.CORE + self.HEADS[arch]
+        )
+        assert set(model.all_tensors()) == {
+            "embeddings.main",
+            "embeddings.special",
+            *self.CORE,
+            *self.HEADS[arch],
+        }
+
+    @pytest.mark.parametrize("premises", [[PREMISE], FOUR_PREMISES], ids=["one", "four"])
+    def test_logits_match_forward_call_form(self, premises):
+        rng = np.random.default_rng(3)
+        lstm = ConditionalLstmModel.init(VOCAB, 6, 7, rng)
+        attention = AttentionModel.init(VOCAB, 6, 7, rng)
+        experts = SumOfExpertsModel.init(VOCAB, 6, 7, rng)
+        joined = concat_premises(premises)
+        expected = {
+            lstm: lstm.forward(joined, HYPOTHESIS),
+            attention: attention.forward(joined, HYPOTHESIS)[0],
+            experts: experts.forward(premises, HYPOTHESIS)[0],
+        }
+        for model, reference in expected.items():
+            got = model.logits(premises, HYPOTHESIS)
+            assert got.values.tobytes() == reference.values.tobytes()
