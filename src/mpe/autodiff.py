@@ -565,7 +565,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint meta: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint meta must be a JSON object")
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

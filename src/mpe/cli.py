@@ -30,9 +30,7 @@ from .autodiff import CHECKPOINT_VERSION, cross_entropy, grad_check
 from .dataset import (
     FORMAT_VERSION,
     GenerationConfig,
-    ITEMS_FORMAT,
     Item,
-    SPE_FORMAT,
     adjudicate,
     aggregate_labels,
     corpus_stats,
@@ -40,8 +38,8 @@ from .dataset import (
     graph_captions,
     load_captions,
     load_decisions,
+    load_examples,
     load_items,
-    load_spe_pairs,
     save_items,
     _atomic_write,
 )
@@ -142,22 +140,6 @@ def _write_manifest(
 
 def _write_json(path: Path, record: dict) -> None:
     _atomic_write(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
-def _load_examples(path: Path) -> list:
-    """Load an items or single-premise-pairs file, dispatching on its header."""
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        raise CliError(f"{path}:1: not a data file (bad header)") from None
-    kind = header.get("format") if isinstance(header, dict) else None
-    if kind == ITEMS_FORMAT:
-        return load_items(path)
-    if kind == SPE_FORMAT:
-        return load_spe_pairs(path)
-    raise CliError(f"{path}:1: unrecognized format {kind!r}")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -399,18 +381,18 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args, argv) -> int:
     config = _train_config(args)
     items_path = _require_input(args.items)
-    items = _load_examples(items_path)
+    items = load_examples(items_path)
     inputs = {"items": items_path}
     dev = None
     if args.dev:
         dev_path = _require_input(args.dev)
         inputs["dev"] = dev_path
-        dev = _load_examples(dev_path)
+        dev = load_examples(dev_path)
     pretrain_items = None
     if args.pretrain:
         pretrain_path = _require_input(args.pretrain)
         inputs["pretrain"] = pretrain_path
-        pretrain_items = _load_examples(pretrain_path)
+        pretrain_items = load_examples(pretrain_path)
     if config.regime == "pretrain-then-finetune" and pretrain_items is None:
         raise CliError("regime pretrain-then-finetune needs --pretrain")
 
@@ -471,7 +453,7 @@ def cmd_eval(args, argv) -> int:
     model_path = _require_input(args.model)
     items_path = _require_input(args.items)
     model = load_model(model_path)
-    items = _load_examples(items_path)
+    items = load_examples(items_path)
     report = evaluate(model, items)
     print(format_eval_report(report), end="")
     outputs = []

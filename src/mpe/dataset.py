@@ -260,11 +260,10 @@ def provenance_report(items: Sequence[Item]) -> ProvenanceReport:
         if not item.judgments:
             continue
         judged_labeled += 1
-        counts = [item.judgments.count(label) for label in LABELS]
-        top = max(counts)
-        if top >= 3 and counts.count(top) == 1:
-            if item.gold_label == LABELS[counts.index(top)]:
-                matches += 1
+        # Five votes: a count >= 3 is always a unique leader, and only then
+        # does aggregation return a label.
+        if item.gold_label == aggregate_labels(item.judgments).label:
+            matches += 1
     return ProvenanceReport(
         total=len(items),
         labeled=labeled,
@@ -618,107 +617,114 @@ def _check_header(path: Path, line: str, fmt: str) -> None:
         raise ValueError(f"{path}:1: unsupported version {header.get('version')!r}")
 
 
-def save_items(items: Sequence[Item], path: str | Path) -> None:
-    lines = [_header_line(ITEMS_FORMAT)]
-    for item in items:
-        lines.append(
-            json.dumps(
-                {
-                    "id": item.id,
-                    "scene_group_id": item.scene_group_id,
-                    "premises": [p.raw for p in item.premises],
-                    "hypothesis": item.hypothesis.raw,
-                    "gold_label": item.gold_label,
-                    "judgments": list(item.judgments),
-                    "pair_labels": (
-                        list(item.pair_labels) if item.pair_labels is not None else None
-                    ),
-                    "phenomenon_tags": sorted(item.phenomenon_tags),
-                    "split": item.split,
-                    "label_source": item.label_source,
-                },
-                sort_keys=True,
-            )
-        )
+def _item_record(item: Item) -> dict:
+    return {
+        "id": item.id,
+        "scene_group_id": item.scene_group_id,
+        "premises": [p.raw for p in item.premises],
+        "hypothesis": item.hypothesis.raw,
+        "gold_label": item.gold_label,
+        "judgments": list(item.judgments),
+        "pair_labels": list(item.pair_labels) if item.pair_labels is not None else None,
+        "phenomenon_tags": sorted(item.phenomenon_tags),
+        "split": item.split,
+        "label_source": item.label_source,
+    }
+
+
+def _item_from_record(rec: dict) -> Item:
+    return Item(
+        id=rec["id"],
+        scene_group_id=rec["scene_group_id"],
+        premises=tuple(normalize(p) for p in rec["premises"]),
+        hypothesis=normalize(rec["hypothesis"]),
+        gold_label=rec["gold_label"],
+        judgments=tuple(rec["judgments"]),
+        pair_labels=(
+            tuple(rec["pair_labels"]) if rec["pair_labels"] is not None else None
+        ),
+        phenomenon_tags=frozenset(rec["phenomenon_tags"]),
+        split=rec["split"],
+        label_source=rec["label_source"],
+    )
+
+
+def _pair_record(pair: SpePair) -> dict:
+    return {
+        "id": pair.id,
+        "premise": pair.premise.raw,
+        "hypothesis": pair.hypothesis.raw,
+        "label": pair.label,
+    }
+
+
+def _pair_from_record(rec: dict) -> SpePair:
+    return SpePair(
+        id=rec["id"],
+        premise=normalize(rec["premise"]),
+        hypothesis=normalize(rec["hypothesis"]),
+        label=rec["label"],
+    )
+
+
+def _save_jsonl(path: str | Path, fmt: str, records: Iterable[dict]) -> None:
+    """Header line, then one sorted-key JSON record per line."""
+    lines = [_header_line(fmt)]
+    lines.extend(json.dumps(rec, sort_keys=True) for rec in records)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _load_jsonl(path: str | Path, fmt: str, parse, noun: str) -> list:
+    """Check the header, then parse each non-empty record line, naming the
+    `path:lineno` of the first bad one."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty {noun}s file")
+    _check_header(path, lines[0], fmt)
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {noun} record: {exc}") from None
+    return out
+
+
+def save_items(items: Sequence[Item], path: str | Path) -> None:
+    _save_jsonl(path, ITEMS_FORMAT, map(_item_record, items))
 
 
 def load_items(path: str | Path) -> list[Item]:
     """Read items, re-normalizing premise and hypothesis text on the way in."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty items file")
-    _check_header(path, lines[0], ITEMS_FORMAT)
-    items = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            items.append(
-                Item(
-                    id=rec["id"],
-                    scene_group_id=rec["scene_group_id"],
-                    premises=tuple(normalize(p) for p in rec["premises"]),
-                    hypothesis=normalize(rec["hypothesis"]),
-                    gold_label=rec["gold_label"],
-                    judgments=tuple(rec["judgments"]),
-                    pair_labels=(
-                        tuple(rec["pair_labels"])
-                        if rec["pair_labels"] is not None
-                        else None
-                    ),
-                    phenomenon_tags=frozenset(rec["phenomenon_tags"]),
-                    split=rec["split"],
-                    label_source=rec["label_source"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad item record: {exc}") from None
-    return items
+    return _load_jsonl(path, ITEMS_FORMAT, _item_from_record, "item")
 
 
 def save_spe_pairs(pairs: Sequence[SpePair], path: str | Path) -> None:
-    lines = [_header_line(SPE_FORMAT)]
-    for pair in pairs:
-        lines.append(
-            json.dumps(
-                {
-                    "id": pair.id,
-                    "premise": pair.premise.raw,
-                    "hypothesis": pair.hypothesis.raw,
-                    "label": pair.label,
-                },
-                sort_keys=True,
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _save_jsonl(path, SPE_FORMAT, map(_pair_record, pairs))
 
 
 def load_spe_pairs(path: str | Path) -> list[SpePair]:
+    return _load_jsonl(path, SPE_FORMAT, _pair_from_record, "pair")
+
+
+def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
+    """Load an items or single-premise-pairs file, dispatching on its header."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty pairs file")
-    _check_header(path, lines[0], SPE_FORMAT)
-    pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            pairs.append(
-                SpePair(
-                    id=rec["id"],
-                    premise=normalize(rec["premise"]),
-                    hypothesis=normalize(rec["hypothesis"]),
-                    label=rec["label"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad pair record: {exc}") from None
-    return pairs
+    with path.open(encoding="utf-8") as fh:
+        first = fh.readline()
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError:
+        raise ValueError(f"{path}:1: not a data file (bad header)") from None
+    kind = header.get("format") if isinstance(header, dict) else None
+    if kind == ITEMS_FORMAT:
+        return load_items(path)
+    if kind == SPE_FORMAT:
+        return load_spe_pairs(path)
+    raise ValueError(f"{path}:1: unrecognized format {kind!r}")
 
 
 def _save_label_table(table: Mapping[str, Sequence[str]], path: str | Path) -> None:

@@ -15,7 +15,7 @@ parser; nodes are phrases in lemma space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -121,6 +121,10 @@ class ReductionRuleSet:
     adjectives: frozenset[str]
     prepositions: frozenset[str]
     hypernyms: Mapping[str, tuple[str, ...]]
+    # single_step results by phrase; phrases recur across closures.
+    _steps: dict[Phrase, frozenset[Phrase]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         cycle = _find_cycle(self.hypernyms)
@@ -180,12 +184,18 @@ class ReductionRuleSet:
                 start = idx
         return chunks
 
-    def single_step(self, phrase: Phrase) -> set[Phrase]:
-        """All phrases reachable by one rule application.
+    def single_step(self, phrase: Phrase) -> frozenset[Phrase]:
+        """All phrases reachable by one rule application, memoized.
 
         Every result is strictly shorter than `phrase` or an equal-length
         hypernym substitution, so repeated application terminates.
         """
+        cached = self._steps.get(phrase)
+        if cached is None:
+            cached = self._steps[phrase] = frozenset(self._single_step(phrase))
+        return cached
+
+    def _single_step(self, phrase: Phrase) -> set[Phrase]:
         out: set[Phrase] = set()
         n = len(phrase)
         for i, tok in enumerate(phrase):
@@ -325,6 +335,7 @@ class PhraseGraph:
         nodes: dict[int, PhraseNode] = {}
         parents: dict[int, set[int]] = {}
         caption_index: dict[str, int] = {}
+        caption_lines: list[tuple[int, int]] = []  # (lineno, node id)
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
@@ -348,6 +359,7 @@ class PhraseGraph:
                 elif kind == "caption":
                     nid_s, _, raw = rest.partition("\t")
                     caption_index[raw] = int(nid_s)
+                    caption_lines.append((lineno, caption_index[raw]))
                 else:
                     raise ValueError("unknown record kind")
             except ValueError as exc:
@@ -356,6 +368,9 @@ class PhraseGraph:
             unknown = (ps | {child}) - nodes.keys()
             if unknown:
                 raise ValueError(f"{path}: edge references unknown node {sorted(unknown)}")
+        for lineno, nid in caption_lines:
+            if nid not in nodes:
+                raise ValueError(f"{path}:{lineno}: caption references unknown node {nid}")
         cycle = _find_cycle(parents)
         if cycle:
             raise ValueError(
@@ -376,17 +391,9 @@ def _transitive_reduction(
     reduced: dict[int, tuple[int, ...]] = {}
     for child in sorted(step_parents):
         direct = step_parents[child]
-        kept = []
-        for parent in sorted(direct):
-            implied = any(
-                parent in _ancestors(step_parents, full, mid)
-                for mid in direct
-                if mid != parent
-            )
-            if not implied:
-                kept.append(parent)
+        kept = direct.difference(*(_ancestors(step_parents, full, m) for m in direct))
         if kept:
-            reduced[child] = tuple(kept)
+            reduced[child] = tuple(sorted(kept))
     return reduced
 
 
@@ -403,15 +410,6 @@ def build_graph(
     captions = list(captions)
     if not captions:
         raise ValueError("build_graph needs at least one caption")
-    expansion: dict[Phrase, set[Phrase]] = {}
-
-    def expand(phrase: Phrase) -> set[Phrase]:
-        cached = expansion.get(phrase)
-        if cached is None:
-            cached = rules.single_step(phrase)
-            expansion[phrase] = cached
-        return cached
-
     supports: dict[Phrase, set[str]] = {}
     caption_counts: dict[Phrase, int] = {}
     caption_starts: dict[str, Phrase] = {}
@@ -419,22 +417,14 @@ def build_graph(
     for gid, sentence in captions:
         start = tuple(sentence.lemmas)
         caption_starts[sentence.raw] = start
-        closure = {start}
-        stack = [start]
-        while stack:
-            phrase = stack.pop()
-            for nxt in expand(phrase):
-                if nxt not in closure:
-                    closure.add(nxt)
-                    stack.append(nxt)
-        for phrase in closure:
+        for phrase in apply_reductions(sentence, rules):
             supports.setdefault(phrase, set()).add(gid)
             caption_counts[phrase] = caption_counts.get(phrase, 0) + 1
 
     phrase_ids = {phrase: nid for nid, phrase in enumerate(sorted(supports))}
     step_parents: dict[int, set[int]] = {}
     for phrase, nid in phrase_ids.items():
-        for nxt in expand(phrase):
+        for nxt in rules.single_step(phrase):
             step_parents.setdefault(nid, set()).add(phrase_ids[nxt])
 
     nodes = {

@@ -11,15 +11,19 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
   separately and sums the per-premise logits in a canonical order, which
   makes the output bitwise invariant under premise reordering.
 
-`model.logits(premises, hypothesis)` is the one entry point callers use: it
-takes the premises as a list of token lists, and each architecture decides
-itself whether to read them joined by `concat_premises` or one at a time.
-`forward` is the architecture's own call form and also returns its extras
-(attention weights, per-premise experts).
+Everything the three share is written once on `_ModelBase`: construction
+(`init` draws the embeddings, then the core, then the head, so a seed fixes
+every weight), dropout, the "core → concat → dropout" pair reader, the
+`params()` / `all_tensors()` lists, and checkpoint save and load. Each
+architecture adds only its head (`_init_head`) and its `forward`.
 
-All weights are float64 tensors named for checkpointing. Every model owns
-its embeddings, one conditional core and an ordered list of head tensors;
-`params()` and `all_tensors()` are derived from those three.
+`model.logits(premises, hypothesis)` is the one entry point callers use: it
+takes the premises as a list of token lists, and each architecture says with
+`joined_premises` whether to read them joined by `concat_premises` or one at
+a time. `forward` is the architecture's own call form and also returns its
+extras (attention weights, per-premise experts).
+
+All weights are float64 tensors named for checkpointing.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ def concat_premises(
     return joined
 
 
+def _weight(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+    return Tensor(rng.normal(scale=INIT_SCALE, size=shape), watched=True, name=name)
+
+
 class EmbeddingTable:
     """Token embeddings: a vocabulary matrix plus always-trainable rows for
     the unknown token and the premise separator."""
@@ -107,18 +115,8 @@ class EmbeddingTable:
         trainable: bool = True,
     ) -> "EmbeddingTable":
         ordered = sorted({t for t in tokens if t not in (UNK_TOKEN, SEPARATOR)})
-        vocab = {token: i for i, token in enumerate(ordered)}
-        main = Tensor(
-            rng.normal(scale=INIT_SCALE, size=(len(ordered), dim)),
-            watched=trainable,
-            name="embeddings.main",
-        )
-        special = Tensor(
-            rng.normal(scale=INIT_SCALE, size=(2, dim)),
-            watched=True,
-            name="embeddings.special",
-        )
-        return cls(vocab, main, special, trainable)
+        matrix = rng.normal(scale=INIT_SCALE, size=(len(ordered), dim))
+        return cls._build(ordered, matrix, rng, trainable)
 
     @classmethod
     def from_vectors(
@@ -139,13 +137,21 @@ class EmbeddingTable:
                     f"vector for {token!r} has length {row.shape[0]}, expected {dim}"
                 )
             matrix[i] = row
-        vocab = {token: i for i, token in enumerate(ordered)}
+        return cls._build(ordered, matrix, rng, trainable)
+
+    @classmethod
+    def _build(
+        cls,
+        ordered: Sequence[str],
+        matrix: np.ndarray,
+        rng: np.random.Generator,
+        trainable: bool,
+    ) -> "EmbeddingTable":
+        """Rows of `matrix` in `ordered` token order, plus freshly drawn UNK
+        and separator rows."""
+        special = _weight("embeddings.special", (2, matrix.shape[1]), rng)
         main = Tensor(matrix, watched=trainable, name="embeddings.main")
-        special = Tensor(
-            rng.normal(scale=INIT_SCALE, size=(2, dim)),
-            watched=True,
-            name="embeddings.special",
-        )
+        vocab = {token: i for i, token in enumerate(ordered)}
         return cls(vocab, main, special, trainable)
 
     def embed(self, tokens: Sequence[str]) -> list[Tensor]:
@@ -226,9 +232,7 @@ class LstmCell:
                 ("Wh", (state_dim, state_dim)),
             ):
                 name = f"{prefix}.{gate}.{suffix}"
-                tensors[name] = Tensor(
-                    rng.normal(scale=INIT_SCALE, size=shape), watched=True, name=name
-                )
+                tensors[name] = _weight(name, shape, rng)
             bias = np.zeros(state_dim)
             if gate == "forget":
                 bias += FORGET_BIAS
@@ -310,18 +314,87 @@ class ConditionalCore:
 
 
 def _affine(name: str, rows: int, cols: int, rng: np.random.Generator):
-    w = Tensor(
-        rng.normal(scale=INIT_SCALE, size=(rows, cols)), watched=True, name=f"{name}.W"
-    )
+    w = _weight(f"{name}.W", (rows, cols), rng)
     b = Tensor(np.zeros(cols), watched=True, name=f"{name}.b")
     return w, b
 
 
+# Checkpoint meta fields `_restore` needs besides the architecture.
+_META_KEYS = ("dim", "state_dim", "keep_prob", "trainable_embeddings", "vocab")
+
+
 class _ModelBase:
+    """Embeddings, one conditional core and a head; subclasses name the head
+    tensors in `_init_head` and define `forward`."""
+
     architecture = ""
-    embeddings: EmbeddingTable
-    core: ConditionalCore
+    # True: `forward` reads the premises joined by `concat_premises`; False:
+    # it takes the list of premises itself.
+    joined_premises = True
     head: list[Tensor]
+
+    def __init__(
+        self, embeddings: EmbeddingTable, core: ConditionalCore, keep_prob: float
+    ):
+        self.embeddings = embeddings
+        self.core = core
+        self.keep_prob = keep_prob
+        self.state_dim = core.state_dim
+
+    @classmethod
+    def init(
+        cls,
+        vocab_tokens: Sequence[str],
+        dim: int,
+        state_dim: int,
+        rng: np.random.Generator,
+        keep_prob: float = 1.0,
+        trainable_embeddings: bool = True,
+        embeddings: EmbeddingTable | None = None,
+    ) -> "_ModelBase":
+        """Fresh weights, drawn from `rng` in a fixed order: embeddings (unless
+        given), then the core, then the head."""
+        emb = embeddings or EmbeddingTable.random(
+            vocab_tokens, dim, rng, trainable_embeddings
+        )
+        model = cls(emb, ConditionalCore.random(emb.dim, state_dim, rng), keep_prob)
+        model._init_head(rng)
+        return model
+
+    def _init_head(self, rng: np.random.Generator) -> None:
+        raise NotImplementedError
+
+    def _dropout(
+        self, x: Tensor, train: bool, rng: np.random.Generator | None
+    ) -> Tensor:
+        if train and rng is None:
+            raise ValueError("training mode needs a dropout rng")
+        return dropout(x, self.keep_prob, rng, train=train)
+
+    def _pair(
+        self,
+        premise_rows: Sequence[Tensor],
+        hypothesis_rows: Sequence[Tensor],
+        train: bool,
+        rng: np.random.Generator | None,
+    ) -> Tensor:
+        """The final premise and hypothesis hidden states side by side,
+        (1, 2k), after dropout."""
+        _, premise_vec, hypothesis_vec = self.core.run(premise_rows, hypothesis_rows)
+        return self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
+
+    def logits(
+        self,
+        premises: Sequence[Sequence[str]],
+        hypothesis: Sequence[str],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The 3 logits for a list of premise token lists."""
+        if self.joined_premises:
+            premises = concat_premises(premises)
+        out = self.forward(premises, hypothesis, train=train, rng=rng)
+        return out[0] if isinstance(out, tuple) else out
 
     def params(self) -> list[Tensor]:
         """Trainable tensors: embeddings, then the core, then the head."""
@@ -354,12 +427,14 @@ class _ModelBase:
                 f"checkpoint holds {meta.get('architecture')!r}, "
                 f"expected {cls.architecture!r}"
             )
-        rng = np.random.default_rng(0)
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
         model = cls.init(
             vocab_tokens=meta["vocab"],
             dim=meta["dim"],
             state_dim=meta["state_dim"],
-            rng=rng,
+            rng=np.random.default_rng(0),
             keep_prob=meta["keep_prob"],
             trainable_embeddings=meta["trainable_embeddings"],
         )
@@ -378,8 +453,7 @@ class _ModelBase:
 
     @classmethod
     def load(cls, path: str | Path) -> "_ModelBase":
-        tensors, meta = load_checkpoint(path)
-        return cls._restore(tensors, meta)
+        return _load(path, cls)
 
 
 class ConditionalLstmModel(_ModelBase):
@@ -390,44 +464,11 @@ class ConditionalLstmModel(_ModelBase):
 
     architecture = "conditional-lstm"
 
-    def __init__(
-        self,
-        embeddings: EmbeddingTable,
-        core: ConditionalCore,
-        hidden_w: Tensor,
-        hidden_b: Tensor,
-        out_w: Tensor,
-        out_b: Tensor,
-        keep_prob: float,
-    ):
-        self.embeddings = embeddings
-        self.core = core
-        self.hidden_w = hidden_w
-        self.hidden_b = hidden_b
-        self.out_w = out_w
-        self.out_b = out_b
-        self.head = [hidden_w, hidden_b, out_w, out_b]
-        self.keep_prob = keep_prob
-        self.state_dim = core.state_dim
-
-    @classmethod
-    def init(
-        cls,
-        vocab_tokens: Sequence[str],
-        dim: int,
-        state_dim: int,
-        rng: np.random.Generator,
-        keep_prob: float = 1.0,
-        trainable_embeddings: bool = True,
-        embeddings: EmbeddingTable | None = None,
-    ) -> "ConditionalLstmModel":
-        emb = embeddings or EmbeddingTable.random(
-            vocab_tokens, dim, rng, trainable_embeddings
-        )
-        core = ConditionalCore.random(emb.dim, state_dim, rng)
-        hidden_w, hidden_b = _affine("hidden", 2 * state_dim, state_dim, rng)
-        out_w, out_b = _affine("output", state_dim, 3, rng)
-        return cls(emb, core, hidden_w, hidden_b, out_w, out_b, keep_prob)
+    def _init_head(self, rng: np.random.Generator) -> None:
+        k = self.state_dim
+        self.hidden_w, self.hidden_b = _affine("hidden", 2 * k, k, rng)
+        self.out_w, self.out_b = _affine("output", k, 3, rng)
+        self.head = [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
 
     def forward(
         self,
@@ -436,25 +477,11 @@ class ConditionalLstmModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        if train and rng is None:
-            raise ValueError("training mode needs a dropout rng")
-        _, premise_vec, hypothesis_vec = self.core.run(
-            self.embeddings.embed(premise), self.embeddings.embed(hypothesis)
+        pair = self._pair(
+            self.embeddings.embed(premise), self.embeddings.embed(hypothesis), train, rng
         )
-        pair = concat([premise_vec, hypothesis_vec], axis=1)
-        pair = dropout(pair, self.keep_prob, rng, train=train)
         hidden = tanh(add(matmul(pair, self.hidden_w), self.hidden_b))
         return flatten(add(matmul(hidden, self.out_w), self.out_b))
-
-    def logits(
-        self,
-        premises: Sequence[Sequence[str]],
-        hypothesis: Sequence[str],
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """The 3 logits, reading the premises as one joined sequence."""
-        return self.forward(concat_premises(premises), hypothesis, train=train, rng=rng)
 
 
 class AttentionModel(_ModelBase):
@@ -469,56 +496,12 @@ class AttentionModel(_ModelBase):
 
     ATTN_NAMES = ("Wy", "Wh", "Wr", "Wt", "Wp", "Wx")
 
-    def __init__(
-        self,
-        embeddings: EmbeddingTable,
-        core: ConditionalCore,
-        attn: dict[str, Tensor],
-        score_w: Tensor,
-        out_w: Tensor,
-        out_b: Tensor,
-        keep_prob: float,
-    ):
-        self.embeddings = embeddings
-        self.core = core
-        self.attn = attn
-        self.score_w = score_w
-        self.out_w = out_w
-        self.out_b = out_b
-        self.head = [*(attn[s] for s in self.ATTN_NAMES), score_w, out_w, out_b]
-        self.keep_prob = keep_prob
-        self.state_dim = core.state_dim
-
-    @classmethod
-    def init(
-        cls,
-        vocab_tokens: Sequence[str],
-        dim: int,
-        state_dim: int,
-        rng: np.random.Generator,
-        keep_prob: float = 1.0,
-        trainable_embeddings: bool = True,
-        embeddings: EmbeddingTable | None = None,
-    ) -> "AttentionModel":
-        emb = embeddings or EmbeddingTable.random(
-            vocab_tokens, dim, rng, trainable_embeddings
-        )
-        core = ConditionalCore.random(emb.dim, state_dim, rng)
-        attn = {}
-        for short in cls.ATTN_NAMES:
-            name = f"attention.{short}"
-            attn[short] = Tensor(
-                rng.normal(scale=INIT_SCALE, size=(state_dim, state_dim)),
-                watched=True,
-                name=name,
-            )
-        score_w = Tensor(
-            rng.normal(scale=INIT_SCALE, size=(state_dim, 1)),
-            watched=True,
-            name="attention.score",
-        )
-        out_w, out_b = _affine("output", state_dim, 3, rng)
-        return cls(emb, core, attn, score_w, out_w, out_b, keep_prob)
+    def _init_head(self, rng: np.random.Generator) -> None:
+        k = self.state_dim
+        self.attn = {s: _weight(f"attention.{s}", (k, k), rng) for s in self.ATTN_NAMES}
+        self.score_w = _weight("attention.score", (k, 1), rng)
+        self.out_w, self.out_b = _affine("output", k, 3, rng)
+        self.head = [*self.attn.values(), self.score_w, self.out_w, self.out_b]
 
     def forward(
         self,
@@ -527,8 +510,6 @@ class AttentionModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        if train and rng is None:
-            raise ValueError("training mode needs a dropout rng")
         premise_rows = self.embeddings.embed(premise)
         hypothesis_rows = self.embeddings.embed(hypothesis)
         premise_states, c = self.core.read_premise(premise_rows)
@@ -556,20 +537,9 @@ class AttentionModel(_ModelBase):
                 matmul(h, self.attn["Wx"]),
             )
         )
-        pair = dropout(pair, self.keep_prob, rng, train=train)
+        pair = self._dropout(pair, train, rng)
         logits = flatten(add(matmul(pair, self.out_w), self.out_b))
         return logits, np.stack(weights_rows)
-
-    def logits(
-        self,
-        premises: Sequence[Sequence[str]],
-        hypothesis: Sequence[str],
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """The 3 logits, attending over the premises as one joined sequence."""
-        joined = concat_premises(premises)
-        return self.forward(joined, hypothesis, train=train, rng=rng)[0]
 
 
 class SumOfExpertsModel(_ModelBase):
@@ -581,54 +551,11 @@ class SumOfExpertsModel(_ModelBase):
     """
 
     architecture = "sum-of-experts"
+    joined_premises = False
 
-    def __init__(
-        self,
-        embeddings: EmbeddingTable,
-        core: ConditionalCore,
-        expert_w: Tensor,
-        expert_b: Tensor,
-        keep_prob: float,
-    ):
-        self.embeddings = embeddings
-        self.core = core
-        self.expert_w = expert_w
-        self.expert_b = expert_b
-        self.head = [expert_w, expert_b]
-        self.keep_prob = keep_prob
-        self.state_dim = core.state_dim
-
-    @classmethod
-    def init(
-        cls,
-        vocab_tokens: Sequence[str],
-        dim: int,
-        state_dim: int,
-        rng: np.random.Generator,
-        keep_prob: float = 1.0,
-        trainable_embeddings: bool = True,
-        embeddings: EmbeddingTable | None = None,
-    ) -> "SumOfExpertsModel":
-        emb = embeddings or EmbeddingTable.random(
-            vocab_tokens, dim, rng, trainable_embeddings
-        )
-        core = ConditionalCore.random(emb.dim, state_dim, rng)
-        expert_w, expert_b = _affine("experts", 2 * state_dim, 3, rng)
-        return cls(emb, core, expert_w, expert_b, keep_prob)
-
-    def _expert(
-        self,
-        premise: Sequence[str],
-        hypothesis_rows: Sequence[Tensor],
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> Tensor:
-        _, premise_vec, hypothesis_vec = self.core.run(
-            self.embeddings.embed(premise), hypothesis_rows
-        )
-        pair = concat([premise_vec, hypothesis_vec], axis=1)
-        pair = dropout(pair, self.keep_prob, rng, train=train)
-        return flatten(add(matmul(pair, self.expert_w), self.expert_b))
+    def _init_head(self, rng: np.random.Generator) -> None:
+        self.expert_w, self.expert_b = _affine("experts", 2 * self.state_dim, 3, rng)
+        self.head = [self.expert_w, self.expert_b]
 
     def forward(
         self,
@@ -639,28 +566,16 @@ class SumOfExpertsModel(_ModelBase):
     ) -> tuple[Tensor, list[Tensor]]:
         if len(premises) not in (1, 4):
             raise ValueError(f"need 1 or 4 premises, got {len(premises)}")
-        if train and rng is None:
-            raise ValueError("training mode needs a dropout rng")
         hypothesis_rows = self.embeddings.embed(hypothesis)
-        experts = [
-            self._expert(premise, hypothesis_rows, train, rng)
-            for premise in premises
-        ]
+        experts = []
+        for premise in premises:
+            pair = self._pair(self.embeddings.embed(premise), hypothesis_rows, train, rng)
+            experts.append(flatten(add(matmul(pair, self.expert_w), self.expert_b)))
         if len(experts) == 1:
             return experts[0], experts
         ranked = sorted(experts, key=lambda t: tuple(t.values.tolist()))
         total = add(add(ranked[0], ranked[1]), add(ranked[2], ranked[3]))
         return total, experts
-
-    def logits(
-        self,
-        premises: Sequence[Sequence[str]],
-        hypothesis: Sequence[str],
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """The 3 logits, summed over one expert per premise."""
-        return self.forward(premises, hypothesis, train=train, rng=rng)[0]
 
 
 ARCHITECTURES = {
@@ -669,10 +584,21 @@ ARCHITECTURES = {
 }
 
 
-def load_model(path: str | Path):
-    """Load any checkpoint, dispatching on its architecture field."""
+def _load(path: str | Path, cls: type[_ModelBase] | None) -> _ModelBase:
+    """Restore a checkpoint as `cls`, or as its own architecture when None;
+    every error names the path."""
     tensors, meta = load_checkpoint(path)
-    arch = meta.get("architecture")
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture in checkpoint: {arch!r}")
-    return ARCHITECTURES[arch]._restore(tensors, meta)
+    try:
+        if cls is None:
+            arch = meta.get("architecture")
+            if arch not in ARCHITECTURES:
+                raise ValueError(f"unknown architecture in checkpoint: {arch!r}")
+            cls = ARCHITECTURES[arch]
+        return cls._restore(tensors, meta)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def load_model(path: str | Path) -> _ModelBase:
+    """Load any checkpoint, dispatching on its architecture field."""
+    return _load(path, None)

@@ -244,12 +244,6 @@ class Sentence:
         if len(self.tokens) != len(self.lemmas):
             raise ValueError("tokens and lemmas must align")
 
-    def token_lemma(self, token: str) -> str:
-        for t, l in zip(self.tokens, self.lemmas):
-            if t == token:
-                return l
-        raise KeyError(token)
-
 
 def tokenize(raw: str) -> tuple[str, ...]:
     """Lowercase, strip possessive 's, split on non-alphanumerics."""

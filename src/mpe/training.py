@@ -125,6 +125,12 @@ def accuracy(model, items: Sequence["Item | SpePair"]) -> float:
     return correct / len(items)
 
 
+def _check_labeled(items: Iterable["Item | SpePair"]) -> None:
+    for item in items:
+        if item_gold(item) is None:
+            raise ValueError(f"item {item.id} has no gold label")
+
+
 def build_model(config: TrainConfig, vocab_tokens: Sequence[str], embeddings=None):
     rng = np.random.default_rng(config.seed)
     return ARCHITECTURES[config.model].init(
@@ -187,13 +193,6 @@ class Trainer:
         self.best_epoch = 0
         self.best_params: dict[str, np.ndarray] = {}
 
-    def _check_labeled(self, items: Sequence["Item | SpePair"]) -> None:
-        if not items:
-            raise ValueError("cannot train on an empty dataset")
-        for item in items:
-            if item_gold(item) is None:
-                raise ValueError(f"item {item.id} has no gold label")
-
     def _snapshot(self, phase: str, epoch: int, metric: float) -> None:
         if self._best_metric is None or metric > self._best_metric:
             self._best_metric = metric
@@ -210,9 +209,11 @@ class Trainer:
         dev: Sequence["Item | SpePair"] | None = None,
         phase: str = "train",
     ) -> list[EpochLog]:
-        self._check_labeled(items)
+        if not items:
+            raise ValueError("cannot train on an empty dataset")
+        _check_labeled(items)
         if dev:
-            self._check_labeled(dev)
+            _check_labeled(dev)
         batch_size = self.config.batch_size
         phase_logs: list[EpochLog] = []
         for epoch in range(1, epochs + 1):
@@ -327,36 +328,21 @@ class EvalReport:
         return self.correct / self.n_items
 
     def to_record(self) -> dict:
+        def breakdowns(table: Mapping) -> dict:
+            return {
+                str(key): {"correct": b.correct, "total": b.total, "accuracy": b.accuracy}
+                for key, b in table.items()
+            }
+
         return {
             "n_items": self.n_items,
             "correct": self.correct,
             "accuracy": self.accuracy,
-            "per_class": {
-                label: {
-                    "correct": b.correct,
-                    "total": b.total,
-                    "accuracy": b.accuracy,
-                }
-                for label, b in self.per_class.items()
-            },
-            "by_category": None
-            if self.by_category is None
-            else {
-                str(cat): {
-                    "correct": b.correct,
-                    "total": b.total,
-                    "accuracy": b.accuracy,
-                }
-                for cat, b in self.by_category.items()
-            },
-            "by_phenomenon": {
-                tag: {
-                    "correct": b.correct,
-                    "total": b.total,
-                    "accuracy": b.accuracy,
-                }
-                for tag, b in self.by_phenomenon.items()
-            },
+            "per_class": breakdowns(self.per_class),
+            "by_category": (
+                None if self.by_category is None else breakdowns(self.by_category)
+            ),
+            "by_phenomenon": breakdowns(self.by_phenomenon),
             "confusion": [list(row) for row in self.confusion],
             "labels": list(LABELS),
             "diagnostics": list(self.diagnostics),
@@ -369,9 +355,7 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
 
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
-    for item in items:
-        if item_gold(item) is None:
-            raise ValueError(f"item {item.id} has no gold label")
+    _check_labeled(items)
 
     predictions = []
     confusion = [[0] * len(LABELS) for _ in LABELS]

@@ -2,11 +2,13 @@
 
 import io
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 import mpe.cli as cli
+from mpe.autodiff import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from mpe.cli import main
 from mpe.dataset import (
     Item,
@@ -536,6 +538,35 @@ class TestEval:
         )
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "meta, expected",
+        [
+            (b"[]", "must be a JSON object"),
+            (b"{not json", "bad checkpoint meta"),
+            (
+                b'{"architecture": "conditional-lstm", "dim": 4, "keep_prob": 1.0,'
+                b' "state_dim": 4, "trainable_embeddings": true}',
+                "lacks 'vocab'",
+            ),
+        ],
+        ids=["meta-list", "meta-not-json", "meta-no-vocab"],
+    )
+    def test_malformed_checkpoint_meta_exits_1(
+        self, labeled_items_file, tmp_path, capsys, meta, expected
+    ):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<II", CHECKPOINT_VERSION, len(meta))
+            + meta
+            + struct.pack("<I", 0)
+        )
+        code = main(["eval", "--model", str(path), "--items", str(labeled_items_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert expected in err
 
 
 class TestGradcheck:

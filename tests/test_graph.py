@@ -461,6 +461,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
             PhraseGraph.load(path)
 
+    def test_caption_for_unknown_node_located(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text(
+            "mpe-graph\t1\nnode\t0\tdog\tg1\t1\ncaption\t0\tA dog.\n"
+            "caption\t7\tA cat.\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4:") + ".*node 7"):
+            PhraseGraph.load(path)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         graph, _ = build_fixture_graph()
         path = tmp_path / "fixture.graph"

@@ -1,5 +1,6 @@
 """Embeddings, LSTM cells, and the three entailment architectures."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -537,3 +538,53 @@ class TestModelInterface:
         for model, reference in expected.items():
             got = model.logits(premises, HYPOTHESIS)
             assert got.values.tobytes() == reference.values.tobytes()
+
+
+def weights_digest(model) -> str:
+    """sha256 over every tensor's name and little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for name, t in sorted(model.all_tensors().items()):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestInitialWeightsPinned:
+    """A fixed seed gives fixed weights: the draw order (embeddings, core,
+    head) and every shape and name are part of the trained artifacts."""
+
+    VOCAB = ["a", "ball", "cat", "dog", "runs", "sits"]
+    DIGESTS = {
+        "attention": "4ecab05587e8692105afebfd16bce3609a197148b4ec0bb7efbe8550501929aa",
+        "conditional-lstm": (
+            "04a8b5a4a2ae5dc65cb6571013135f6ca8d5540995f5cdcba73620b7c5cdc900"
+        ),
+        "sum-of-experts": (
+            "5d235178a66c20f2096ed5b67758decf1b9a0ac04be0fe8e89502be859c67508"
+        ),
+    }
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_random_init(self, arch):
+        model = ARCHITECTURES[arch].init(
+            vocab_tokens=self.VOCAB,
+            dim=4,
+            state_dim=3,
+            rng=np.random.default_rng(11),
+            keep_prob=0.5,
+        )
+        assert weights_digest(model) == self.DIGESTS[arch]
+
+    def test_init_from_vectors(self):
+        vectors = {t: [i / 10, -i / 10, 0.5] for i, t in enumerate(self.VOCAB)}
+        embeddings = EmbeddingTable.from_vectors(vectors, np.random.default_rng(5))
+        model = SumOfExpertsModel.init(
+            vocab_tokens=self.VOCAB,
+            dim=3,
+            state_dim=3,
+            rng=np.random.default_rng(11),
+            embeddings=embeddings,
+        )
+        assert weights_digest(model) == (
+            "3c13d1657baef99b8d1cb10b89bc67331fa477bcffc6357820f92228bd0e9712"
+        )
