@@ -10,14 +10,9 @@ Usage: python3 scripts/overfit_models.py [--models lstm,attn,se] [--max-epochs N
 import argparse
 import time
 
+from mpe.cli import MODEL_ALIASES
 from mpe.dataset import Item
 from mpe.training import TrainConfig, Trainer, build_model, vocabulary_from_items
-
-ALIASES = {
-    "lstm": "conditional-lstm",
-    "attn": "attention",
-    "se": "sum-of-experts",
-}
 
 MARKERS = {"E": "alpha", "N": "beta", "C": "gamma"}
 FILLERS = (
@@ -58,7 +53,7 @@ def main() -> int:
     items = synthetic_items(args.n_items)
     failures = []
     for alias in args.models.split(","):
-        kind = ALIASES.get(alias.strip(), alias.strip())
+        kind = MODEL_ALIASES.get(alias.strip(), alias.strip())
         config = TrainConfig(
             model=kind,
             state_dim=args.state_dim,

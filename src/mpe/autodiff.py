@@ -150,9 +150,10 @@ def _record(out: Tensor, thunk: Callable[[], None]) -> Tensor:
     return out
 
 
-def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(ufunc: np.ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """`ufunc` on the two operands; numpy's broadcast failure becomes a ShapeError."""
     try:
-        np.broadcast_shapes(a.values.shape, b.values.shape)
+        return ufunc(a.values, b.values)
     except ValueError:
         raise ShapeError(
             f"{op}: shapes {a.values.shape} and {b.values.shape} do not broadcast"
@@ -160,8 +161,7 @@ def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a, b, "add")
-    out = Tensor(a.values + b.values)
+    out = Tensor(_broadcast(np.add, a, b, "add"))
 
     def thunk():
         _accumulate(a, _unbroadcast(out.grad, a.values.shape))
@@ -171,8 +171,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a, b, "sub")
-    out = Tensor(a.values - b.values)
+    out = Tensor(_broadcast(np.subtract, a, b, "sub"))
 
     def thunk():
         _accumulate(a, _unbroadcast(out.grad, a.values.shape))
@@ -182,8 +181,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a, b, "mul")
-    out = Tensor(a.values * b.values)
+    out = Tensor(_broadcast(np.multiply, a, b, "mul"))
 
     def thunk():
         _accumulate(a, _unbroadcast(out.grad * b.values, a.values.shape))
@@ -575,7 +573,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: bad tensor name: {exc}") from None
+        if name in tensors:
+            raise ValueError(f"{path}: duplicate tensor name {name!r}")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         size = int(np.prod(shape)) if ndim else 1

@@ -1,13 +1,14 @@
 """Command-line pipeline: graph building, dataset generation, statistics,
 adjudication, voting baselines, training, evaluation, and gradient checks.
 
-Every file-producing run writes a `<output>.manifest.json` beside its primary
-output recording the subcommand, argv, input hashes, configuration (with a
-hash), and format versions — enough to reproduce the run byte-for-byte.
-Interactive adjudication decisions are recorded in the manifest so those runs
-stay reproducible too. Inputs are loaded and validated in full before any
-output is written, and all writes are atomic, so a failed run leaves no
-partial artifacts.
+Each subcommand declares its input flags, and `main` checks that each given
+input exists before the command runs. After a run that wrote files, `main`
+writes `<output>.manifest.json` beside the primary output, recording the
+subcommand, argv, input hashes, configuration (with a hash), format versions
+and the command's extra records, such as interactive adjudication decisions —
+enough to reproduce the run byte-for-byte. Inputs are loaded and validated in
+full before any output is written, and all writes are atomic, so a failed run
+leaves no partial artifacts.
 
 Relative paths resolve against $MPE_DATA_DIR when it is set.
 """
@@ -19,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -104,16 +105,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, record: dict) -> None:
+    _atomic_write(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+@dataclass
+class _Written:
+    """What a command hands `main` for the manifest: the files it wrote,
+    primary first, its configuration, and extra top-level manifest keys."""
+
+    outputs: list[Path]
+    config: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
+
+
 def _write_manifest(
-    primary_output: Path,
-    command: str,
-    argv: Sequence[str],
-    inputs: dict[str, Path],
-    config: dict,
-    outputs: Sequence[Path],
-    extra: dict | None = None,
-) -> Path:
-    config_blob = json.dumps(config, sort_keys=True)
+    command: str, argv: Sequence[str], inputs: dict[str, Path], run: _Written
+) -> None:
+    config_blob = json.dumps(run.config, sort_keys=True)
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -121,8 +130,8 @@ def _write_manifest(
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in sorted(inputs.items())
         },
-        "outputs": [str(p) for p in outputs],
-        "config": config,
+        "outputs": [str(p) for p in run.outputs],
+        "config": run.config,
         "config_hash": hashlib.sha256(config_blob.encode("utf-8")).hexdigest(),
         "versions": {
             "package": __version__,
@@ -130,41 +139,34 @@ def _write_manifest(
             "graph_format": GRAPH_VERSION,
             "checkpoint_format": CHECKPOINT_VERSION,
         },
+        **run.extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = primary_output.with_name(primary_output.name + ".manifest.json")
-    _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    primary = run.outputs[0]
+    _write_json(primary.with_name(primary.name + ".manifest.json"), manifest)
 
 
-def _write_json(path: Path, record: dict) -> None:
-    _atomic_write(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+def _report(path: str | None, record: dict) -> _Written:
+    """Write the optional `--out` JSON report of stats, vote and eval."""
+    if not path:
+        return _Written([])
+    out = _resolve(path)
+    _write_json(out, record)
+    return _Written([out])
 
 
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_build_graph(args, argv) -> int:
-    captions_path = _require_input(args.captions)
-    groups = load_captions(captions_path)
+def cmd_build_graph(args, inputs) -> _Written:
+    groups = load_captions(inputs["captions"])
     graph = build_graph(graph_captions(groups))
     out = _resolve(args.out)
     graph.save(out)
-    _write_manifest(
-        out,
-        "build-graph",
-        argv,
-        {"captions": captions_path},
-        {},
-        [out],
-    )
     print(f"graph: {len(graph)} nodes, {len(graph.edges)} edges -> {out}")
-    return 0
+    return _Written([out])
 
 
-def cmd_build_dataset(args, argv) -> int:
-    captions_path = _require_input(args.captions)
+def cmd_build_dataset(args, inputs) -> _Written:
     config = GenerationConfig(
         n_items=args.n_items,
         seed=args.seed,
@@ -173,21 +175,12 @@ def cmd_build_dataset(args, argv) -> int:
         min_support=args.min_support,
         split=args.split,
     )
-    groups = load_captions(captions_path)
+    groups = load_captions(inputs["captions"])
     graph = build_graph(graph_captions(groups))
     result = generate_items(groups, graph, config)
     out = _resolve(args.out)
     save_items(result.items, out)
     diag = asdict(result.diagnostics)
-    _write_manifest(
-        out,
-        "build-dataset",
-        argv,
-        {"captions": captions_path},
-        asdict(config),
-        [out],
-        extra={"diagnostics": diag},
-    )
     print(
         f"items: {diag['produced']}/{diag['requested']} "
         f"(related {diag['related']}, unrelated {diag['unrelated']}, "
@@ -200,7 +193,7 @@ def cmd_build_dataset(args, argv) -> int:
             f"overlap {diag['rejected_overlap']}, "
             f"no-content {diag['rejected_no_content']})"
         )
-    return 0
+    return _Written([out], asdict(config), {"diagnostics": diag})
 
 
 def _format_stats(report) -> str:
@@ -237,16 +230,10 @@ def _format_stats(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_stats(args, argv) -> int:
-    items_path = _require_input(args.items)
-    items = load_items(items_path)
-    report = corpus_stats(items)
+def cmd_stats(args, inputs) -> _Written:
+    report = corpus_stats(load_items(inputs["items"]))
     print(_format_stats(report), end="")
-    if args.out:
-        out = _resolve(args.out)
-        _write_json(out, asdict(report))
-        _write_manifest(out, "stats", argv, {"items": items_path}, {}, [out])
-    return 0
+    return _report(args.out, asdict(report))
 
 
 def _raw(text) -> str:
@@ -285,8 +272,8 @@ def run_adjudication_loop(flagged: Sequence[Item], stream) -> dict[str, str]:
     return decisions
 
 
-def cmd_adjudicate(args, argv) -> int:
-    items_path = _require_input(args.items)
+def cmd_adjudicate(args, inputs) -> _Written:
+    items_path = inputs["items"]
     items = load_items(items_path)
     flagged = [
         item
@@ -295,11 +282,8 @@ def cmd_adjudicate(args, argv) -> int:
     ]
     if not flagged:
         raise CliError(f"{items_path}: no items need adjudication")
-    inputs = {"items": items_path}
-    if args.decisions:
-        decisions_path = _require_input(args.decisions)
-        inputs["decisions"] = decisions_path
-        decisions = load_decisions(decisions_path)
+    if "decisions" in inputs:
+        decisions = load_decisions(inputs["decisions"])
     else:
         decisions = run_adjudication_loop(flagged, sys.stdin)
     resolved, unresolved = adjudicate(flagged, decisions)
@@ -307,27 +291,17 @@ def cmd_adjudicate(args, argv) -> int:
     merged = [by_id.get(item.id, item) for item in items]
     out = _resolve(args.out)
     save_items(merged, out)
-    _write_manifest(
-        out,
-        "adjudicate",
-        argv,
-        inputs,
-        {},
-        [out],
-        extra={"decisions": dict(sorted(decisions.items())), "unresolved": unresolved},
-    )
     print(
         f"flagged {len(flagged)}, decided {len(decisions)}, "
         f"unresolved {len(unresolved)} -> {out}"
     )
-    return 0
+    extra = {"decisions": dict(sorted(decisions.items())), "unresolved": unresolved}
+    return _Written([out], extra=extra)
 
 
-def cmd_vote(args, argv) -> int:
-    items_path = _require_input(args.items)
-    pairs_path = _require_input(args.pairs)
-    items = load_items(items_path)
-    pair_labels = load_pair_labels(pairs_path)
+def cmd_vote(args, inputs) -> _Written:
+    items = load_items(inputs["items"])
+    pair_labels = load_pair_labels(inputs["pairs"])
     items = attach_pair_labels(items, pair_labels)
     report = score_baselines(items)
     histogram = "  ".join(
@@ -338,13 +312,7 @@ def cmd_vote(args, argv) -> int:
     print(f"majority (neutral fallback): {report.majority_acc_neutral_fallback:.1%}")
     print(f"entail/contradict heuristic: {report.heuristic_acc:.1%}")
     print(f"agreement histogram: {histogram}")
-    if args.out:
-        out = _resolve(args.out)
-        _write_json(out, asdict(report))
-        _write_manifest(
-            out, "vote", argv, {"items": items_path, "pairs": pairs_path}, {}, [out]
-        )
-    return 0
+    return _report(args.out, asdict(report))
 
 
 def _train_config(args) -> TrainConfig:
@@ -378,29 +346,17 @@ def _train_config(args) -> TrainConfig:
         raise CliError(str(exc)) from None
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args, inputs) -> _Written:
     config = _train_config(args)
-    items_path = _require_input(args.items)
-    items = load_examples(items_path)
-    inputs = {"items": items_path}
-    dev = None
-    if args.dev:
-        dev_path = _require_input(args.dev)
-        inputs["dev"] = dev_path
-        dev = load_examples(dev_path)
-    pretrain_items = None
-    if args.pretrain:
-        pretrain_path = _require_input(args.pretrain)
-        inputs["pretrain"] = pretrain_path
-        pretrain_items = load_examples(pretrain_path)
+    items = load_examples(inputs["items"])
+    dev = load_examples(inputs["dev"]) if "dev" in inputs else None
+    pretrain_items = load_examples(inputs["pretrain"]) if "pretrain" in inputs else None
     if config.regime == "pretrain-then-finetune" and pretrain_items is None:
         raise CliError("regime pretrain-then-finetune needs --pretrain")
 
     embeddings = None
-    if args.embeddings:
-        embeddings_path = _require_input(args.embeddings)
-        inputs["embeddings"] = embeddings_path
-        vectors = load_pretrained_vectors(embeddings_path)
+    if "embeddings" in inputs:
+        vectors = load_pretrained_vectors(inputs["embeddings"])
         embeddings = EmbeddingTable.from_vectors(
             vectors,
             np.random.default_rng(config.seed),
@@ -416,7 +372,6 @@ def cmd_train(args, argv) -> int:
 
     out = _resolve(args.out)
     result.model.save(out)
-    outputs = [out]
     logs_path = (
         _resolve(args.logs) if args.logs else out.with_name(out.name + ".logs.jsonl")
     )
@@ -424,20 +379,11 @@ def cmd_train(args, argv) -> int:
         logs_path,
         "".join(json.dumps(log.to_record(), sort_keys=True) + "\n" for log in result.logs),
     )
-    outputs.append(logs_path)
+    outputs = [out, logs_path]
     if args.best_out:
         best_path = _resolve(args.best_out)
         result.save_best_checkpoint(best_path)
         outputs.append(best_path)
-    _write_manifest(
-        out,
-        "train",
-        argv,
-        inputs,
-        asdict(config),
-        outputs,
-        extra={"best_phase": result.best_phase, "best_epoch": result.best_epoch},
-    )
     last = result.logs[-1]
     dev_note = "" if last.dev_accuracy is None else f", dev acc {last.dev_accuracy:.1%}"
     print(
@@ -446,22 +392,16 @@ def cmd_train(args, argv) -> int:
         f"{dev_note}) -> {out}"
     )
     print(f"best epoch: {result.best_phase} {result.best_epoch}")
-    return 0
+    extra = {"best_phase": result.best_phase, "best_epoch": result.best_epoch}
+    return _Written(outputs, asdict(config), extra)
 
 
-def cmd_eval(args, argv) -> int:
-    model_path = _require_input(args.model)
-    items_path = _require_input(args.items)
-    model = load_model(model_path)
-    items = load_examples(items_path)
+def cmd_eval(args, inputs) -> _Written:
+    model = load_model(inputs["model"])
+    items = load_examples(inputs["items"])
     report = evaluate(model, items)
     print(format_eval_report(report), end="")
-    outputs = []
-    out = None
-    if args.out:
-        out = _resolve(args.out)
-        _write_json(out, report.to_record())
-        outputs.append(out)
+    written = _report(args.out, report.to_record())
     if args.predictions:
         predictions_path = _resolve(args.predictions)
         _atomic_write(
@@ -471,17 +411,8 @@ def cmd_eval(args, argv) -> int:
                 for item, guess in zip(items, report.predictions)
             ),
         )
-        outputs.append(predictions_path)
-    if outputs:
-        _write_manifest(
-            out or outputs[0],
-            "eval",
-            argv,
-            {"model": model_path, "items": items_path},
-            {},
-            outputs,
-        )
-    return 0
+        written.outputs.append(predictions_path)
+    return written
 
 
 GRADCHECK_PREMISES = (
@@ -515,7 +446,7 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     )
 
 
-def cmd_gradcheck(args, argv) -> int:
+def cmd_gradcheck(args, inputs) -> int:
     kinds = (
         sorted(ARCHITECTURES)
         if args.model == "all"
@@ -545,7 +476,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-graph", help="build the phrase graph from captions")
     p.add_argument("--captions", required=True, help="caption groups TSV")
     p.add_argument("--out", required=True, help="graph file to write")
-    p.set_defaults(func=cmd_build_graph)
+    p.set_defaults(func=cmd_build_graph, inputs=("captions",))
 
     p = sub.add_parser("build-dataset", help="generate entailment items")
     p.add_argument("--captions", required=True)
@@ -556,12 +487,12 @@ def build_parser() -> _Parser:
     p.add_argument("--related-fraction", type=float, default=0.5)
     p.add_argument("--min-support", type=int, default=2)
     p.add_argument("--split", default="train", choices=("train", "dev", "test"))
-    p.set_defaults(func=cmd_build_dataset)
+    p.set_defaults(func=cmd_build_dataset, inputs=("captions",))
 
     p = sub.add_parser("stats", help="summarize a labeled items file")
     p.add_argument("--items", required=True)
     p.add_argument("--out", help="also write the report as JSON")
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, inputs=("items",))
 
     p = sub.add_parser("adjudicate", help="resolve items with split judgments")
     p.add_argument("--items", required=True)
@@ -569,13 +500,13 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--decisions", help="TSV of item-id<TAB>label; omit for an interactive loop"
     )
-    p.set_defaults(func=cmd_adjudicate)
+    p.set_defaults(func=cmd_adjudicate, inputs=("items", "decisions"))
 
     p = sub.add_parser("vote", help="score the pair-label voting baselines")
     p.add_argument("--items", required=True)
     p.add_argument("--pairs", required=True, help="pair labels TSV")
     p.add_argument("--out", help="also write the report as JSON")
-    p.set_defaults(func=cmd_vote)
+    p.set_defaults(func=cmd_vote, inputs=("items", "pairs"))
 
     p = sub.add_parser("train", help="train an entailment model")
     p.add_argument("--items", required=True, help="training items")
@@ -600,14 +531,14 @@ def build_parser() -> _Parser:
         action="store_true",
         help="update pretrained embeddings during training",
     )
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("items", "dev", "pretrain", "embeddings"))
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled items")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--items", required=True)
     p.add_argument("--out", help="also write the report as JSON")
     p.add_argument("--predictions", help="write id<TAB>prediction lines")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, inputs=("model", "items"))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument(
@@ -616,7 +547,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=8, help="embedding dimension")
     p.add_argument("--state-dim", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, inputs=())
 
     return parser
 
@@ -625,11 +556,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+        inputs = {
+            name: _require_input(getattr(args, name))
+            for name in args.inputs
+            if getattr(args, name) is not None
+        }
+        run = args.func(args, inputs)
+        if isinstance(run, int):
+            return run
+        if run.outputs:
+            _write_manifest(args.subcommand, argv, inputs, run)
+        return 0
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version

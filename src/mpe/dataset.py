@@ -168,6 +168,15 @@ def aggregate_labels(judgments: Sequence[str]) -> AggregationOutcome:
     return AggregationOutcome("split-2-2-1", None, counts)
 
 
+def _check_known(
+    items: Sequence[Item], by_id: Mapping[str, object], what: str
+) -> None:
+    """Reject keys of `by_id` that name no item in `items`."""
+    unknown = sorted(set(by_id) - {item.id for item in items})
+    if unknown:
+        raise UnknownItemError(f"{what} for unknown item ids: {unknown}")
+
+
 def attach_judgments(
     items: Sequence[Item], judgments: Mapping[str, Sequence[str]]
 ) -> list[Item]:
@@ -176,10 +185,7 @@ def attach_judgments(
     Items without an entry pass through unchanged. 2-2-1 items come back with
     judgments attached but no label; 3-2 E/C items get a provisional label.
     """
-    known = {item.id for item in items}
-    unknown = sorted(set(judgments) - known)
-    if unknown:
-        raise UnknownItemError(f"judgments for unknown item ids: {unknown}")
+    _check_known(items, judgments, "judgments")
     out = []
     for item in items:
         if item.id not in judgments:
@@ -208,10 +214,7 @@ def adjudicate(
     Returns the updated items plus the ids left unresolved: a 2-2-1 item
     without a decision stays unlabeled, a 3-2 item keeps its provisional label.
     """
-    known = {item.id for item in items}
-    unknown = sorted(set(decisions) - known)
-    if unknown:
-        raise UnknownItemError(f"decisions for unknown item ids: {unknown}")
+    _check_known(items, decisions, "decisions")
     out = []
     unresolved = []
     for item in items:
@@ -674,23 +677,40 @@ def _save_jsonl(path: str | Path, fmt: str, records: Iterable[dict]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _load_jsonl(path: str | Path, fmt: str, parse, noun: str) -> list:
+# Record parser and noun (for messages) of each JSONL format.
+_RECORDS = {
+    ITEMS_FORMAT: (_item_from_record, "item"),
+    SPE_FORMAT: (_pair_from_record, "pair"),
+}
+
+
+def _parse_jsonl(path: Path, lines: list[str], fmt: str) -> list:
     """Check the header, then parse each non-empty record line, naming the
-    `path:lineno` of the first bad one."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty {noun}s file")
+    `path:lineno` of the first bad record or repeated id."""
+    parse, noun = _RECORDS[fmt]
     _check_header(path, lines[0], fmt)
     out = []
+    seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
-            out.append(parse(json.loads(line)))
+            record = parse(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {noun} record: {exc}") from None
+        if record.id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate {noun} id {record.id!r}")
+        seen.add(record.id)
+        out.append(record)
     return out
+
+
+def _load_jsonl(path: str | Path, fmt: str) -> list:
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty {_RECORDS[fmt][1]}s file")
+    return _parse_jsonl(path, lines, fmt)
 
 
 def save_items(items: Sequence[Item], path: str | Path) -> None:
@@ -699,7 +719,7 @@ def save_items(items: Sequence[Item], path: str | Path) -> None:
 
 def load_items(path: str | Path) -> list[Item]:
     """Read items, re-normalizing premise and hypothesis text on the way in."""
-    return _load_jsonl(path, ITEMS_FORMAT, _item_from_record, "item")
+    return _load_jsonl(path, ITEMS_FORMAT)
 
 
 def save_spe_pairs(pairs: Sequence[SpePair], path: str | Path) -> None:
@@ -707,24 +727,21 @@ def save_spe_pairs(pairs: Sequence[SpePair], path: str | Path) -> None:
 
 
 def load_spe_pairs(path: str | Path) -> list[SpePair]:
-    return _load_jsonl(path, SPE_FORMAT, _pair_from_record, "pair")
+    return _load_jsonl(path, SPE_FORMAT)
 
 
 def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
     """Load an items or single-premise-pairs file, dispatching on its header."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline()
+    lines = path.read_text(encoding="utf-8").splitlines()
     try:
-        header = json.loads(first)
+        header = json.loads(lines[0] if lines else "")
     except json.JSONDecodeError:
         raise ValueError(f"{path}:1: not a data file (bad header)") from None
     kind = header.get("format") if isinstance(header, dict) else None
-    if kind == ITEMS_FORMAT:
-        return load_items(path)
-    if kind == SPE_FORMAT:
-        return load_spe_pairs(path)
-    raise ValueError(f"{path}:1: unrecognized format {kind!r}")
+    if kind not in _RECORDS:
+        raise ValueError(f"{path}:1: unrecognized format {kind!r}")
+    return _parse_jsonl(path, lines, kind)
 
 
 def _save_label_table(table: Mapping[str, Sequence[str]], path: str | Path) -> None:

@@ -344,6 +344,8 @@ class PhraseGraph:
                 if kind == "node":
                     nid_s, phrase_s, support_s, count_s = rest.split("\t")
                     nid = int(nid_s)
+                    if nid in nodes:
+                        raise ValueError(f"duplicate node id {nid}")
                     support = (
                         frozenset(support_s.split(",")) if support_s else frozenset()
                     )
@@ -358,6 +360,8 @@ class PhraseGraph:
                     parents.setdefault(int(child_s), set()).add(int(parent_s))
                 elif kind == "caption":
                     nid_s, _, raw = rest.partition("\t")
+                    if raw in caption_index:
+                        raise ValueError(f"duplicate caption {raw!r}")
                     caption_index[raw] = int(nid_s)
                     caption_lines.append((lineno, caption_index[raw]))
                 else:

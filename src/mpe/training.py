@@ -11,7 +11,7 @@ mini-batch gradient without any sequence padding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -155,13 +155,7 @@ class EpochLog:
     dev_accuracy: float | None
 
     def to_record(self) -> dict:
-        return {
-            "phase": self.phase,
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "dev_accuracy": self.dev_accuracy,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .dataset import (
     LABELS,
     Item,
-    UnknownItemError,
+    _check_known,
     _load_label_table,
     _save_label_table,
     label_index,
@@ -114,10 +114,7 @@ def attach_pair_labels(
     items: Sequence[Item], pair_labels: Mapping[str, Sequence[str]]
 ) -> list[Item]:
     """Set pair labels on matching items; ids without items are an error."""
-    known = {item.id for item in items}
-    unknown = sorted(set(pair_labels) - known)
-    if unknown:
-        raise UnknownItemError(f"pair labels for unknown item ids: {unknown}")
+    _check_known(items, pair_labels, "pair labels")
     out = []
     for item in items:
         if item.id in pair_labels:

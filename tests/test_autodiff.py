@@ -720,6 +720,31 @@ class TestCheckpoints:
             load_checkpoint(extra)
         assert "trailing" in str(exc.value)
 
+    def crafted(self, tmp_path, old_name: bytes, new_name: bytes):
+        """A valid two-tensor checkpoint with one tensor name's bytes replaced."""
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, {"qx": np.ones(2), "qy": np.zeros(2)})
+        blob = good.read_bytes()
+        assert blob.count(old_name) == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(old_name, new_name))
+        return bad
+
+    def test_rejects_non_utf8_tensor_name(self, tmp_path):
+        bad = self.crafted(tmp_path, b"qy", b"\xff\xfe")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(bad)
+        assert not isinstance(exc.value, UnicodeDecodeError)
+        assert str(bad) in str(exc.value)
+        assert "tensor name" in str(exc.value)
+
+    def test_rejects_duplicate_tensor_name(self, tmp_path):
+        bad = self.crafted(tmp_path, b"qy", b"qx")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(bad)
+        assert str(bad) in str(exc.value)
+        assert "duplicate tensor name 'qx'" in str(exc.value)
+
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "clean.ckpt"
         save_checkpoint(path, {"x": np.ones(3)})

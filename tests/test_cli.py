@@ -626,3 +626,92 @@ class TestCliPlumbing:
         monkeypatch.setattr(cli, "load_items", boom)
         assert main(["stats", "--items", str(labeled_items_file)]) == 2
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+# Each file-writing run: argv with {in}/{out} directory placeholders, the
+# input flags it gives, and its primary output, the manifest's anchor.
+MANIFEST_RUNS = {
+    "build-graph": (
+        ["build-graph", "--captions", str(CAPTIONS), "--out", "{out}/graph.tsv"],
+        {"captions"},
+        "graph.tsv",
+    ),
+    "build-dataset": (
+        ["build-dataset", "--captions", str(CAPTIONS), "--out", "{out}/items.jsonl",
+         "--n-items", "4"],
+        {"captions"},
+        "items.jsonl",
+    ),
+    "stats": (
+        ["stats", "--items", "{in}/items.jsonl", "--out", "{out}/stats.json"],
+        {"items"},
+        "stats.json",
+    ),
+    "adjudicate": (
+        ["adjudicate", "--items", "{in}/flagged.jsonl", "--decisions",
+         "{in}/decisions.tsv", "--out", "{out}/resolved.jsonl"],
+        {"items", "decisions"},
+        "resolved.jsonl",
+    ),
+    "vote": (
+        ["vote", "--items", "{in}/items.jsonl", "--pairs", "{in}/pairs.tsv",
+         "--out", "{out}/vote.json"],
+        {"items", "pairs"},
+        "vote.json",
+    ),
+    "train": (
+        ["train", "--items", "{in}/items.jsonl", "--dev", "{in}/items.jsonl",
+         "--pretrain", "{in}/items.jsonl", "--embeddings", "{in}/vectors.txt",
+         "--out", "{out}/model.ckpt", "--best-out", "{out}/best.ckpt"]
+        + TINY_TRAIN_FLAGS,
+        {"items", "dev", "pretrain", "embeddings"},
+        "model.ckpt",
+    ),
+    "eval": (
+        ["eval", "--model", "{in}/model.ckpt", "--items", "{in}/items.jsonl",
+         "--out", "{out}/report.json", "--predictions", "{out}/preds.tsv"],
+        {"model", "items"},
+        "report.json",
+    ),
+    "eval-predictions-only": (
+        ["eval", "--model", "{in}/model.ckpt", "--items", "{in}/items.jsonl",
+         "--predictions", "{out}/preds.tsv"],
+        {"model", "items"},
+        "preds.tsv",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
+def test_manifest_records_the_run(run, tmp_path, capsys):
+    template, input_flags, primary = MANIFEST_RUNS[run]
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    out_dir.mkdir()
+    items = [
+        make_item(i, label, pair_labels=("E", "N", "C", label))
+        for i, label in enumerate(["E", "N", "C"] * 2)
+    ]
+    save_items(items, in_dir / "items.jsonl")
+    save_items(
+        [make_item(0, "E", judgments=("E", "E", "N", "N", "C"), gold=False)],
+        in_dir / "flagged.jsonl",
+    )
+    (in_dir / "decisions.tsv").write_text("it-000\tN\n")
+    save_pair_labels({item.id: item.pair_labels for item in items}, in_dir / "pairs.tsv")
+    (in_dir / "vectors.txt").write_text("dog 0.1 0.2 0.3 0.4\ncat 0.4 0.3 0.2 0.1\n")
+    if template[0] == "eval":
+        argv = ["train", "--items", str(in_dir / "items.jsonl"), "--out",
+                str(in_dir / "model.ckpt")]
+        assert main(argv + TINY_TRAIN_FLAGS) == 0
+    argv = [arg.format(**{"in": in_dir, "out": out_dir}) for arg in template]
+
+    assert main(argv) == 0, capsys.readouterr().err
+    manifest_path = out_dir / f"{primary}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["argv"] == argv
+    assert set(manifest["inputs"]) == input_flags
+    assert manifest["outputs"][0] == str(out_dir / primary)
+    created = {p for p in out_dir.iterdir() if p != manifest_path}
+    assert set(map(Path, manifest["outputs"])) == created

@@ -569,6 +569,12 @@ class TestItemsIO:
         with pytest.raises(ValueError, match="empty"):
             load_items(path)
 
+    def test_duplicate_id_located(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        save_items([mk_item("train-00000"), mk_item("train-00000")], path)
+        with pytest.raises(ValueError, match=":3: duplicate item id 'train-00000'"):
+            load_items(path)
+
 
 class TestSpeIO:
     def test_roundtrip(self, tmp_path):

@@ -470,6 +470,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4:") + ".*node 7"):
             PhraseGraph.load(path)
 
+    def test_duplicate_node_id_located(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("mpe-graph\t1\nnode\t0\tdog\tg1\t1\nnode\t0\tcat\tg1\t1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:") + ".*node id 0"):
+            PhraseGraph.load(path)
+
+    def test_duplicate_caption_located(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text(
+            "mpe-graph\t1\nnode\t0\tdog\tg1\t1\nnode\t1\tcat\tg1\t1\n"
+            "caption\t0\tA dog.\ncaption\t1\tA dog.\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5:") + ".*'A dog.'"):
+            PhraseGraph.load(path)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         graph, _ = build_fixture_graph()
         path = tmp_path / "fixture.graph"

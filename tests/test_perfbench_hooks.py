@@ -3,10 +3,15 @@ imports its public functions; a refactor that moves one should fail here, not
 crash a benchmark run."""
 
 import importlib
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import mpe.autodiff as ad
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +40,38 @@ def test_traced_private_helpers_exist(perfbench_path):
 def test_workloads_import(perfbench_path):
     workloads = importlib.import_module("workloads")
     assert set(workloads.WORKLOADS) == {"corpus-longtail", "train-mpe", "eval-mpe"}
+
+
+# One call per op in the benchmark's OPS, on small operands.
+SAMPLE_CALLS = {
+    "matmul": lambda m, v: ad.matmul(m, ad.transpose(m)),
+    "add": lambda m, v: ad.add(m, v),
+    "mul": lambda m, v: ad.mul(m, v),
+    "scale": lambda m, v: ad.scale(m, 2.0),
+    "sigmoid": lambda m, v: ad.sigmoid(m),
+    "tanh": lambda m, v: ad.tanh(m),
+    "softmax": lambda m, v: ad.softmax(m),
+    "concat": lambda m, v: ad.concat([m, m]),
+    "flatten": lambda m, v: ad.flatten(m),
+    "transpose": lambda m, v: ad.transpose(m),
+    "dropout": lambda m, v: ad.dropout(m, 0.5, np.random.default_rng(0)),
+    "lookup": lambda m, v: ad.lookup(m, [1, 0]),
+    "cross_entropy": lambda m, v: ad.cross_entropy(v, 1),
+}
+
+
+def test_profiled_ops_record_thunks_named_after_them(perfbench_path):
+    """The benchmark times each op in OPS by its public name and counts taped
+    ops by the qualname of the recorded thunk."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert set(run.OPS) == set(SAMPLE_CALLS)
+    for op in run.OPS:
+        fn = getattr(ad, op)
+        assert inspect.isfunction(fn) and fn.__module__ == "mpe.autodiff", op
+        m = ad.Tensor(np.arange(6.0).reshape(2, 3) / 6)
+        v = ad.Tensor(np.array([0.5, -1.0, 2.0]))
+        with ad.Tape() as tape:
+            SAMPLE_CALLS[op](m, v)
+        assert tape._entries[-1][1].__qualname__.startswith(f"{op}."), op
