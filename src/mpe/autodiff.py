@@ -13,14 +13,14 @@ finite-difference agreement is worth more than speed.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .text import _atomic_write_bytes
 
 
 class ShapeError(ValueError):
@@ -531,16 +531,7 @@ def save_checkpoint(
         blob += struct.pack("<I", array.ndim)
         blob += struct.pack(f"<{array.ndim}Q", *array.shape)
         blob += array.astype("<f8", copy=False).tobytes(order="C")
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(blob))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

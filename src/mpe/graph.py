@@ -9,6 +9,11 @@ phrase are its generalizations. `simplify_hypothesis` returns the
 generalizations of a source caption that cannot be reached from any premise,
 which is the candidate pool for hypothesis generation.
 
+One stack walk, `_reachable`, serves both directions of use: the closure
+follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
+stored parent edges from a node. Cycle checks (hypernym lexicon, graph files)
+go through `graphlib` and report the cycle specific -> general.
+
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
 """
@@ -16,14 +21,16 @@ parser; nodes are phrases in lemma space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .text import Sentence, _atomic_write, _read_word_list
 
 _DATA_DIR = Path(__file__).parent / "data"
 
 Phrase = tuple[str, ...]
+_Node = TypeVar("_Node")
 
 # Small internal conjunction class: blocks modifier drops and bounds
 # noun-phrase chunks, but is never dropped itself.
@@ -54,63 +61,20 @@ def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
     return {k: tuple(sorted(v)) for k, v in table.items()}
 
 
-def _find_cycle(parents: Mapping) -> list | None:
-    """One cycle of the parent relation as [a, b, ..., a], or None.
+def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_Node]:
+    """Every node reached from start by one or more steps.
 
-    Depth-first from each key in sorted order, with an explicit stack so that
-    long chains cannot exhaust the interpreter's recursion limit.
+    An explicit stack, so a deep chain cannot exhaust the interpreter's
+    recursion limit; start itself is in the result only if a step returns to it.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-    for root in sorted(parents):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        color[root] = GRAY
-        trail = [root]
-        pending = [iter(parents.get(root, ()))]
-        while pending:
-            for parent in pending[-1]:
-                c = color.get(parent, WHITE)
-                if c == GRAY:
-                    return trail[trail.index(parent):] + [parent]
-                if c == WHITE:
-                    color[parent] = GRAY
-                    trail.append(parent)
-                    pending.append(iter(parents.get(parent, ())))
-                    break
-            else:
-                color[trail.pop()] = BLACK
-                pending.pop()
-    return None
-
-
-def _ancestors(
-    parents: Mapping[int, Iterable[int]],
-    cache: dict[int, frozenset[int]],
-    node_id: int,
-) -> frozenset[int]:
-    """Every node reachable from node_id through `parents`, memoized in cache."""
-    cached = cache.get(node_id)
-    if cached is not None:
-        return cached
-    # Iterative DFS; post-order so parents resolve first.
-    stack = [(node_id, False)]
+    seen: set[_Node] = set()
+    stack = [start]
     while stack:
-        nid, expanded = stack.pop()
-        if nid in cache:
-            continue
-        if expanded:
-            acc: set[int] = set()
-            for p in parents.get(nid, ()):
-                acc.add(p)
-                acc |= cache[p]
-            cache[nid] = frozenset(acc)
-        else:
-            stack.append((nid, True))
-            for p in parents.get(nid, ()):
-                if p not in cache:
-                    stack.append((p, False))
-    return cache[node_id]
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -127,9 +91,11 @@ class ReductionRuleSet:
     )
 
     def __post_init__(self) -> None:
-        cycle = _find_cycle(self.hypernyms)
-        if cycle:
-            raise LexiconCycleError(" -> ".join(cycle))
+        try:
+            TopologicalSorter(self.hypernyms).prepare()
+        except CycleError as exc:
+            # graphlib lists the cycle general -> specific; report it the other way.
+            raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
 
     @classmethod
     def default(cls) -> "ReductionRuleSet":
@@ -220,15 +186,9 @@ class ReductionRuleSet:
 def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     """Closure of the lemmatized caption under the reduction rules."""
     start = tuple(caption.lemmas)
-    seen = {start}
-    stack = [start]
-    while stack:
-        phrase = stack.pop()
-        for nxt in rules.single_step(phrase):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    closure = _reachable(start, rules.single_step)
+    closure.add(start)
+    return closure
 
 
 @dataclass(frozen=True)
@@ -262,7 +222,7 @@ class PhraseGraph:
 
     Edges point parent -> child where the parent is strictly more generic;
     only the transitive reduction is stored. `ancestors` walks toward the
-    generic end.
+    generic end on every call; the graph keeps no derived reachability.
     """
 
     def __init__(
@@ -275,7 +235,6 @@ class PhraseGraph:
         self._parents = parents
         self.caption_index = caption_index
         self._phrase_ids = {node.phrase: nid for nid, node in nodes.items()}
-        self._ancestor_cache: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -305,8 +264,12 @@ class PhraseGraph:
             raise UnknownCaptionError(f"caption not indexed in graph: {raw!r}") from None
 
     def ancestors(self, node_id: int) -> frozenset[int]:
-        """All strictly more generic nodes reachable from node_id."""
-        return _ancestors(self._parents, self._ancestor_cache, node_id)
+        """All strictly more generic nodes reachable from node_id.
+
+        Walked afresh on each call: nothing is cached, so memory stays
+        linear in the graph however deep it is.
+        """
+        return frozenset(_reachable(node_id, self.parents))
 
     def save(self, path: str | Path) -> None:
         lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}"]
@@ -369,17 +332,19 @@ class PhraseGraph:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {kind!r} record: {exc}") from None
         for child, ps in parents.items():
-            unknown = (ps | {child}) - nodes.keys()
+            # difference(), not `- nodes.keys()`: the keys view is scanned per child.
+            unknown = (ps | {child}).difference(nodes)
             if unknown:
                 raise ValueError(f"{path}: edge references unknown node {sorted(unknown)}")
         for lineno, nid in caption_lines:
             if nid not in nodes:
                 raise ValueError(f"{path}:{lineno}: caption references unknown node {nid}")
-        cycle = _find_cycle(parents)
-        if cycle:
-            raise ValueError(
-                f"{path}: graph contains a cycle: {' -> '.join(map(str, cycle))}"
-            )
+        try:
+            TopologicalSorter(parents).prepare()
+        except CycleError as exc:
+            # graphlib lists the cycle parent -> child; report it child -> parent.
+            cycle = " -> ".join(map(str, reversed(exc.args[1])))
+            raise ValueError(f"{path}: graph contains a cycle: {cycle}") from None
         return cls(
             nodes=nodes,
             parents={c: tuple(sorted(p)) for c, p in parents.items()},
@@ -390,14 +355,31 @@ class PhraseGraph:
 def _transitive_reduction(
     step_parents: dict[int, set[int]],
 ) -> dict[int, tuple[int, ...]]:
-    """Drop edges implied by longer derivation paths (reachability preserved)."""
-    full: dict[int, frozenset[int]] = {}
+    """Drop edges implied by longer derivation paths (reachability preserved).
+
+    One post-order walk, parents first and on an explicit stack, gives each
+    node every ancestor of its direct parents; a direct parent among those is
+    implied by a longer path and dropped. The walk holds one ancestor set per
+    node until it returns.
+    """
+    full: dict[int, frozenset[int]] = {}  # node -> all its ancestors
     reduced: dict[int, tuple[int, ...]] = {}
-    for child in sorted(step_parents):
-        direct = step_parents[child]
-        kept = direct.difference(*(_ancestors(step_parents, full, m) for m in direct))
-        if kept:
-            reduced[child] = tuple(sorted(kept))
+    for root in step_parents:
+        stack = [(root, False)]
+        while stack:
+            nid, expanded = stack.pop()
+            if nid in full:
+                continue
+            direct = step_parents.get(nid, ())
+            if not expanded:
+                stack.append((nid, True))
+                stack.extend((p, False) for p in direct if p not in full)
+                continue
+            implied = frozenset().union(*(full[p] for p in direct))
+            full[nid] = implied.union(direct)
+            kept = [p for p in direct if p not in implied]
+            if kept:
+                reduced[nid] = tuple(sorted(kept))
     return reduced
 
 

@@ -43,13 +43,18 @@ class OverlapUndefinedError(ValueError):
 
 
 def _atomic_write(path: str | Path, content: str) -> None:
-    """Replace path with content in one step; a failed write leaves the old
+    """Replace path with content as UTF-8, through `_atomic_write_bytes`."""
+    _atomic_write_bytes(path, content.encode("utf-8"))
+
+
+def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace path with data in one step; a failed write leaves the old
     file and no temp file behind."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

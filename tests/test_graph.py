@@ -142,6 +142,15 @@ class TestLexiconValidation:
         with pytest.raises(LexiconCycleError):
             tiny_rules(hypernyms={"dog": ("dog",)})
 
+    def test_cycle_message_is_closed_specific_to_general_path(self):
+        hypernyms = {"puppy": ("dog",), "dog": ("canine",), "canine": ("puppy",)}
+        with pytest.raises(LexiconCycleError) as info:
+            tiny_rules(hypernyms=hypernyms)
+        path = str(info.value).split(" -> ")
+        assert len(path) == 4 and path[0] == path[-1]
+        for specific, general in zip(path, path[1:]):
+            assert general in hypernyms[specific]
+
     def test_diamond_accepted(self):
         tiny_rules(hypernyms={"a": ("b", "c"), "b": ("d",), "c": ("d",)})
 
@@ -303,6 +312,16 @@ class TestAncestors:
         for nid in graph.nodes:
             assert graph.ancestors(nid) == brute_force_ancestors(graph, nid)
 
+    def test_long_chain_ancestors_exact(self, tmp_path):
+        n = 3000
+        lines = ["mpe-graph\t1"]
+        lines += [f"node\t{i}\tw{i}\tg1\t1" for i in range(n)]
+        lines += [f"edge\t{i + 1}\t{i}" for i in range(n - 1)]
+        path = tmp_path / "chain.graph"
+        path.write_text("\n".join(lines) + "\n")
+        graph = PhraseGraph.load(path)
+        assert graph.ancestors(0) == frozenset(range(1, n))
+
     def test_never_contains_self(self):
         graph, _ = build_fixture_graph()
         for nid in graph.nodes:
@@ -438,6 +457,21 @@ class TestSerialization:
         )
         with pytest.raises(ValueError, match="cycle"):
             PhraseGraph.load(path)
+
+    def test_cycle_message_is_closed_child_to_parent_path(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        edges = {(1, 0), (2, 1), (0, 2), (2, 3)}  # (parent, child); 3 is off the cycle
+        path.write_text(
+            "mpe-graph\t1\n"
+            + "".join(f"node\t{i}\tw{i}\tg1\t1\n" for i in range(4))
+            + "".join(f"edge\t{p}\t{c}\n" for p, c in sorted(edges))
+        )
+        with pytest.raises(ValueError, match="cycle: ") as info:
+            PhraseGraph.load(path)
+        cycle = [int(t) for t in str(info.value).split("cycle: ")[1].split(" -> ")]
+        assert len(cycle) == 4 and cycle[0] == cycle[-1]
+        for child, parent in zip(cycle, cycle[1:]):
+            assert (parent, child) in edges
 
     def test_long_chain_loads(self, tmp_path):
         n = 3000
