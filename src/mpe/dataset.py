@@ -635,20 +635,33 @@ def _item_record(item: Item) -> dict:
     }
 
 
+def _field(rec: dict, key: str, kind: type, optional: bool = False):
+    """rec[key], checked to be a string (kind str) or a list of strings
+    (kind list); null passes only when optional."""
+    value = rec[key]
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or (
+        kind is list and not all(isinstance(v, str) for v in value)
+    ):
+        want = "a list of strings" if kind is list else "a string"
+        raise TypeError(f"{key!r} must be {want}{' or null' if optional else ''}")
+    return value
+
+
 def _item_from_record(rec: dict) -> Item:
+    pair_labels = _field(rec, "pair_labels", list, optional=True)
     return Item(
-        id=rec["id"],
-        scene_group_id=rec["scene_group_id"],
-        premises=tuple(normalize(p) for p in rec["premises"]),
-        hypothesis=normalize(rec["hypothesis"]),
-        gold_label=rec["gold_label"],
-        judgments=tuple(rec["judgments"]),
-        pair_labels=(
-            tuple(rec["pair_labels"]) if rec["pair_labels"] is not None else None
-        ),
-        phenomenon_tags=frozenset(rec["phenomenon_tags"]),
-        split=rec["split"],
-        label_source=rec["label_source"],
+        id=_field(rec, "id", str),
+        scene_group_id=_field(rec, "scene_group_id", str),
+        premises=tuple(normalize(p) for p in _field(rec, "premises", list)),
+        hypothesis=normalize(_field(rec, "hypothesis", str)),
+        gold_label=_field(rec, "gold_label", str, optional=True),
+        judgments=tuple(_field(rec, "judgments", list)),
+        pair_labels=tuple(pair_labels) if pair_labels is not None else None,
+        phenomenon_tags=frozenset(_field(rec, "phenomenon_tags", list)),
+        split=_field(rec, "split", str),
+        label_source=_field(rec, "label_source", str, optional=True),
     )
 
 
@@ -663,10 +676,10 @@ def _pair_record(pair: SpePair) -> dict:
 
 def _pair_from_record(rec: dict) -> SpePair:
     return SpePair(
-        id=rec["id"],
-        premise=normalize(rec["premise"]),
-        hypothesis=normalize(rec["hypothesis"]),
-        label=rec["label"],
+        id=_field(rec, "id", str),
+        premise=normalize(_field(rec, "premise", str)),
+        hypothesis=normalize(_field(rec, "hypothesis", str)),
+        label=_field(rec, "label", str),
     )
 
 

@@ -11,8 +11,10 @@ which is the candidate pool for hypothesis generation.
 
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
-stored parent edges from a node. Cycle checks (hypernym lexicon, graph files)
-go through `graphlib` and report the cycle specific -> general.
+stored parent edges from a node. `graphlib` does the rest: cycle checks
+(hypernym lexicon, graph files) report the cycle specific -> general, and its
+topological order drives the transitive reduction, which holds each node's
+ancestors as an int bitset over node ids.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -357,29 +359,21 @@ def _transitive_reduction(
 ) -> dict[int, tuple[int, ...]]:
     """Drop edges implied by longer derivation paths (reachability preserved).
 
-    One post-order walk, parents first and on an explicit stack, gives each
-    node every ancestor of its direct parents; a direct parent among those is
-    implied by a longer path and dropped. The walk holds one ancestor set per
-    node until it returns.
+    graphlib orders the nodes parents first; each node's ancestors are then
+    one int bitset over node ids, the OR of its direct parents' sets. A direct
+    parent whose bit is already set is implied by a longer path and dropped.
     """
-    full: dict[int, frozenset[int]] = {}  # node -> all its ancestors
+    ancestors: dict[int, int] = {}  # node -> bitset of all its ancestors
     reduced: dict[int, tuple[int, ...]] = {}
-    for root in step_parents:
-        stack = [(root, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if nid in full:
-                continue
-            direct = step_parents.get(nid, ())
-            if not expanded:
-                stack.append((nid, True))
-                stack.extend((p, False) for p in direct if p not in full)
-                continue
-            implied = frozenset().union(*(full[p] for p in direct))
-            full[nid] = implied.union(direct)
-            kept = [p for p in direct if p not in implied]
-            if kept:
-                reduced[nid] = tuple(sorted(kept))
+    for nid in TopologicalSorter(step_parents).static_order():
+        direct = step_parents.get(nid, ())
+        implied = 0
+        for p in direct:
+            implied |= ancestors[p]
+        kept = sorted(p for p in direct if not implied >> p & 1)
+        if kept:
+            reduced[nid] = tuple(kept)
+        ancestors[nid] = implied | sum(1 << p for p in kept)
     return reduced
 
 

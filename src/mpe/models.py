@@ -190,6 +190,8 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
                 values = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric component") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: non-finite component")
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:

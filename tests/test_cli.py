@@ -161,6 +161,16 @@ class TestStats:
         assert main(["stats", "--items", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_wrong_json_type_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "items.jsonl"
+        save_items([make_item(0, "E")], path)
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["hypothesis"] = 5
+        path.write_text(f"{header}\n{json.dumps(record)}\n")
+        assert main(["stats", "--items", str(path)]) == 1
+        assert ":2: bad item record: 'hypothesis' must be a string" in capsys.readouterr().err
+
 
 class TestAdjudicate:
     @pytest.fixture

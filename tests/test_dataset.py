@@ -1,6 +1,7 @@
 """Aggregation, adjudication, item generation, statistics, and file formats."""
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,16 @@ def graph(corpus):
 @pytest.fixture(scope="module")
 def generated(corpus, graph):
     return generate_items(corpus, graph, GenerationConfig(n_items=8, seed=42))
+
+
+def with_field(path, save, record, key, value):
+    """Save one record, then overwrite one field of it with a raw JSON value."""
+    save([record], path)
+    header, line = path.read_text().splitlines()
+    fields = json.loads(line)
+    fields[key] = value
+    path.write_text(f"{header}\n{json.dumps(fields)}\n")
+    return path
 
 
 def mk_item(item_id="i0", gold=None, judgments=(), pair_labels=None, hypothesis=None):
@@ -575,6 +586,26 @@ class TestItemsIO:
         with pytest.raises(ValueError, match=":3: duplicate item id 'train-00000'"):
             load_items(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("premises", "abcd"),
+            ("premises", [1, 2, 3, 4]),
+            ("hypothesis", 5),
+            ("judgments", "EEENC"),
+            ("pair_labels", "EENC"),
+            ("phenomenon_tags", "count"),
+            ("id", 7),
+            ("scene_group_id", ["g1"]),
+            ("gold_label", 1),
+        ],
+    )
+    def test_wrong_json_type_located(self, tmp_path, key, value):
+        item = mk_item(gold="E", judgments=("E",) * 5, pair_labels=("E",) * 4)
+        path = with_field(tmp_path / "items.jsonl", save_items, item, key, value)
+        with pytest.raises(ValueError, match=f":2: bad item record: '{key}' must be"):
+            load_items(path)
+
 
 class TestSpeIO:
     def test_roundtrip(self, tmp_path):
@@ -590,6 +621,15 @@ class TestSpeIO:
             '{"hypothesis": "dog", "id": "x#0", "label": "Q", "premise": "A dog runs."}\n'
         )
         with pytest.raises(ValueError, match=":2:"):
+            load_spe_pairs(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("id", 7), ("premise", 5), ("hypothesis", ["dog"]), ("label", None)]
+    )
+    def test_wrong_json_type_located(self, tmp_path, key, value):
+        pair = spe_pairs([mk_item(pair_labels=("E", "N", "C", "E"))])[0]
+        path = with_field(tmp_path / "pairs.jsonl", save_spe_pairs, pair, key, value)
+        with pytest.raises(ValueError, match=f":2: bad pair record: '{key}' must be"):
             load_spe_pairs(path)
 
 

@@ -13,6 +13,7 @@ from mpe.graph import (
     PhraseNode,
     ReductionRuleSet,
     UnknownCaptionError,
+    _transitive_reduction,
     apply_reductions,
     build_graph,
     simplify_hypothesis,
@@ -346,6 +347,20 @@ class TestAncestors:
         for parent, child in graph.edges:
             others = set(graph.parents(child)) - {parent}
             assert not any(parent in graph.ancestors(mid) for mid in others)
+
+
+class TestTransitiveReduction:
+    def test_ladder_keeps_only_the_next_rung(self):
+        # Node i has parents i+1 and i+2; the edge to i+2 is implied via i+1.
+        n = 3000
+        step_parents = {i: {i + 1, i + 2} for i in range(n - 2)}
+        step_parents[n - 2] = {n - 1}
+        assert _transitive_reduction(step_parents) == {i: (i + 1,) for i in range(n - 1)}
+
+    def test_diamond_shortcut_dropped(self):
+        # 0 -> {1, 2} -> 3 plus the shortcut 0 -> 3.
+        step_parents = {0: {1, 2, 3}, 1: {3}, 2: {3}}
+        assert _transitive_reduction(step_parents) == {0: (1, 2), 1: (3,), 2: (3,)}
 
 
 class TestSimplifyHypothesis:

@@ -156,6 +156,14 @@ class TestPretrainedVectorFile:
                 load_pretrained_vectors(path)
             assert f":{lineno}:" in str(exc.value)
 
+    @pytest.mark.parametrize("body", ["cat nan 1.0\n", "cat 1.0 2.0\ndog inf 2\n"])
+    def test_non_finite_component_located(self, tmp_path, body):
+        path = tmp_path / "vecs.txt"
+        path.write_text(body)
+        lineno = body.count("\n")
+        with pytest.raises(ValueError, match=f":{lineno}: non-finite component"):
+            load_pretrained_vectors(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -1,0 +1,34 @@
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("MPE_RELEASED_DIR", None)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_demo_pipeline_output_is_repeatable(tmp_path):
+    runs = [run_script("demo_pipeline.py", "--workdir", str(tmp_path)) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert (tmp_path / "demo.items.jsonl").exists()
+
+
+def test_reproduce_released_without_a_directory_exits_1():
+    run = run_script("reproduce_released.py")
+    assert run.returncode == 1
+    assert "MPE_RELEASED_DIR unset" in run.stderr
