@@ -6,6 +6,10 @@ trains and scores a small conditional LSTM — the whole research loop in
 miniature. Everything is seeded; two runs print identical numbers.
 
 Usage: python3 scripts/demo_pipeline.py [--workdir DIR] [--n-items N] [--seed S]
+
+Without --workdir the artifacts go to a temporary directory that is removed
+at exit. Paths are printed relative to the repository root or the work
+directory, so the output does not depend on where either lives.
 """
 
 import argparse
@@ -27,7 +31,8 @@ from mpe.dataset import (
 from mpe.graph import build_graph
 from mpe.training import TrainConfig, evaluate, format_eval_report, train
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 VOTE_PATTERNS = (
     ("E", "E", "E", "E", "N"),  # clear majority
@@ -45,10 +50,16 @@ def main() -> int:
     parser.add_argument("--n-items", type=int, default=8)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
-    workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp())
-    workdir.mkdir(parents=True, exist_ok=True)
+    if args.workdir:
+        workdir = Path(args.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        return run(args, workdir)
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(args, Path(tmp))
 
-    print(f"== building graph from {FIXTURES / 'captions.tsv'}")
+
+def run(args: argparse.Namespace, workdir: Path) -> int:
+    print(f"== building graph from {(FIXTURES / 'captions.tsv').relative_to(ROOT)}")
     groups = load_captions(FIXTURES / "captions.tsv")
     graph = build_graph(graph_captions(groups))
     print(f"   {len(graph)} phrase nodes, {len(graph.edges)} edges")
@@ -89,7 +100,7 @@ def main() -> int:
 
     items_path = workdir / "demo.items.jsonl"
     save_items(items, items_path)
-    print(f"== wrote {items_path}")
+    print(f"== wrote {items_path.name} in the work directory")
 
     stats = corpus_stats(items)
     print(
@@ -119,7 +130,6 @@ def main() -> int:
     report = evaluate(outcome.model, items)
     print("== final training-set report")
     print(format_eval_report(report))
-    print(f"artifacts in {workdir}")
     return 0
 
 

@@ -6,6 +6,14 @@ tensors. Gradients accumulate across backward calls until explicitly zeroed,
 so training steps must zero between batches. Ops run outside any tape compute
 values only, which is how evaluation avoids bookkeeping.
 
+Besides elementwise and matrix ops, `lstm_sequence` reads a whole sequence
+through one LSTM layer as a single op (the fused-gate layout of Appleyard,
+Kočiský & Blunsom 2016): the four gates' weights are concatenated at call
+time, the input projection X@Wx + b is one product for all steps, and each
+step costs one h@Wh. Its forward is plain numpy; on a tape it records one
+entry with two outputs (hidden rows and final cell state) and a hand-written
+backward through time, so a read costs one tape entry whatever its length.
+
 Everything is float64 on purpose: the models here are desk-scale, and exact
 finite-difference agreement is worth more than speed.
 """
@@ -73,7 +81,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[], None]]] = []
+        self._entries: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
         self._prev: Tape | None = None
 
     def __enter__(self) -> "Tape":
@@ -87,9 +95,15 @@ class Tape:
         _ACTIVE_TAPE = self._prev
         self._prev = None
 
-    def record(self, out: Tensor, backward_thunk: Callable[[], None]) -> None:
-        out.tape = self
-        self._entries.append((out, backward_thunk))
+    def record(
+        self, out: "Tensor | tuple[Tensor, ...]", backward_thunk: Callable[[], None]
+    ) -> None:
+        """Record an op's output, or the tuple of its outputs; the thunk runs
+        in backward when any of them has a gradient."""
+        outs = out if isinstance(out, tuple) else (out,)
+        for t in outs:
+            t.tape = self
+        self._entries.append((outs, backward_thunk))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -104,11 +118,12 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         if loss.values.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.values.shape}")
-        for out, _ in self._entries:
-            out.grad = None
+        for outs, _ in self._entries:
+            for out in outs:
+                out.grad = None
         loss.grad = np.ones_like(loss.values)
-        for out, thunk in reversed(self._entries):
-            if out.grad is not None:
+        for outs, thunk in reversed(self._entries):
+            if any(out.grad is not None for out in outs):
                 thunk()
 
 
@@ -281,12 +296,15 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, thunk)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1/(1+z) for x >= 0 and z/(1+z) below, with z = exp(-|x|): finite for
+    # arbitrarily large |x|.
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    # Two-branch form stays finite for arbitrarily large |x|.
-    positive = x >= 0
-    z = np.exp(np.where(positive, -x, x))
-    out = Tensor(np.where(positive, 1.0 / (1.0 + z), z / (1.0 + z)))
+    out = Tensor(_sigmoid(a.values))
 
     def thunk():
         _accumulate(a, out.grad * out.values * (1.0 - out.values))
@@ -370,6 +388,100 @@ def cross_entropy(logits: Tensor, class_index: int) -> Tensor:
         _accumulate(logits, g * out.grad)
 
     return _record(out, thunk)
+
+
+def _fused(gates: Sequence[Tensor]) -> np.ndarray:
+    """Per-gate weight matrices side by side, in gate order."""
+    return np.concatenate([w.values for w in gates], axis=1)
+
+
+def lstm_sequence(
+    X: Tensor,
+    h0: Tensor,
+    c0: Tensor,
+    Wx: Sequence[Tensor],
+    Wh: Sequence[Tensor],
+    b: Sequence[Tensor],
+) -> tuple[Tensor, Tensor]:
+    """One LSTM layer read over the rows of X (T, d) from the state h0, c0 (1, k).
+
+    Wx, Wh and b are the per-gate (d, k), (k, k) and (k,) tensors in the order
+    input, forget, output, candidate. They are concatenated here, so each
+    step's gates come from one (1, 4k) row: the forward computes X@Wx + b
+    for all steps at once, then per step one h@Wh, one sigmoid over the
+    first 3k columns and one tanh over the last k. Returns the hidden rows
+    (T, k) and the final cell state (1, k). On a tape the whole read is one
+    entry, with a hand-written backpropagation through time.
+    """
+    wx, wh = _fused(Wx), _fused(Wh)
+    bias = np.concatenate([v.values for v in b])
+    x = X.values
+    k = wh.shape[0]
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ShapeError(f"lstm_sequence: need a non-empty (T, d) input, got {x.shape}")
+    if (
+        wx.shape != (x.shape[1], 4 * k)
+        or wh.shape != (k, 4 * k)
+        or bias.shape != (4 * k,)
+        or h0.values.shape != (1, k)
+        or c0.values.shape != (1, k)
+    ):
+        raise ShapeError(
+            f"lstm_sequence: input {x.shape}, state {h0.values.shape} and "
+            f"{c0.values.shape} do not fit gates {wx.shape}, {wh.shape}, {bias.shape}"
+        )
+    steps, s = x.shape[0], 3 * k
+    # gates[t] holds step t's pre-activations, then its activations i, f, o, g.
+    gates = x @ wx + bias
+    h = np.empty((steps + 1, k))
+    c = np.empty((steps + 1, k))
+    tanh_c = np.empty((steps, k))
+    h[0] = h0.values[0]
+    c[0] = c0.values[0]
+    for t in range(steps):
+        z = gates[t]
+        z += h[t] @ wh
+        z[:s] = _sigmoid(z[:s])
+        np.tanh(z[s:], out=z[s:])
+        c[t + 1] = z[k : 2 * k] * c[t] + z[:k] * z[s:]
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(z[2 * k : s], tanh_c[t], out=h[t + 1])
+    hidden = Tensor(h[1:])
+    cell = Tensor(c[steps:])
+
+    def thunk():
+        # Fused again rather than kept from the forward: a recorded tape then
+        # holds per-step arrays only, not a copy of the weights per read.
+        wx, wh = _fused(Wx), _fused(Wh)
+        dh_rows = hidden.grad if hidden.grad is not None else np.zeros((steps, k))
+        dc = cell.grad[0] if cell.grad is not None else np.zeros(k)
+        # Derivative of each activation with respect to its pre-activation.
+        slope = gates * (1.0 - gates)
+        slope[:, s:] = 1.0 - gates[:, s:] ** 2
+        tanh_slope = 1.0 - tanh_c**2
+        dz = np.empty_like(gates)
+        dh = np.zeros(k)
+        for t in range(steps - 1, -1, -1):
+            i, f, o, g = gates[t, :k], gates[t, k : 2 * k], gates[t, 2 * k : s], gates[t, s:]
+            dh = dh + dh_rows[t]
+            dc = dc + dh * o * tanh_slope[t]
+            dz[t, :k] = dc * g
+            dz[t, k : 2 * k] = dc * c[t]
+            dz[t, 2 * k : s] = dh * tanh_c[t]
+            dz[t, s:] = dc * i
+            dz[t] *= slope[t]
+            dc = dc * f
+            dh = wh @ dz[t]
+        _accumulate(X, dz @ wx.T)
+        _accumulate(h0, dh[None])
+        _accumulate(c0, dc[None])
+        for grad, tensors in ((x.T @ dz, Wx), (h[:-1].T @ dz, Wh), (dz.sum(axis=0), b)):
+            for gate, w in enumerate(tensors):
+                _accumulate(w, grad[..., gate * k : (gate + 1) * k])
+
+    if _ACTIVE_TAPE is not None:
+        _ACTIVE_TAPE.record((hidden, cell), thunk)
+    return hidden, cell
 
 
 # --- optimizer ---------------------------------------------------------------

@@ -447,6 +447,9 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
 
 
 def cmd_gradcheck(args, inputs) -> int:
+    for flag, value in (("--dim", args.dim), ("--state-dim", args.state_dim)):
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
     kinds = (
         sorted(ARCHITECTURES)
         if args.model == "all"

@@ -23,6 +23,14 @@ takes the premises as a list of token lists, and each architecture says with
 a time. `forward` is the architecture's own call form and also returns its
 extras (attention weights, per-premise experts).
 
+Each LSTM reads its whole sequence with one `autodiff.lstm_sequence` call:
+`LstmCell` keeps its weights per gate (the checkpoint names
+`<prefix>.<gate>.{Wx,Wh,b}`) and the op concatenates them at call time, so a
+read is one tape entry whatever its length. `EmbeddingTable.embed` returns a
+token sequence as one (T, dim) tensor gathered by id arrays. Attention keeps
+a per-step loop only for its attention recurrence and picks each hypothesis
+hidden row with `lookup`; sum-of-experts makes one core call per premise.
+
 All weights are float64 tensors named for checkpointing.
 """
 
@@ -41,10 +49,9 @@ from .autodiff import (
     flatten,
     load_checkpoint,
     lookup,
+    lstm_sequence,
     matmul,
-    mul,
     save_checkpoint,
-    sigmoid,
     softmax,
     tanh,
     transpose,
@@ -154,19 +161,25 @@ class EmbeddingTable:
         vocab = {token: i for i, token in enumerate(ordered)}
         return cls(vocab, main, special, trainable)
 
-    def embed(self, tokens: Sequence[str]) -> list[Tensor]:
-        """One (1, dim) row per token; unknown words share the UNK row."""
+    def embed(self, tokens: Sequence[str]) -> Tensor:
+        """The (T, dim) rows of a token sequence; unknown words share the UNK
+        row. Vocabulary and special rows are gathered by id arrays, then put
+        back in token order."""
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
-        rows = []
-        for token in tokens:
-            if token == SEPARATOR:
-                rows.append(lookup(self.special, [1]))
-            elif token in self.vocab:
-                rows.append(lookup(self.main, [self.vocab[token]]))
-            else:
-                rows.append(lookup(self.special, [0]))
-        return rows
+        ids = [self.vocab.get(token) for token in tokens]
+        main_at = [p for p, i in enumerate(ids) if i is not None]
+        special_at = [p for p, i in enumerate(ids) if i is None]
+        parts = []
+        if main_at:
+            parts.append(lookup(self.main, [ids[p] for p in main_at]))
+        if special_at:
+            rows = [int(tokens[p] == SEPARATOR) for p in special_at]
+            parts.append(lookup(self.special, rows))
+        if len(parts) == 1:
+            return parts[0]
+        # argsort of the stacked positions is the row of each token in the stack.
+        return lookup(concat(parts), np.argsort(main_at + special_at))
 
     def params(self) -> list[Tensor]:
         return [self.main, self.special] if self.trainable else [self.special]
@@ -207,7 +220,8 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
 
 
 class LstmCell:
-    """One LSTM layer's weights: input/forget/output gates and candidate."""
+    """One LSTM layer's weights: input/forget/output gates and candidate,
+    stored per gate and read through the fused `lstm_sequence` op."""
 
     GATES = ("input", "forget", "output", "candidate")
 
@@ -222,6 +236,10 @@ class LstmCell:
         self.input_dim = input_dim
         self.state_dim = state_dim
         self.prefix = prefix
+        self._gates = tuple(
+            [tensors[f"{prefix}.{gate}.{part}"] for gate in self.GATES]
+            for part in ("Wx", "Wh", "b")
+        )
 
     @classmethod
     def random(
@@ -242,20 +260,13 @@ class LstmCell:
             tensors[name] = Tensor(bias, watched=True, name=name)
         return cls(tensors, input_dim, state_dim, prefix)
 
-    def _gate(self, gate: str, x: Tensor, h: Tensor) -> Tensor:
-        wx = self.tensors[f"{self.prefix}.{gate}.Wx"]
-        wh = self.tensors[f"{self.prefix}.{gate}.Wh"]
-        b = self.tensors[f"{self.prefix}.{gate}.b"]
-        return add(add(matmul(x, wx), matmul(h, wh)), b)
+    def read(self, rows: Tensor, h0: Tensor, c0: Tensor) -> tuple[Tensor, Tensor]:
+        """(hidden rows (T, k), final cell state) over input rows (T, d)."""
+        return lstm_sequence(rows, h0, c0, *self._gates)
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        i = sigmoid(self._gate("input", x, h_prev))
-        f = sigmoid(self._gate("forget", x, h_prev))
-        o = sigmoid(self._gate("output", x, h_prev))
-        g = tanh(self._gate("candidate", x, h_prev))
-        c = add(mul(f, c_prev), mul(i, g))
-        h = mul(o, tanh(c))
-        return h, c
+        """One step: the T = 1 read of a (1, d) input row."""
+        return self.read(x, h_prev, c_prev)
 
     def params(self) -> list[Tensor]:
         return [self.tensors[name] for name in sorted(self.tensors)]
@@ -265,11 +276,15 @@ def _zero_state(state_dim: int) -> Tensor:
     return Tensor(np.zeros((1, state_dim)))
 
 
+def _last_row(rows: Tensor) -> Tensor:
+    return lookup(rows, [rows.values.shape[0] - 1])
+
+
 class ConditionalCore:
     """Premise LSTM feeding its final cell state into a hypothesis LSTM.
 
     The hypothesis LSTM starts from a zero hidden state; only the cell state
-    carries over.
+    carries over. Each LSTM reads its whole sequence in one op.
     """
 
     def __init__(self, premise_cell: LstmCell, hypothesis_cell: LstmCell):
@@ -286,30 +301,26 @@ class ConditionalCore:
             LstmCell.random(input_dim, state_dim, rng, "hypothesis_lstm"),
         )
 
-    def read_premise(
-        self, premise_rows: Sequence[Tensor]
-    ) -> tuple[list[Tensor], Tensor]:
-        """Returns (premise hidden rows, final premise cell state)."""
-        h = _zero_state(self.state_dim)
-        c = _zero_state(self.state_dim)
-        premise_states = []
-        for x in premise_rows:
-            h, c = self.premise_cell.step(x, h, c)
-            premise_states.append(h)
-        return premise_states, c
+    def read_premise(self, premise_rows: Tensor) -> tuple[Tensor, Tensor]:
+        """Returns (premise hidden rows (T, k), final premise cell state)."""
+        zero = _zero_state(self.state_dim)
+        return self.premise_cell.read(premise_rows, zero, zero)
+
+    def read_hypothesis(self, hypothesis_rows: Tensor, c: Tensor) -> Tensor:
+        """Hypothesis hidden rows (T, k), from a zero hidden state and cell state c."""
+        hidden, _ = self.hypothesis_cell.read(
+            hypothesis_rows, _zero_state(self.state_dim), c
+        )
+        return hidden
 
     def run(
-        self, premise_rows: Sequence[Tensor], hypothesis_rows: Sequence[Tensor]
-    ) -> tuple[list[Tensor], Tensor, Tensor]:
+        self, premise_rows: Tensor, hypothesis_rows: Tensor
+    ) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (premise hidden rows, final premise hidden, final
         hypothesis hidden)."""
-        if not premise_rows or not hypothesis_rows:
-            raise ValueError("premise and hypothesis sequences must be non-empty")
         premise_states, c = self.read_premise(premise_rows)
-        h = _zero_state(self.state_dim)
-        for x in hypothesis_rows:
-            h, c = self.hypothesis_cell.step(x, h, c)
-        return premise_states, premise_states[-1], h
+        hypothesis_states = self.read_hypothesis(hypothesis_rows, c)
+        return premise_states, _last_row(premise_states), _last_row(hypothesis_states)
 
     def params(self) -> list[Tensor]:
         return self.premise_cell.params() + self.hypothesis_cell.params()
@@ -375,8 +386,8 @@ class _ModelBase:
 
     def _pair(
         self,
-        premise_rows: Sequence[Tensor],
-        hypothesis_rows: Sequence[Tensor],
+        premise_rows: Tensor,
+        hypothesis_rows: Tensor,
         train: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
@@ -512,17 +523,16 @@ class AttentionModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        premise_rows = self.embeddings.embed(premise)
-        hypothesis_rows = self.embeddings.embed(hypothesis)
-        premise_states, c = self.core.read_premise(premise_rows)
-        memory = concat(premise_states, axis=0)  # (premise_len, k)
+        memory, c = self.core.read_premise(self.embeddings.embed(premise))
+        hypothesis_states = self.core.read_hypothesis(
+            self.embeddings.embed(hypothesis), c
+        )
         projected = matmul(memory, self.attn["Wy"])
 
-        h = _zero_state(self.state_dim)
         attention_state = _zero_state(self.state_dim)
         weights_rows = []
-        for x in hypothesis_rows:
-            h, c = self.core.hypothesis_cell.step(x, h, c)
+        for t in range(len(hypothesis)):
+            h = lookup(hypothesis_states, [t])
             query = add(
                 matmul(h, self.attn["Wh"]), matmul(attention_state, self.attn["Wr"])
             )

@@ -53,6 +53,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must lie in (0, 1], got {self.keep_prob}")
+        if not 0.0 <= self.learning_rate < float("inf"):
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.state_dim < 1 or self.embedding_dim < 1:
             raise ValueError("state_dim and embedding_dim must be >= 1")
         if self.regime not in REGIMES:

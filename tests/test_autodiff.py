@@ -21,6 +21,7 @@ from mpe.autodiff import (
     grad_check,
     load_checkpoint,
     lookup,
+    lstm_sequence,
     matmul,
     mul,
     save_checkpoint,
@@ -362,6 +363,93 @@ class TestLookup:
             lookup(table, [])
         with pytest.raises(ShapeError):
             lookup(Tensor(np.zeros(4)), [0])
+
+
+def lstm_operands(seed, d=3, k=4, steps=5):
+    """Named input rows, nonzero initial state and per-gate weights."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(name, shape, scale=1.0):
+        return Tensor(rng.normal(scale=scale, size=shape), watched=True, name=name)
+
+    x = leaf("x", (steps, d))
+    h0, c0 = leaf("h0", (1, k)), leaf("c0", (1, k))
+    gates = [
+        [leaf(f"{part}.{gate}", shape, 0.5) for gate in range(4)]
+        for part, shape in (("Wx", (d, k)), ("Wh", (k, k)), ("b", (k,)))
+    ]
+    return x, h0, c0, gates
+
+
+def lstm_leaves(x, h0, c0, gates):
+    return [x, h0, c0, *(t for part in gates for t in part)]
+
+
+class TestLstmSequence:
+    def loss(self, x, h0, c0, gates, through_hidden=True):
+        """A weighted sum of the hidden rows and the final cell state, or of
+        the final cell state alone."""
+        rng = np.random.default_rng(99)
+        hidden, cell = lstm_sequence(x, h0, c0, *gates)
+        on_cell = tensor_sum(mul(cell, Tensor(rng.normal(size=cell.shape))))
+        if not through_hidden:
+            return on_cell
+        return add(tensor_sum(mul(hidden, Tensor(rng.normal(size=hidden.shape)))), on_cell)
+
+    @pytest.mark.parametrize("through_hidden", [True, False], ids=["hidden", "cell-only"])
+    def test_gradients_match_finite_differences(self, through_hidden):
+        operands = lstm_operands(0)
+        report = grad_check(
+            lambda: self.loss(*operands, through_hidden=through_hidden),
+            lstm_leaves(*operands),
+            np.random.default_rng(1),
+            samples=6,
+        )
+        assert report.passed, report.worst_by_param
+
+    def test_shapes(self):
+        x, h0, c0, gates = lstm_operands(2, d=3, k=4, steps=6)
+        hidden, cell = lstm_sequence(x, h0, c0, *gates)
+        assert hidden.shape == (6, 4)
+        assert cell.shape == (1, 4)
+
+    def test_untaped_call_records_nothing_and_matches_taped(self):
+        operands = lstm_operands(3)
+        hidden, cell = lstm_sequence(operands[0], operands[1], operands[2], *operands[3])
+        assert hidden.tape is None and cell.tape is None
+        with Tape() as tape:
+            taped = lstm_sequence(operands[0], operands[1], operands[2], *operands[3])
+        assert len(tape) == 1
+        assert taped[0].values.tobytes() == hidden.values.tobytes()
+        assert taped[1].values.tobytes() == cell.values.tobytes()
+
+    def test_second_backward_doubles_leaf_grads_exactly(self):
+        operands = lstm_operands(4)
+        leaves = lstm_leaves(*operands)
+        with Tape() as tape:
+            loss = self.loss(*operands)
+        tape.backward(loss)
+        first = [t.grad.copy() for t in leaves]
+        tape.backward(loss)
+        for t, g in zip(leaves, first):
+            assert np.array_equal(t.grad, 2.0 * g), t.name
+
+    def test_gradients_are_bitwise_repeatable(self):
+        runs = []
+        for _ in range(2):
+            operands = lstm_operands(5)
+            run_backward(lambda: self.loss(*operands))
+            runs.append([t.grad.tobytes() for t in lstm_leaves(*operands)])
+        assert runs[0] == runs[1]
+
+    def test_shape_validation(self):
+        x, h0, c0, gates = lstm_operands(6, d=3, k=4)
+        with pytest.raises(ShapeError, match="non-empty"):
+            lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, *gates)
+        with pytest.raises(ShapeError, match="do not fit"):
+            lstm_sequence(Tensor(np.zeros((2, 5))), h0, c0, *gates)
+        with pytest.raises(ShapeError, match="do not fit"):
+            lstm_sequence(x, Tensor(np.zeros((1, 3))), c0, *gates)
 
 
 class TestBackwardMechanics:

@@ -420,6 +420,20 @@ class TestTrain:
         assert code == 1
         assert "--pretrain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_bad_learning_rate_exits_1_without_checkpoint(
+        self, labeled_items_file, tmp_path, capsys, rate
+    ):
+        ckpt = tmp_path / "m.ckpt"
+        code = main(
+            ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+            + TINY_TRAIN_FLAGS
+            + ["--learning-rate", rate]
+        )
+        assert code == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [labeled_items_file]
+
     def test_best_out_and_dev(self, labeled_items_file, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         best = tmp_path / "best.ckpt"
@@ -594,6 +608,15 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 1
         assert "sum-of-experts" in out
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--dim", "0"), ("--state-dim", "0"), ("--dim", "-1")]
+    )
+    def test_dimension_below_one_exits_1(self, capsys, flag, value):
+        assert main(["gradcheck", "--model", "lstm", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"{flag} must be >= 1" in captured.err
+        assert "[PASS]" not in captured.out
 
 
 class TestCliPlumbing:

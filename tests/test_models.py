@@ -6,7 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
-from mpe.autodiff import Tape, Tensor, cross_entropy, grad_check, save_checkpoint
+from mpe.autodiff import (
+    Tape,
+    Tensor,
+    cross_entropy,
+    grad_check,
+    mul,
+    save_checkpoint,
+    tensor_sum,
+)
 from mpe.models import (
     ARCHITECTURES,
     AttentionModel,
@@ -21,6 +29,7 @@ from mpe.models import (
     load_model,
     load_pretrained_vectors,
 )
+from mpe.training import PRESETS
 
 VOCAB = ["girl", "run", "dog", "jump", "man", "cook", "woman", "sing", "fast"]
 
@@ -76,22 +85,38 @@ class TestEmbeddingTable:
 
     def test_known_token_uses_its_row(self):
         table = self.table()
-        (row,) = table.embed(["dog"])
+        row = table.embed(["dog"])
         assert np.array_equal(row.values[0], table.main.values[table.vocab["dog"]])
 
     def test_unknown_token_uses_unk_row(self):
         table = self.table()
-        (row,) = table.embed(["zebra"])
+        row = table.embed(["zebra"])
         assert np.array_equal(row.values[0], table.special.values[0])
 
     def test_separator_uses_its_own_row(self):
         table = self.table()
-        (row,) = table.embed([SEPARATOR])
+        row = table.embed([SEPARATOR])
         assert np.array_equal(row.values[0], table.special.values[1])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             self.table().embed([])
+
+    def test_mixed_sequence_rows_and_gradients_follow_token_order(self):
+        table = self.table()
+        tokens = ["dog", "zebra", SEPARATOR, "girl", "dog"]
+        main, special = table.main.values, table.special.values
+        dog, girl = table.vocab["dog"], table.vocab["girl"]
+        with Tape() as tape:
+            rows = table.embed(tokens)
+            weights = Tensor(np.arange(1.0, 6.0)[:, None] * np.ones((5, 4)))
+            loss = tensor_sum(mul(rows, weights))
+        expected = np.stack([main[dog], special[0], special[1], main[girl], main[dog]])
+        assert np.array_equal(rows.values, expected)
+        tape.backward(loss)
+        assert np.array_equal(table.main.grad[dog], np.full(4, 1.0 + 5.0))
+        assert np.array_equal(table.main.grad[girl], np.full(4, 4.0))
+        assert np.array_equal(table.special.grad, [np.full(4, 2.0), np.full(4, 3.0)])
 
     def test_trainable_flag_controls_params(self):
         assert [t.name for t in self.table(True).params()] == [
@@ -236,22 +261,36 @@ class TestLstmCell:
         assert np.max(np.abs(h.values - expected_h)) < 1e-12
         assert np.max(np.abs(c.values - expected_c)) < 1e-12
 
+    def test_read_matches_a_loop_of_reference_steps(self):
+        cell = LstmCell.random(5, 6, np.random.default_rng(7), "cell")
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(9, 5))
+        h, c = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+        hidden, final_c = cell.read(Tensor(x), Tensor(h), Tensor(c))
+        rows = []
+        for row in x:
+            h, c = reference_lstm_step(cell, row[None], h, c)
+            rows.append(h[0])
+        assert np.max(np.abs(hidden.values - np.stack(rows))) <= 1e-12
+        assert np.max(np.abs(final_c.values - c)) <= 1e-12
+
 
 class TestConditionalCore:
     def test_empty_sequences_rejected(self):
         core = ConditionalCore.random(2, 3, np.random.default_rng(0))
         row = Tensor(np.zeros((1, 2)))
+        empty = Tensor(np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            core.run([], [row])
+            core.run(empty, row)
         with pytest.raises(ValueError):
-            core.run([row], [])
+            core.run(row, empty)
 
     def test_one_state_per_premise_token(self):
         core = ConditionalCore.random(2, 3, np.random.default_rng(0))
-        rows = [Tensor(np.ones((1, 2))) for _ in range(4)]
-        states, final, _ = core.run(rows, rows[:2])
-        assert len(states) == 4
-        assert states[-1] is final
+        rows = Tensor(np.ones((4, 2)))
+        states, final, _ = core.run(rows, Tensor(rows.values[:2]))
+        assert len(states.values) == 4
+        assert np.array_equal(states.values[-1:], final.values)
 
 
 def make_lstm(seed=0, state_dim=6, keep_prob=1.0):
@@ -478,6 +517,53 @@ class TestSumOfExpertsModel:
         original, _ = model.forward(FOUR_PREMISES, HYPOTHESIS)
         reloaded, _ = restored.forward(FOUR_PREMISES, HYPOTHESIS)
         assert np.array_equal(original.values, reloaded.values)
+
+
+def reference_logits(model, premises, hypothesis):
+    """Plain-numpy eval forward of any architecture, one reference step per token."""
+    w = {name: t.values for name, t in model.all_tensors().items()}
+    table, zero = model.embeddings, np.zeros((1, model.state_dim))
+
+    def read(cell, tokens, h, c):
+        rows = []
+        for t in tokens:
+            row = w["embeddings.main"][table.vocab[t]] if t in table.vocab else (
+                w["embeddings.special"][int(t == SEPARATOR)]
+            )
+            h, c = reference_lstm_step(cell, row[None], h, c)
+            rows.append(h)
+        return np.concatenate(rows), c
+
+    def states(premise):
+        memory, c = read(model.core.premise_cell, premise, zero, zero)
+        return memory, read(model.core.hypothesis_cell, hypothesis, zero, c)[0]
+
+    if isinstance(model, SumOfExpertsModel):
+        pairs = [np.hstack([m[-1:], h[-1:]]) for m, h in map(states, premises)]
+        return sum(p @ w["experts.W"] + w["experts.b"] for p in pairs)[0]
+    memory, hyp = states(concat_premises(premises))
+    if isinstance(model, ConditionalLstmModel):
+        hidden = np.tanh(np.hstack([memory[-1:], hyp[-1:]]) @ w["hidden.W"] + w["hidden.b"])
+        return (hidden @ w["output.W"] + w["output.b"])[0]
+    a = {n: w[f"attention.{n}"] for n in AttentionModel.ATTN_NAMES}
+    r = zero
+    for h in hyp:
+        scores = np.tanh(memory @ a["Wy"] + h @ a["Wh"] + r @ a["Wr"]) @ w["attention.score"]
+        alpha = np.exp(scores - scores.max())
+        r = (alpha / alpha.sum()).T @ memory + np.tanh(r @ a["Wt"])
+    pair = np.tanh(r @ a["Wp"] + hyp[-1:] @ a["Wx"])
+    return (pair @ w["output.W"] + w["output.b"])[0]
+
+
+@pytest.mark.parametrize("preset", ["lstm-mpe", "attn-mpe", "se-mpe"])
+def test_logits_match_numpy_reference_at_preset_sizes(preset):
+    config = PRESETS[preset]
+    model = ARCHITECTURES[config.model].init(
+        VOCAB, config.embedding_dim, config.state_dim, np.random.default_rng(21)
+    )
+    premises = [*FOUR_PREMISES[:3], ["woman", "quokka", "sing"]]
+    got = model.logits(premises, HYPOTHESIS).values
+    assert np.max(np.abs(got - reference_logits(model, premises, HYPOTHESIS))) <= 1e-12
 
 
 class TestCheckpointDispatch:

@@ -8,8 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     env.pop("MPE_RELEASED_DIR", None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -26,6 +26,14 @@ def test_demo_pipeline_output_is_repeatable(tmp_path):
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout == runs[1].stdout
     assert (tmp_path / "demo.items.jsonl").exists()
+
+
+def test_demo_pipeline_without_workdir_is_repeatable_and_cleans_up(tmp_path):
+    runs = [run_script("demo_pipeline.py", TMPDIR=str(tmp_path)) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_released_without_a_directory_exits_1():

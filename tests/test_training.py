@@ -113,6 +113,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(regime="triple")
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
     def test_presets_pin_dimensions(self):
         assert PRESETS["lstm-mpe"].model == "conditional-lstm"
         assert PRESETS["lstm-mpe"].state_dim == 75
