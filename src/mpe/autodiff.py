@@ -4,15 +4,20 @@ A Tape records every op executed while it is the active context; backward
 walks the recording in exact reverse order, accumulating gradients into leaf
 tensors. Gradients accumulate across backward calls until explicitly zeroed,
 so training steps must zero between batches. Ops run outside any tape compute
-values only, which is how evaluation avoids bookkeeping.
+values only, which is how evaluation avoids bookkeeping. A tensor refers to
+its tape only weakly, so a tape is freed as soon as its last name goes away.
 
-Besides elementwise and matrix ops, `lstm_sequence` reads a whole sequence
-through one LSTM layer as a single op (the fused-gate layout of Appleyard,
-Kočiský & Blunsom 2016): the four gates' weights are concatenated at call
-time, the input projection X@Wx + b is one product for all steps, and each
-step costs one h@Wh. Its forward is plain numpy; on a tape it records one
-entry with two outputs (hidden rows and final cell state) and a hand-written
-backward through time, so a read costs one tape entry whatever its length.
+Besides elementwise and matrix ops, `lstm_sequence` reads a batch of padded
+sequences through one LSTM layer as a single op (the fused-gate layout of
+Appleyard, Kočiský & Blunsom 2016): the four gates' weights are concatenated
+at call time, the input projection X@Wx + b is one product for all rows and
+steps, and each step costs one h@Wh over the whole batch. A row's state is
+frozen once its sequence ends. Its forward is plain numpy; on a tape it
+records one entry with two outputs (hidden rows and final cell states) and a
+hand-written backward through time, so a read costs one tape entry whatever
+its length or batch size. `matmul` and `transpose` also take a leading batch
+axis, `pick` takes one step per batch row along the time axis, and
+`cross_entropy` scores a batch of logit rows.
 
 Everything is float64 on purpose: the models here are desk-scale, and exact
 finite-difference agreement is worth more than speed.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -39,11 +45,12 @@ class Tensor:
     """A dense float64 array plus its accumulated gradient.
 
     watched marks trainable parameters; grad is allocated lazily the first
-    time backward reaches the tensor. tape points at the recording the tensor
-    was produced on (None for leaves and for values computed outside a tape).
+    time backward reaches the tensor. tape is the recording the tensor was
+    produced on: None for leaves, for values computed outside a tape, and once
+    that tape has been freed (a tensor holds its tape by weak reference only).
     """
 
-    __slots__ = ("values", "grad", "watched", "name", "tape")
+    __slots__ = ("values", "grad", "watched", "name", "_tape")
 
     def __init__(
         self,
@@ -55,7 +62,11 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.watched = watched
         self.name = name
-        self.tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
+
+    @property
+    def tape(self) -> "Tape | None":
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,6 +94,10 @@ class Tape:
     def __init__(self):
         self._entries: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
         self._prev: Tape | None = None
+        # Handed to every recorded output: a strong reference back from the
+        # outputs the entries hold would keep a finished tape alive until the
+        # cyclic garbage collector runs.
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -102,7 +117,7 @@ class Tape:
         in backward when any of them has a gradient."""
         outs = out if isinstance(out, tuple) else (out,)
         for t in outs:
-            t.tape = self
+            t._tape = self._ref
         self._entries.append((outs, backward_thunk))
 
     def __len__(self) -> int:
@@ -133,9 +148,14 @@ def active_tape() -> "Tape | None":
 
 
 def backward(loss: Tensor) -> None:
-    if loss.tape is None:
+    if loss._tape is None:
         raise ValueError("loss was not recorded on any tape")
-    loss.tape.backward(loss)
+    tape = loss.tape
+    if tape is None:
+        raise ValueError(
+            "the tape that recorded loss has been freed; keep the Tape until backward"
+        )
+    tape.backward(loss)
 
 
 def zero_grad(tensors: Sequence[Tensor]) -> None:
@@ -216,26 +236,81 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(
-            f"matmul: cannot multiply {a.values.shape} by {b.values.shape}"
-        )
-    out = Tensor(a.values @ b.values)
+    """Matrix product. a may carry leading axes against a matrix b (they are
+    folded into rows, so the product is one (rows, n) @ (n, p) call), or a and
+    b may be two (B, m, n) and (B, n, p) batches multiplied pairwise."""
+    x, w = a.values, b.values
+    shared = w.ndim == 2 and x.ndim >= 2
+    paired = w.ndim == 3 and x.ndim == 3 and x.shape[0] == w.shape[0]
+    if not (shared or paired) or x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"matmul: cannot multiply {x.shape} by {w.shape}")
+    if paired:
+        out = Tensor(np.matmul(x, w))
+
+        def thunk():
+            _accumulate(a, np.matmul(out.grad, w.swapaxes(1, 2)))
+            _accumulate(b, np.matmul(x.swapaxes(1, 2), out.grad))
+
+        return _record(out, thunk)
+    rows = x.reshape(-1, x.shape[-1])
+    out = Tensor((rows @ w).reshape(x.shape[:-1] + w.shape[1:]))
 
     def thunk():
-        _accumulate(a, out.grad @ b.values.T)
-        _accumulate(b, a.values.T @ out.grad)
+        g = out.grad.reshape(-1, w.shape[1])
+        _accumulate(a, (g @ w.T).reshape(x.shape))
+        _accumulate(b, rows.T @ g)
 
     return _record(out, thunk)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: need a matrix, got shape {a.values.shape}")
-    out = Tensor(a.values.T.copy())
+    """Swap the last two axes: a matrix, or each matrix of a batch."""
+    if a.values.ndim not in (2, 3):
+        raise ShapeError(
+            f"transpose: need a matrix or a batch of them, got shape {a.values.shape}"
+        )
+    out = Tensor(a.values.swapaxes(-1, -2).copy())
 
     def thunk():
-        _accumulate(a, out.grad.T)
+        _accumulate(a, out.grad.swapaxes(-1, -2))
+
+    return _record(out, thunk)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in row-major order under another shape."""
+    try:
+        out = Tensor(a.values.reshape(shape).copy())
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view {a.values.shape} as {shape}") from None
+
+    def thunk():
+        _accumulate(a, out.grad.reshape(a.values.shape))
+
+    return _record(out, thunk)
+
+
+def pick(a: Tensor, steps) -> Tensor:
+    """Row steps[i] of each a[i] along the time axis of a (B, T, ...) batch,
+    giving (B, ...); an int picks the same step from every row."""
+    v = a.values
+    if v.ndim < 2:
+        raise ShapeError(f"pick: need a (B, T, ...) batch, got shape {v.shape}")
+    batch, span = v.shape[:2]
+    idx = np.asarray(steps, dtype=np.intp)
+    if idx.ndim == 0:
+        idx = np.full(batch, idx)
+    if idx.shape != (batch,):
+        raise ShapeError(f"pick: need one step per row of {v.shape}, got shape {idx.shape}")
+    if idx.min() < 0 or idx.max() >= span:
+        raise ValueError(f"pick: step out of range for {span} steps")
+    rows = np.arange(batch)
+    out = Tensor(v[rows, idx])
+
+    def thunk():
+        if a.grad is None:
+            a.grad = np.zeros_like(v)
+        a.grad[rows, idx] += out.grad
 
     return _record(out, thunk)
 
@@ -347,13 +422,14 @@ def dropout(
     return _record(out, thunk)
 
 
-def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of an embedding matrix; backward scatters into the rows."""
+def lookup(table: Tensor, indices) -> Tensor:
+    """Gather rows of an embedding matrix by an index array of any shape S,
+    giving S + (d,); backward scatters into the rows."""
     if table.values.ndim != 2:
         raise ShapeError(f"lookup: table must be a matrix, got {table.values.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError(f"lookup: need a non-empty index vector, got shape {idx.shape}")
+    if idx.ndim == 0 or idx.size == 0:
+        raise ShapeError(f"lookup: need a non-empty index array, got shape {idx.shape}")
     rows = table.values.shape[0]
     if idx.min() < 0 or idx.max() >= rows:
         raise ValueError(f"lookup: index out of range for {rows} rows")
@@ -367,25 +443,34 @@ def lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
     return _record(out, thunk)
 
 
-def cross_entropy(logits: Tensor, class_index: int) -> Tensor:
+def cross_entropy(logits: Tensor, class_index) -> Tensor:
     """Fused stable softmax + negative log-likelihood of the true class.
 
-    The gradient is exactly softmax(logits) minus the one-hot target.
+    A logit vector with an int class gives a scalar; a (B, C) batch of logit
+    rows with one class per row gives the B row losses. The gradient of a row
+    is exactly softmax(row) minus the one-hot target.
     """
-    if logits.values.ndim != 1:
-        raise ShapeError(f"cross_entropy: logits must be a vector, got {logits.values.shape}")
-    n = logits.values.shape[0]
-    if not 0 <= class_index < n:
+    values = logits.values
+    classes = np.asarray(class_index, dtype=np.intp)
+    if values.ndim not in (1, 2) or classes.shape != values.shape[:-1]:
+        raise ShapeError(
+            f"cross_entropy: logits {values.shape} need a vector and a class, "
+            f"or (B, C) rows and B classes; got classes of shape {classes.shape}"
+        )
+    n = values.shape[-1]
+    if classes.min() < 0 or classes.max() >= n:
         raise ValueError(f"cross_entropy: class {class_index} out of range for {n} logits")
-    shifted = logits.values - logits.values.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = Tensor(lse - shifted[class_index])
-    probs = np.exp(shifted - lse)
+    rows = values.reshape(-1, n)
+    picked = np.arange(len(rows)), classes.reshape(-1)
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    out = Tensor((lse - shifted[picked]).reshape(classes.shape))
+    probs = np.exp(shifted - lse[:, None])
 
     def thunk():
         g = probs.copy()
-        g[class_index] -= 1.0
-        _accumulate(logits, g * out.grad)
+        g[picked] -= 1.0
+        _accumulate(logits, (g * out.grad.reshape(-1, 1)).reshape(values.shape))
 
     return _record(out, thunk)
 
@@ -397,85 +482,118 @@ def _fused(gates: Sequence[Tensor]) -> np.ndarray:
 
 def lstm_sequence(
     X: Tensor,
+    lengths: Sequence[int] | None,
     h0: Tensor,
     c0: Tensor,
     Wx: Sequence[Tensor],
     Wh: Sequence[Tensor],
     b: Sequence[Tensor],
 ) -> tuple[Tensor, Tensor]:
-    """One LSTM layer read over the rows of X (T, d) from the state h0, c0 (1, k).
+    """One LSTM layer read over a batch X (B, T, d) of sequences padded to T
+    steps, from the states h0, c0 (B, k). Row i is read for lengths[i] steps
+    (all T when lengths is None); after that its state is frozen, so its
+    hidden rows past its end repeat its last one.
 
     Wx, Wh and b are the per-gate (d, k), (k, k) and (k,) tensors in the order
     input, forget, output, candidate. They are concatenated here, so each
-    step's gates come from one (1, 4k) row: the forward computes X@Wx + b
-    for all steps at once, then per step one h@Wh, one sigmoid over the
-    first 3k columns and one tanh over the last k. Returns the hidden rows
-    (T, k) and the final cell state (1, k). On a tape the whole read is one
-    entry, with a hand-written backpropagation through time.
+    step's gates come from one (B, 4k) block: the forward computes X@Wx + b
+    for all rows and steps at once, then per step one h@Wh, one sigmoid over
+    the first 3k columns and one tanh over the last k. Returns the hidden rows
+    (B, T, k) and the cell states after each row's last step (B, k). On a tape
+    the whole read is one entry, with a hand-written backpropagation through
+    time in which a frozen step passes dh and dc through unchanged and has a
+    zero dz, so padding reaches no weight and no input row.
     """
     wx, wh = _fused(Wx), _fused(Wh)
     bias = np.concatenate([v.values for v in b])
     x = X.values
     k = wh.shape[0]
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"lstm_sequence: need a non-empty (T, d) input, got {x.shape}")
+    if x.ndim != 3 or 0 in x.shape:
+        raise ShapeError(f"lstm_sequence: need a non-empty (B, T, d) input, got {x.shape}")
+    batch, steps, d = x.shape
     if (
-        wx.shape != (x.shape[1], 4 * k)
+        wx.shape != (d, 4 * k)
         or wh.shape != (k, 4 * k)
         or bias.shape != (4 * k,)
-        or h0.values.shape != (1, k)
-        or c0.values.shape != (1, k)
+        or h0.values.shape != (batch, k)
+        or c0.values.shape != (batch, k)
     ):
         raise ShapeError(
             f"lstm_sequence: input {x.shape}, state {h0.values.shape} and "
             f"{c0.values.shape} do not fit gates {wx.shape}, {wh.shape}, {bias.shape}"
         )
-    steps, s = x.shape[0], 3 * k
-    # gates[t] holds step t's pre-activations, then its activations i, f, o, g.
-    gates = x @ wx + bias
-    h = np.empty((steps + 1, k))
-    c = np.empty((steps + 1, k))
-    tanh_c = np.empty((steps, k))
-    h[0] = h0.values[0]
-    c[0] = c0.values[0]
+    span = np.full(batch, steps) if lengths is None else np.asarray(lengths, dtype=np.intp)
+    if span.shape != (batch,) or span.min() < 1 or span.max() > steps:
+        raise ShapeError(f"lstm_sequence: lengths {span.tolist()} do not fit {x.shape}")
+    # frozen[t, i]: row i has ended before step t.
+    frozen = np.arange(steps)[:, None] >= span
+    ragged = frozen.any(axis=1).tolist()
+    s = 3 * k
+    # Time-major: gates[t] holds step t's pre-activations for every row, then
+    # its activations i, f, o, g.
+    rows = x.transpose(1, 0, 2).reshape(steps * batch, d)
+    gates = (rows @ wx + bias).reshape(steps, batch, 4 * k)
+    h = np.empty((steps + 1, batch, k))
+    c = np.empty((steps + 1, batch, k))
+    tanh_c = np.empty((steps, batch, k))
+    h[0] = h0.values
+    c[0] = c0.values
     for t in range(steps):
         z = gates[t]
         z += h[t] @ wh
-        z[:s] = _sigmoid(z[:s])
-        np.tanh(z[s:], out=z[s:])
-        c[t + 1] = z[k : 2 * k] * c[t] + z[:k] * z[s:]
+        z[:, :s] = _sigmoid(z[:, :s])
+        np.tanh(z[:, s:], out=z[:, s:])
+        c[t + 1] = z[:, k : 2 * k] * c[t] + z[:, :k] * z[:, s:]
         np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(z[2 * k : s], tanh_c[t], out=h[t + 1])
-    hidden = Tensor(h[1:])
-    cell = Tensor(c[steps:])
+        np.multiply(z[:, 2 * k : s], tanh_c[t], out=h[t + 1])
+        if ragged[t]:
+            done = frozen[t]
+            h[t + 1, done] = h[t, done]
+            c[t + 1, done] = c[t, done]
+    hidden = Tensor(np.ascontiguousarray(h[1:].transpose(1, 0, 2)))
+    cell = Tensor(c[steps])
 
     def thunk():
         # Fused again rather than kept from the forward: a recorded tape then
         # holds per-step arrays only, not a copy of the weights per read.
         wx, wh = _fused(Wx), _fused(Wh)
-        dh_rows = hidden.grad if hidden.grad is not None else np.zeros((steps, k))
-        dc = cell.grad[0] if cell.grad is not None else np.zeros(k)
+        dh_rows = (
+            hidden.grad.transpose(1, 0, 2)
+            if hidden.grad is not None
+            else np.zeros((steps, batch, k))
+        )
+        dc = cell.grad if cell.grad is not None else np.zeros((batch, k))
         # Derivative of each activation with respect to its pre-activation.
         slope = gates * (1.0 - gates)
-        slope[:, s:] = 1.0 - gates[:, s:] ** 2
+        slope[..., s:] = 1.0 - gates[..., s:] ** 2
         tanh_slope = 1.0 - tanh_c**2
         dz = np.empty_like(gates)
-        dh = np.zeros(k)
+        dh = np.zeros((batch, k))
         for t in range(steps - 1, -1, -1):
-            i, f, o, g = gates[t, :k], gates[t, k : 2 * k], gates[t, 2 * k : s], gates[t, s:]
-            dh = dh + dh_rows[t]
+            i, f, o, g = (gates[t, :, j * k : (j + 1) * k] for j in range(4))
+            dh = dh_in = dh + dh_rows[t]
+            dc_in = dc
             dc = dc + dh * o * tanh_slope[t]
-            dz[t, :k] = dc * g
-            dz[t, k : 2 * k] = dc * c[t]
-            dz[t, 2 * k : s] = dh * tanh_c[t]
-            dz[t, s:] = dc * i
+            dz[t, :, :k] = dc * g
+            dz[t, :, k : 2 * k] = dc * c[t]
+            dz[t, :, 2 * k : s] = dh * tanh_c[t]
+            dz[t, :, s:] = dc * i
             dz[t] *= slope[t]
             dc = dc * f
-            dh = wh @ dz[t]
-        _accumulate(X, dz @ wx.T)
-        _accumulate(h0, dh[None])
-        _accumulate(c0, dc[None])
-        for grad, tensors in ((x.T @ dz, Wx), (h[:-1].T @ dz, Wh), (dz.sum(axis=0), b)):
+            dh = dz[t] @ wh.T
+            if ragged[t]:
+                # A frozen step is the identity on (h, c).
+                done = frozen[t]
+                dz[t, done] = 0.0
+                dh[done] = dh_in[done]
+                dc[done] = dc_in[done]
+        flat = dz.reshape(steps * batch, 4 * k)
+        _accumulate(X, (flat @ wx.T).reshape(steps, batch, d).transpose(1, 0, 2))
+        _accumulate(h0, dh)
+        _accumulate(c0, dc)
+        previous = h[:-1].reshape(steps * batch, k)
+        weight_grads = (rows.T @ flat, Wx), (previous.T @ flat, Wh), (flat.sum(axis=0), b)
+        for grad, tensors in weight_grads:
             for gate, w in enumerate(tensors):
                 _accumulate(w, grad[..., gate * k : (gate + 1) * k])
 

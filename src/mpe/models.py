@@ -13,23 +13,26 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
 
 Everything the three share is written once on `_ModelBase`: construction
 (`init` draws the embeddings, then the core, then the head, so a seed fixes
-every weight), dropout, the "core → concat → dropout" pair reader, the
-`params()` / `all_tensors()` lists, and checkpoint save and load. Each
-architecture adds only its head (`_init_head`) and its `forward`.
+every weight), dropout, the `params()` / `all_tensors()` lists, and
+checkpoint save and load. Each architecture adds only its head
+(`_init_head`) and `_forward_batch`, its equations over a batch of B items.
 
-`model.logits(premises, hypothesis)` is the one entry point callers use: it
-takes the premises as a list of token lists, and each architecture says with
-`joined_premises` whether to read them joined by `concat_premises` or one at
-a time. `forward` is the architecture's own call form and also returns its
-extras (attention weights, per-premise experts).
+`model.batch_logits(premises, hypotheses)` scores B items at once and
+`model.logits(premises, hypothesis)` is its B = 1 call; both take premises as
+lists of token lists, and each architecture says with `joined_premises`
+whether to read them joined by `concat_premises` or one at a time. `forward`
+is the architecture's own single-item call form, also the B = 1 batch, and
+also returns its extras (attention weights, per-premise experts).
 
-Each LSTM reads its whole sequence with one `autodiff.lstm_sequence` call:
-`LstmCell` keeps its weights per gate (the checkpoint names
+A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
+zero past each sequence's end, with the length of each sequence. Each LSTM
+reads it with one `autodiff.lstm_sequence` call, which freezes a row once its
+sequence ends: `LstmCell` keeps its weights per gate (the checkpoint names
 `<prefix>.<gate>.{Wx,Wh,b}`) and the op concatenates them at call time, so a
-read is one tape entry whatever its length. `EmbeddingTable.embed` returns a
-token sequence as one (T, dim) tensor gathered by id arrays. Attention keeps
-a per-step loop only for its attention recurrence and picks each hypothesis
-hidden row with `lookup`; sum-of-experts makes one core call per premise.
+read is one tape entry whatever its length or batch size. Attention runs its
+attention recurrence once per hypothesis step over all B rows, with padded
+premise positions masked out of the softmax; sum-of-experts makes one core
+call per premise slot over the B items.
 
 All weights are float64 tensors named for checkpointing.
 """
@@ -37,7 +40,7 @@ All weights are float64 tensors named for checkpointing.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +54,9 @@ from .autodiff import (
     lookup,
     lstm_sequence,
     matmul,
+    mul,
+    pick,
+    reshape,
     save_checkpoint,
     softmax,
     tanh,
@@ -163,23 +169,55 @@ class EmbeddingTable:
 
     def embed(self, tokens: Sequence[str]) -> Tensor:
         """The (T, dim) rows of a token sequence; unknown words share the UNK
-        row. Vocabulary and special rows are gathered by id arrays, then put
-        back in token order."""
+        row."""
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
-        ids = [self.vocab.get(token) for token in tokens]
-        main_at = [p for p, i in enumerate(ids) if i is not None]
-        special_at = [p for p, i in enumerate(ids) if i is None]
+        return self._gather(np.array([self._id(token) for token in tokens]))
+
+    def embed_batch(self, sequences: Sequence[Sequence[str]]) -> "Padded":
+        """Token sequences as one (B, T, dim) batch, T the longest length and
+        zero rows past the end of each shorter sequence."""
+        if not sequences or not all(sequences):
+            raise ValueError("cannot embed an empty token sequence")
+        lengths = np.array([len(tokens) for tokens in sequences])
+        ids = np.full((len(sequences), lengths.max()), -1)
+        for row, tokens in zip(ids, sequences):
+            row[: len(tokens)] = [self._id(token) for token in tokens]
+        return Padded(self._gather(ids), lengths)
+
+    def _id(self, token: str) -> int:
+        """Vocabulary row, or V + 0 (UNK) / V + 1 (separator) for special rows."""
+        row = self.vocab.get(token)
+        return len(self.vocab) + (token == SEPARATOR) if row is None else row
+
+    def _gather(self, ids: np.ndarray) -> Tensor:
+        """Rows for an id array of any shape; -1 marks padding, a zero row.
+
+        Vocabulary and special rows are each gathered by one id array; when
+        kinds mix, one more lookup of the stacked parts puts every row in
+        place, so the vocabulary matrix is never copied."""
+        vocab_size = len(self.vocab)
+        kinds = (
+            (self.main, (ids >= 0) & (ids < vocab_size), 0),
+            (self.special, ids >= vocab_size, vocab_size),
+        )
+        for table, mask, offset in kinds:
+            if mask.all():
+                return lookup(table, ids - offset)
         parts = []
-        if main_at:
-            parts.append(lookup(self.main, [ids[p] for p in main_at]))
-        if special_at:
-            rows = [int(tokens[p] == SEPARATOR) for p in special_at]
-            parts.append(lookup(self.special, rows))
-        if len(parts) == 1:
-            return parts[0]
-        # argsort of the stacked positions is the row of each token in the stack.
-        return lookup(concat(parts), np.argsort(main_at + special_at))
+        position = np.empty(ids.shape, dtype=np.intp)
+        start = 0
+        for table, mask, offset in kinds:
+            count = int(mask.sum())
+            if count:
+                parts.append(lookup(table, ids[mask] - offset))
+                position[mask] = np.arange(start, start + count)
+                start += count
+        padding = ids < 0
+        if padding.any():
+            parts.append(Tensor(np.zeros((1, self.dim))))
+            position[padding] = start
+        return lookup(concat(parts), position)
 
     def params(self) -> list[Tensor]:
         return [self.main, self.special] if self.trainable else [self.special]
@@ -260,31 +298,40 @@ class LstmCell:
             tensors[name] = Tensor(bias, watched=True, name=name)
         return cls(tensors, input_dim, state_dim, prefix)
 
-    def read(self, rows: Tensor, h0: Tensor, c0: Tensor) -> tuple[Tensor, Tensor]:
-        """(hidden rows (T, k), final cell state) over input rows (T, d)."""
-        return lstm_sequence(rows, h0, c0, *self._gates)
+    def read(
+        self, rows: Tensor, h0: Tensor, c0: Tensor, lengths: Sequence[int] | None = None
+    ) -> tuple[Tensor, Tensor]:
+        """(hidden rows (B, T, k), final cell states (B, k)) over a batch of
+        input rows (B, T, d), row i read for lengths[i] steps (all T if None)."""
+        return lstm_sequence(rows, lengths, h0, c0, *self._gates)
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """One step: the T = 1 read of a (1, d) input row."""
-        return self.read(x, h_prev, c_prev)
+        """One step of B sequences: the T = 1 read of input rows x (B, d)."""
+        rows = np.arange(x.values.shape[0])
+        hidden, c = self.read(lookup(x, rows[:, None]), h_prev, c_prev)
+        return pick(hidden, 0), c
 
     def params(self) -> list[Tensor]:
         return [self.tensors[name] for name in sorted(self.tensors)]
 
 
-def _zero_state(state_dim: int) -> Tensor:
-    return Tensor(np.zeros((1, state_dim)))
+class Padded(NamedTuple):
+    """A batch of token sequences: rows (B, T, d), zero past each sequence's
+    end, and the length of each sequence."""
+
+    rows: Tensor
+    lengths: np.ndarray
 
 
-def _last_row(rows: Tensor) -> Tensor:
-    return lookup(rows, [rows.values.shape[0] - 1])
+def _zero_state(batch: int, state_dim: int) -> Tensor:
+    return Tensor(np.zeros((batch, state_dim)))
 
 
 class ConditionalCore:
     """Premise LSTM feeding its final cell state into a hypothesis LSTM.
 
     The hypothesis LSTM starts from a zero hidden state; only the cell state
-    carries over. Each LSTM reads its whole sequence in one op.
+    carries over. Each LSTM reads a whole batch of sequences in one op.
     """
 
     def __init__(self, premise_cell: LstmCell, hypothesis_cell: LstmCell):
@@ -301,26 +348,28 @@ class ConditionalCore:
             LstmCell.random(input_dim, state_dim, rng, "hypothesis_lstm"),
         )
 
-    def read_premise(self, premise_rows: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns (premise hidden rows (T, k), final premise cell state)."""
-        zero = _zero_state(self.state_dim)
-        return self.premise_cell.read(premise_rows, zero, zero)
+    def read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
+        """Returns (premise hidden rows (B, T, k), final premise cell states)."""
+        zero = _zero_state(len(premise.lengths), self.state_dim)
+        return self.premise_cell.read(premise.rows, zero, zero, premise.lengths)
 
-    def read_hypothesis(self, hypothesis_rows: Tensor, c: Tensor) -> Tensor:
-        """Hypothesis hidden rows (T, k), from a zero hidden state and cell state c."""
-        hidden, _ = self.hypothesis_cell.read(
-            hypothesis_rows, _zero_state(self.state_dim), c
-        )
+    def read_hypothesis(self, hypothesis: Padded, c: Tensor) -> Tensor:
+        """Hypothesis hidden rows (B, T, k), from zero hidden states and cell
+        states c."""
+        zero = _zero_state(len(hypothesis.lengths), self.state_dim)
+        hidden, _ = self.hypothesis_cell.read(hypothesis.rows, zero, c, hypothesis.lengths)
         return hidden
 
-    def run(
-        self, premise_rows: Tensor, hypothesis_rows: Tensor
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (premise hidden rows, final premise hidden, final
-        hypothesis hidden)."""
-        premise_states, c = self.read_premise(premise_rows)
-        hypothesis_states = self.read_hypothesis(hypothesis_rows, c)
-        return premise_states, _last_row(premise_states), _last_row(hypothesis_states)
+    def run(self, premise: Padded, hypothesis: Padded) -> tuple[Tensor, Tensor, Tensor]:
+        """Returns (premise hidden rows, final premise hidden (B, k), final
+        hypothesis hidden (B, k))."""
+        premise_states, c = self.read_premise(premise)
+        hypothesis_states = self.read_hypothesis(hypothesis, c)
+        return (
+            premise_states,
+            pick(premise_states, premise.lengths - 1),
+            pick(hypothesis_states, hypothesis.lengths - 1),
+        )
 
     def params(self) -> list[Tensor]:
         return self.premise_cell.params() + self.hypothesis_cell.params()
@@ -338,7 +387,8 @@ _META_KEYS = ("dim", "state_dim", "keep_prob", "trainable_embeddings", "vocab")
 
 class _ModelBase:
     """Embeddings, one conditional core and a head; subclasses name the head
-    tensors in `_init_head` and define `forward`."""
+    tensors in `_init_head` and define `_forward_batch` and its B = 1 call
+    `forward`."""
 
     architecture = ""
     # True: `forward` reads the premises joined by `concat_premises`; False:
@@ -384,18 +434,6 @@ class _ModelBase:
             raise ValueError("training mode needs a dropout rng")
         return dropout(x, self.keep_prob, rng, train=train)
 
-    def _pair(
-        self,
-        premise_rows: Tensor,
-        hypothesis_rows: Tensor,
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> Tensor:
-        """The final premise and hypothesis hidden states side by side,
-        (1, 2k), after dropout."""
-        _, premise_vec, hypothesis_vec = self.core.run(premise_rows, hypothesis_rows)
-        return self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
-
     def logits(
         self,
         premises: Sequence[Sequence[str]],
@@ -408,6 +446,24 @@ class _ModelBase:
             premises = concat_premises(premises)
         out = self.forward(premises, hypothesis, train=train, rng=rng)
         return out[0] if isinstance(out, tuple) else out
+
+    def batch_logits(
+        self,
+        premises: Sequence[Sequence[Sequence[str]]],
+        hypotheses: Sequence[Sequence[str]],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """(B, 3) logits of B items, each given by its list of premise token
+        lists and its hypothesis. Dropout masks are drawn item by item, so
+        they equal those of B single-item calls in turn."""
+        if self.joined_premises:
+            premises = [concat_premises(p) for p in premises]
+        return self._forward_batch(premises, hypotheses, train, rng)[0]
+
+    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, object]:
+        """(logits (B, 3), the architecture's extras) of B items."""
+        raise NotImplementedError
 
     def params(self) -> list[Tensor]:
         """Trainable tensors: embeddings, then the core, then the head."""
@@ -483,6 +539,13 @@ class ConditionalLstmModel(_ModelBase):
         self.out_w, self.out_b = _affine("output", k, 3, rng)
         self.head = [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
 
+    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, None]:
+        embed = self.embeddings.embed_batch
+        _, premise_vec, hypothesis_vec = self.core.run(embed(premises), embed(hypotheses))
+        pair = self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
+        hidden = tanh(add(matmul(pair, self.hidden_w), self.hidden_b))
+        return add(matmul(hidden, self.out_w), self.out_b), None
+
     def forward(
         self,
         premise: Sequence[str],
@@ -490,11 +553,14 @@ class ConditionalLstmModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        pair = self._pair(
-            self.embeddings.embed(premise), self.embeddings.embed(hypothesis), train, rng
-        )
-        hidden = tanh(add(matmul(pair, self.hidden_w), self.hidden_b))
-        return flatten(add(matmul(hidden, self.out_w), self.out_b))
+        logits, _ = self._forward_batch([premise], [hypothesis], train, rng)
+        return flatten(logits)
+
+
+def _hold(new: Tensor, old: Tensor, live: np.ndarray) -> Tensor:
+    """new on the rows where live is set, old on the others (both exact)."""
+    keep = live.astype(np.float64)[:, None]
+    return add(mul(new, Tensor(keep)), mul(old, Tensor(1.0 - keep)))
 
 
 class AttentionModel(_ModelBase):
@@ -502,7 +568,9 @@ class AttentionModel(_ModelBase):
 
     Each hypothesis step scores every premise hidden state, mixes them by
     softmax weight, and folds the mixture into a recurrent attention memory;
-    the final memory and hypothesis vector form the pair representation.
+    the final memory and hypothesis vector form the pair representation. Over
+    a batch, padded premise positions get no weight, and a row's attention
+    memory is held once its hypothesis has ended.
     """
 
     architecture = "attention"
@@ -516,6 +584,51 @@ class AttentionModel(_ModelBase):
         self.out_w, self.out_b = _affine("output", k, 3, rng)
         self.head = [*self.attn.values(), self.score_w, self.out_w, self.out_b]
 
+    def _forward_batch(
+        self, premises, hypotheses, train, rng
+    ) -> tuple[Tensor, list[np.ndarray]]:
+        premise = self.embeddings.embed_batch(premises)
+        hypothesis = self.embeddings.embed_batch(hypotheses)
+        memory, c = self.core.read_premise(premise)
+        hypothesis_states = self.core.read_hypothesis(hypothesis, c)
+        batch, span, k = memory.values.shape
+        projected = matmul(memory, self.attn["Wy"])
+        # -inf on padded premise positions, so the softmax gives them no weight.
+        padding = np.arange(span) >= premise.lengths[:, None]
+        mask = Tensor(np.where(padding, -np.inf, 0.0)[:, :, None]) if padding.any() else None
+
+        attention_state = _zero_state(batch, k)
+        weights_rows = []
+        for t in range(hypothesis.rows.values.shape[1]):
+            h = pick(hypothesis_states, t)
+            query = add(
+                matmul(h, self.attn["Wh"]), matmul(attention_state, self.attn["Wr"])
+            )
+            scored = tanh(add(projected, reshape(query, (batch, 1, k))))
+            scores = matmul(scored, self.score_w)
+            weights = softmax(scores if mask is None else add(scores, mask), axis=1)
+            weights_rows.append(weights.values[:, :, 0].copy())
+            mixed = reshape(matmul(transpose(weights), memory), (batch, k))
+            state = add(mixed, tanh(matmul(attention_state, self.attn["Wt"])))
+            live = t < hypothesis.lengths
+            attention_state = state if live.all() else _hold(state, attention_state, live)
+        last = pick(hypothesis_states, hypothesis.lengths - 1)
+        pair = tanh(
+            add(
+                matmul(attention_state, self.attn["Wp"]),
+                matmul(last, self.attn["Wx"]),
+            )
+        )
+        pair = self._dropout(pair, train, rng)
+        logits = add(matmul(pair, self.out_w), self.out_b)
+        weights = [
+            np.stack([rows[i, :premise_len] for rows in weights_rows[:hypothesis_len]])
+            for i, (premise_len, hypothesis_len) in enumerate(
+                zip(premise.lengths, hypothesis.lengths)
+            )
+        ]
+        return logits, weights
+
     def forward(
         self,
         premise: Sequence[str],
@@ -523,35 +636,8 @@ class AttentionModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        memory, c = self.core.read_premise(self.embeddings.embed(premise))
-        hypothesis_states = self.core.read_hypothesis(
-            self.embeddings.embed(hypothesis), c
-        )
-        projected = matmul(memory, self.attn["Wy"])
-
-        attention_state = _zero_state(self.state_dim)
-        weights_rows = []
-        for t in range(len(hypothesis)):
-            h = lookup(hypothesis_states, [t])
-            query = add(
-                matmul(h, self.attn["Wh"]), matmul(attention_state, self.attn["Wr"])
-            )
-            scored = tanh(add(projected, query))
-            weights = softmax(matmul(scored, self.score_w), axis=0)
-            weights_rows.append(weights.values[:, 0].copy())
-            mixed = matmul(transpose(weights), memory)
-            attention_state = add(
-                mixed, tanh(matmul(attention_state, self.attn["Wt"]))
-            )
-        pair = tanh(
-            add(
-                matmul(attention_state, self.attn["Wp"]),
-                matmul(h, self.attn["Wx"]),
-            )
-        )
-        pair = self._dropout(pair, train, rng)
-        logits = flatten(add(matmul(pair, self.out_w), self.out_b))
-        return logits, np.stack(weights_rows)
+        logits, weights = self._forward_batch([premise], [hypothesis], train, rng)
+        return flatten(logits), weights[0]
 
 
 class SumOfExpertsModel(_ModelBase):
@@ -559,7 +645,9 @@ class SumOfExpertsModel(_ModelBase):
 
     Per-premise logits are produced by a shared affine head and summed in a
     canonical value-sorted tree, so any ordering of the same four premises
-    yields bitwise-identical totals.
+    yields bitwise-identical totals. A batch makes one core call per premise
+    slot over its B items, never one call over an item's premises: a row's
+    product would then depend on its position among them.
     """
 
     architecture = "sum-of-experts"
@@ -569,6 +657,37 @@ class SumOfExpertsModel(_ModelBase):
         self.expert_w, self.expert_b = _affine("experts", 2 * self.state_dim, 3, rng)
         self.head = [self.expert_w, self.expert_b]
 
+    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, list[Tensor]]:
+        slots = {len(p) for p in premises}
+        if len(slots) != 1 or not slots <= {1, 4}:
+            raise ValueError(f"need 1 or 4 premises per item, got {sorted(slots)}")
+        (count,) = slots
+        batch, k = len(premises), self.state_dim
+        hypothesis = self.embeddings.embed_batch(hypotheses)
+        vectors = []
+        for slot in range(count):
+            premise = self.embeddings.embed_batch([p[slot] for p in premises])
+            _, premise_vec, hypothesis_vec = self.core.run(premise, hypothesis)
+            vectors += [premise_vec, hypothesis_vec]
+        # One (B, slots, 2k) draw: each item's masks in premise order, as if
+        # the items were read one after another.
+        pairs = self._dropout(
+            reshape(concat(vectors, axis=1), (batch, count, 2 * k)), train, rng
+        )
+        experts = [
+            add(matmul(pick(pairs, slot), self.expert_w), self.expert_b)
+            for slot in range(count)
+        ]
+        if count == 1:
+            return experts[0], experts
+        # Each item's experts in ascending value order, compared as tuples.
+        values = np.stack([e.values for e in experts], axis=1)
+        order = np.lexsort(values[:, :, ::-1].transpose(2, 0, 1), axis=-1)
+        stacked = concat(experts)
+        ranked = [lookup(stacked, order[:, r] * batch + np.arange(batch)) for r in range(4)]
+        total = add(add(ranked[0], ranked[1]), add(ranked[2], ranked[3]))
+        return total, experts
+
     def forward(
         self,
         premises: Sequence[Sequence[str]],
@@ -576,18 +695,9 @@ class SumOfExpertsModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list[Tensor]]:
-        if len(premises) not in (1, 4):
-            raise ValueError(f"need 1 or 4 premises, got {len(premises)}")
-        hypothesis_rows = self.embeddings.embed(hypothesis)
-        experts = []
-        for premise in premises:
-            pair = self._pair(self.embeddings.embed(premise), hypothesis_rows, train, rng)
-            experts.append(flatten(add(matmul(pair, self.expert_w), self.expert_b)))
-        if len(experts) == 1:
-            return experts[0], experts
-        ranked = sorted(experts, key=lambda t: tuple(t.values.tolist()))
-        total = add(add(ranked[0], ranked[1]), add(ranked[2], ranked[3]))
-        return total, experts
+        total, experts = self._forward_batch([premises], [hypothesis], train, rng)
+        experts = [flatten(e) for e in experts]
+        return (experts[0] if len(experts) == 1 else flatten(total)), experts
 
 
 ARCHITECTURES = {

@@ -3,20 +3,34 @@
 A Trainer owns one optimizer and two seeded random streams (shuffling and
 dropout) that persist across phases, so running a pretrain phase followed by
 a fine-tune phase on the same data is bitwise equivalent to one long run.
-Items are processed one at a time; a batch is a gradient-accumulation group
-whose mean loss drives a single Adam step, which computes the exact
-mini-batch gradient without any sequence padding.
+Each mini-batch is one padded batch through the model: one taped forward,
+one backward of its mean loss and one Adam step. Dropout masks are drawn
+item by item, so the mask stream is that of reading the items one at a time,
+and the gradient equals the per-item accumulated one up to summation order.
+Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
+A batch or chunk reaches the model as runs of items with the same number of
+premises, in their original order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Adam, Tape, Tensor, cross_entropy, scale, save_checkpoint
+from .autodiff import (
+    Adam,
+    Tape,
+    Tensor,
+    concat,
+    cross_entropy,
+    save_checkpoint,
+    scale,
+    tensor_sum,
+)
 from .dataset import Item, LABELS, SpePair, label_index
 from .models import ARCHITECTURES, _ModelBase
 from .text import Sentence, tokenize
@@ -27,6 +41,9 @@ def _tokens(text: "Sentence | str") -> tuple[str, ...]:
     return text.tokens if isinstance(text, Sentence) else tokenize(text)
 
 REGIMES = ("single", "pretrain-then-finetune")
+
+# Items per forward pass when predicting, scoring and evaluating.
+EVAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,11 @@ def vocabulary_from_items(items: Iterable["Item | SpePair"]) -> list[str]:
     return sorted(tokens)
 
 
+def _token_lists(item: "Item | SpePair") -> tuple[list[list[str]], list[str]]:
+    premises, hypothesis, _ = _fields(item)
+    return [list(_tokens(p)) for p in premises], list(_tokens(hypothesis))
+
+
 def forward_logits(
     model,
     item: "Item | SpePair",
@@ -108,13 +130,23 @@ def forward_logits(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run any architecture on a labeled item, returning its 3 logits."""
-    premises, hypothesis, _ = _fields(item)
-    return model.logits(
-        [list(_tokens(p)) for p in premises],
-        list(_tokens(hypothesis)),
-        train=train,
-        rng=rng,
-    )
+    premises, hypothesis = _token_lists(item)
+    return model.logits(premises, hypothesis, train=train, rng=rng)
+
+
+def batch_logits(
+    model,
+    items: Sequence["Item | SpePair"],
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """(B, 3) logits of B items, one model call per run of items with the
+    same number of premises."""
+    parts = []
+    for _, run in groupby(map(_token_lists, items), key=lambda pair: len(pair[0])):
+        premises, hypotheses = zip(*run)
+        parts.append(model.batch_logits(premises, hypotheses, train=train, rng=rng))
+    return parts[0] if len(parts) == 1 else concat(parts)
 
 
 def predict(model, item: "Item | SpePair") -> str:
@@ -122,10 +154,20 @@ def predict(model, item: "Item | SpePair") -> str:
     return LABELS[int(np.argmax(logits.values))]
 
 
+def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:
+    """`predict` of every item, scored in chunks of EVAL_CHUNK items."""
+    guesses: list[str] = []
+    for start in range(0, len(items), EVAL_CHUNK):
+        logits = batch_logits(model, items[start : start + EVAL_CHUNK])
+        guesses.extend(LABELS[i] for i in np.argmax(logits.values, axis=1))
+    return guesses
+
+
 def accuracy(model, items: Sequence["Item | SpePair"]) -> float:
     if not items:
         raise ValueError("cannot score an empty dataset")
-    correct = sum(predict(model, item) == item_gold(item) for item in items)
+    guesses = predict_all(model, items)
+    correct = sum(guess == item_gold(item) for guess, item in zip(guesses, items))
     return correct / len(items)
 
 
@@ -177,7 +219,7 @@ class TrainResult:
 
 
 class Trainer:
-    """Serial mini-batch optimizer state shared across training phases."""
+    """Mini-batch optimizer state shared across training phases."""
 
     def __init__(self, model, config: TrainConfig):
         self.model = model
@@ -219,18 +261,18 @@ class Trainer:
             self._shuffle.shuffle(order)
             losses: list[float] = []
             for start in range(0, len(order), batch_size):
-                chunk = order[start : start + batch_size]
+                chunk = [items[idx] for idx in order[start : start + batch_size]]
                 self.optimizer.zero_grad()
-                for idx in chunk:
-                    item = items[idx]
-                    with Tape() as tape:
-                        logits = forward_logits(
-                            self.model, item, train=True, rng=self._dropout_rng
-                        )
-                        loss = cross_entropy(logits, label_index(item_gold(item)))
-                        scaled = scale(loss, 1.0 / len(chunk))
-                    tape.backward(scaled)
-                    losses.append(float(loss.values))
+                with Tape() as tape:
+                    logits = batch_logits(
+                        self.model, chunk, train=True, rng=self._dropout_rng
+                    )
+                    item_losses = cross_entropy(
+                        logits, [label_index(item_gold(item)) for item in chunk]
+                    )
+                    loss = scale(tensor_sum(item_losses), 1.0 / len(chunk))
+                tape.backward(loss)
+                losses.extend(item_losses.values.tolist())
                 for p in self.optimizer.params:
                     # A parameter no batch item touched has an exactly-zero
                     # gradient; Adam requires it spelled out.
@@ -363,9 +405,8 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
     missing_pairs = 0
     diagnostics: list[str] = []
 
-    for item in items:
+    for item, guess in zip(items, predict_all(model, items)):
         gold = item_gold(item)
-        guess = predict(model, item)
         predictions.append(guess)
         hit = guess == gold
         confusion[label_index(gold)][label_index(guess)] += 1

@@ -1,5 +1,8 @@
 """Tensor ops, reverse-mode gradients, Adam, grad_check, and checkpoints."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,8 @@ from mpe.autodiff import (
     lstm_sequence,
     matmul,
     mul,
+    pick,
+    reshape,
     save_checkpoint,
     scale,
     sigmoid,
@@ -150,6 +155,47 @@ class TestMatmul:
     def test_transpose_rejects_vector(self):
         with pytest.raises(ShapeError):
             transpose(Tensor(np.ones(3)))
+
+
+    def test_batch_against_matrix_and_batch_against_batch(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(3, 4, 5)))
+        w = Tensor(rng.normal(size=(5, 2)))
+        b = Tensor(rng.normal(size=(3, 5, 6)))
+        shared, paired = matmul(a, w), matmul(a, b)
+        assert shared.shape == (3, 4, 2) and paired.shape == (3, 4, 6)
+        for i in range(3):
+            assert np.max(np.abs(shared.values[i] - a.values[i] @ w.values)) <= 1e-12
+            assert np.max(np.abs(paired.values[i] - a.values[i] @ b.values[i])) <= 1e-12
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["shared", "paired"])
+    def test_batch_gradients_match_finite_differences(self, paired):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(2, 3, 4)), watched=True, name="a")
+        b = Tensor(rng.normal(size=(2, 4, 3) if paired else (4, 3)), watched=True, name="b")
+        weights = Tensor(rng.normal(size=(2, 3, 3)))
+        report = grad_check(
+            lambda: tensor_sum(mul(matmul(a, b), weights)), [a, b], np.random.default_rng(2)
+        )
+        assert report.passed, report.worst_by_param
+
+    def test_batch_shape_errors(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 4))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 2))))
+
+    def test_transpose_of_a_batch_swaps_each_matrix(self):
+        x = Tensor(np.arange(12.0).reshape(2, 3, 2), watched=True, name="x")
+        assert np.array_equal(transpose(x).values, x.values.transpose(0, 2, 1))
+        report = grad_check(
+            lambda: tensor_sum(mul(transpose(x), Tensor(np.arange(12.0).reshape(2, 2, 3)))),
+            [x],
+            np.random.default_rng(3),
+        )
+        assert report.passed
 
 
 class TestConcat:
@@ -295,6 +341,39 @@ class TestCrossEntropy:
         assert np.max(np.abs(logits.grad - (probs - onehot))) <= 1e-12
 
 
+    def test_batch_rows_equal_single_rows(self):
+        rows = np.random.default_rng(4).normal(size=(4, 3))
+        classes = [2, 0, 1, 2]
+        out = cross_entropy(Tensor(rows), classes)
+        assert out.shape == (4,)
+        for row, klass, value in zip(rows, classes, out.values):
+            assert value == cross_entropy(Tensor(row), klass).values
+
+    def test_batch_gradient_is_probs_minus_onehot_per_row(self):
+        rows = np.random.default_rng(5).normal(size=(3, 4))
+        logits = Tensor(rows)
+        upstream = Tensor(np.array([0.5, -1.0, 2.0]))
+        run_backward(lambda: tensor_sum(mul(cross_entropy(logits, [1, 3, 0]), upstream)))
+        probs = softmax(Tensor(rows)).values
+        probs[[0, 1, 2], [1, 3, 0]] -= 1.0
+        assert np.max(np.abs(logits.grad - probs * upstream.values[:, None])) <= 1e-12
+        leaf = Tensor(rows, watched=True, name="logits")
+        report = grad_check(
+            lambda: tensor_sum(mul(cross_entropy(leaf, [1, 3, 0]), upstream)),
+            [leaf],
+            np.random.default_rng(6),
+        )
+        assert report.passed
+
+    def test_batch_validation(self):
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((2, 3))), [0])
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros(3)), [0])
+        with pytest.raises(ValueError):
+            cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+
+
 class TestDropout:
     def test_keep_prob_validation(self):
         x = Tensor(np.ones(3))
@@ -365,6 +444,59 @@ class TestLookup:
             lookup(Tensor(np.zeros(4)), [0])
 
 
+    def test_index_array_shape_is_kept(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3), watched=True, name="t")
+        idx = np.array([[3, 0], [3, 3]])
+        out = lookup(table, idx)
+        assert out.shape == (2, 2, 3)
+        assert np.array_equal(out.values, table.values[idx])
+        run_backward(lambda: tensor_sum(lookup(table, idx)))
+        assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 0.0, 3.0])
+
+
+class TestPickAndReshape:
+    def test_pick_takes_one_step_per_row(self):
+        x = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        assert np.array_equal(pick(x, [3, 1]).values, [x.values[0, 3], x.values[1, 1]])
+        assert np.array_equal(pick(x, 2).values, x.values[:, 2])
+
+    def test_pick_gradient(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(3, 4, 2)), watched=True, name="x")
+        weights = Tensor(np.random.default_rng(7).normal(size=(3, 2)))
+        report = grad_check(
+            lambda: add(
+                tensor_sum(mul(pick(x, [0, 3, 3]), weights)), tensor_sum(pick(x, 3))
+            ),
+            [x],
+            np.random.default_rng(8),
+            samples=24,
+        )
+        assert report.passed, report.worst_by_param
+        assert np.array_equal(x.grad[0, 1:3], np.zeros((2, 2)))
+
+    def test_pick_validation(self):
+        x = Tensor(np.zeros((2, 3, 1)))
+        with pytest.raises(ShapeError):
+            pick(Tensor(np.zeros(3)), 0)
+        with pytest.raises(ShapeError):
+            pick(x, [0, 0, 0])
+        with pytest.raises(ValueError):
+            pick(x, [0, 3])
+
+    def test_reshape_values_and_gradient(self):
+        x = Tensor(np.random.default_rng(9).normal(size=(2, 6)), watched=True, name="x")
+        assert np.array_equal(reshape(x, (2, 3, 2)).values, x.values.reshape(2, 3, 2))
+        weights = Tensor(np.random.default_rng(10).normal(size=(2, 3, 2)))
+        report = grad_check(
+            lambda: tensor_sum(mul(reshape(x, (2, 3, 2)), weights)),
+            [x],
+            np.random.default_rng(11),
+        )
+        assert report.passed
+        with pytest.raises(ShapeError):
+            reshape(x, (5, 2))
+
+
 def lstm_operands(seed, d=3, k=4, steps=5):
     """Named input rows, nonzero initial state and per-gate weights."""
     rng = np.random.default_rng(seed)
@@ -372,7 +504,7 @@ def lstm_operands(seed, d=3, k=4, steps=5):
     def leaf(name, shape, scale=1.0):
         return Tensor(rng.normal(scale=scale, size=shape), watched=True, name=name)
 
-    x = leaf("x", (steps, d))
+    x = leaf("x", (1, steps, d))
     h0, c0 = leaf("h0", (1, k)), leaf("c0", (1, k))
     gates = [
         [leaf(f"{part}.{gate}", shape, 0.5) for gate in range(4)]
@@ -390,7 +522,7 @@ class TestLstmSequence:
         """A weighted sum of the hidden rows and the final cell state, or of
         the final cell state alone."""
         rng = np.random.default_rng(99)
-        hidden, cell = lstm_sequence(x, h0, c0, *gates)
+        hidden, cell = lstm_sequence(x, None, h0, c0, *gates)
         on_cell = tensor_sum(mul(cell, Tensor(rng.normal(size=cell.shape))))
         if not through_hidden:
             return on_cell
@@ -409,16 +541,16 @@ class TestLstmSequence:
 
     def test_shapes(self):
         x, h0, c0, gates = lstm_operands(2, d=3, k=4, steps=6)
-        hidden, cell = lstm_sequence(x, h0, c0, *gates)
-        assert hidden.shape == (6, 4)
+        hidden, cell = lstm_sequence(x, None, h0, c0, *gates)
+        assert hidden.shape == (1, 6, 4)
         assert cell.shape == (1, 4)
 
     def test_untaped_call_records_nothing_and_matches_taped(self):
         operands = lstm_operands(3)
-        hidden, cell = lstm_sequence(operands[0], operands[1], operands[2], *operands[3])
+        hidden, cell = lstm_sequence(operands[0], None, operands[1], operands[2], *operands[3])
         assert hidden.tape is None and cell.tape is None
         with Tape() as tape:
-            taped = lstm_sequence(operands[0], operands[1], operands[2], *operands[3])
+            taped = lstm_sequence(operands[0], None, operands[1], operands[2], *operands[3])
         assert len(tape) == 1
         assert taped[0].values.tobytes() == hidden.values.tobytes()
         assert taped[1].values.tobytes() == cell.values.tobytes()
@@ -445,11 +577,79 @@ class TestLstmSequence:
     def test_shape_validation(self):
         x, h0, c0, gates = lstm_operands(6, d=3, k=4)
         with pytest.raises(ShapeError, match="non-empty"):
-            lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, *gates)
+            lstm_sequence(Tensor(np.zeros((1, 0, 3))), None, h0, c0, *gates)
         with pytest.raises(ShapeError, match="do not fit"):
-            lstm_sequence(Tensor(np.zeros((2, 5))), h0, c0, *gates)
+            lstm_sequence(Tensor(np.zeros((1, 2, 5))), None, h0, c0, *gates)
         with pytest.raises(ShapeError, match="do not fit"):
-            lstm_sequence(x, Tensor(np.zeros((1, 3))), c0, *gates)
+            lstm_sequence(x, None, Tensor(np.zeros((1, 3))), c0, *gates)
+
+
+    @staticmethod
+    def ragged_operands(seed, lengths=(5, 2, 4), d=3, k=4):
+        """A batch of len(lengths) rows padded to the longest, with nonzero
+        padding, h0 and c0."""
+        rng = np.random.default_rng(seed)
+        gates = lstm_operands(seed, d, k)[3]
+        x = Tensor(rng.normal(size=(len(lengths), max(lengths), d)), watched=True, name="x")
+        h0 = Tensor(rng.normal(size=(len(lengths), k)), watched=True, name="h0")
+        c0 = Tensor(rng.normal(size=(len(lengths), k)), watched=True, name="c0")
+        return x, h0, c0, gates
+
+    @pytest.mark.parametrize("through_hidden", [True, False], ids=["hidden", "cell-only"])
+    def test_ragged_batch_gradients_match_finite_differences(self, through_hidden):
+        lengths = [5, 2, 4]
+        x, h0, c0, gates = self.ragged_operands(12, lengths)
+        rng = np.random.default_rng(13)
+        on_hidden = Tensor(rng.normal(size=(3, 5, 4)))
+        on_cell = Tensor(rng.normal(size=(3, 4)))
+
+        def loss():
+            hidden, cell = lstm_sequence(x, lengths, h0, c0, *gates)
+            final = tensor_sum(mul(cell, on_cell))
+            if not through_hidden:
+                return final
+            return add(tensor_sum(mul(hidden, on_hidden)), final)
+
+        leaves = lstm_leaves(x, h0, c0, gates)
+        report = grad_check(loss, leaves, np.random.default_rng(14), samples=8)
+        assert report.passed, report.worst_by_param
+        assert np.all(x.grad[1, 2:] == 0.0) and np.all(x.grad[2, 4:] == 0.0)
+        assert np.any(x.grad[1, :2] != 0.0) and np.any(x.grad[2, :4] != 0.0)
+
+    def test_ragged_rows_equal_their_own_reads(self):
+        lengths = [5, 2, 4]
+        x, h0, c0, gates = self.ragged_operands(15, lengths)
+        hidden, cell = lstm_sequence(x, lengths, h0, c0, *gates)
+        for i, n in enumerate(lengths):
+            row = Tensor(x.values[i : i + 1, :n])
+            state = Tensor(h0.values[i : i + 1]), Tensor(c0.values[i : i + 1])
+            own_hidden, own_cell = lstm_sequence(row, None, *state, *gates)
+            assert np.max(np.abs(hidden.values[i, :n] - own_hidden.values[0])) <= 1e-12
+            assert np.max(np.abs(cell.values[i] - own_cell.values[0])) <= 1e-12
+            # Past its end a row's hidden state is held.
+            held = np.repeat(hidden.values[i, n - 1 : n], 5 - n, axis=0)
+            assert np.array_equal(hidden.values[i, n:], held)
+
+    def test_ragged_batch_untaped_equals_taped_and_grads_repeat(self):
+        lengths = [3, 5, 1]
+        runs = []
+        for _ in range(2):
+            x, h0, c0, gates = self.ragged_operands(16, lengths)
+            untaped = lstm_sequence(x, lengths, h0, c0, *gates)
+            with Tape() as tape:
+                taped = lstm_sequence(x, lengths, h0, c0, *gates)
+                loss = add(tensor_sum(taped[0]), tensor_sum(taped[1]))
+            tape.backward(loss)
+            for a, b in zip(untaped, taped):
+                assert a.values.tobytes() == b.values.tobytes()
+            runs.append([t.grad.tobytes() for t in lstm_leaves(x, h0, c0, gates)])
+        assert runs[0] == runs[1]
+
+    def test_lengths_validation(self):
+        x, h0, c0, gates = self.ragged_operands(17, (3, 3))
+        for lengths in ([3], [0, 3], [3, 4]):
+            with pytest.raises(ShapeError, match="lengths"):
+                lstm_sequence(x, lengths, h0, c0, *gates)
 
 
 class TestBackwardMechanics:
@@ -513,10 +713,26 @@ class TestBackwardMechanics:
 
     def test_module_level_backward_dispatches(self):
         x = Tensor([2.0])
-        with Tape():
+        with Tape() as tape:  # held: backward needs the tape alive
             loss = tensor_sum(mul(x, x))
         backward(loss)
         assert np.array_equal(x.grad, [4.0])
+
+    def test_dropping_a_tape_frees_it_without_the_cycle_collector(self):
+        x = Tensor([2.0])
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = tensor_sum(mul(x, x))
+            assert loss.tape is tape
+            freed = weakref.ref(tape)
+            del tape
+            assert freed() is None
+            assert loss.tape is None
+            with pytest.raises(ValueError, match="freed"):
+                backward(loss)
+        finally:
+            gc.enable()
 
     def test_ops_outside_tape_do_not_record(self):
         assert active_tape() is None

@@ -22,6 +22,7 @@ from mpe.models import (
     ConditionalLstmModel,
     EmbeddingTable,
     LstmCell,
+    Padded,
     SEPARATOR,
     SumOfExpertsModel,
     UNK_TOKEN,
@@ -266,7 +267,7 @@ class TestLstmCell:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(9, 5))
         h, c = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
-        hidden, final_c = cell.read(Tensor(x), Tensor(h), Tensor(c))
+        hidden, final_c = cell.read(Tensor(x[None]), Tensor(h), Tensor(c))
         rows = []
         for row in x:
             h, c = reference_lstm_step(cell, row[None], h, c)
@@ -278,8 +279,8 @@ class TestLstmCell:
 class TestConditionalCore:
     def test_empty_sequences_rejected(self):
         core = ConditionalCore.random(2, 3, np.random.default_rng(0))
-        row = Tensor(np.zeros((1, 2)))
-        empty = Tensor(np.zeros((0, 2)))
+        row = Padded(Tensor(np.zeros((1, 1, 2))), np.array([1]))
+        empty = Padded(Tensor(np.zeros((1, 0, 2))), np.array([0]))
         with pytest.raises(ValueError):
             core.run(empty, row)
         with pytest.raises(ValueError):
@@ -287,10 +288,12 @@ class TestConditionalCore:
 
     def test_one_state_per_premise_token(self):
         core = ConditionalCore.random(2, 3, np.random.default_rng(0))
-        rows = Tensor(np.ones((4, 2)))
-        states, final, _ = core.run(rows, Tensor(rows.values[:2]))
-        assert len(states.values) == 4
-        assert np.array_equal(states.values[-1:], final.values)
+        rows = Tensor(np.ones((1, 4, 2)))
+        states, final, _ = core.run(
+            Padded(rows, np.array([4])), Padded(Tensor(rows.values[:, :2]), np.array([2]))
+        )
+        assert len(states.values[0]) == 4
+        assert np.array_equal(states.values[0, -1:], final.values)
 
 
 def make_lstm(seed=0, state_dim=6, keep_prob=1.0):
@@ -474,7 +477,7 @@ class TestSumOfExpertsModel:
         total, experts = model.forward([PREMISE], HYPOTHESIS)
         assert total is experts[0]
         _, p_vec, h_vec = model.core.run(
-            model.embeddings.embed(PREMISE), model.embeddings.embed(HYPOTHESIS)
+            model.embeddings.embed_batch([PREMISE]), model.embeddings.embed_batch([HYPOTHESIS])
         )
         pair = np.concatenate([p_vec.values, h_vec.values], axis=1)
         manual = (pair @ model.expert_w.values + model.expert_b.values).reshape(-1)
@@ -564,6 +567,52 @@ def test_logits_match_numpy_reference_at_preset_sizes(preset):
     premises = [*FOUR_PREMISES[:3], ["woman", "quokka", "sing"]]
     got = model.logits(premises, HYPOTHESIS).values
     assert np.max(np.abs(got - reference_logits(model, premises, HYPOTHESIS))) <= 1e-12
+
+
+# Ragged batches: premises and hypotheses of different lengths, unknown
+# tokens ("quokka", "levitates") and separators inside a sequence.
+BATCH_HYPOTHESES = [["woman", "run"], ["dog"], ["quokka", "man", "cook", "fast"]]
+BATCH_PREMISES = [
+    FOUR_PREMISES,
+    [["dog", "jump"], ["quokka"], [SEPARATOR, "girl"], ["levitates", "fast", "man"]],
+    [["girl"], ["woman", "sing", "fast", "dog", "jump"], ["man"], ["cook", "run"]],
+]
+
+
+@pytest.mark.parametrize("arity", [1, 4])
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_batch_logits_match_single_item_logits(arch, arity):
+    model = ARCHITECTURES[arch].init(VOCAB, 5, 7, np.random.default_rng(31))
+    premises = [p[:arity] for p in BATCH_PREMISES]
+    batch = model.batch_logits(premises, BATCH_HYPOTHESES).values
+    assert batch.shape == (3, 3)
+    for row, p, h in zip(batch, premises, BATCH_HYPOTHESES):
+        assert np.max(np.abs(row - model.logits(p, h).values)) <= 1e-12
+
+
+def test_batch_attention_weights_match_single_items():
+    model = make_attention(seed=32)
+    joined = [concat_premises(p) for p in BATCH_PREMISES]
+    _, weights = model._forward_batch(joined, BATCH_HYPOTHESES, False, None)
+    for w, p, h in zip(weights, joined, BATCH_HYPOTHESES):
+        _, single = model.forward(p, h)
+        assert w.shape == single.shape == (len(h), len(p))
+        assert np.max(np.abs(w - single)) <= 1e-12
+
+
+def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():
+    table = EmbeddingTable.random(VOCAB, 4, np.random.default_rng(0))
+    sequences = [["dog", "zebra", SEPARATOR], ["girl"]]
+    with Tape() as tape:
+        batch = table.embed_batch(sequences)
+        loss = tensor_sum(batch.rows)
+    assert batch.lengths.tolist() == [3, 1]
+    assert np.array_equal(batch.rows.values[0], table.embed(sequences[0]).values)
+    padded = np.vstack([table.embed(["girl"]).values, np.zeros((2, 4))])
+    assert np.array_equal(batch.rows.values[1], padded)
+    tape.backward(loss)
+    # Three real rows of ones each: the padding adds nothing anywhere.
+    assert table.main.grad.sum() + table.special.grad.sum() == 4 * 4
 
 
 class TestCheckpointDispatch:

@@ -6,18 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mpe.dataset import Item, LABELS, SpePair
-from mpe.models import SumOfExpertsModel, load_model
+from mpe.autodiff import Tape, cross_entropy, scale, tensor_sum, zero_grad
+from mpe.dataset import Item, LABELS, SpePair, label_index
+from mpe.models import ARCHITECTURES, SumOfExpertsModel, load_model
 from mpe.training import (
+    EVAL_CHUNK,
     EpochLog,
     PRESETS,
     TrainConfig,
     Trainer,
     accuracy,
+    batch_logits,
     build_model,
     evaluate,
     format_eval_report,
     forward_logits,
+    item_gold,
     predict,
     pretrain_finetune,
     train,
@@ -404,6 +408,90 @@ class TestEvaluate:
         report = evaluate(model, pairs)
         assert report.n_items == 6
         assert report.by_category is None
+
+
+def ragged_items(n=7):
+    """Items whose premises and hypotheses differ in length, with words the
+    vocabulary below does not hold."""
+    words = "dog runs cat sits bird sings fish swims man cooks fast slowly".split()
+    rng = np.random.default_rng(n)
+
+    def sentence():
+        return " ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+
+    return [
+        Item(
+            id=f"rag-{i:03d}",
+            scene_group_id=f"r{i:03d}",
+            premises=tuple(sentence() for _ in range(4)),
+            hypothesis=sentence(),
+            gold_label=LABELS[i % 3],
+        )
+        for i in range(n)
+    ]
+
+
+def batch_model(arch, keep_prob):
+    vocab = "dog runs cat sits bird man".split()
+    return ARCHITECTURES[arch].init(vocab, 4, 5, np.random.default_rng(3), keep_prob=keep_prob)
+
+
+def labels_of(items):
+    return [label_index(item_gold(item)) for item in items]
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_batch_gradient_equals_serial_accumulation(self, arch):
+        model, items = batch_model(arch, keep_prob=0.6), ragged_items()
+        serial_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+        zero_grad(model.params())
+        for item, klass in zip(items, labels_of(items)):
+            with Tape() as tape:
+                logits = forward_logits(model, item, train=True, rng=serial_rng)
+                loss = scale(cross_entropy(logits, klass), 1.0 / len(items))
+            tape.backward(loss)
+        serial = {p.name: p.grad.copy() for p in model.params()}
+        zero_grad(model.params())
+        with Tape() as tape:
+            losses = cross_entropy(
+                batch_logits(model, items, train=True, rng=batch_rng), labels_of(items)
+            )
+            loss = scale(tensor_sum(losses), 1.0 / len(items))
+        tape.backward(loss)
+        for p in model.params():
+            assert np.max(np.abs(p.grad - serial[p.name])) <= 1e-12, p.name
+        # The same masks were drawn, so both streams stand at the same place.
+        assert serial_rng.random() == batch_rng.random()
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_batch_untaped_equals_taped_and_gradients_repeat(self, arch):
+        items = ragged_items()
+        grads = []
+        for _ in range(2):
+            model = batch_model(arch, keep_prob=1.0)
+            untaped = batch_logits(model, items).values
+            with Tape() as tape:
+                logits = batch_logits(model, items)
+                loss = tensor_sum(cross_entropy(logits, labels_of(items)))
+            assert logits.values.tobytes() == untaped.tobytes()
+            tape.backward(loss)
+            grads.append([p.grad.tobytes() for p in model.params()])
+        assert grads[0] == grads[1]
+
+    def test_mixed_premise_counts_run_in_order(self):
+        model = batch_model("sum-of-experts", keep_prob=1.0)
+        items = [*ragged_items(3), *synth_pairs(2), *ragged_items(2)]
+        batch = batch_logits(model, items).values
+        for row, item in zip(batch, items):
+            assert np.max(np.abs(row - forward_logits(model, item).values)) <= 1e-12
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_evaluate_past_one_chunk_matches_predict(self, arch):
+        model = batch_model(arch, keep_prob=1.0)
+        items = ragged_items(EVAL_CHUNK + 9)
+        report = evaluate(model, items)
+        assert list(report.predictions) == [predict(model, item) for item in items]
 
 
 class TestReportRendering:
