@@ -605,17 +605,16 @@ def lstm_sequence(
 # --- optimizer ---------------------------------------------------------------
 
 
-class Adam:
-    """Bias-corrected Adam over named watched tensors."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+
+class Adam:
+    """Bias-corrected Adam over named watched tensors, with the moment decays
+    `ADAM_BETA1` and `ADAM_BETA2` and the denominator floor `ADAM_EPS`."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 0.001):
         names = [p.name for p in params]
         if any(name is None for name in names):
             raise ValueError("every Adam parameter needs a name")
@@ -623,9 +622,6 @@ class Adam:
             raise ValueError(f"duplicate parameter names: {sorted(names)}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.values) for p in params}
         self._v = {p.name: np.zeros_like(p.values) for p in params}
@@ -635,19 +631,19 @@ class Adam:
         if missing:
             raise ValueError(f"parameters without gradients: {missing}")
         self.step_count += 1
-        correction1 = 1.0 - self.beta1**self.step_count
-        correction2 = 1.0 - self.beta2**self.step_count
+        correction1 = 1.0 - ADAM_BETA1**self.step_count
+        correction2 = 1.0 - ADAM_BETA2**self.step_count
         for p in self.params:
             g = p.grad
             m = self._m[p.name]
             v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -655,6 +651,9 @@ class Adam:
 
 
 # --- gradient checking -------------------------------------------------------
+
+GRADCHECK_EPS = 1e-5  # central-difference step
+GRADCHECK_TOLERANCE = 1e-4  # largest relative error that passes
 
 
 @dataclass(frozen=True)
@@ -675,8 +674,6 @@ def grad_check(
     params: Sequence[Tensor],
     rng: np.random.Generator,
     samples: int = 5,
-    eps: float = 1e-5,
-    tolerance: float = 1e-4,
 ) -> GradCheckReport:
     """Compare analytic gradients with central differences.
 
@@ -708,12 +705,12 @@ def grad_check(
         err = 0.0
         for i in coords:
             original = flat[i]
-            flat[i] = original + eps
+            flat[i] = original + GRADCHECK_EPS
             plus = loss_value()
-            flat[i] = original - eps
+            flat[i] = original - GRADCHECK_EPS
             minus = loss_value()
             flat[i] = original
-            numeric = (plus - minus) / (2.0 * eps)
+            numeric = (plus - minus) / (2.0 * GRADCHECK_EPS)
             exact = float(analytic[p.name].reshape(-1)[i])
             err = max(
                 err, abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-4)
@@ -722,7 +719,7 @@ def grad_check(
     return GradCheckReport(
         worst_by_param=worst,
         max_rel_err=max(worst.values()) if worst else 0.0,
-        tolerance=tolerance,
+        tolerance=GRADCHECK_TOLERANCE,
     )
 
 

@@ -57,7 +57,6 @@ from .training import (
     build_model,
     evaluate,
     format_eval_report,
-    pretrain_finetune,
     train,
     vocabulary_from_items,
 )
@@ -327,19 +326,16 @@ def _train_config(args) -> TrainConfig:
         "learning_rate",
         "keep_prob",
         "seed",
-        "regime",
     ):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
     if "model" in overrides:
         overrides["model"] = MODEL_ALIASES.get(overrides["model"], overrides["model"])
-    if args.pretrain and "regime" not in overrides and config.regime == "single":
-        overrides["regime"] = "pretrain-then-finetune"
-    if args.embeddings and args.trainable_embeddings:
-        overrides["trainable_embeddings"] = True
-    elif args.embeddings:
-        overrides["trainable_embeddings"] = False
+    if args.trainable_embeddings and not args.embeddings:
+        raise CliError("--trainable-embeddings needs --embeddings")
+    if args.embeddings:
+        overrides["trainable_embeddings"] = args.trainable_embeddings
     try:
         return replace(config, **overrides)
     except ValueError as exc:
@@ -350,9 +346,7 @@ def cmd_train(args, inputs) -> _Written:
     config = _train_config(args)
     items = load_examples(inputs["items"])
     dev = load_examples(inputs["dev"]) if "dev" in inputs else None
-    pretrain_items = load_examples(inputs["pretrain"]) if "pretrain" in inputs else None
-    if config.regime == "pretrain-then-finetune" and pretrain_items is None:
-        raise CliError("regime pretrain-then-finetune needs --pretrain")
+    pretrain = load_examples(inputs["pretrain"]) if "pretrain" in inputs else None
 
     embeddings = None
     if "embeddings" in inputs:
@@ -363,12 +357,9 @@ def cmd_train(args, inputs) -> _Written:
             trainable=config.trainable_embeddings,
         )
 
-    corpus = list(items) + (list(pretrain_items) if pretrain_items else [])
+    corpus = [*items, *(pretrain or ())]
     model = build_model(config, vocabulary_from_items(corpus), embeddings=embeddings)
-    if config.regime == "pretrain-then-finetune":
-        result = pretrain_finetune(pretrain_items, items, config, dev=dev, model=model)
-    else:
-        result = train(items, config, dev=dev, model=model)
+    result = train(items, config, dev=dev, model=model, pretrain=pretrain)
 
     out = _resolve(args.out)
     result.model.save(out)
@@ -517,7 +508,7 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--model", choices=sorted(MODEL_ALIASES))
     p.add_argument("--dev", help="dev items for per-epoch accuracy")
-    p.add_argument("--pretrain", help="first-phase items (single-premise ok)")
+    p.add_argument("--pretrain", help="items to pretrain on first (single-premise ok)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -525,7 +516,6 @@ def build_parser() -> _Parser:
     p.add_argument("--state-dim", type=int)
     p.add_argument("--embedding-dim", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--regime", choices=("single", "pretrain-then-finetune"))
     p.add_argument("--logs", help="epoch log path (default: <out>.logs.jsonl)")
     p.add_argument("--best-out", help="also write the best-epoch checkpoint")
     p.add_argument("--embeddings", help="pretrained vector file (frozen by default)")

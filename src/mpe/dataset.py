@@ -100,6 +100,15 @@ class SpePair:
     def __post_init__(self) -> None:
         label_index(self.label)
 
+    # An `Item`'s names, so training and evaluation read both kinds alike.
+    @property
+    def premises(self) -> tuple[Sentence]:
+        return (self.premise,)
+
+    @property
+    def gold_label(self) -> str:
+        return self.label
+
 
 def spe_pairs(items: Iterable[Item]) -> list[SpePair]:
     """Expand each item into its four annotated premise-hypothesis pairs."""

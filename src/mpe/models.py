@@ -18,11 +18,12 @@ checkpoint save and load. Each architecture adds only its head
 (`_init_head`) and `_forward_batch`, its equations over a batch of B items.
 
 `model.batch_logits(premises, hypotheses)` scores B items at once and
-`model.logits(premises, hypothesis)` is its B = 1 call; both take premises as
-lists of token lists, and each architecture says with `joined_premises`
-whether to read them joined by `concat_premises` or one at a time. `forward`
-is the architecture's own single-item call form, also the B = 1 batch, and
-also returns its extras (attention weights, per-premise experts).
+`model.logits(premises, hypothesis)` is its B = 1 call, with no logic of its
+own; both take premises as lists of token lists, and each architecture says
+with `joined_premises` whether to read them joined by `concat_premises` or one
+at a time. `forward` is the architecture's own single-item call form, also the
+B = 1 batch, and also returns its extras (attention weights, per-premise
+experts).
 
 A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
 zero past each sequence's end, with the length of each sequence. Each LSTM
@@ -70,16 +71,14 @@ INIT_SCALE = 0.1
 FORGET_BIAS = 1.0
 
 
-def concat_premises(
-    premises: Sequence[Sequence[str]], separator: str = SEPARATOR
-) -> list[str]:
+def concat_premises(premises: Sequence[Sequence[str]]) -> list[str]:
     """Join premise token sequences in order, one separator between each."""
     if not premises:
         raise ValueError("need at least one premise")
     joined: list[str] = []
     for i, premise in enumerate(premises):
         if i:
-            joined.append(separator)
+            joined.append(SEPARATOR)
         joined.extend(premise)
     return joined
 
@@ -441,11 +440,9 @@ class _ModelBase:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """The 3 logits for a list of premise token lists."""
-        if self.joined_premises:
-            premises = concat_premises(premises)
-        out = self.forward(premises, hypothesis, train=train, rng=rng)
-        return out[0] if isinstance(out, tuple) else out
+        """The 3 logits for a list of premise token lists: the B = 1 call of
+        `batch_logits`."""
+        return flatten(self.batch_logits([premises], [hypothesis], train, rng))
 
     def batch_logits(
         self,
@@ -696,8 +693,7 @@ class SumOfExpertsModel(_ModelBase):
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list[Tensor]]:
         total, experts = self._forward_batch([premises], [hypothesis], train, rng)
-        experts = [flatten(e) for e in experts]
-        return (experts[0] if len(experts) == 1 else flatten(total)), experts
+        return flatten(total), [flatten(e) for e in experts]
 
 
 ARCHITECTURES = {

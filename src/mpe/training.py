@@ -1,15 +1,21 @@
-"""Training loops, the pretrain/fine-tune regime, and evaluation reports.
+"""Training loops, the pretrain/fine-tune phases, and evaluation reports.
 
-A Trainer owns one optimizer and two seeded random streams (shuffling and
-dropout) that persist across phases, so running a pretrain phase followed by
-a fine-tune phase on the same data is bitwise equivalent to one long run.
+`train` is the one entry point. Given `pretrain` items it runs a `pretrain`
+phase on them and then a `finetune` phase on the training items; otherwise it
+runs one `train` phase. A Trainer owns one optimizer and two seeded random
+streams (shuffling and dropout) that persist across phases, so running a
+pretrain phase followed by a fine-tune phase on the same data is bitwise
+equivalent to one long run.
 Each mini-batch is one padded batch through the model: one taped forward,
 one backward of its mean loss and one Adam step. Dropout masks are drawn
 item by item, so the mask stream is that of reading the items one at a time,
 and the gradient equals the per-item accumulated one up to summation order.
 Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model as runs of items with the same number of
-premises, in their original order.
+premises, in their original order; an `Item` and a `SpePair` (one premise)
+offer the same `premises`, `hypothesis` and `gold_label`. The single-item
+calls `forward_logits` and `predict` are the B = 1 calls of `batch_logits` and
+`predict_all`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .autodiff import (
     Tensor,
     concat,
     cross_entropy,
+    flatten,
     save_checkpoint,
     scale,
     tensor_sum,
@@ -39,8 +46,6 @@ from .text import Sentence, tokenize
 def _tokens(text: "Sentence | str") -> tuple[str, ...]:
     """A normalized sentence already carries its tokens; raw strings don't."""
     return text.tokens if isinstance(text, Sentence) else tokenize(text)
-
-REGIMES = ("single", "pretrain-then-finetune")
 
 # Items per forward pass when predicting, scoring and evaluating.
 EVAL_CHUNK = 32
@@ -58,7 +63,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     keep_prob: float = 0.8
     seed: int = 0
-    regime: str = "single"
     trainable_embeddings: bool = True
 
     def __post_init__(self) -> None:
@@ -76,51 +80,28 @@ class TrainConfig:
             )
         if self.state_dim < 1 or self.embedding_dim < 1:
             raise ValueError("state_dim and embedding_dim must be >= 1")
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
 
 
 PRESETS: dict[str, TrainConfig] = {
     "lstm-mpe": TrainConfig(model="conditional-lstm", state_dim=75, keep_prob=0.8),
     "se-mpe": TrainConfig(model="sum-of-experts", state_dim=100, keep_prob=0.8),
     "attn-mpe": TrainConfig(model="attention", state_dim=100, keep_prob=0.6),
-    "snli-pretrain": TrainConfig(
-        model="conditional-lstm",
-        state_dim=100,
-        keep_prob=0.8,
-        regime="pretrain-then-finetune",
-    ),
+    # Sizes only: a run pretrains when it is given pretraining items.
+    "snli-pretrain": TrainConfig(model="conditional-lstm", state_dim=100, keep_prob=0.8),
 }
-
-
-def _fields(
-    item: "Item | SpePair",
-) -> tuple[tuple["Sentence | str", ...], "Sentence | str", str | None]:
-    """(premises, hypothesis, gold label) of an MPE item or a single pair."""
-    if isinstance(item, Item):
-        return item.premises, item.hypothesis, item.gold_label
-    if isinstance(item, SpePair):
-        return (item.premise,), item.hypothesis, item.label
-    raise TypeError(f"not a trainable item: {type(item).__name__}")
-
-
-def item_gold(item: "Item | SpePair") -> str | None:
-    return _fields(item)[2]
 
 
 def vocabulary_from_items(items: Iterable["Item | SpePair"]) -> list[str]:
     """Sorted token set over every premise and hypothesis."""
     tokens: set[str] = set()
     for item in items:
-        premises, hypothesis, _ = _fields(item)
-        for text in (*premises, hypothesis):
+        for text in (*item.premises, item.hypothesis):
             tokens.update(_tokens(text))
     return sorted(tokens)
 
 
 def _token_lists(item: "Item | SpePair") -> tuple[list[list[str]], list[str]]:
-    premises, hypothesis, _ = _fields(item)
-    return [list(_tokens(p)) for p in premises], list(_tokens(hypothesis))
+    return [list(_tokens(p)) for p in item.premises], list(_tokens(item.hypothesis))
 
 
 def forward_logits(
@@ -130,8 +111,7 @@ def forward_logits(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run any architecture on a labeled item, returning its 3 logits."""
-    premises, hypothesis = _token_lists(item)
-    return model.logits(premises, hypothesis, train=train, rng=rng)
+    return flatten(batch_logits(model, [item], train, rng))
 
 
 def batch_logits(
@@ -150,8 +130,7 @@ def batch_logits(
 
 
 def predict(model, item: "Item | SpePair") -> str:
-    logits = forward_logits(model, item)
-    return LABELS[int(np.argmax(logits.values))]
+    return predict_all(model, [item])[0]
 
 
 def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:
@@ -167,13 +146,13 @@ def accuracy(model, items: Sequence["Item | SpePair"]) -> float:
     if not items:
         raise ValueError("cannot score an empty dataset")
     guesses = predict_all(model, items)
-    correct = sum(guess == item_gold(item) for guess, item in zip(guesses, items))
+    correct = sum(guess == item.gold_label for guess, item in zip(guesses, items))
     return correct / len(items)
 
 
 def _check_labeled(items: Iterable["Item | SpePair"]) -> None:
     for item in items:
-        if item_gold(item) is None:
+        if item.gold_label is None:
             raise ValueError(f"item {item.id} has no gold label")
 
 
@@ -268,7 +247,7 @@ class Trainer:
                         self.model, chunk, train=True, rng=self._dropout_rng
                     )
                     item_losses = cross_entropy(
-                        logits, [label_index(item_gold(item)) for item in chunk]
+                        logits, [label_index(item.gold_label) for item in chunk]
                     )
                     loss = scale(tensor_sum(item_losses), 1.0 / len(chunk))
                 tape.backward(loss)
@@ -304,29 +283,19 @@ def train(
     config: TrainConfig,
     dev: Sequence["Item | SpePair"] | None = None,
     model=None,
+    pretrain: Sequence["Item | SpePair"] | None = None,
 ) -> TrainResult:
-    """Single-phase run; builds the model from the training vocabulary."""
+    """Train on `items` for `config.epochs` epochs, after as many epochs on
+    `pretrain` when given, with one optimizer and one pair of random streams.
+    Without `model`, builds one from the vocabulary of both item sets."""
     if model is None:
-        model = build_model(config, vocabulary_from_items(items))
+        model = build_model(config, vocabulary_from_items([*(pretrain or ()), *items]))
     trainer = Trainer(model, config)
-    trainer.run(items, config.epochs, dev=dev, phase="train")
-    return trainer.result()
-
-
-def pretrain_finetune(
-    pretrain_items: Sequence["Item | SpePair"],
-    finetune_items: Sequence["Item | SpePair"],
-    config: TrainConfig,
-    dev: Sequence["Item | SpePair"] | None = None,
-    model=None,
-) -> TrainResult:
-    """Two sequential phases sharing one optimizer and random streams."""
-    if model is None:
-        vocab = vocabulary_from_items(list(pretrain_items) + list(finetune_items))
-        model = build_model(config, vocab)
-    trainer = Trainer(model, config)
-    trainer.run(pretrain_items, config.epochs, dev=dev, phase="pretrain")
-    trainer.run(finetune_items, config.epochs, dev=dev, phase="finetune")
+    if pretrain is None:
+        trainer.run(items, config.epochs, dev=dev, phase="train")
+    else:
+        trainer.run(pretrain, config.epochs, dev=dev, phase="pretrain")
+        trainer.run(items, config.epochs, dev=dev, phase="finetune")
     return trainer.result()
 
 
@@ -406,7 +375,7 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
     diagnostics: list[str] = []
 
     for item, guess in zip(items, predict_all(model, items)):
-        gold = item_gold(item)
+        gold = item.gold_label
         predictions.append(guess)
         hit = guess == gold
         confusion[label_index(gold)][label_index(guess)] += 1

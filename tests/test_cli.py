@@ -364,7 +364,8 @@ class TestTrain:
         assert manifest["config"]["state_dim"] == 4  # override wins
         assert manifest["config"]["keep_prob"] == 0.8  # preset value kept
 
-    def test_pretrain_then_finetune(self, labeled_items_file, tmp_path):
+    @pytest.fixture
+    def pretrain_file(self, tmp_path):
         pairs = [
             SpePair(
                 id=f"sp-{i}",
@@ -374,8 +375,11 @@ class TestTrain:
             )
             for i, label in enumerate(["E", "N", "C"] * 2)
         ]
-        pretrain_path = tmp_path / "pretrain.jsonl"
-        save_spe_pairs(pairs, pretrain_path)
+        path = tmp_path / "pretrain.jsonl"
+        save_spe_pairs(pairs, path)
+        return path
+
+    def test_pretrain_then_finetune(self, labeled_items_file, pretrain_file, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         code = main(
             [
@@ -385,7 +389,7 @@ class TestTrain:
                 "--out",
                 str(ckpt),
                 "--pretrain",
-                str(pretrain_path),
+                str(pretrain_file),
             ]
             + TINY_TRAIN_FLAGS
         )
@@ -401,10 +405,26 @@ class TestTrain:
             "finetune",
         ]
         manifest = read_manifest(ckpt)
-        assert manifest["config"]["regime"] == "pretrain-then-finetune"
+        assert "regime" not in manifest["config"]
         assert "pretrain" in manifest["inputs"]
 
-    def test_regime_without_pretrain_exits_1(self, labeled_items_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "pretrain, phases", [(False, ["train"]), (True, ["pretrain", "finetune"])]
+    )
+    def test_snli_pretrain_preset_sets_sizes_only(
+        self, labeled_items_file, pretrain_file, tmp_path, pretrain, phases
+    ):
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+        argv += ["--preset", "snli-pretrain", "--epochs", "1", "--state-dim", "4"]
+        argv += ["--embedding-dim", "4", "--batch-size", "4"]
+        if pretrain:
+            argv += ["--pretrain", str(pretrain_file)]
+        assert main(argv) == 0
+        logs = (tmp_path / "model.ckpt.logs.jsonl").read_text().splitlines()
+        assert [json.loads(line)["phase"] for line in logs] == phases
+
+    def test_regime_flag_is_unknown(self, labeled_items_file, tmp_path, capsys):
         code = main(
             [
                 "train",
@@ -413,12 +433,27 @@ class TestTrain:
                 "--out",
                 str(tmp_path / "m.ckpt"),
                 "--regime",
-                "pretrain-then-finetune",
+                "single",
             ]
             + TINY_TRAIN_FLAGS
         )
         assert code == 1
-        assert "--pretrain" in capsys.readouterr().err
+        assert "unrecognized arguments: --regime" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_trainable_embeddings_needs_embeddings(
+        self, labeled_items_file, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "m.ckpt"
+        code = main(
+            ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+            + TINY_TRAIN_FLAGS
+            + ["--trainable-embeddings"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--trainable-embeddings" in err and "--embeddings" in err
+        assert list(tmp_path.iterdir()) == [labeled_items_file]
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
     def test_bad_learning_rate_exits_1_without_checkpoint(

@@ -475,7 +475,7 @@ class TestSumOfExpertsModel:
     def test_single_premise_equals_core_plus_head(self):
         model = make_se(seed=4)
         total, experts = model.forward([PREMISE], HYPOTHESIS)
-        assert total is experts[0]
+        assert np.array_equal(total.values, experts[0].values)
         _, p_vec, h_vec = model.core.run(
             model.embeddings.embed_batch([PREMISE]), model.embeddings.embed_batch([HYPOTHESIS])
         )

@@ -75,3 +75,16 @@ def test_profiled_ops_record_thunks_named_after_them(perfbench_path):
         with ad.Tape() as tape:
             SAMPLE_CALLS[op](m, v)
         assert tape._entries[-1][1].__qualname__.startswith(f"{op}."), op
+
+
+def test_eval_pass_runs_clean(perfbench_path, tmp_path):
+    """One pass of the eval-mpe workload and its output checks, so a change to
+    any program API the benchmark calls fails here first."""
+    workloads = importlib.import_module("workloads")
+    sizes, _ = workloads.WORKLOADS["eval-mpe"]
+    pipeline = workloads.Pipeline(PERFBENCH.parent, tmp_path, sizes, seed=41)
+    pipeline.set_up()
+    pipeline.one_pass()
+    pipeline.run_checks()
+    assert pipeline.failed == 0, pipeline.errors
+    assert pipeline.attempted > 0

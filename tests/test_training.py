@@ -8,7 +8,8 @@ import pytest
 
 from mpe.autodiff import Tape, cross_entropy, scale, tensor_sum, zero_grad
 from mpe.dataset import Item, LABELS, SpePair, label_index
-from mpe.models import ARCHITECTURES, SumOfExpertsModel, load_model
+from mpe.models import ARCHITECTURES, SumOfExpertsModel, concat_premises, load_model
+from mpe.text import tokenize
 from mpe.training import (
     EVAL_CHUNK,
     EpochLog,
@@ -21,9 +22,8 @@ from mpe.training import (
     evaluate,
     format_eval_report,
     forward_logits,
-    item_gold,
     predict,
-    pretrain_finetune,
+    predict_all,
     train,
     vocabulary_from_items,
 )
@@ -114,8 +114,6 @@ class TestTrainConfig:
             TrainConfig(keep_prob=1.5)
         with pytest.raises(ValueError):
             TrainConfig(state_dim=0)
-        with pytest.raises(ValueError):
-            TrainConfig(regime="triple")
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
     def test_learning_rate_must_be_finite_and_non_negative(self, rate):
@@ -130,7 +128,7 @@ class TestTrainConfig:
         assert PRESETS["se-mpe"].state_dim == 100
         assert PRESETS["attn-mpe"].model == "attention"
         assert PRESETS["attn-mpe"].keep_prob == 0.6
-        assert PRESETS["snli-pretrain"].regime == "pretrain-then-finetune"
+        assert PRESETS["snli-pretrain"].state_dim == 100
         for preset in PRESETS.values():
             assert preset.learning_rate == 0.001
             assert preset.epochs == 10
@@ -160,8 +158,35 @@ class TestAdapters:
 
     def test_foreign_item_type_rejected(self):
         model = build_model(tiny_config(), ["dog"])
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             forward_logits(model, object())
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_single_item_calls_are_the_batch_of_one(self, arch):
+        model = batch_model(arch, keep_prob=1.0)
+        for item in (*synth_pairs(2), *ragged_items(2)):
+            row = batch_logits(model, [item]).values[0]
+            premises = [list(tokenize(p)) for p in item.premises]
+            hypothesis = list(tokenize(item.hypothesis))
+            joined = concat_premises(premises) if model.joined_premises else premises
+            assert np.array_equal(model.logits(premises, hypothesis).values, row)
+            # The conditional LSTM's forward has no extras to return.
+            out = model.forward(joined, hypothesis)
+            forward = out if arch == "conditional-lstm" else out[0]
+            assert np.array_equal(forward.values, row)
+            assert np.array_equal(forward_logits(model, item).values, row)
+            assert predict(model, item) == predict_all(model, [item])[0]
+
+    def test_spe_pairs_score_like_items(self):
+        pairs = synth_pairs(5)
+        vocab = vocabulary_from_items(pairs)
+        assert {"alpha", "beta", "gamma", "dog"} <= set(vocab)
+        model = build_model(tiny_config(), vocab)
+        logits = batch_logits(model, pairs)
+        assert logits.shape == (5, 3)
+        guesses = predict_all(model, pairs)
+        hits = sum(guess == pair.label for guess, pair in zip(guesses, pairs))
+        assert accuracy(model, pairs) == hits / 5
 
     def test_predict_returns_pinned_class_order(self):
         model = build_model(tiny_config(), ["dog"])
@@ -275,9 +300,9 @@ class TestOverfit:
 class TestPretrainFinetune:
     def test_degenerate_phases_equal_one_long_run(self):
         items = synth_items(6)
-        cfg = tiny_config(epochs=2, regime="pretrain-then-finetune")
-        staged = pretrain_finetune(items, items, cfg)
-        flat = train(items, replace(cfg, epochs=4, regime="single"))
+        cfg = tiny_config(epochs=2)
+        staged = train(items, cfg, pretrain=items)
+        flat = train(items, replace(cfg, epochs=4))
         assert [log.phase for log in staged.logs] == ["pretrain"] * 2 + [
             "finetune"
         ] * 2
@@ -290,20 +315,20 @@ class TestPretrainFinetune:
 
     def test_se_consumes_single_premise_pretrain(self):
         cfg = tiny_config(model="sum-of-experts", epochs=1)
-        result = pretrain_finetune(synth_pairs(6), synth_items(6), cfg)
+        result = train(synth_items(6), cfg, pretrain=synth_pairs(6))
         assert isinstance(result.model, SumOfExpertsModel)
         assert [log.phase for log in result.logs] == ["pretrain", "finetune"]
 
     def test_transfer_beats_chance_on_shared_rule(self):
         cfg = tiny_config(state_dim=6, embedding_dim=6, epochs=3, batch_size=4)
         dev = synth_items(6, offset=1)
-        result = pretrain_finetune(synth_pairs(12), synth_items(12), cfg, dev=dev)
+        result = train(synth_items(12), cfg, dev=dev, pretrain=synth_pairs(12))
         assert result.logs[-1].dev_accuracy >= 1.0 / 3.0
 
     def test_wrong_item_type_raises(self):
         cfg = tiny_config(epochs=1)
         model = build_model(cfg, ["dog"])
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             Trainer(model, cfg).run([object()], 1)
 
 
@@ -437,7 +462,7 @@ def batch_model(arch, keep_prob):
 
 
 def labels_of(items):
-    return [label_index(item_gold(item)) for item in items]
+    return [label_index(item.gold_label) for item in items]
 
 
 class TestBatchPath:
