@@ -161,7 +161,7 @@ def cmd_build_graph(args, inputs) -> _Written:
     graph = build_graph(graph_captions(groups))
     out = _resolve(args.out)
     graph.save(out)
-    print(f"graph: {len(graph)} nodes, {len(graph.edges)} edges -> {out}")
+    print(f"graph: {len(graph)} nodes, {graph.edge_count} edges -> {out}")
     return _Written([out])
 
 
@@ -342,11 +342,21 @@ def _train_config(args) -> TrainConfig:
         raise CliError(str(exc)) from None
 
 
+def _load_training_input(inputs, name: str):
+    """Examples of the `--name` input, None if not given; an empty file is an error."""
+    if name not in inputs:
+        return None
+    examples = load_examples(inputs[name])
+    if not examples:
+        raise CliError(f"--{name} {inputs[name]}: holds no items")
+    return examples
+
+
 def cmd_train(args, inputs) -> _Written:
     config = _train_config(args)
-    items = load_examples(inputs["items"])
-    dev = load_examples(inputs["dev"]) if "dev" in inputs else None
-    pretrain = load_examples(inputs["pretrain"]) if "pretrain" in inputs else None
+    items = _load_training_input(inputs, "items")
+    dev = _load_training_input(inputs, "dev")
+    pretrain = _load_training_input(inputs, "pretrain")
 
     embeddings = None
     if "embeddings" in inputs:

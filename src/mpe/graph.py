@@ -11,10 +11,18 @@ which is the candidate pool for hypothesis generation.
 
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
-stored parent edges from a node. `graphlib` does the rest: cycle checks
-(hypernym lexicon, graph files) report the cycle specific -> general, and its
-topological order drives the transitive reduction, which holds each node's
-ancestors as an int bitset over node ids.
+stored parent edges from a node. A rule step reads closed-class flags that
+the rule set caches per distinct token.
+
+Only the transitive reduction of the single-step DAG is stored. Every step
+shortens the phrase or swaps a word for its hypernym, so the generality key
+(length, sum of hypernym depths) strictly falls along every edge and sorting
+by it lists parents first. A phrase's ancestors all lie in the closure of any
+caption that reaches it, so the reduction runs once per caption closure, with
+each phrase's ancestors held as an int bitset over positions in that closure.
+`graphlib` only checks for cycles (hypernym lexicon, graph files) and reports
+the cycle specific -> general; its walk of the lexicon also yields each
+word's hypernym depth.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -37,6 +45,9 @@ _Node = TypeVar("_Node")
 # Small internal conjunction class: blocks modifier drops and bounds
 # noun-phrase chunks, but is never dropped itself.
 _CONJUNCTIONS = frozenset({"and", "or", "but", "nor", "while", "as", "then"})
+
+# Closed-class flags of a token; a content word has none.
+_DET, _ADJ, _PREP, _CONJ = 1, 2, 4, 8
 
 GRAPH_FORMAT = "mpe-graph"
 GRAPH_VERSION = 1
@@ -91,10 +102,23 @@ class ReductionRuleSet:
     _steps: dict[Phrase, frozenset[Phrase]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
+    # Closed-class flags by token, filled as tokens are first met.
+    _flags: dict[str, int] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
+    # Hypernym depth of every lexicon word; any other word has depth 0.
+    _depths: dict[str, int] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         try:
-            TopologicalSorter(self.hypernyms).prepare()
+            # Generals come before their specifics, so each depth is known
+            # by the time a more specific word needs it.
+            for word in TopologicalSorter(self.hypernyms).static_order():
+                self._depths[word] = 1 + max(
+                    (self._depths[g] for g in self.hypernyms.get(word, ())), default=-1
+                )
         except CycleError as exc:
             # graphlib lists the cycle general -> specific; report it the other way.
             raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
@@ -108,49 +132,15 @@ class ReductionRuleSet:
             hypernyms=_load_hypernyms(_DATA_DIR / "hypernyms.txt"),
         )
 
-    def _is_content(self, tok: str) -> bool:
-        return (
-            tok not in self.determiners
-            and tok not in self.adjectives
-            and tok not in self.prepositions
-            and tok not in _CONJUNCTIONS
-        )
+    def generality(self, phrase: Phrase) -> tuple[int, int]:
+        """(length, sum of hypernym depths), strictly lower for every single step.
 
-    def _droppable_adjective(self, phrase: Phrase, i: int) -> bool:
-        if phrase[i] not in self.adjectives:
-            return False
-        j = i + 1
-        while j < len(phrase) and phrase[j] in self.adjectives:
-            j += 1
-        return j < len(phrase) and self._is_content(phrase[j])
-
-    def _pp_span(self, phrase: Phrase, i: int) -> int:
-        """End index (exclusive) of the prepositional phrase starting at i."""
-        j = i + 1
-        while j < len(phrase) and (
-            phrase[j] in self.determiners or phrase[j] in self.adjectives
-        ):
-            j += 1
-        if j < len(phrase) and self._is_content(phrase[j]):
-            j += 1
-        return j
-
-    def _noun_chunks(self, phrase: Phrase) -> list[Phrase]:
-        chunks: list[Phrase] = []
-        start = None
-        for idx in range(len(phrase) + 1):
-            boundary = idx == len(phrase) or (
-                phrase[idx] in self.prepositions or phrase[idx] in _CONJUNCTIONS
-            )
-            if boundary:
-                if start is not None:
-                    chunk = phrase[start:idx]
-                    if any(self._is_content(t) for t in chunk):
-                        chunks.append(chunk)
-                    start = None
-            elif start is None:
-                start = idx
-        return chunks
+        A word's depth is 0 without a hypernym and otherwise 1 + the largest
+        depth among its hypernyms, so a substitution lowers the sum and every
+        other rule shortens the phrase. Sorting by it lists parents first.
+        """
+        depths = self._depths
+        return len(phrase), sum([depths.get(tok, 0) for tok in phrase])
 
     def single_step(self, phrase: Phrase) -> frozenset[Phrase]:
         """All phrases reachable by one rule application, memoized.
@@ -164,24 +154,58 @@ class ReductionRuleSet:
         return cached
 
     def _single_step(self, phrase: Phrase) -> set[Phrase]:
+        """One right-to-left pass; at token i the state describes phrase[i + 1:].
+
+        A token is content when it has no closed-class flag. An adjective is
+        dropped when the first non-adjective after its run is content; a
+        prepositional phrase spans its determiner/adjective run and at most
+        one content word after it; noun chunks are the runs between
+        prepositions and conjunctions that hold a content word.
+        """
         out: set[Phrase] = set()
         n = len(phrase)
-        for i, tok in enumerate(phrase):
-            if tok in self.determiners and n > 1:
-                out.add(phrase[:i] + phrase[i + 1:])
-            if self._droppable_adjective(phrase, i):
-                out.add(phrase[:i] + phrase[i + 1:])
-            if tok in self.prepositions:
-                j = self._pp_span(phrase, i)
-                if j - i < n:
-                    out.add(phrase[:i] + phrase[j:])
-            for general in self.hypernyms.get(tok, ()):
-                out.add(phrase[:i] + (general,) + phrase[i + 1:])
-        for chunk in self._noun_chunks(phrase):
-            if 0 < len(chunk) < n:
-                out.add(chunk)
-        out.discard(phrase)
-        out.discard(())
+        flags_of = self._flags
+        adjective_droppable = False  # the first non-adjective is content
+        pp_end = n  # where a prepositional phrase opening just before ends
+        chunk_end = 0  # end of the open noun chunk; 0 when none is open
+        chunk_content = False
+        for i in range(n - 1, -1, -1):
+            tok = phrase[i]
+            flags = flags_of.get(tok)
+            if flags is None:
+                flags = flags_of[tok] = (
+                    _DET * (tok in self.determiners)
+                    | _ADJ * (tok in self.adjectives)
+                    | _PREP * (tok in self.prepositions)
+                    | _CONJ * (tok in _CONJUNCTIONS)
+                )
+            if not flags:
+                adjective_droppable = True
+                pp_end = i + 1
+                chunk_end = chunk_end or i + 1
+                chunk_content = True
+            else:
+                if flags & _DET and n > 1 or flags & _ADJ and adjective_droppable:
+                    out.add(phrase[:i] + phrase[i + 1:])
+                if flags & _PREP and pp_end - i < n:
+                    out.add(phrase[:i] + phrase[pp_end:])
+                if flags & (_PREP | _CONJ):
+                    if chunk_content:
+                        out.add(phrase[i + 1:chunk_end])
+                    chunk_end, chunk_content = 0, False
+                else:
+                    chunk_end = chunk_end or i + 1
+                if not flags & _ADJ:
+                    adjective_droppable = False
+                if not flags & (_DET | _ADJ):
+                    pp_end = i
+            generals = self.hypernyms.get(tok)
+            if generals:
+                head, tail = phrase[:i], phrase[i + 1:]
+                for general in generals:
+                    out.add(head + (general,) + tail)
+        if chunk_content and chunk_end < n:
+            out.add(phrase[:chunk_end])
         return out
 
 
@@ -243,11 +267,11 @@ class PhraseGraph:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for child in sorted(self._parents):
-            for parent in self._parents[child]:
-                out.append((parent, child))
-        return sorted(out)
+        return sorted((p, child) for child, ps in self._parents.items() for p in ps)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._parents.values()))
 
     def parents(self, node_id: int) -> tuple[int, ...]:
         return self._parents.get(node_id, ())
@@ -355,25 +379,31 @@ class PhraseGraph:
 
 
 def _transitive_reduction(
-    step_parents: dict[int, set[int]],
-) -> dict[int, tuple[int, ...]]:
+    order: Sequence[_Node], step: Callable[[_Node], Iterable[_Node]]
+) -> dict[_Node, tuple[_Node, ...]]:
     """Drop edges implied by longer derivation paths (reachability preserved).
 
-    graphlib orders the nodes parents first; each node's ancestors are then
-    one int bitset over node ids, the OR of its direct parents' sets. A direct
-    parent whose bit is already set is implied by a longer path and dropped.
+    `order` lists nodes parents first and `step(node)` gives a node's direct
+    parents, all of them in `order`. Each node's ancestors are one int bitset
+    over positions in `order`, the OR of its direct parents' sets plus the
+    bits of the parents it keeps. A direct parent whose bit is already set in
+    that OR is implied by a longer path and dropped. Returns the kept parents,
+    in `order`, of every node that has any.
     """
-    ancestors: dict[int, int] = {}  # node -> bitset of all its ancestors
-    reduced: dict[int, tuple[int, ...]] = {}
-    for nid in TopologicalSorter(step_parents).static_order():
-        direct = step_parents.get(nid, ())
+    position = {node: i for i, node in enumerate(order)}
+    ancestors: list[int] = []  # by position
+    reduced: dict[_Node, tuple[_Node, ...]] = {}
+    for node in order:
+        direct = [position[p] for p in step(node)]
         implied = 0
-        for p in direct:
-            implied |= ancestors[p]
-        kept = sorted(p for p in direct if not implied >> p & 1)
+        for i in direct:
+            implied |= ancestors[i]
+        kept = sorted([i for i in direct if not implied >> i & 1])
         if kept:
-            reduced[nid] = tuple(kept)
-        ancestors[nid] = implied | sum(1 << p for p in kept)
+            reduced[node] = tuple([order[i] for i in kept])
+        for i in kept:
+            implied |= 1 << i
+        ancestors.append(implied)
     return reduced
 
 
@@ -385,6 +415,7 @@ def build_graph(
 
     A node's support is the set of scene group ids whose captions reach it;
     caption_count is the number of captions (not groups) that reach it.
+    Parents come from a transitive reduction of each caption's closure.
     """
     rules = rules if rules is not None else ReductionRuleSet.default()
     captions = list(captions)
@@ -393,20 +424,18 @@ def build_graph(
     supports: dict[Phrase, set[str]] = {}
     caption_counts: dict[Phrase, int] = {}
     caption_starts: dict[str, Phrase] = {}
+    reduced: dict[Phrase, tuple[Phrase, ...]] = {}
 
     for gid, sentence in captions:
-        start = tuple(sentence.lemmas)
-        caption_starts[sentence.raw] = start
-        for phrase in apply_reductions(sentence, rules):
+        caption_starts[sentence.raw] = tuple(sentence.lemmas)
+        closure = apply_reductions(sentence, rules)
+        for phrase in closure:
             supports.setdefault(phrase, set()).add(gid)
             caption_counts[phrase] = caption_counts.get(phrase, 0) + 1
+        order = sorted(closure, key=rules.generality)
+        reduced.update(_transitive_reduction(order, rules.single_step))
 
     phrase_ids = {phrase: nid for nid, phrase in enumerate(sorted(supports))}
-    step_parents: dict[int, set[int]] = {}
-    for phrase, nid in phrase_ids.items():
-        for nxt in rules.single_step(phrase):
-            step_parents.setdefault(nid, set()).add(phrase_ids[nxt])
-
     nodes = {
         nid: PhraseNode(
             id=nid,
@@ -417,11 +446,11 @@ def build_graph(
         for phrase, nid in phrase_ids.items()
     }
     caption_index = {raw: phrase_ids[start] for raw, start in caption_starts.items()}
-    return PhraseGraph(
-        nodes=nodes,
-        parents=_transitive_reduction(step_parents),
-        caption_index=caption_index,
-    )
+    parents = {
+        phrase_ids[phrase]: tuple(sorted([phrase_ids[p] for p in kept]))
+        for phrase, kept in reduced.items()
+    }
+    return PhraseGraph(nodes=nodes, parents=parents, caption_index=caption_index)
 
 
 def simplify_hypothesis(

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
+import hashlib
 import io
 import json
 import struct
@@ -18,6 +19,7 @@ from mpe.dataset import (
     save_items,
     save_spe_pairs,
 )
+from mpe.graph import PhraseGraph
 from mpe.models import load_model
 from mpe.text import normalize
 from mpe.voting import save_pair_labels
@@ -67,6 +69,16 @@ class TestBuildGraph:
         assert len(manifest["inputs"]["captions"]["sha256"]) == 64
         assert manifest["outputs"] == [str(out)]
         assert "nodes" in capsys.readouterr().out
+
+    def test_fixture_graph_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "graph.tsv"
+        assert main(["build-graph", "--captions", str(CAPTIONS), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cb06052a79a064a75a18c40afa4b432801389e0a921d58d95fa001e120991bd1"
+        )
+        graph = PhraseGraph.load(out)
+        printed = f"graph: {len(graph)} nodes, {len(graph.edges)} edges -> {out}"
+        assert printed in capsys.readouterr().out
 
     def test_missing_captions_exits_1(self, tmp_path, capsys):
         out = tmp_path / "graph.tsv"
@@ -468,6 +480,22 @@ class TestTrain:
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [labeled_items_file]
+
+    @pytest.mark.parametrize("flag", ["items", "dev", "pretrain"])
+    def test_empty_input_exits_1_naming_flag_and_file(
+        self, labeled_items_file, tmp_path, capsys, flag
+    ):
+        empty = tmp_path / f"empty-{flag}.jsonl"
+        if flag == "pretrain":
+            save_spe_pairs([], empty)
+        else:
+            save_items([], empty)
+        # A repeated --items replaces the first, so every case has items to train on.
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv + TINY_TRAIN_FLAGS + [f"--{flag}", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert f"--{flag} {empty}" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_best_out_and_dev(self, labeled_items_file, tmp_path):
         ckpt = tmp_path / "model.ckpt"

@@ -2,12 +2,14 @@
 
 import os
 import re
+from graphlib import TopologicalSorter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpe.graph import (
+    _CONJUNCTIONS,
     LexiconCycleError,
     PhraseGraph,
     PhraseNode,
@@ -132,6 +134,37 @@ class TestSingleStep:
     def test_no_self_loop(self):
         phrase = ("girl", "run")
         assert phrase not in tiny_rules().single_step(phrase)
+
+
+def rule_vocabulary(rules):
+    """Every closed-class and lexicon word of the rules, plus two content words."""
+    words = {"run", "park"} | _CONJUNCTIONS
+    words |= rules.determiners | rules.adjectives | rules.prepositions
+    for specific, generals in rules.hypernyms.items():
+        words |= {specific, *generals}
+    return sorted(words)
+
+
+DEFAULT_RULES = ReductionRuleSet.default()
+
+
+class TestGenerality:
+    def test_depth_is_longest_hypernym_chain(self):
+        rules = tiny_rules()
+        assert rules.generality(("girl", "run")) == (2, 2)  # girl -> child -> person
+        assert rules.generality(("person", "run")) == (2, 0)
+        assert rules.generality(("a", "dog")) == (2, 1)
+        uneven = tiny_rules(hypernyms={"puppy": ("dog", "pet"), "dog": ("animal",)})
+        assert uneven.generality(("puppy",)) == (1, 2)
+
+    @pytest.mark.parametrize("rules", [tiny_rules(), DEFAULT_RULES], ids=["tiny", "default"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_key_strictly_falls_along_every_step(self, rules, data):
+        words = rule_vocabulary(rules)
+        phrase = tuple(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8)))
+        for parent in rules.single_step(phrase):
+            assert rules.generality(parent) < rules.generality(phrase), (phrase, parent)
 
 
 class TestLexiconValidation:
@@ -349,18 +382,61 @@ class TestAncestors:
             assert not any(parent in graph.ancestors(mid) for mid in others)
 
 
+def graphlib_reduction(phrases, rules):
+    """Parents per phrase of the single-step DAG's transitive reduction, with
+    ancestors gathered in graphlib's parents-first order (test-side oracle)."""
+    steps = {phrase: rules.single_step(phrase) for phrase in phrases}
+    ancestors = {}
+    for phrase in TopologicalSorter(steps).static_order():
+        ancestors[phrase] = set().union(*(ancestors[p] | {p} for p in steps[phrase]))
+    return {
+        phrase: {p for p in direct if not any(p in ancestors[q] for q in direct)}
+        for phrase, direct in steps.items()
+    }
+
+
+class TestReductionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    "a the two red big young girl boy dog man park run in on with and".split()
+                ),
+                min_size=1,
+                max_size=7,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_parents_equal_graphlib_ordered_reduction(self, token_lists):
+        rules = tiny_rules()
+        captions = [(f"g{i}", normalize(" ".join(t))) for i, t in enumerate(token_lists)]
+        graph = build_graph(captions, rules)
+        expected = graphlib_reduction([n.phrase for n in graph.nodes.values()], rules)
+        for nid, node in graph.nodes.items():
+            got = {graph.phrase(p) for p in graph.parents(nid)}
+            assert got == expected[node.phrase], node.phrase
+            assert list(graph.parents(nid)) == sorted(graph.parents(nid))
+
+
 class TestTransitiveReduction:
     def test_ladder_keeps_only_the_next_rung(self):
         # Node i has parents i+1 and i+2; the edge to i+2 is implied via i+1.
         n = 3000
         step_parents = {i: {i + 1, i + 2} for i in range(n - 2)}
         step_parents[n - 2] = {n - 1}
-        assert _transitive_reduction(step_parents) == {i: (i + 1,) for i in range(n - 1)}
+        order = range(n - 1, -1, -1)
+        got = _transitive_reduction(order, lambda i: step_parents.get(i, ()))
+        assert got == {i: (i + 1,) for i in range(n - 1)}
 
     def test_diamond_shortcut_dropped(self):
         # 0 -> {1, 2} -> 3 plus the shortcut 0 -> 3.
         step_parents = {0: {1, 2, 3}, 1: {3}, 2: {3}}
-        assert _transitive_reduction(step_parents) == {0: (1, 2), 1: (3,), 2: (3,)}
+        order = [3, 1, 2, 0]
+        got = _transitive_reduction(order, lambda i: step_parents.get(i, ()))
+        assert got == {0: (1, 2), 1: (3,), 2: (3,)}
 
 
 class TestSimplifyHypothesis:

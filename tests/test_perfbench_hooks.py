@@ -2,9 +2,12 @@
 imports its public functions; a refactor that moves one should fail here, not
 crash a benchmark run."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 import mpe.autodiff as ad
+from mpe import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,14 +81,46 @@ def test_profiled_ops_record_thunks_named_after_them(perfbench_path):
         assert tape._entries[-1][1].__qualname__.startswith(f"{op}."), op
 
 
-def test_eval_pass_runs_clean(perfbench_path, tmp_path):
-    """One pass of the eval-mpe workload and its output checks, so a change to
-    any program API the benchmark calls fails here first."""
+def run_one_pass(workload, tmp_path):
+    """Set up one workload at seed 41, run one pass and its output checks."""
     workloads = importlib.import_module("workloads")
-    sizes, _ = workloads.WORKLOADS["eval-mpe"]
+    sizes, _ = workloads.WORKLOADS[workload]
     pipeline = workloads.Pipeline(PERFBENCH.parent, tmp_path, sizes, seed=41)
     pipeline.set_up()
     pipeline.one_pass()
     pipeline.run_checks()
     assert pipeline.failed == 0, pipeline.errors
     assert pipeline.attempted > 0
+
+
+def test_eval_pass_runs_clean(perfbench_path, tmp_path):
+    """One pass of the eval-mpe workload and its output checks, so a change to
+    any program API the benchmark calls fails here first."""
+    run_one_pass("eval-mpe", tmp_path)
+
+
+def test_longtail_pass_runs_clean(perfbench_path, tmp_path):
+    """One pass of corpus-longtail, the workload with the longest closures, and
+    its checks: graph round trip, hypotheses off premise ancestors, golden items."""
+    run_one_pass("corpus-longtail", tmp_path)
+
+
+# sha256 of the graph `build-graph` writes from the benchmark's seed-41
+# captions, pinned when the reduction ran over graphlib's topological order.
+PINNED_GRAPHS = {
+    "corpus-longtail": "f1a59b34bc6f0b2d86a2eaabb8ac0d3e0cde8855b8b8c3a0ee2c2b9d6ac8610a",
+    "train-mpe": "5e2156a8f4341fedac8af1fa9fdab68d28153f7786a9a6ee6d3955026314e143",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_GRAPHS))
+def test_benchmark_graph_bytes_pinned(perfbench_path, tmp_path, workload):
+    workloads = importlib.import_module("workloads")
+    inputs = importlib.import_module("inputs")
+    sizes, _ = workloads.WORKLOADS[workload]
+    captions = inputs.write_inputs(41, sizes, tmp_path).captions
+    out = tmp_path / "graph.tsv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["build-graph", "--captions", str(captions), "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_GRAPHS[workload]
