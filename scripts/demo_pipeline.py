@@ -1,6 +1,6 @@
 """End-to-end demo on the bundled fixture corpus.
 
-Builds the phrase graph, generates items, attaches synthetic five-way
+Computes caption closures, generates items, attaches synthetic five-way
 judgments, aggregates and adjudicates labels, prints corpus statistics, then
 trains and scores a small conditional LSTM — the whole research loop in
 miniature. Everything is seeded; two runs print identical numbers.
@@ -28,7 +28,7 @@ from mpe.dataset import (
     load_captions,
     save_items,
 )
-from mpe.graph import build_graph
+from mpe.graph import caption_closures
 from mpe.training import TrainConfig, evaluate, format_eval_report, train
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,14 +59,17 @@ def main() -> int:
 
 
 def run(args: argparse.Namespace, workdir: Path) -> int:
-    print(f"== building graph from {(FIXTURES / 'captions.tsv').relative_to(ROOT)}")
+    print(f"== caption closures of {(FIXTURES / 'captions.tsv').relative_to(ROOT)}")
     groups = load_captions(FIXTURES / "captions.tsv")
-    graph = build_graph(graph_captions(groups))
-    print(f"   {len(graph)} phrase nodes, {len(graph.edges)} edges")
+    closures = caption_closures(graph_captions(groups))
+    print(
+        f"   {len(closures.ancestors)} distinct captions, "
+        f"{len(closures.caption_counts)} distinct phrases"
+    )
 
     print(f"== generating {args.n_items} items (seed {args.seed})")
     config = GenerationConfig(n_items=args.n_items, seed=args.seed)
-    result = generate_items(groups, graph, config)
+    result = generate_items(groups, closures, config)
     diag = result.diagnostics
     print(
         f"   produced {diag.produced} ({diag.related} related, "

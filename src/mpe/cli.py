@@ -30,6 +30,7 @@ from . import __version__
 from .autodiff import CHECKPOINT_VERSION, cross_entropy, grad_check
 from .dataset import (
     FORMAT_VERSION,
+    CaptionGroup,
     GenerationConfig,
     Item,
     adjudicate,
@@ -44,7 +45,7 @@ from .dataset import (
     save_items,
     _atomic_write,
 )
-from .graph import GRAPH_VERSION, build_graph
+from .graph import GRAPH_VERSION, build_graph, caption_closures
 from .models import (
     ARCHITECTURES,
     EmbeddingTable,
@@ -156,9 +157,16 @@ def _report(path: str | None, record: dict) -> _Written:
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_build_graph(args, inputs) -> _Written:
+def _load_corpus(inputs) -> list[CaptionGroup]:
+    """Groups of the `--captions` input; a file without captions is an error."""
     groups = load_captions(inputs["captions"])
-    graph = build_graph(graph_captions(groups))
+    if not groups:
+        raise CliError(f"--captions {inputs['captions']}: holds no captions")
+    return groups
+
+
+def cmd_build_graph(args, inputs) -> _Written:
+    graph = build_graph(graph_captions(_load_corpus(inputs)))
     out = _resolve(args.out)
     graph.save(out)
     print(f"graph: {len(graph)} nodes, {graph.edge_count} edges -> {out}")
@@ -174,9 +182,8 @@ def cmd_build_dataset(args, inputs) -> _Written:
         min_support=args.min_support,
         split=args.split,
     )
-    groups = load_captions(inputs["captions"])
-    graph = build_graph(graph_captions(groups))
-    result = generate_items(groups, graph, config)
+    groups = _load_corpus(inputs)
+    result = generate_items(groups, caption_closures(graph_captions(groups)), config)
     out = _resolve(args.out)
     save_items(result.items, out)
     diag = asdict(result.diagnostics)

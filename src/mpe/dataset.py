@@ -2,10 +2,11 @@
 
 An item pairs four premise captions from one scene group with a hypothesis
 phrase and a three-way label (E = entailment, N = neutral, C = contradiction).
-Hypotheses are drawn from the phrase graph: generalizations of a fifth caption
-of the same group (related) or of a caption from another group (unrelated),
-kept only when they clear a support threshold and a word-overlap ceiling
-against the premises.
+Hypotheses are drawn from caption closures (`mpe.graph.CaptionClosures`):
+generalizations of a fifth caption of the same group (related) or of a caption
+from another group (unrelated) that no premise generalizes to, kept only when
+they clear a support threshold and a word-overlap ceiling against the
+premises. No phrase graph is built; `build_graph` serves `build-graph` alone.
 
 Five crowd judgments reduce to a final label by majority, except two flagged
 patterns (3-2 between E and C, and 2-2-1) that go to human adjudication;
@@ -20,11 +21,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .graph import PhraseGraph, simplify_hypothesis
+from .graph import CaptionClosures, simplify_hypothesis
 from .text import (
     OverlapUndefinedError,
     Sentence,
     _atomic_write,
+    _read_text,
     normalize,
     word_overlap,
 )
@@ -307,28 +309,26 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
     """Parse a `gid<TAB>index<TAB>text` corpus into groups sorted by gid."""
     path = Path(path)
     rows: dict[str, dict[int, Sentence]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected gid<TAB>index<TAB>text, got {line!r}"
-                )
-            gid, idx_s, text = parts
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad caption index {idx_s!r}") from None
-            group = rows.setdefault(gid, {})
-            if idx in group:
-                raise ValueError(f"{path}:{lineno}: duplicate caption index {gid}/{idx}")
-            try:
-                group[idx] = normalize(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}:{lineno}: expected gid<TAB>index<TAB>text, got {line!r}"
+            )
+        gid, idx_s, text = parts
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad caption index {idx_s!r}") from None
+        group = rows.setdefault(gid, {})
+        if idx in group:
+            raise ValueError(f"{path}:{lineno}: duplicate caption index {gid}/{idx}")
+        try:
+            group[idx] = normalize(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return [
         CaptionGroup(gid=gid, captions=tuple(rows[gid][i] for i in sorted(rows[gid])))
         for gid in sorted(rows)
@@ -336,7 +336,8 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
 
 
 def graph_captions(groups: Iterable[CaptionGroup]) -> list[tuple[str, Sentence]]:
-    """Flatten groups into the (gid, Sentence) pairs build_graph consumes."""
+    """Flatten groups into the (gid, Sentence) pairs that `build_graph` and
+    `caption_closures` consume."""
     return [(g.gid, sent) for g in groups for sent in g.captions]
 
 
@@ -347,11 +348,11 @@ def graph_captions(groups: Iterable[CaptionGroup]) -> list[tuple[str, Sentence]]
 class GenerationConfig:
     """Knobs for item generation.
 
-    min_support counts captions (graph caption_count) that reduce to a
-    candidate phrase; overlap_max is inclusive and applies to full-token
-    overlap between hypothesis and premise set. related_fraction splits the
-    requested n_items between same-group and other-group hypothesis sources
-    before sampling.
+    min_support counts the corpus captions whose closure holds a candidate
+    phrase (`CaptionClosures.caption_counts`); overlap_max is inclusive and
+    applies to full-token overlap between hypothesis and premise set.
+    related_fraction splits the requested n_items between same-group and
+    other-group hypothesis sources before sampling.
     """
 
     n_items: int
@@ -398,10 +399,10 @@ class GenerationResult:
 
 def generate_items(
     groups: Sequence[CaptionGroup],
-    graph: PhraseGraph,
+    closures: CaptionClosures,
     config: GenerationConfig,
 ) -> GenerationResult:
-    """Sample items: one per host group, hypotheses from the phrase graph.
+    """Sample items: one per host group, hypotheses from caption closures.
 
     Host groups are visited in seeded-shuffle order; each contributes at most
     one item. Related items draw the hypothesis from generalizations of the
@@ -421,9 +422,8 @@ def generate_items(
         premises: Sequence[Sentence], source: Sentence
     ) -> list[Sentence]:
         out = []
-        for phrase in simplify_hypothesis(source, premises, graph):
-            node = graph.nodes[graph.node_id_for_phrase(phrase)]
-            if node.caption_count < config.min_support:
+        for phrase in simplify_hypothesis(source, premises, closures):
+            if closures.caption_counts[phrase] < config.min_support:
                 diag.rejected_support += 1
                 continue
             hypothesis = normalize(" ".join(phrase))
@@ -729,7 +729,7 @@ def _parse_jsonl(path: Path, lines: list[str], fmt: str) -> list:
 
 def _load_jsonl(path: str | Path, fmt: str) -> list:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty {_RECORDS[fmt][1]}s file")
     return _parse_jsonl(path, lines, fmt)
@@ -755,7 +755,7 @@ def load_spe_pairs(path: str | Path) -> list[SpePair]:
 def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
     """Load an items or single-premise-pairs file, dispatching on its header."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     try:
         header = json.loads(lines[0] if lines else "")
     except json.JSONDecodeError:
@@ -776,26 +776,24 @@ def _load_label_table(path: str | Path, count: int) -> dict[str, tuple[str, ...]
     """Read `item_id<TAB>L,L,...` lines, each holding exactly `count` labels."""
     path = Path(path)
     out: dict[str, tuple[str, ...]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {line!r}")
-            item_id, labels_s = parts
-            if item_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate labels for {item_id}")
-            labels = tuple(labels_s.split(","))
-            if len(labels) != count:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {count} labels, got {len(labels)}"
-                )
-            for label in labels:
-                if label not in LABELS:
-                    raise ValueError(f"{path}:{lineno}: bad label {label!r}")
-            out[item_id] = labels
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {line!r}")
+        item_id, labels_s = parts
+        if item_id in out:
+            raise ValueError(f"{path}:{lineno}: duplicate labels for {item_id}")
+        labels = tuple(labels_s.split(","))
+        if len(labels) != count:
+            raise ValueError(
+                f"{path}:{lineno}: expected {count} labels, got {len(labels)}"
+            )
+        for label in labels:
+            if label not in LABELS:
+                raise ValueError(f"{path}:{lineno}: bad label {label!r}")
+        out[item_id] = labels
     return out
 
 

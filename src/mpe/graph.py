@@ -5,9 +5,15 @@ reduction rules (drop determiner, drop adjectival modifier, drop
 prepositional phrase, hypernym substitution, noun-phrase extraction; the
 lemmatization itself is the entry step). Each rule application yields a
 strictly more generic phrase, so closures are finite DAGs: ancestors of a
-phrase are its generalizations. `simplify_hypothesis` returns the
-generalizations of a source caption that cannot be reached from any premise,
-which is the candidate pool for hypothesis generation.
+phrase are its generalizations.
+
+`simplify_hypothesis` returns the generalizations of a source caption that
+cannot be reached from any premise, which is the candidate pool for
+hypothesis generation. It reads a `CaptionClosures` index, not a graph: a
+caption's ancestors are its closure minus its own lemma tuple, and a phrase's
+caption count is the number of caption closures that hold it. Both identities
+follow from the stored reduction keeping reachability, so item generation
+needs no edges, and `build_graph` is the only producer of them.
 
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
@@ -30,12 +36,13 @@ parser; nodes are phrases in lemma space.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .text import Sentence, _atomic_write, _read_word_list
+from .text import Sentence, _atomic_write, _read_text, _read_word_list
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -72,6 +79,10 @@ def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
         if general not in table[specific]:
             table[specific].append(general)
     return {k: tuple(sorted(v)) for k, v in table.items()}
+
+
+def _raw(caption: "Sentence | str") -> str:
+    return caption.raw if isinstance(caption, Sentence) else caption
 
 
 def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_Node]:
@@ -283,7 +294,7 @@ class PhraseGraph:
         return self._phrase_ids.get(tuple(phrase))
 
     def node_for_caption(self, caption: "Sentence | str") -> int:
-        raw = caption.raw if isinstance(caption, Sentence) else caption
+        raw = _raw(caption)
         try:
             return self.caption_index[raw]
         except KeyError:
@@ -313,7 +324,7 @@ class PhraseGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = _read_text(path).splitlines()
         if not lines:
             raise ValueError(f"{path}: empty graph file")
         header = lines[0].split("\t")
@@ -453,20 +464,58 @@ def build_graph(
     return PhraseGraph(nodes=nodes, parents=parents, caption_index=caption_index)
 
 
+@dataclass(frozen=True)
+class CaptionClosures:
+    """What item generation reads of a corpus: per-caption ancestors and
+    per-phrase caption counts, straight from the reduction closures.
+
+    ancestors maps raw caption text to the caption's closure minus its own
+    lemma tuple, the phrases `PhraseGraph.ancestors` reaches from that
+    caption's node. caption_counts counts each phrase once per corpus caption
+    whose closure holds it, as `PhraseNode.caption_count` does, so a text
+    repeated across groups counts once per occurrence.
+    """
+
+    ancestors: Mapping[str, frozenset[Phrase]]
+    caption_counts: Counter[Phrase]
+
+    def ancestors_of(self, caption: "Sentence | str") -> frozenset[Phrase]:
+        raw = _raw(caption)
+        try:
+            return self.ancestors[raw]
+        except KeyError:
+            raise UnknownCaptionError(f"caption not indexed: {raw!r}") from None
+
+
+def caption_closures(
+    captions: Iterable[tuple[str, Sentence]],
+    rules: ReductionRuleSet | None = None,
+) -> CaptionClosures:
+    """Each caption's closure, computed once, from the (scene_group_id,
+    caption) pairs `build_graph` takes; no reduction, no nodes."""
+    rules = rules if rules is not None else ReductionRuleSet.default()
+    ancestors: dict[str, frozenset[Phrase]] = {}
+    counts: Counter[Phrase] = Counter()
+    for _, sentence in captions:
+        closure = apply_reductions(sentence, rules)
+        counts.update(closure)
+        closure.discard(tuple(sentence.lemmas))
+        ancestors[sentence.raw] = frozenset(closure)
+    return CaptionClosures(ancestors=ancestors, caption_counts=counts)
+
+
 def simplify_hypothesis(
     source_caption: "Sentence | str",
     premises: Sequence["Sentence | str"],
-    graph: PhraseGraph,
+    closures: CaptionClosures,
 ) -> list[Phrase]:
     """Generalizations of the source that no premise also generalizes to.
 
     Returns ancestors(source) minus the union of every premise's ancestors:
     the candidate hypotheses that cannot be reproduced from a premise by the
-    same reduction rules. Never contains the source caption itself. Sorted
-    (set semantics, stable order) for downstream sampling.
+    same reduction rules. A premise's own phrase is removed only when it is
+    an ancestor of another premise. Never contains the source caption itself.
+    Sorted (set semantics, stable order) for downstream sampling.
     """
-    source_id = graph.node_for_caption(source_caption)
-    candidates = set(graph.ancestors(source_id))
-    for premise in premises:
-        candidates -= graph.ancestors(graph.node_for_caption(premise))
-    return sorted(graph.phrase(nid) for nid in candidates)
+    source = closures.ancestors_of(source_caption)
+    return sorted(source.difference(*[closures.ancestors_of(p) for p in premises]))

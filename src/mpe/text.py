@@ -62,9 +62,27 @@ def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's UTF-8 text with universal newlines, as `Path.read_text`
+    gives it; a byte that is not UTF-8 raises ValueError naming `path:lineno`.
+
+    CR and LF bytes never occur inside a multi-byte UTF-8 sequence, so line
+    ends are translated before decoding and the line of a bad byte is the
+    number of LF bytes before it, plus one.
+    """
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _read_word_list(path: Path) -> list[str]:
     words = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -27,7 +27,7 @@ from mpe.dataset import (
     load_items,
     save_items,
 )
-from mpe.graph import build_graph
+from mpe.graph import build_graph, caption_closures
 from mpe.models import ARCHITECTURES, concat_premises
 from mpe.text import default_stopwords, tokenize
 from mpe.training import TrainConfig, Trainer, build_model, vocabulary_from_items
@@ -404,9 +404,10 @@ def independent_overlap(hypothesis_raw: str, premise_raws: list[str]) -> float:
 
 def test_criterion_8_pipeline_invariants(tmp_path):
     groups = load_captions(CAPTIONS)
-    graph = build_graph(graph_captions(groups))
+    closures = caption_closures(graph_captions(groups))
+    graph = build_graph(graph_captions(groups))  # oracle for ancestor exclusion
     config = GenerationConfig(n_items=8, seed=42)
-    result = generate_items(groups, graph, config)
+    result = generate_items(groups, closures, config)
     assert result.items, "fixture corpus produced no items"
 
     overlap_ok = True
@@ -424,8 +425,8 @@ def test_criterion_8_pipeline_invariants(tmp_path):
 
     first = tmp_path / "run1.jsonl"
     second = tmp_path / "run2.jsonl"
-    save_items(generate_items(groups, graph, config).items, first)
-    save_items(generate_items(groups, graph, config).items, second)
+    save_items(generate_items(groups, closures, config).items, first)
+    save_items(generate_items(groups, closures, config).items, second)
     deterministic = first.read_bytes() == second.read_bytes()
 
     ok = overlap_ok and ancestry_ok and deterministic

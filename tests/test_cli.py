@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mpe.cli as cli
+import mpe.graph
 from mpe.autodiff import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from mpe.cli import main
 from mpe.dataset import (
@@ -130,6 +131,18 @@ class TestBuildDataset:
         assert not out.exists()
         assert "overlap_max" in capsys.readouterr().err
 
+    def test_never_builds_a_phrase_graph(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build-dataset built a phrase graph")
+
+        monkeypatch.setattr(mpe.graph, "build_graph", refuse)
+        monkeypatch.setattr(cli, "build_graph", refuse)
+        monkeypatch.setattr(mpe.graph.PhraseGraph, "__init__", refuse)
+        out = tmp_path / "items.jsonl"
+        assert main(self.args(out, n=8, seed=42)) == 0
+        golden = Path(__file__).parent / "fixtures" / "golden_items.jsonl"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_bad_captions_leaves_no_output(self, tmp_path, capsys):
         captions = tmp_path / "bad.tsv"
         captions.write_text("only-one-column\n")
@@ -148,6 +161,19 @@ class TestBuildDataset:
         assert code == 1
         assert not out.exists()
         assert not (tmp_path / "items.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build-graph", "build-dataset"])
+@pytest.mark.parametrize("content", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+def test_captions_without_captions_exit_1(tmp_path, capsys, command, content):
+    captions = tmp_path / "captions.tsv"
+    captions.write_text(content)
+    argv = [command, "--captions", str(captions), "--out", str(tmp_path / "out")]
+    if command == "build-dataset":
+        argv += ["--n-items", "2"]
+    assert main(argv) == 1
+    assert f"--captions {captions}: holds no captions" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [captions]
 
 
 class TestStats:

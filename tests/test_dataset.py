@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from mpe.dataset import (
     graph_captions,
     load_captions,
     load_decisions,
+    load_examples,
     load_items,
     load_judgments,
     load_spe_pairs,
@@ -35,7 +37,7 @@ from mpe.dataset import (
     save_spe_pairs,
     spe_pairs,
 )
-from mpe.graph import build_graph
+from mpe.graph import build_graph, caption_closures
 from mpe.text import normalize, word_overlap
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -48,12 +50,18 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def graph(corpus):
+    """The phrase graph, built only as an oracle for generated items."""
     return build_graph(graph_captions(corpus))
 
 
 @pytest.fixture(scope="module")
-def generated(corpus, graph):
-    return generate_items(corpus, graph, GenerationConfig(n_items=8, seed=42))
+def closures(corpus):
+    return caption_closures(graph_captions(corpus))
+
+
+@pytest.fixture(scope="module")
+def generated(corpus, closures):
+    return generate_items(corpus, closures, GenerationConfig(n_items=8, seed=42))
 
 
 def with_field(path, save, record, key, value):
@@ -353,17 +361,17 @@ class TestGeneration:
         for item in generated.items:
             assert item.premises == by_gid[item.scene_group_id].captions[:4]
 
-    def test_deterministic_under_seed(self, corpus, graph, tmp_path):
-        a = generate_items(corpus, graph, GenerationConfig(n_items=8, seed=42))
-        b = generate_items(corpus, graph, GenerationConfig(n_items=8, seed=42))
+    def test_deterministic_under_seed(self, corpus, closures, tmp_path):
+        a = generate_items(corpus, closures, GenerationConfig(n_items=8, seed=42))
+        b = generate_items(corpus, closures, GenerationConfig(n_items=8, seed=42))
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_items(a.items, pa)
         save_items(b.items, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_seed_changes_output(self, corpus, graph):
-        a = generate_items(corpus, graph, GenerationConfig(n_items=8, seed=42))
-        b = generate_items(corpus, graph, GenerationConfig(n_items=8, seed=43))
+    def test_seed_changes_output(self, corpus, closures):
+        a = generate_items(corpus, closures, GenerationConfig(n_items=8, seed=42))
+        b = generate_items(corpus, closures, GenerationConfig(n_items=8, seed=43))
         assert [i.hypothesis.raw for i in a.items] != [
             i.hypothesis.raw for i in b.items
         ]
@@ -373,8 +381,8 @@ class TestGeneration:
         save_items(generated.items, out)
         assert out.read_bytes() == (FIXTURES / "golden_items.jsonl").read_bytes()
 
-    def test_shortfall_reported_not_raised(self, corpus, graph):
-        result = generate_items(corpus, graph, GenerationConfig(n_items=50, seed=1))
+    def test_shortfall_reported_not_raised(self, corpus, closures):
+        result = generate_items(corpus, closures, GenerationConfig(n_items=50, seed=1))
         assert len(result.items) <= 12
         assert result.diagnostics.shortfall == 50 - len(result.items)
 
@@ -402,11 +410,11 @@ class TestGeneration:
         path = tmp_path / "captions.tsv"
         path.write_text("\n".join(rows) + "\n")
         groups = load_captions(path)
-        graph = build_graph(graph_captions(groups))
+        closures = caption_closures(graph_captions(groups))
 
         unrelated = generate_items(
             groups,
-            graph,
+            closures,
             GenerationConfig(n_items=2, seed=0, related_fraction=0.0, min_support=1),
         )
         assert unrelated.diagnostics.produced == 2
@@ -414,7 +422,7 @@ class TestGeneration:
 
         related = generate_items(
             groups,
-            graph,
+            closures,
             GenerationConfig(n_items=2, seed=0, related_fraction=1.0, min_support=1),
         )
         # Only the five-caption group can host a related item.
@@ -727,3 +735,31 @@ class TestCaptionLoading:
         path.write_text("g1\t0\t...\n")
         with pytest.raises(ValueError, match=":1:"):
             load_captions(path)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is reported as `path:line` in every text input."""
+
+    def check(self, load, path, good: bytes, lineno: int):
+        path.write_bytes(good + b"caf\xff\n")
+        message = re.escape(f"{path}:{lineno}: byte 0xff is not UTF-8")
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
+    def test_captions(self, tmp_path):
+        # CRLF and a lone CR end lines too, as in text mode.
+        good = b"g1\t0\tA girl runs.\r\ng1\t1\tA boy runs.\rg1\t2\tA dog runs.\n"
+        lf, mixed = tmp_path / "lf.tsv", tmp_path / "mixed.tsv"
+        lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        mixed.write_bytes(good)
+        assert load_captions(mixed) == load_captions(lf)
+        self.check(load_captions, tmp_path / "captions.tsv", good, 4)
+
+    @pytest.mark.parametrize("load", [load_items, load_examples])
+    def test_items(self, tmp_path, generated, load):
+        path = tmp_path / "items.jsonl"
+        save_items(generated.items[:2], path)
+        self.check(load, path, path.read_bytes(), 4)
+
+    def test_label_table(self, tmp_path):
+        self.check(load_judgments, tmp_path / "judgments.tsv", b"it-1\tE,E,E,N,C\n", 2)

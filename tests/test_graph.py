@@ -18,6 +18,7 @@ from mpe.graph import (
     _transitive_reduction,
     apply_reductions,
     build_graph,
+    caption_closures,
     simplify_hypothesis,
 )
 from mpe.text import normalize
@@ -439,10 +440,22 @@ class TestTransitiveReduction:
         assert got == {0: (1, 2), 1: (3,), 2: (3,)}
 
 
+def fixture_closures():
+    _, captions = build_fixture_graph()
+    return caption_closures(captions, tiny_rules())
+
+
+def graph_simplify(source, premises, graph):
+    """simplify_hypothesis read off the phrase graph's edges (test-side oracle)."""
+    candidates = set(graph.ancestors(graph.node_for_caption(source)))
+    for premise in premises:
+        candidates -= graph.ancestors(graph.node_for_caption(premise))
+    return sorted(graph.phrase(nid) for nid in candidates)
+
+
 class TestSimplifyHypothesis:
     def test_premise_ancestors_excluded(self):
-        graph, _ = build_fixture_graph()
-        got = simplify_hypothesis("A girl runs.", ["A boy runs."], graph)
+        got = simplify_hypothesis("A girl runs.", ["A boy runs."], fixture_closures())
         # Shared generalizations (child run / person run lineages) are excluded;
         # girl-specific ones survive.
         assert ("girl", "run") in got
@@ -451,51 +464,99 @@ class TestSimplifyHypothesis:
         assert all("boy" not in p for p in got)
 
     def test_source_itself_never_returned(self):
-        graph, _ = build_fixture_graph()
-        got = simplify_hypothesis("A girl runs.", [], graph)
+        got = simplify_hypothesis("A girl runs.", [], fixture_closures())
         assert ("a", "girl", "run") not in got
 
     def test_no_premises_returns_all_ancestors(self):
         graph, _ = build_fixture_graph()
-        got = simplify_hypothesis("A girl runs.", [], graph)
+        got = simplify_hypothesis("A girl runs.", [], fixture_closures())
         nid = graph.node_for_caption("A girl runs.")
         assert set(got) == {graph.phrase(a) for a in graph.ancestors(nid)}
 
     def test_full_exclusion_yields_empty(self):
-        graph, _ = build_fixture_graph()
         got = simplify_hypothesis(
-            "A girl runs.", ["A girl runs.", "A boy runs."], graph
+            "A girl runs.", ["A girl runs.", "A boy runs."], fixture_closures()
         )
         # The identical premise removes every shared ancestor.
         assert got == []
 
+    def test_premise_phrase_kept_unless_another_premise_reaches_it(self):
+        closures = caption_closures(
+            [("g1", normalize("A girl runs.")), ("g2", normalize("Girl runs."))],
+            tiny_rules(),
+        )
+        # "girl run" is the second caption's own phrase: it stays a candidate
+        # until a premise that generalizes to it is added.
+        assert ("girl", "run") in simplify_hypothesis("A girl runs.", ["Girl runs."], closures)
+        got = simplify_hypothesis("A girl runs.", ["Girl runs.", "A girl runs."], closures)
+        assert ("girl", "run") not in got
+
     def test_candidates_not_ancestors_of_any_premise(self):
         graph, _ = build_fixture_graph()
         premises = ["A boy runs.", "A young girl is running."]
-        got = simplify_hypothesis("A girl runs.", premises, graph)
+        got = simplify_hypothesis("A girl runs.", premises, fixture_closures())
         for premise in premises:
             pid = graph.node_for_caption(premise)
             ancestor_phrases = {graph.phrase(a) for a in graph.ancestors(pid)}
             assert not set(got) & ancestor_phrases
 
     def test_accepts_sentence_objects(self):
-        graph, _ = build_fixture_graph()
+        closures = fixture_closures()
         got = simplify_hypothesis(
-            normalize("A girl runs."), [normalize("A boy runs.")], graph
+            normalize("A girl runs."), [normalize("A boy runs.")], closures
         )
-        assert got == simplify_hypothesis("A girl runs.", ["A boy runs."], graph)
+        assert got == simplify_hypothesis("A girl runs.", ["A boy runs."], closures)
 
     def test_unknown_caption_raises(self):
-        graph, _ = build_fixture_graph()
+        closures = fixture_closures()
         with pytest.raises(UnknownCaptionError):
-            simplify_hypothesis("Never indexed.", [], graph)
+            simplify_hypothesis("Never indexed.", [], closures)
         with pytest.raises(UnknownCaptionError):
-            simplify_hypothesis("A girl runs.", ["Never indexed."], graph)
+            simplify_hypothesis("A girl runs.", ["Never indexed."], closures)
 
     def test_sorted_and_duplicate_free(self):
-        graph, _ = build_fixture_graph()
-        got = simplify_hypothesis("A young girl is running.", ["A boy runs."], graph)
+        got = simplify_hypothesis(
+            "A young girl is running.", ["A boy runs."], fixture_closures()
+        )
         assert got == sorted(set(got))
+
+
+class TestCaptionClosures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    "a the two red big young girl boy dog man park run in on with and".split()
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.data(),
+    )
+    def test_closure_identities_match_graph(self, token_lists, data):
+        rules = tiny_rules()
+        captions = [(f"g{i}", normalize(" ".join(t))) for i, t in enumerate(token_lists)]
+        # One caption text repeated in a group of its own.
+        captions.append(("g-repeat", data.draw(st.sampled_from(captions))[1]))
+        graph = build_graph(captions, rules)
+        closures = caption_closures(captions, rules)
+        raws = sorted({sent.raw for _, sent in captions})
+        assert sorted(closures.ancestors) == raws
+        for raw in raws:
+            nid = graph.node_for_caption(raw)
+            assert closures.ancestors[raw] == {graph.phrase(a) for a in graph.ancestors(nid)}
+        assert closures.caption_counts == {
+            node.phrase: node.caption_count for node in graph.nodes.values()
+        }
+        source = data.draw(st.sampled_from(raws))
+        premises = data.draw(st.lists(st.sampled_from(raws), max_size=4))
+        assert simplify_hypothesis(source, premises, closures) == graph_simplify(
+            source, premises, graph
+        )
 
 
 class TestSerialization:
@@ -599,6 +660,12 @@ class TestSerialization:
         path = tmp_path / "bad.graph"
         path.write_text("mpe-graph\t1\nnode\t0\tdog\tg1\t1\nnode\t0\tcat\tg1\t1\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:") + ".*node id 0"):
+            PhraseGraph.load(path)
+
+    def test_undecodable_byte_located(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"mpe-graph\t1\nnode\t0\tdog\tg1\t1\ncaption\t0\tA d\xffg.\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: byte 0xff is not UTF-8")):
             PhraseGraph.load(path)
 
     def test_duplicate_caption_located(self, tmp_path):

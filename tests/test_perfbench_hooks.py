@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -124,3 +125,37 @@ def test_benchmark_graph_bytes_pinned(perfbench_path, tmp_path, workload):
         code = cli.main(["build-graph", "--captions", str(captions), "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_GRAPHS[workload]
+
+
+# sha256 of the items file and of the manifest's diagnostics (JSON with sorted
+# keys) that `build-dataset` writes from the benchmark's seed-41 captions with
+# its n_items and seed 41, pinned when items were still drawn from a phrase graph.
+PINNED_DATASETS = {
+    "corpus-longtail": (
+        "b760e10609563e78a111b8ab1e74434a14d2ec0e263d3ab79c814a1891f03265",
+        "1157f889596f5d00da1dda205a6e3c94b6c2250649b17e2f3f81ee28ed14b7c7",
+    ),
+    "train-mpe": (
+        "806f5bffc25ac7de15b421fc5f214e06307871d2e00db8befd120e0b6fac5e50",
+        "4c4d99f73af85ef7ddbfda8fed2ddf00a32e04088fd0ffbc96ec9fe6c6598db3",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_DATASETS))
+def test_benchmark_dataset_bytes_pinned(perfbench_path, tmp_path, workload):
+    workloads = importlib.import_module("workloads")
+    inputs = importlib.import_module("inputs")
+    sizes, _ = workloads.WORKLOADS[workload]
+    captions = inputs.write_inputs(41, sizes, tmp_path).captions
+    out = tmp_path / "items.jsonl"
+    argv = ["build-dataset", "--captions", str(captions), "--out", str(out),
+            "--n-items", str(sizes.n_items), "--seed", "41"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    diagnostics = json.dumps(manifest["diagnostics"], sort_keys=True).encode("utf-8")
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+        hashlib.sha256(diagnostics).hexdigest(),
+    ) == PINNED_DATASETS[workload]
