@@ -205,16 +205,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, thunk)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast(np.subtract, a, b, "sub"))
-
-    def thunk():
-        _accumulate(a, _unbroadcast(out.grad, a.values.shape))
-        _accumulate(b, _unbroadcast(-out.grad, b.values.shape))
-
-    return _record(out, thunk)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_broadcast(np.multiply, a, b, "mul"))
 

@@ -228,50 +228,32 @@ def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     return closure
 
 
-@dataclass(frozen=True)
-class PhraseNode:
-    """One phrase in the subsumption graph.
-
-    support holds the scene group ids whose captions reduce to this phrase;
-    caption_count is the number of individual captions that do (a group
-    contributes once per caption, so caption_count >= len(support)).
-    """
-
-    id: int
-    phrase: Phrase
-    support: frozenset[str]
-    caption_count: int
-
-    def __post_init__(self) -> None:
-        if not self.phrase:
-            raise ValueError(f"node {self.id}: empty phrase")
-        if not self.support:
-            raise ValueError(f"node {self.id}: empty support")
-        if self.caption_count < len(self.support):
-            raise ValueError(
-                f"node {self.id}: caption_count {self.caption_count} < "
-                f"{len(self.support)} supporting groups"
-            )
+NodeRow = tuple[Phrase, tuple[str, ...], int]  # (phrase, support, caption_count)
 
 
 class PhraseGraph:
     """Subsumption DAG over caption phrases.
 
-    Edges point parent -> child where the parent is strictly more generic;
-    only the transitive reduction is stored. `ancestors` walks toward the
-    generic end on every call; the graph keeps no derived reachability.
+    `nodes[i]` is node i's `(phrase, support, caption_count)` row; ids are
+    dense 0..n-1 in sorted-phrase order. support holds the sorted scene group
+    ids whose captions reduce to the phrase; caption_count is the number of
+    individual captions that do (a group contributes once per caption, so
+    caption_count >= len(support)). Edges point parent -> child where the
+    parent is strictly more generic; only the transitive reduction is stored.
+    `ancestors` walks toward the generic end on every call; the graph keeps no
+    derived reachability.
     """
 
     def __init__(
         self,
-        nodes: dict[int, PhraseNode],
+        nodes: list[NodeRow],
         parents: dict[int, tuple[int, ...]],
         caption_index: dict[str, int],
     ):
         self.nodes = nodes
         self._parents = parents
         self.caption_index = caption_index
-        self._phrase_ids = {node.phrase: nid for nid, node in nodes.items()}
+        self._phrase_ids = {row[0]: nid for nid, row in enumerate(nodes)}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -286,9 +268,6 @@ class PhraseGraph:
 
     def parents(self, node_id: int) -> tuple[int, ...]:
         return self._parents.get(node_id, ())
-
-    def phrase(self, node_id: int) -> Phrase:
-        return self.nodes[node_id].phrase
 
     def node_id_for_phrase(self, phrase: Phrase) -> int | None:
         return self._phrase_ids.get(tuple(phrase))
@@ -309,21 +288,19 @@ class PhraseGraph:
         return frozenset(_reachable(node_id, self.parents))
 
     def save(self, path: str | Path) -> None:
+        index = self.caption_index
         lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}"]
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            support = ",".join(sorted(node.support))
-            lines.append(
-                f"node\t{nid}\t{' '.join(node.phrase)}\t{support}\t{node.caption_count}"
-            )
-        for parent, child in self.edges:
-            lines.append(f"edge\t{parent}\t{child}")
-        for raw in sorted(self.caption_index):
-            lines.append(f"caption\t{self.caption_index[raw]}\t{raw}")
+        lines += [
+            f"node\t{nid}\t{' '.join(phrase)}\t{','.join(support)}\t{count}"
+            for nid, (phrase, support, count) in enumerate(self.nodes)
+        ]
+        lines += [f"edge\t{parent}\t{child}" for parent, child in self.edges]
+        lines += [f"caption\t{index[raw]}\t{raw}" for raw in sorted(index)]
         _atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
+        """Read a `save`d file; this is where node rows are checked."""
         lines = _read_text(path).splitlines()
         if not lines:
             raise ValueError(f"{path}: empty graph file")
@@ -332,7 +309,8 @@ class PhraseGraph:
             raise ValueError(f"{path}:1: bad header {lines[0]!r}")
         if header[1] != str(GRAPH_VERSION):
             raise ValueError(f"{path}:1: unsupported version {header[1]}")
-        nodes: dict[int, PhraseNode] = {}
+        rows: dict[int, NodeRow] = {}
+        phrase_ids: dict[Phrase, int] = {}
         parents: dict[int, set[int]] = {}
         caption_index: dict[str, int] = {}
         caption_lines: list[tuple[int, int]] = []  # (lineno, node id)
@@ -344,17 +322,12 @@ class PhraseGraph:
                 if kind == "node":
                     nid_s, phrase_s, support_s, count_s = rest.split("\t")
                     nid = int(nid_s)
-                    if nid in nodes:
+                    if nid in rows:
                         raise ValueError(f"duplicate node id {nid}")
-                    support = (
-                        frozenset(support_s.split(",")) if support_s else frozenset()
-                    )
-                    nodes[nid] = PhraseNode(
-                        id=nid,
-                        phrase=tuple(phrase_s.split(" ")),
-                        support=support,
-                        caption_count=int(count_s),
-                    )
+                    row = rows[nid] = _node_row(phrase_s, support_s, int(count_s))
+                    held = phrase_ids.setdefault(row[0], nid)
+                    if held != nid:
+                        raise ValueError(f"phrase {phrase_s!r} already held by node {held}")
                 elif kind == "edge":
                     parent_s, child_s = rest.split("\t")
                     parents.setdefault(int(child_s), set()).add(int(parent_s))
@@ -368,13 +341,16 @@ class PhraseGraph:
                     raise ValueError("unknown record kind")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {kind!r} record: {exc}") from None
+        ids = range(len(rows))
+        stray = sorted(nid for nid in rows if nid not in ids)
+        if stray:
+            raise ValueError(f"{path}: node ids {stray} are not in 0..{len(ids) - 1}")
         for child, ps in parents.items():
-            # difference(), not `- nodes.keys()`: the keys view is scanned per child.
-            unknown = (ps | {child}).difference(nodes)
+            unknown = sorted(nid for nid in ps | {child} if nid not in ids)
             if unknown:
-                raise ValueError(f"{path}: edge references unknown node {sorted(unknown)}")
+                raise ValueError(f"{path}: edge references unknown node {unknown}")
         for lineno, nid in caption_lines:
-            if nid not in nodes:
+            if nid not in ids:
                 raise ValueError(f"{path}:{lineno}: caption references unknown node {nid}")
         try:
             TopologicalSorter(parents).prepare()
@@ -383,10 +359,32 @@ class PhraseGraph:
             cycle = " -> ".join(map(str, reversed(exc.args[1])))
             raise ValueError(f"{path}: graph contains a cycle: {cycle}") from None
         return cls(
-            nodes=nodes,
+            nodes=[rows[nid] for nid in ids],
             parents={c: tuple(sorted(p)) for c, p in parents.items()},
             caption_index=caption_index,
         )
+
+
+def _node_row(phrase_s: str, support_s: str, caption_count: int) -> NodeRow:
+    """A node row from its file fields; ValueError names the broken invariant."""
+    if not phrase_s:
+        raise ValueError("empty phrase")
+    phrase = tuple(phrase_s.split(" "))
+    if "" in phrase:
+        raise ValueError(f"empty token in phrase {phrase_s!r}")
+    if not support_s:
+        raise ValueError("empty support")
+    groups = support_s.split(",")
+    support = tuple(sorted(set(groups)))
+    if "" in support:
+        raise ValueError(f"empty group id in support {support_s!r}")
+    if len(support) < len(groups):
+        raise ValueError(f"repeated group id in support {support_s!r}")
+    if caption_count < len(support):
+        raise ValueError(
+            f"caption_count {caption_count} < {len(support)} supporting groups"
+        )
+    return phrase, support, caption_count
 
 
 def _transitive_reduction(
@@ -446,16 +444,12 @@ def build_graph(
         order = sorted(closure, key=rules.generality)
         reduced.update(_transitive_reduction(order, rules.single_step))
 
-    phrase_ids = {phrase: nid for nid, phrase in enumerate(sorted(supports))}
-    nodes = {
-        nid: PhraseNode(
-            id=nid,
-            phrase=phrase,
-            support=frozenset(supports[phrase]),
-            caption_count=caption_counts[phrase],
-        )
-        for phrase, nid in phrase_ids.items()
-    }
+    phrases = sorted(supports)
+    phrase_ids = {phrase: nid for nid, phrase in enumerate(phrases)}
+    nodes = [
+        (phrase, tuple(sorted(supports[phrase])), caption_counts[phrase])
+        for phrase in phrases
+    ]
     caption_index = {raw: phrase_ids[start] for raw, start in caption_starts.items()}
     parents = {
         phrase_ids[phrase]: tuple(sorted([phrase_ids[p] for p in kept]))
@@ -472,7 +466,7 @@ class CaptionClosures:
     ancestors maps raw caption text to the caption's closure minus its own
     lemma tuple, the phrases `PhraseGraph.ancestors` reaches from that
     caption's node. caption_counts counts each phrase once per corpus caption
-    whose closure holds it, as `PhraseNode.caption_count` does, so a text
+    whose closure holds it, as a graph node's caption_count does, so a text
     repeated across groups counts once per occurrence.
     """
 

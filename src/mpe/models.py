@@ -63,6 +63,7 @@ from .autodiff import (
     tanh,
     transpose,
 )
+from .text import _decode
 
 UNK_TOKEN = "<unk>"
 SEPARATOR = "<sep>"
@@ -230,9 +231,11 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
     path = Path(path)
     vectors: dict[str, list[float]] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
+    with path.open("rb") as fh:
+        # bytes.splitlines ends a line at LF, CRLF or a lone CR, as text mode does.
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            parts = _decode(line, path, lineno).split(" ")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: malformed vector line")
             token = parts[0]

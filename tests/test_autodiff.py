@@ -33,7 +33,6 @@ from mpe.autodiff import (
     scale,
     sigmoid,
     softmax,
-    sub,
     tanh,
     tensor_sum,
     transpose,
@@ -74,10 +73,9 @@ class TestTensor:
 
 
 class TestElementwiseOps:
-    def test_add_sub_mul_values(self):
+    def test_add_mul_values(self):
         a, b = Tensor([1.0, 2.0]), Tensor([10.0, 20.0])
         assert np.array_equal(add(a, b).values, [11.0, 22.0])
-        assert np.array_equal(sub(a, b).values, [-9.0, -18.0])
         assert np.array_equal(mul(a, b).values, [10.0, 40.0])
 
     def test_mul_gradients_swap_operands(self):
@@ -85,12 +83,6 @@ class TestElementwiseOps:
         run_backward(lambda: tensor_sum(mul(x, y)))
         assert np.array_equal(x.grad, y.values)
         assert np.array_equal(y.grad, x.values)
-
-    def test_sub_gradient_negates_right(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        run_backward(lambda: tensor_sum(sub(a, b)))
-        assert np.array_equal(a.grad, [1.0, 1.0])
-        assert np.array_equal(b.grad, [-1.0, -1.0])
 
     def test_broadcast_bias_gradient_sums_rows(self):
         a = Tensor(np.ones((3, 2)))

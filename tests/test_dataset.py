@@ -38,6 +38,7 @@ from mpe.dataset import (
     spe_pairs,
 )
 from mpe.graph import build_graph, caption_closures
+from mpe.models import load_pretrained_vectors
 from mpe.text import normalize, word_overlap
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -350,7 +351,8 @@ class TestGeneration:
     def test_support_threshold_rechecked(self, generated, graph):
         for item in generated.items:
             hid = graph.node_id_for_phrase(tuple(item.hypothesis.lemmas))
-            assert graph.nodes[hid].caption_count >= 2
+            _, _, caption_count = graph.nodes[hid]
+            assert caption_count >= 2
 
     def test_one_item_per_group(self, generated):
         gids = [item.scene_group_id for item in generated.items]
@@ -763,3 +765,12 @@ class TestUndecodableBytes:
 
     def test_label_table(self, tmp_path):
         self.check(load_judgments, tmp_path / "judgments.tsv", b"it-1\tE,E,E,N,C\n", 2)
+
+    def test_vectors(self, tmp_path):
+        # Read line by line in binary, yet CRLF and a lone CR end lines as above.
+        good = b"cat 1.0 2.0\r\ndog 3.5 -4.0\rcow 0.5 0.5\n"
+        lf, mixed = tmp_path / "lf.txt", tmp_path / "mixed.txt"
+        lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        mixed.write_bytes(good)
+        assert load_pretrained_vectors(mixed) == load_pretrained_vectors(lf)
+        self.check(load_pretrained_vectors, tmp_path / "vecs.txt", good, 4)

@@ -2,7 +2,9 @@
 
 import os
 import re
+import tempfile
 from graphlib import TopologicalSorter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from mpe.graph import (
     _CONJUNCTIONS,
     LexiconCycleError,
     PhraseGraph,
-    PhraseNode,
     ReductionRuleSet,
     UnknownCaptionError,
     _transitive_reduction,
@@ -272,9 +273,9 @@ class TestBuildGraph:
         )
         assert len(graph) == 1
         assert graph.edges == []
-        only = next(iter(graph.nodes.values()))
-        assert only.support == {"g1"}
-        assert only.caption_count == 1
+        [(_, support, caption_count)] = graph.nodes
+        assert support == ("g1",)
+        assert caption_count == 1
 
     def test_node_set_is_union_of_closures(self):
         graph, captions = build_fixture_graph()
@@ -282,23 +283,24 @@ class TestBuildGraph:
         expected = set()
         for _, sent in captions:
             expected |= closure_of(sent.lemmas, rules)
-        assert {n.phrase for n in graph.nodes.values()} == expected
+        assert {phrase for phrase, _, _ in graph.nodes} == expected
 
     def test_shared_ancestor_supports_both_groups(self):
         graph, _ = build_fixture_graph()
         nid = graph.node_id_for_phrase(("child", "run"))
         assert nid is not None
-        node = graph.nodes[nid]
-        assert node.support == {"g1", "g2"}
+        _, support, caption_count = graph.nodes[nid]
+        assert support == ("g1", "g2")
         # Reached by the girl-run and boy-run captions. The young-girl caption
         # keeps its copula token, so its reductions never hit this phrase.
-        assert node.caption_count == 2
+        assert caption_count == 2
 
     def test_entry_node_counts_own_caption(self):
         graph, _ = build_fixture_graph()
         nid = graph.node_for_caption("A girl runs.")
-        assert graph.phrase(nid) == ("a", "girl", "run")
-        assert graph.nodes[nid].support == {"g1"}
+        phrase, support, _ = graph.nodes[nid]
+        assert phrase == ("a", "girl", "run")
+        assert support == ("g1",)
 
     def test_caption_index_covers_all_captions(self):
         graph, captions = build_fixture_graph()
@@ -308,11 +310,11 @@ class TestBuildGraph:
         graph, _ = build_fixture_graph()
         rules = tiny_rules()
         for parent, child in graph.edges:
-            assert graph.phrase(parent) in rules.single_step(graph.phrase(child))
+            assert phrase_of(graph, parent) in rules.single_step(phrase_of(graph, child))
 
     def test_acyclic(self):
         graph, _ = build_fixture_graph()
-        for nid in graph.nodes:
+        for nid in range(len(graph)):
             assert nid not in graph.ancestors(nid)
 
     def test_node_ids_independent_of_caption_order(self):
@@ -323,10 +325,12 @@ class TestBuildGraph:
         ]
         g1 = build_graph(captions, tiny_rules())
         g2 = build_graph(list(reversed(captions)), tiny_rules())
-        assert {n.id: n.phrase for n in g1.nodes.values()} == {
-            n.id: n.phrase for n in g2.nodes.values()
-        }
+        assert g1.nodes == g2.nodes
         assert g1.edges == g2.edges
+
+
+def phrase_of(graph, nid):
+    return graph.nodes[nid][0]
 
 
 def brute_force_ancestors(graph, nid):
@@ -344,7 +348,7 @@ def brute_force_ancestors(graph, nid):
 class TestAncestors:
     def test_memoized_equals_brute_force(self):
         graph, _ = build_fixture_graph()
-        for nid in graph.nodes:
+        for nid in range(len(graph)):
             assert graph.ancestors(nid) == brute_force_ancestors(graph, nid)
 
     def test_long_chain_ancestors_exact(self, tmp_path):
@@ -359,7 +363,7 @@ class TestAncestors:
 
     def test_never_contains_self(self):
         graph, _ = build_fixture_graph()
-        for nid in graph.nodes:
+        for nid in range(len(graph)):
             assert nid not in graph.ancestors(nid)
 
     def test_transitive_reduction_preserves_reachability(self):
@@ -371,9 +375,9 @@ class TestAncestors:
         rules = tiny_rules()
         graph = build_graph(captions, rules)
         # Raw reachability: closure of single-step over each node's phrase.
-        for nid, node in graph.nodes.items():
-            raw = closure_of(node.phrase, rules) - {node.phrase}
-            via_edges = {graph.phrase(a) for a in graph.ancestors(nid)}
+        for nid, (phrase, _, _) in enumerate(graph.nodes):
+            raw = closure_of(phrase, rules) - {phrase}
+            via_edges = {phrase_of(graph, a) for a in graph.ancestors(nid)}
             assert via_edges == raw
 
     def test_no_redundant_edges(self):
@@ -415,10 +419,10 @@ class TestReductionOracle:
         rules = tiny_rules()
         captions = [(f"g{i}", normalize(" ".join(t))) for i, t in enumerate(token_lists)]
         graph = build_graph(captions, rules)
-        expected = graphlib_reduction([n.phrase for n in graph.nodes.values()], rules)
-        for nid, node in graph.nodes.items():
-            got = {graph.phrase(p) for p in graph.parents(nid)}
-            assert got == expected[node.phrase], node.phrase
+        expected = graphlib_reduction([phrase for phrase, _, _ in graph.nodes], rules)
+        for nid, (phrase, _, _) in enumerate(graph.nodes):
+            got = {phrase_of(graph, p) for p in graph.parents(nid)}
+            assert got == expected[phrase], phrase
             assert list(graph.parents(nid)) == sorted(graph.parents(nid))
 
 
@@ -450,7 +454,7 @@ def graph_simplify(source, premises, graph):
     candidates = set(graph.ancestors(graph.node_for_caption(source)))
     for premise in premises:
         candidates -= graph.ancestors(graph.node_for_caption(premise))
-    return sorted(graph.phrase(nid) for nid in candidates)
+    return sorted(phrase_of(graph, nid) for nid in candidates)
 
 
 class TestSimplifyHypothesis:
@@ -471,7 +475,7 @@ class TestSimplifyHypothesis:
         graph, _ = build_fixture_graph()
         got = simplify_hypothesis("A girl runs.", [], fixture_closures())
         nid = graph.node_for_caption("A girl runs.")
-        assert set(got) == {graph.phrase(a) for a in graph.ancestors(nid)}
+        assert set(got) == {phrase_of(graph, a) for a in graph.ancestors(nid)}
 
     def test_full_exclusion_yields_empty(self):
         got = simplify_hypothesis(
@@ -497,7 +501,7 @@ class TestSimplifyHypothesis:
         got = simplify_hypothesis("A girl runs.", premises, fixture_closures())
         for premise in premises:
             pid = graph.node_for_caption(premise)
-            ancestor_phrases = {graph.phrase(a) for a in graph.ancestors(pid)}
+            ancestor_phrases = {phrase_of(graph, a) for a in graph.ancestors(pid)}
             assert not set(got) & ancestor_phrases
 
     def test_accepts_sentence_objects(self):
@@ -548,9 +552,9 @@ class TestCaptionClosures:
         assert sorted(closures.ancestors) == raws
         for raw in raws:
             nid = graph.node_for_caption(raw)
-            assert closures.ancestors[raw] == {graph.phrase(a) for a in graph.ancestors(nid)}
+            assert closures.ancestors[raw] == {phrase_of(graph, a) for a in graph.ancestors(nid)}
         assert closures.caption_counts == {
-            node.phrase: node.caption_count for node in graph.nodes.values()
+            phrase: caption_count for phrase, _, caption_count in graph.nodes
         }
         source = data.draw(st.sampled_from(raws))
         premises = data.draw(st.lists(st.sampled_from(raws), max_size=4))
@@ -565,9 +569,7 @@ class TestSerialization:
         path = tmp_path / "fixture.graph"
         graph.save(path)
         loaded = PhraseGraph.load(path)
-        assert {n.id: n for n in loaded.nodes.values()} == {
-            n.id: n for n in graph.nodes.values()
-        }
+        assert loaded.nodes == graph.nodes
         assert loaded.edges == graph.edges
         assert loaded.caption_index == graph.caption_index
 
@@ -692,17 +694,77 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["fixture.graph"]
 
 
-class TestPhraseNodeValidation:
-    def test_empty_phrase_rejected(self):
-        with pytest.raises(ValueError, match="empty phrase"):
-            PhraseNode(id=0, phrase=(), support=frozenset({"g"}), caption_count=1)
+class TestNodeRecordValidation:
+    """`load` checks every node row; `build_graph` meets the same checks by
+    construction (TestBuildGraphRows)."""
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError, match="empty support"):
-            PhraseNode(id=0, phrase=("dog",), support=frozenset(), caption_count=1)
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("node\t1\t\tg1\t1", "empty phrase"),
+            ("node\t1\tcat\t\t1", "empty support"),
+            ("node\t1\tcat\tg1,g2\t1", "caption_count 1 < 2 supporting groups"),
+            ("node\t1\tcat  run\tg1\t1", "empty token in phrase 'cat  run'"),
+            ("node\t1\tcat\tg1,\t2", "empty group id in support 'g1,'"),
+            ("node\t1\tcat\tg1,g1\t2", "repeated group id in support 'g1,g1'"),
+            ("node\t1\tdog\tg2\t1", "phrase 'dog' already held by node 0"),
+        ],
+        ids=[
+            "empty-phrase",
+            "empty-support",
+            "count-below-groups",
+            "empty-token",
+            "empty-group-id",
+            "repeated-group-id",
+            "duplicate-phrase",
+        ],
+    )
+    def test_bad_node_record_located(self, tmp_path, record, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(f"mpe-graph\t1\nnode\t0\tdog\tg1\t1\n{record}\n")
+        prefix = re.escape(f"{path}:3: bad 'node' record: ")
+        with pytest.raises(ValueError, match=prefix + re.escape(message)):
+            PhraseGraph.load(path)
 
-    def test_count_below_group_count_rejected(self):
-        with pytest.raises(ValueError, match="caption_count"):
-            PhraseNode(
-                id=0, phrase=("dog",), support=frozenset({"a", "b"}), caption_count=1
-            )
+    def test_sparse_node_ids_rejected(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text(
+            "mpe-graph\t1\nnode\t0\tdog\tg1\t1\nnode\t1\tcat\tg1\t1\n"
+            "node\t5\tcow\tg1\t1\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: node ids [5] are not in 0..2")):
+            PhraseGraph.load(path)
+
+
+class TestBuildGraphRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["g1", "g2", "g3"]),
+                st.lists(
+                    st.sampled_from(
+                        "a the two red big young girl boy dog man park run in on with and".split()
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_rows_meet_load_invariants(self, captions):
+        graph = build_graph(
+            [(gid, normalize(" ".join(tokens))) for gid, tokens in captions], tiny_rules()
+        )
+        phrases = [phrase for phrase, _, _ in graph.nodes]
+        assert phrases == sorted(set(phrases))  # ids are dense in sorted-phrase order
+        for phrase, support, caption_count in graph.nodes:
+            assert phrase and all(phrase)
+            assert support and all(support) and list(support) == sorted(set(support))
+            assert caption_count >= len(support)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.txt"
+            graph.save(path)
+            assert PhraseGraph.load(path).nodes == graph.nodes
