@@ -4,8 +4,9 @@ A Tape records every op executed while it is the active context; backward
 walks the recording in exact reverse order, accumulating gradients into leaf
 tensors. Gradients accumulate across backward calls until explicitly zeroed,
 so training steps must zero between batches. Ops run outside any tape compute
-values only, which is how evaluation avoids bookkeeping. A tensor refers to
-its tape only weakly, so a tape is freed as soon as its last name goes away.
+values only, which is how evaluation avoids bookkeeping. A tape holds its
+outputs and a tensor holds no reference back, so a tape is freed by reference
+count as soon as its last name goes away.
 
 Besides elementwise and matrix ops, `lstm_sequence` reads a batch of padded
 sequences through one LSTM layer as a single op (the fused-gate layout of
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import struct
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -44,29 +44,15 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus its accumulated gradient.
 
-    watched marks trainable parameters; grad is allocated lazily the first
-    time backward reaches the tensor. tape is the recording the tensor was
-    produced on: None for leaves, for values computed outside a tape, and once
-    that tape has been freed (a tensor holds its tape by weak reference only).
+    grad is allocated lazily the first time backward reaches the tensor.
     """
 
-    __slots__ = ("values", "grad", "watched", "name", "_tape")
+    __slots__ = ("values", "grad", "name")
 
-    def __init__(
-        self,
-        values,
-        watched: bool = False,
-        name: str | None = None,
-    ):
+    def __init__(self, values, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.watched = watched
         self.name = name
-        self._tape: "weakref.ref[Tape] | None" = None
-
-    @property
-    def tape(self) -> "Tape | None":
-        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,7 +64,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.values.shape}, watched={self.watched})"
+        return f"Tensor{label}(shape={self.values.shape})"
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -94,10 +80,6 @@ class Tape:
     def __init__(self):
         self._entries: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
         self._prev: Tape | None = None
-        # Handed to every recorded output: a strong reference back from the
-        # outputs the entries hold would keep a finished tape alive until the
-        # cyclic garbage collector runs.
-        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -115,10 +97,7 @@ class Tape:
     ) -> None:
         """Record an op's output, or the tuple of its outputs; the thunk runs
         in backward when any of them has a gradient."""
-        outs = out if isinstance(out, tuple) else (out,)
-        for t in outs:
-            t._tape = self._ref
-        self._entries.append((outs, backward_thunk))
+        self._entries.append((out if isinstance(out, tuple) else (out,), backward_thunk))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,13 +108,15 @@ class Tape:
         Intermediate grads are reset first, so repeated calls accumulate only
         into leaves (parameters and inputs), never double-count internals.
         """
-        if loss.tape is not self:
-            raise ValueError("loss was not recorded on this tape")
         if loss.values.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.values.shape}")
+        recorded = False
         for outs, _ in self._entries:
             for out in outs:
                 out.grad = None
+                recorded = recorded or out is loss
+        if not recorded:
+            raise ValueError("loss was not recorded on this tape")
         loss.grad = np.ones_like(loss.values)
         for outs, thunk in reversed(self._entries):
             if any(out.grad is not None for out in outs):
@@ -145,17 +126,6 @@ class Tape:
 def active_tape() -> "Tape | None":
     """The tape currently recording, if any (custom ops hook in here)."""
     return _ACTIVE_TAPE
-
-
-def backward(loss: Tensor) -> None:
-    if loss._tape is None:
-        raise ValueError("loss was not recorded on any tape")
-    tape = loss.tape
-    if tape is None:
-        raise ValueError(
-            "the tape that recorded loss has been freed; keep the Tape until backward"
-        )
-    tape.backward(loss)
 
 
 def zero_grad(tensors: Sequence[Tensor]) -> None:
@@ -179,7 +149,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _record(out: Tensor, thunk: Callable[[], None]) -> Tensor:
+def _record(out: "Tensor | tuple[Tensor, ...]", thunk: Callable[[], None]):
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(out, thunk)
     return out
@@ -587,9 +557,7 @@ def lstm_sequence(
             for gate, w in enumerate(tensors):
                 _accumulate(w, grad[..., gate * k : (gate + 1) * k])
 
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record((hidden, cell), thunk)
-    return hidden, cell
+    return _record((hidden, cell), thunk)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -601,7 +569,7 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over named watched tensors, with the moment decays
+    """Bias-corrected Adam over named tensors, with the moment decays
     `ADAM_BETA1` and `ADAM_BETA2` and the denominator floor `ADAM_EPS`."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = 0.001):

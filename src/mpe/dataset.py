@@ -729,10 +729,10 @@ def _parse_jsonl(path: Path, lines: list[str], fmt: str) -> list:
 
 def _load_jsonl(path: str | Path, fmt: str) -> list:
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    if not lines:
+    text = _read_text(path)
+    if not text:
         raise ValueError(f"{path}: empty {_RECORDS[fmt][1]}s file")
-    return _parse_jsonl(path, lines, fmt)
+    return _parse_jsonl(path, text.split("\n"), fmt)
 
 
 def save_items(items: Sequence[Item], path: str | Path) -> None:
@@ -755,9 +755,9 @@ def load_spe_pairs(path: str | Path) -> list[SpePair]:
 def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
     """Load an items or single-premise-pairs file, dispatching on its header."""
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _read_text(path).split("\n")
     try:
-        header = json.loads(lines[0] if lines else "")
+        header = json.loads(lines[0])
     except json.JSONDecodeError:
         raise ValueError(f"{path}:1: not a data file (bad header)") from None
     kind = header.get("format") if isinstance(header, dict) else None

@@ -70,10 +70,12 @@ class LexiconCycleError(ValueError):
 
 def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
     table: dict[str, list[str]] = {}
-    for line in _read_word_list(path):
+    for lineno, line in _read_word_list(path).items():
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"bad hypernym entry (want specific<TAB>general): {line!r}")
+            raise ValueError(
+                f"{path}:{lineno}: bad hypernym entry (want specific<TAB>general): {line!r}"
+            )
         specific, general = parts
         table.setdefault(specific, [])
         if general not in table[specific]:
@@ -137,9 +139,9 @@ class ReductionRuleSet:
     @classmethod
     def default(cls) -> "ReductionRuleSet":
         return cls(
-            determiners=frozenset(_read_word_list(_DATA_DIR / "determiners.txt")),
-            adjectives=frozenset(_read_word_list(_DATA_DIR / "adjectives.txt")),
-            prepositions=frozenset(_read_word_list(_DATA_DIR / "prepositions.txt")),
+            determiners=frozenset(_read_word_list(_DATA_DIR / "determiners.txt").values()),
+            adjectives=frozenset(_read_word_list(_DATA_DIR / "adjectives.txt").values()),
+            prepositions=frozenset(_read_word_list(_DATA_DIR / "prepositions.txt").values()),
             hypernyms=_load_hypernyms(_DATA_DIR / "hypernyms.txt"),
         )
 
@@ -301,9 +303,10 @@ class PhraseGraph:
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
         """Read a `save`d file; this is where node rows are checked."""
-        lines = _read_text(path).splitlines()
-        if not lines:
+        text = _read_text(path)
+        if not text:
             raise ValueError(f"{path}: empty graph file")
+        lines = text.split("\n")
         header = lines[0].split("\t")
         if len(header) != 2 or header[0] != GRAPH_FORMAT:
             raise ValueError(f"{path}:1: bad header {lines[0]!r}")
@@ -330,7 +333,10 @@ class PhraseGraph:
                         raise ValueError(f"phrase {phrase_s!r} already held by node {held}")
                 elif kind == "edge":
                     parent_s, child_s = rest.split("\t")
-                    parents.setdefault(int(child_s), set()).add(int(parent_s))
+                    parent, known = int(parent_s), parents.setdefault(int(child_s), set())
+                    if parent in known:
+                        raise ValueError(f"duplicate edge {parent} -> {child_s}")
+                    known.add(parent)
                 elif kind == "caption":
                     nid_s, _, raw = rest.partition("\t")
                     if raw in caption_index:

@@ -85,7 +85,7 @@ def concat_premises(premises: Sequence[Sequence[str]]) -> list[str]:
 
 
 def _weight(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    return Tensor(rng.normal(scale=INIT_SCALE, size=shape), watched=True, name=name)
+    return Tensor(rng.normal(scale=INIT_SCALE, size=shape), name=name)
 
 
 class EmbeddingTable:
@@ -163,7 +163,7 @@ class EmbeddingTable:
         """Rows of `matrix` in `ordered` token order, plus freshly drawn UNK
         and separator rows."""
         special = _weight("embeddings.special", (2, matrix.shape[1]), rng)
-        main = Tensor(matrix, watched=trainable, name="embeddings.main")
+        main = Tensor(matrix, name="embeddings.main")
         vocab = {token: i for i, token in enumerate(ordered)}
         return cls(vocab, main, special, trainable)
 
@@ -265,17 +265,9 @@ class LstmCell:
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(
-        self,
-        tensors: dict[str, Tensor],
-        input_dim: int,
-        state_dim: int,
-        prefix: str,
-    ):
+    def __init__(self, tensors: dict[str, Tensor], state_dim: int, prefix: str):
         self.tensors = tensors
-        self.input_dim = input_dim
         self.state_dim = state_dim
-        self.prefix = prefix
         self._gates = tuple(
             [tensors[f"{prefix}.{gate}.{part}"] for gate in self.GATES]
             for part in ("Wx", "Wh", "b")
@@ -283,12 +275,12 @@ class LstmCell:
 
     @classmethod
     def random(
-        cls, input_dim: int, state_dim: int, rng: np.random.Generator, prefix: str
+        cls, dim: int, state_dim: int, rng: np.random.Generator, prefix: str
     ) -> "LstmCell":
         tensors: dict[str, Tensor] = {}
         for gate in cls.GATES:
             for suffix, shape in (
-                ("Wx", (input_dim, state_dim)),
+                ("Wx", (dim, state_dim)),
                 ("Wh", (state_dim, state_dim)),
             ):
                 name = f"{prefix}.{gate}.{suffix}"
@@ -297,8 +289,8 @@ class LstmCell:
             if gate == "forget":
                 bias += FORGET_BIAS
             name = f"{prefix}.{gate}.b"
-            tensors[name] = Tensor(bias, watched=True, name=name)
-        return cls(tensors, input_dim, state_dim, prefix)
+            tensors[name] = Tensor(bias, name=name)
+        return cls(tensors, state_dim, prefix)
 
     def read(
         self, rows: Tensor, h0: Tensor, c0: Tensor, lengths: Sequence[int] | None = None
@@ -343,11 +335,11 @@ class ConditionalCore:
 
     @classmethod
     def random(
-        cls, input_dim: int, state_dim: int, rng: np.random.Generator
+        cls, dim: int, state_dim: int, rng: np.random.Generator
     ) -> "ConditionalCore":
         return cls(
-            LstmCell.random(input_dim, state_dim, rng, "premise_lstm"),
-            LstmCell.random(input_dim, state_dim, rng, "hypothesis_lstm"),
+            LstmCell.random(dim, state_dim, rng, "premise_lstm"),
+            LstmCell.random(dim, state_dim, rng, "hypothesis_lstm"),
         )
 
     def read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
@@ -379,7 +371,7 @@ class ConditionalCore:
 
 def _affine(name: str, rows: int, cols: int, rng: np.random.Generator):
     w = _weight(f"{name}.W", (rows, cols), rng)
-    b = Tensor(np.zeros(cols), watched=True, name=f"{name}.b")
+    b = Tensor(np.zeros(cols), name=f"{name}.b")
     return w, b
 
 

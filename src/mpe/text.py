@@ -86,13 +86,13 @@ def _decode(data: bytes, path: str | Path, lineno: int = 1) -> str:
         ) from None
 
 
-def _read_word_list(path: Path) -> list[str]:
-    words = []
-    for line in _read_text(path).splitlines():
+def _read_word_list(path: Path) -> dict[int, str]:
+    """Each non-blank, non-comment line, stripped, by its line number."""
+    words = {}
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.append(line)
+        if line and not line.startswith("#"):
+            words[lineno] = line
     return words
 
 
@@ -121,7 +121,7 @@ class StopwordList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordList":
-        return cls.from_words(_read_word_list(Path(path)))
+        return cls.from_words(_read_word_list(Path(path)).values())
 
 
 _DEFAULT_STOPWORDS: StopwordList | None = None
@@ -184,10 +184,12 @@ class Lemmatizer:
     @classmethod
     def from_file(cls, path: str | Path) -> "Lemmatizer":
         exceptions = {}
-        for line in _read_word_list(Path(path)):
+        for lineno, line in _read_word_list(Path(path)).items():
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"bad exception entry (want form<TAB>lemma): {line!r}")
+                raise ValueError(
+                    f"{path}:{lineno}: bad exception entry (want form<TAB>lemma): {line!r}"
+                )
             exceptions[parts[0]] = parts[1]
         return cls(exceptions)
 

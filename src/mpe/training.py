@@ -2,10 +2,13 @@
 
 `train` is the one entry point. Given `pretrain` items it runs a `pretrain`
 phase on them and then a `finetune` phase on the training items; otherwise it
-runs one `train` phase. A Trainer owns one optimizer and two seeded random
-streams (shuffling and dropout) that persist across phases, so running a
-pretrain phase followed by a fine-tune phase on the same data is bitwise
-equivalent to one long run.
+runs one `train` phase, and returns its Trainer. A Trainer owns one optimizer
+over the model's `params()` (the trainable set has no other record) and two
+seeded random streams (shuffling and dropout) that persist across phases, so
+running a pretrain phase followed by a fine-tune phase on the same data is
+bitwise equivalent to one long run. It also holds the run's state: the
+model, the epoch logs and the best-epoch snapshot, which
+`save_best_checkpoint` writes.
 Each mini-batch is one padded batch through the model: one taped forward,
 one backward of its mean loss and one Adam step. Dropout masks are drawn
 item by item, so the mask stream is that of reading the items one at a time,
@@ -39,7 +42,7 @@ from .autodiff import (
     tensor_sum,
 )
 from .dataset import Item, LABELS, SpePair, label_index
-from .models import ARCHITECTURES, _ModelBase
+from .models import ARCHITECTURES
 from .text import Sentence, tokenize
 
 
@@ -183,22 +186,9 @@ class EpochLog:
         return asdict(self)
 
 
-@dataclass
-class TrainResult:
-    """Final model plus the per-epoch log and the retained best snapshot."""
-
-    model: _ModelBase
-    logs: tuple[EpochLog, ...]
-    best_phase: str
-    best_epoch: int
-    best_params: dict[str, np.ndarray]
-
-    def save_best_checkpoint(self, path) -> None:
-        save_checkpoint(path, self.best_params, self.model._meta())
-
-
 class Trainer:
-    """Mini-batch optimizer state shared across training phases."""
+    """Mini-batch optimizer state shared across training phases, the
+    per-epoch log and the retained best snapshot."""
 
     def __init__(self, model, config: TrainConfig):
         self.model = model
@@ -268,14 +258,8 @@ class Trainer:
             self._snapshot(phase, epoch, dev_acc if dev else -train_loss)
         return phase_logs
 
-    def result(self) -> TrainResult:
-        return TrainResult(
-            model=self.model,
-            logs=tuple(self.logs),
-            best_phase=self.best_phase,
-            best_epoch=self.best_epoch,
-            best_params=self.best_params,
-        )
+    def save_best_checkpoint(self, path) -> None:
+        save_checkpoint(path, self.best_params, self.model._meta())
 
 
 def train(
@@ -284,9 +268,10 @@ def train(
     dev: Sequence["Item | SpePair"] | None = None,
     model=None,
     pretrain: Sequence["Item | SpePair"] | None = None,
-) -> TrainResult:
+) -> Trainer:
     """Train on `items` for `config.epochs` epochs, after as many epochs on
-    `pretrain` when given, with one optimizer and one pair of random streams.
+    `pretrain` when given, with one optimizer and one pair of random streams,
+    and return the Trainer holding the model, logs and best snapshot.
     Without `model`, builds one from the vocabulary of both item sets."""
     if model is None:
         model = build_model(config, vocabulary_from_items([*(pretrain or ()), *items]))
@@ -296,7 +281,7 @@ def train(
     else:
         trainer.run(pretrain, config.epochs, dev=dev, phase="pretrain")
         trainer.run(items, config.epochs, dev=dev, phase="finetune")
-    return trainer.result()
+    return trainer
 
 
 # --- evaluation ---------------------------------------------------------------

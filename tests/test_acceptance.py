@@ -455,8 +455,8 @@ def test_criterion_9_numerical_core():
     certainty_ok = 0.0 <= float(certain.values) <= 1e-12
 
     params = [
-        Tensor(rng.normal(size=(4, 4)), watched=True, name="a"),
-        Tensor(rng.normal(size=(3,)), watched=True, name="b"),
+        Tensor(rng.normal(size=(4, 4)), name="a"),
+        Tensor(rng.normal(size=(3,)), name="b"),
     ]
     before = [p.values.copy() for p in params]
     opt = Adam(params)

@@ -16,7 +16,6 @@ from mpe.autodiff import (
     Tensor,
     active_tape,
     add,
-    backward,
     concat,
     cross_entropy,
     dropout,
@@ -58,12 +57,11 @@ class TestTensor:
     def test_defaults(self):
         t = Tensor(1.0)
         assert t.grad is None
-        assert not t.watched
         assert t.name is None
-        assert t.tape is None
+        assert Tensor.__slots__ == ("values", "grad", "name")
 
     def test_repr_mentions_name(self):
-        assert "'w'" in repr(Tensor([1.0], watched=True, name="w"))
+        assert "'w'" in repr(Tensor([1.0], name="w"))
 
     def test_zero_grad_helper(self):
         t = Tensor([1.0])
@@ -163,8 +161,8 @@ class TestMatmul:
     @pytest.mark.parametrize("paired", [False, True], ids=["shared", "paired"])
     def test_batch_gradients_match_finite_differences(self, paired):
         rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(2, 3, 4)), watched=True, name="a")
-        b = Tensor(rng.normal(size=(2, 4, 3) if paired else (4, 3)), watched=True, name="b")
+        a = Tensor(rng.normal(size=(2, 3, 4)), name="a")
+        b = Tensor(rng.normal(size=(2, 4, 3) if paired else (4, 3)), name="b")
         weights = Tensor(rng.normal(size=(2, 3, 3)))
         report = grad_check(
             lambda: tensor_sum(mul(matmul(a, b), weights)), [a, b], np.random.default_rng(2)
@@ -180,7 +178,7 @@ class TestMatmul:
             matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 2))))
 
     def test_transpose_of_a_batch_swaps_each_matrix(self):
-        x = Tensor(np.arange(12.0).reshape(2, 3, 2), watched=True, name="x")
+        x = Tensor(np.arange(12.0).reshape(2, 3, 2), name="x")
         assert np.array_equal(transpose(x).values, x.values.transpose(0, 2, 1))
         report = grad_check(
             lambda: tensor_sum(mul(transpose(x), Tensor(np.arange(12.0).reshape(2, 2, 3)))),
@@ -349,7 +347,7 @@ class TestCrossEntropy:
         probs = softmax(Tensor(rows)).values
         probs[[0, 1, 2], [1, 3, 0]] -= 1.0
         assert np.max(np.abs(logits.grad - probs * upstream.values[:, None])) <= 1e-12
-        leaf = Tensor(rows, watched=True, name="logits")
+        leaf = Tensor(rows, name="logits")
         report = grad_check(
             lambda: tensor_sum(mul(cross_entropy(leaf, [1, 3, 0]), upstream)),
             [leaf],
@@ -417,7 +415,7 @@ class TestLookup:
         assert np.array_equal(out.values, table.values[[2, 0, 2]])
 
     def test_repeated_rows_accumulate_gradient(self):
-        table = Tensor(np.zeros((4, 3)), watched=True, name="emb")
+        table = Tensor(np.zeros((4, 3)), name="emb")
         run_backward(lambda: tensor_sum(lookup(table, [2, 0, 2])))
         assert np.array_equal(table.grad[0], [1.0, 1.0, 1.0])
         assert np.array_equal(table.grad[2], [2.0, 2.0, 2.0])
@@ -437,7 +435,7 @@ class TestLookup:
 
 
     def test_index_array_shape_is_kept(self):
-        table = Tensor(np.arange(12.0).reshape(4, 3), watched=True, name="t")
+        table = Tensor(np.arange(12.0).reshape(4, 3), name="t")
         idx = np.array([[3, 0], [3, 3]])
         out = lookup(table, idx)
         assert out.shape == (2, 2, 3)
@@ -453,7 +451,7 @@ class TestPickAndReshape:
         assert np.array_equal(pick(x, 2).values, x.values[:, 2])
 
     def test_pick_gradient(self):
-        x = Tensor(np.random.default_rng(6).normal(size=(3, 4, 2)), watched=True, name="x")
+        x = Tensor(np.random.default_rng(6).normal(size=(3, 4, 2)), name="x")
         weights = Tensor(np.random.default_rng(7).normal(size=(3, 2)))
         report = grad_check(
             lambda: add(
@@ -476,7 +474,7 @@ class TestPickAndReshape:
             pick(x, [0, 3])
 
     def test_reshape_values_and_gradient(self):
-        x = Tensor(np.random.default_rng(9).normal(size=(2, 6)), watched=True, name="x")
+        x = Tensor(np.random.default_rng(9).normal(size=(2, 6)), name="x")
         assert np.array_equal(reshape(x, (2, 3, 2)).values, x.values.reshape(2, 3, 2))
         weights = Tensor(np.random.default_rng(10).normal(size=(2, 3, 2)))
         report = grad_check(
@@ -494,7 +492,7 @@ def lstm_operands(seed, d=3, k=4, steps=5):
     rng = np.random.default_rng(seed)
 
     def leaf(name, shape, scale=1.0):
-        return Tensor(rng.normal(scale=scale, size=shape), watched=True, name=name)
+        return Tensor(rng.normal(scale=scale, size=shape), name=name)
 
     x = leaf("x", (1, steps, d))
     h0, c0 = leaf("h0", (1, k)), leaf("c0", (1, k))
@@ -540,7 +538,14 @@ class TestLstmSequence:
     def test_untaped_call_records_nothing_and_matches_taped(self):
         operands = lstm_operands(3)
         hidden, cell = lstm_sequence(operands[0], None, operands[1], operands[2], *operands[3])
-        assert hidden.tape is None and cell.tape is None
+        # Untaped outputs are constants to a later tape: no gradient passes
+        # through them to the operands.
+        with Tape() as later:
+            loss = tensor_sum(add(tensor_sum(hidden), tensor_sum(cell)))
+        later.backward(loss)
+        assert len(later) == 4
+        assert hidden.grad is not None and cell.grad is not None
+        assert all(t.grad is None for t in lstm_leaves(*operands))
         with Tape() as tape:
             taped = lstm_sequence(operands[0], None, operands[1], operands[2], *operands[3])
         assert len(tape) == 1
@@ -582,9 +587,9 @@ class TestLstmSequence:
         padding, h0 and c0."""
         rng = np.random.default_rng(seed)
         gates = lstm_operands(seed, d, k)[3]
-        x = Tensor(rng.normal(size=(len(lengths), max(lengths), d)), watched=True, name="x")
-        h0 = Tensor(rng.normal(size=(len(lengths), k)), watched=True, name="h0")
-        c0 = Tensor(rng.normal(size=(len(lengths), k)), watched=True, name="c0")
+        x = Tensor(rng.normal(size=(len(lengths), max(lengths), d)), name="x")
+        h0 = Tensor(rng.normal(size=(len(lengths), k)), name="h0")
+        c0 = Tensor(rng.normal(size=(len(lengths), k)), name="c0")
         return x, h0, c0, gates
 
     @pytest.mark.parametrize("through_hidden", [True, False], ids=["hidden", "cell-only"])
@@ -699,16 +704,8 @@ class TestBackwardMechanics:
 
     def test_loss_outside_any_tape_rejected(self):
         loss = tensor_sum(Tensor([1.0]))
-        assert loss.tape is None
-        with pytest.raises(ValueError):
-            backward(loss)
-
-    def test_module_level_backward_dispatches(self):
-        x = Tensor([2.0])
-        with Tape() as tape:  # held: backward needs the tape alive
-            loss = tensor_sum(mul(x, x))
-        backward(loss)
-        assert np.array_equal(x.grad, [4.0])
+        with pytest.raises(ValueError, match="not recorded"):
+            Tape().backward(loss)
 
     def test_dropping_a_tape_frees_it_without_the_cycle_collector(self):
         x = Tensor([2.0])
@@ -716,20 +713,58 @@ class TestBackwardMechanics:
         try:
             with Tape() as tape:
                 loss = tensor_sum(mul(x, x))
-            assert loss.tape is tape
             freed = weakref.ref(tape)
             del tape
             assert freed() is None
-            assert loss.tape is None
-            with pytest.raises(ValueError, match="freed"):
-                backward(loss)
+            # The outputs outlive their tape and still hold their values.
+            assert np.array_equal(loss.values, 4.0)
         finally:
             gc.enable()
 
     def test_ops_outside_tape_do_not_record(self):
         assert active_tape() is None
-        out = add(Tensor([1.0]), Tensor([2.0]))
-        assert out.tape is None
+        x = Tensor([1.0])
+        out = add(x, Tensor([2.0]))
+        # To a later tape the untaped output is a leaf: its gradient stops there.
+        with Tape() as later:
+            loss = tensor_sum(out)
+        later.backward(loss)
+        assert len(later) == 1
+        assert out.grad is not None and x.grad is None
+
+    def test_record_takes_a_tuple_of_outputs(self):
+        """A custom op with two outputs is one entry, whose thunk runs when
+        either output has a gradient."""
+        x = Tensor([1.0, -2.0])
+
+        def split_double(t):
+            a, b = Tensor(t.values * 2.0), Tensor(t.values * -3.0)
+
+            def thunk():
+                g = np.zeros_like(t.values)
+                if a.grad is not None:
+                    g += 2.0 * a.grad
+                if b.grad is not None:
+                    g -= 3.0 * b.grad
+                t.grad = g if t.grad is None else t.grad + g
+
+            active_tape().record((a, b), thunk)
+            return a, b
+
+        for pick_output, expected in ((0, [2.0, 2.0]), (1, [-3.0, -3.0])):
+            x.grad = None
+            with Tape() as tape:
+                outputs = split_double(x)
+                loss = tensor_sum(outputs[pick_output])
+            assert len(tape) == 2
+            tape.backward(loss)
+            assert np.array_equal(x.grad, expected)
+        x.grad = None
+        with Tape() as tape:
+            a, b = split_double(x)
+            loss = tensor_sum(add(a, b))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, [-1.0, -1.0])
 
     def test_tapes_nest_and_restore(self):
         with Tape() as outer:
@@ -772,7 +807,7 @@ def adam_reference(w0, grad_fn, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 class TestAdam:
     def test_single_step_matches_reference(self):
-        w = Tensor([1.0, -3.0], watched=True, name="w")
+        w = Tensor([1.0, -3.0], name="w")
         opt = Adam([w])
         w.grad = np.array([2.0, 4.0])
         opt.step()
@@ -782,7 +817,7 @@ class TestAdam:
 
     def test_three_steps_match_reference(self):
         grads = [np.array([2.0]), np.array([-1.0]), np.array([0.5])]
-        w = Tensor([1.0], watched=True, name="w")
+        w = Tensor([1.0], name="w")
         opt = Adam([w], lr=0.01)
         for g in grads:
             w.grad = g.copy()
@@ -792,7 +827,7 @@ class TestAdam:
         assert np.allclose(w.values, expected, rtol=1e-12, atol=0)
 
     def test_zero_gradient_leaves_values_unchanged(self):
-        w = Tensor([1.5, -2.5], watched=True, name="w")
+        w = Tensor([1.5, -2.5], name="w")
         before = w.values.copy()
         opt = Adam([w])
         w.grad = np.zeros(2)
@@ -801,8 +836,8 @@ class TestAdam:
         assert opt.step_count == 1
 
     def test_missing_gradients_listed_by_name(self):
-        a = Tensor([1.0], watched=True, name="alpha")
-        b = Tensor([1.0], watched=True, name="beta")
+        a = Tensor([1.0], name="alpha")
+        b = Tensor([1.0], name="beta")
         opt = Adam([a, b])
         a.grad = np.ones(1)
         with pytest.raises(ValueError) as exc:
@@ -813,17 +848,17 @@ class TestAdam:
 
     def test_name_requirements(self):
         with pytest.raises(ValueError):
-            Adam([Tensor([1.0], watched=True)])
+            Adam([Tensor([1.0])])
         with pytest.raises(ValueError):
             Adam(
                 [
-                    Tensor([1.0], watched=True, name="w"),
-                    Tensor([2.0], watched=True, name="w"),
+                    Tensor([1.0], name="w"),
+                    Tensor([2.0], name="w"),
                 ]
             )
 
     def test_zero_grad_clears_all(self):
-        w = Tensor([1.0], watched=True, name="w")
+        w = Tensor([1.0], name="w")
         w.grad = np.ones(1)
         Adam([w]).zero_grad()
         assert w.grad is None
@@ -831,7 +866,7 @@ class TestAdam:
     def test_quadratic_descent_tracks_oracle(self):
         # Minimize w^2 from w=1; at lr=0.01 Adam's near-unit steps bring
         # |w| under 0.5 well within 100 iterations.
-        w = Tensor([1.0], watched=True, name="w")
+        w = Tensor([1.0], name="w")
         opt = Adam([w], lr=0.01)
         losses = []
         for _ in range(100):
@@ -848,7 +883,7 @@ class TestAdam:
 
     def test_runs_are_deterministic(self):
         def final():
-            w = Tensor([1.0, 2.0], watched=True, name="w")
+            w = Tensor([1.0, 2.0], name="w")
             opt = Adam([w], lr=0.05)
             for _ in range(10):
                 opt.zero_grad()
@@ -864,8 +899,8 @@ class TestAdam:
 class TestGradCheck:
     def test_linear_model_is_exact_to_roundoff(self):
         rng = np.random.default_rng(0)
-        weights = Tensor(rng.normal(size=(2, 3)), watched=True, name="W")
-        bias = Tensor(rng.normal(size=3), watched=True, name="b")
+        weights = Tensor(rng.normal(size=(2, 3)), name="W")
+        bias = Tensor(rng.normal(size=3), name="b")
         x = Tensor(rng.normal(size=(1, 2)))
 
         def forward():
@@ -878,8 +913,8 @@ class TestGradCheck:
 
     def test_small_nonlinear_net_passes(self):
         rng = np.random.default_rng(2)
-        w1 = Tensor(rng.normal(scale=0.5, size=(3, 4)), watched=True, name="w1")
-        w2 = Tensor(rng.normal(scale=0.5, size=(4, 3)), watched=True, name="w2")
+        w1 = Tensor(rng.normal(scale=0.5, size=(3, 4)), name="w1")
+        w2 = Tensor(rng.normal(scale=0.5, size=(4, 3)), name="w2")
         x = Tensor(rng.normal(size=(1, 3)))
 
         def forward():
@@ -891,7 +926,7 @@ class TestGradCheck:
         assert report.passed
 
     def test_detects_corrupted_gradient(self):
-        x = Tensor([0.5], watched=True, name="x")
+        x = Tensor([0.5], name="x")
 
         def bad_double(t):
             out = Tensor(t.values * 2.0)
@@ -913,8 +948,8 @@ class TestGradCheck:
         assert not report.passed
 
     def test_zero_analytic_gradient_still_checked(self):
-        unused = Tensor([1.0], watched=True, name="unused")
-        live = Tensor([1.0], watched=True, name="live")
+        unused = Tensor([1.0], name="unused")
+        live = Tensor([1.0], name="live")
 
         def forward():
             return tensor_sum(mul(live, live))
@@ -924,7 +959,7 @@ class TestGradCheck:
         assert report.passed
 
     def test_restores_parameter_values(self):
-        w = Tensor([1.0, 2.0, 3.0], watched=True, name="w")
+        w = Tensor([1.0, 2.0, 3.0], name="w")
         before = w.values.copy()
         grad_check(lambda: tensor_sum(mul(w, w)), [w], np.random.default_rng(0))
         assert np.array_equal(w.values, before)
@@ -946,7 +981,7 @@ class TestCheckpoints:
     def payload(self):
         rng = np.random.default_rng(9)
         return {
-            "w": Tensor(rng.normal(size=(2, 3)), watched=True, name="w"),
+            "w": Tensor(rng.normal(size=(2, 3)), name="w"),
             "b": rng.normal(size=3),
             "s": np.float64(4.25),
         }

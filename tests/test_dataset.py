@@ -587,8 +587,21 @@ class TestItemsIO:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "items.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty items file"):
             load_items(path)
+
+    @pytest.mark.parametrize("load", [load_items, load_examples])
+    def test_raw_line_separator_inside_a_string(self, tmp_path, load):
+        """JSON allows U+2028 unescaped in a string; it does not end a line."""
+        item = mk_item("i0", hypothesis="a dog\u2028runs")
+        path = tmp_path / "items.jsonl"
+        save_items([item], path)
+        path.write_text(
+            path.read_text(encoding="utf-8").replace("\\u2028", "\u2028"),
+            encoding="utf-8",
+        )
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load(path) == [item]
 
     def test_duplicate_id_located(self, tmp_path):
         path = tmp_path / "items.jsonl"

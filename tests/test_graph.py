@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpe.graph import (
     _CONJUNCTIONS,
     LexiconCycleError,
+    _load_hypernyms,
     PhraseGraph,
     ReductionRuleSet,
     UnknownCaptionError,
@@ -22,7 +23,12 @@ from mpe.graph import (
     caption_closures,
     simplify_hypothesis,
 )
+from mpe.dataset import Item, load_items, save_items
 from mpe.text import normalize
+
+# Characters at which str.splitlines breaks a line but "\n"-split file
+# formats do not: VT, FF, FS, GS, RS, NEL, LINE and PARAGRAPH SEPARATOR.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def tiny_rules(**overrides):
@@ -195,6 +201,14 @@ class TestLexiconValidation:
         assert "the" in rules.determiners
         assert "in" in rules.prepositions
         assert rules.hypernyms["girl"] == ("child",)
+
+    def test_bad_hypernym_entry_located(self, tmp_path):
+        path = tmp_path / "hypernyms.txt"
+        path.write_text("girl\tchild\n# comment\nboy child\n")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}:3: bad hypernym entry") + ".*'boy child'"
+        ):
+            _load_hypernyms(path)
 
 
 class TestApplyReductions:
@@ -587,6 +601,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bad header"):
             PhraseGraph.load(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.graph"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty graph file")):
+            PhraseGraph.load(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("mpe-graph\t99\n")
@@ -626,6 +646,63 @@ class TestSerialization:
         assert len(cycle) == 4 and cycle[0] == cycle[-1]
         for child, parent in zip(cycle, cycle[1:]):
             assert (parent, child) in edges
+
+    def test_repeated_edge_located(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text(
+            "mpe-graph\t1\nnode\t0\tdog\tg1\t1\nnode\t1\tanimal\tg1\t1\n"
+            "edge\t1\t0\nedge\t1\t0\n"
+        )
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"{path}:5: bad 'edge' record: duplicate edge 1 -> 0"),
+        ):
+            PhraseGraph.load(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["g1", "g2"]),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(" " + SPLITLINES_ONLY),
+                        st.sampled_from("a the girl boy dog red in park run".split()),
+                    ),
+                    min_size=1,
+                    max_size=5,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_splitlines_only_separators_round_trip(self, captions):
+        """Captions holding characters that only str.splitlines treats as line
+        ends: the graph and items files still round-trip byte for byte."""
+        raws = [
+            (gid, "".join(sep + word for sep, word in words)[1:]) for gid, words in captions
+        ]
+        graph = build_graph([(gid, normalize(raw)) for gid, raw in raws], tiny_rules())
+        sentences = [normalize(raw) for _, raw in raws]
+        item = Item(
+            id="i0",
+            scene_group_id="g1",
+            premises=tuple(sentences[i % len(sentences)] for i in range(4)),
+            hypothesis=sentences[-1],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.graph", Path(tmp) / "b.graph"
+            graph.save(first)
+            loaded = PhraseGraph.load(first)
+            assert loaded.nodes == graph.nodes
+            assert loaded.edges == graph.edges
+            assert loaded.caption_index == graph.caption_index
+            loaded.save(second)
+            assert second.read_bytes() == first.read_bytes()
+            items_path = Path(tmp) / "items.jsonl"
+            save_items([item], items_path)
+            assert load_items(items_path) == [item]
 
     def test_long_chain_loads(self, tmp_path):
         n = 3000

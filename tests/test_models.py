@@ -126,8 +126,6 @@ class TestEmbeddingTable:
         ]
         frozen = self.table(False)
         assert [t.name for t in frozen.params()] == ["embeddings.special"]
-        assert not frozen.main.watched
-        assert frozen.special.watched
 
     def test_reserved_tokens_rejected_in_vocab(self):
         table = self.table()

@@ -4,6 +4,8 @@ Expected values in TestNormalizeFixtures and TestOverlapFixtures were derived
 by hand before the implementation and are frozen here.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,14 @@ class TestLemmatizer:
         lem = default_lemmatizer()
         for form, target in lem.exceptions.items():
             assert lem.lemma(target) == target, (form, target)
+
+    def test_bad_exception_entry_located(self, tmp_path):
+        path = tmp_path / "exceptions.txt"
+        path.write_text("# form<TAB>lemma\nmice\tmouse\n\nbad\n")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}:4: bad exception entry") + ".*'bad'"
+        ):
+            Lemmatizer.from_file(path)
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=14))
     @settings(max_examples=400, deadline=None)
