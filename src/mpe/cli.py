@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +30,7 @@ from . import __version__
 from .autodiff import CHECKPOINT_VERSION, cross_entropy, grad_check
 from .dataset import (
     FORMAT_VERSION,
+    SPLITS,
     CaptionGroup,
     GenerationConfig,
     Item,
@@ -175,12 +176,7 @@ def cmd_build_graph(args, inputs) -> _Written:
 
 def cmd_build_dataset(args, inputs) -> _Written:
     config = GenerationConfig(
-        n_items=args.n_items,
-        seed=args.seed,
-        overlap_max=args.overlap_max,
-        related_fraction=args.related_fraction,
-        min_support=args.min_support,
-        split=args.split,
+        **{f.name: getattr(args, f.name) for f in fields(GenerationConfig)}
     )
     groups = _load_corpus(inputs)
     result = generate_items(groups, caption_closures(graph_captions(groups)), config)
@@ -493,11 +489,15 @@ def build_parser() -> _Parser:
     p.add_argument("--captions", required=True)
     p.add_argument("--out", required=True, help="items file to write")
     p.add_argument("--n-items", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--overlap-max", type=float, default=0.5)
-    p.add_argument("--related-fraction", type=float, default=0.5)
-    p.add_argument("--min-support", type=int, default=2)
-    p.add_argument("--split", default="train", choices=("train", "dev", "test"))
+    # One flag per defaulted GenerationConfig field, typed by its default.
+    for f in fields(GenerationConfig):
+        if f.default is not MISSING:
+            p.add_argument(
+                f"--{f.name.replace('_', '-')}",
+                type=type(f.default),
+                default=f.default,
+                choices=SPLITS if f.name == "split" else None,
+            )
     p.set_defaults(func=cmd_build_dataset, inputs=("captions",))
 
     p = sub.add_parser("stats", help="summarize a labeled items file")

@@ -618,15 +618,20 @@ def _header_line(fmt: str) -> str:
     return json.dumps({"format": fmt, "version": FORMAT_VERSION}, sort_keys=True)
 
 
-def _check_header(path: Path, line: str, fmt: str) -> None:
+def _check_header(path: Path, line: str, fmt: str | None) -> str:
+    """The format the header line names: `fmt`, or any known one if None."""
     try:
         header = json.loads(line)
     except json.JSONDecodeError:
         raise ValueError(f"{path}:1: bad header line {line!r}") from None
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise ValueError(f"{path}:1: expected format {fmt!r}, got {line!r}")
+    named = header.get("format") if isinstance(header, dict) else None
+    expected = [fmt] if fmt else list(_RECORDS)
+    if named not in expected:
+        want = " or ".join(map(repr, expected))
+        raise ValueError(f"{path}:1: expected format {want}, got {line!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}:1: unsupported version {header.get('version')!r}")
+    return named
 
 
 def _item_record(item: Item) -> dict:
@@ -706,11 +711,17 @@ _RECORDS = {
 }
 
 
-def _parse_jsonl(path: Path, lines: list[str], fmt: str) -> list:
-    """Check the header, then parse each non-empty record line, naming the
-    `path:lineno` of the first bad record or repeated id."""
-    parse, noun = _RECORDS[fmt]
-    _check_header(path, lines[0], fmt)
+def _load_jsonl(path: str | Path, fmt: str | None) -> list:
+    """Records of a file in format `fmt`, or in the format its header names
+    if None. Checks the header, then parses each non-empty record line,
+    naming the `path:lineno` of the first bad record or repeated id; an empty
+    file is an empty items file unless `fmt` names another format."""
+    path = Path(path)
+    text = _read_text(path)
+    if not text:
+        raise ValueError(f"{path}: empty {_RECORDS[fmt or ITEMS_FORMAT][1]}s file")
+    lines = text.split("\n")
+    parse, noun = _RECORDS[_check_header(path, lines[0], fmt)]
     out = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -725,14 +736,6 @@ def _parse_jsonl(path: Path, lines: list[str], fmt: str) -> list:
         seen.add(record.id)
         out.append(record)
     return out
-
-
-def _load_jsonl(path: str | Path, fmt: str) -> list:
-    path = Path(path)
-    text = _read_text(path)
-    if not text:
-        raise ValueError(f"{path}: empty {_RECORDS[fmt][1]}s file")
-    return _parse_jsonl(path, text.split("\n"), fmt)
 
 
 def save_items(items: Sequence[Item], path: str | Path) -> None:
@@ -754,16 +757,7 @@ def load_spe_pairs(path: str | Path) -> list[SpePair]:
 
 def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
     """Load an items or single-premise-pairs file, dispatching on its header."""
-    path = Path(path)
-    lines = _read_text(path).split("\n")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise ValueError(f"{path}:1: not a data file (bad header)") from None
-    kind = header.get("format") if isinstance(header, dict) else None
-    if kind not in _RECORDS:
-        raise ValueError(f"{path}:1: unrecognized format {kind!r}")
-    return _parse_jsonl(path, lines, kind)
+    return _load_jsonl(path, None)
 
 
 def _save_label_table(table: Mapping[str, Sequence[str]], path: str | Path) -> None:

@@ -11,11 +11,15 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
   separately and sums the per-premise logits in a canonical order, which
   makes the output bitwise invariant under premise reordering.
 
-Everything the three share is written once on `_ModelBase`: construction
-(`init` draws the embeddings, then the core, then the head, so a seed fixes
-every weight), dropout, the `params()` / `all_tensors()` lists, and
-checkpoint save and load. Each architecture adds only its head
-(`_init_head`) and `_forward_batch`, its equations over a batch of B items.
+A model is its named float64 tensors, `model.tensors`, the checkpoint set.
+`shapes` is the one table of them, name to shape in draw order: embeddings,
+the shared two-LSTM core, then the architecture's `_head_shapes`. `init`
+fills it from a seeded rng by the rule of `initial_tensors`; `_restore` checks
+a checkpoint's names and shapes against the table its meta implies and wraps
+the stored arrays, drawing nothing. Everything else the three share is
+written once on `_ModelBase` too: dropout, `params()` and checkpoint save.
+Each architecture adds only `_head_shapes` and `_forward_batch`, its
+equations over a batch of B items.
 
 `model.batch_logits(premises, hypotheses)` scores B items at once and
 `model.logits(premises, hypothesis)` is its B = 1 call, with no logic of its
@@ -34,8 +38,6 @@ read is one tape entry whatever its length or batch size. Attention runs its
 attention recurrence once per hypothesis step over all B rows, with padded
 premise positions masked out of the softmax; sum-of-experts makes one core
 call per premise slot over the B items.
-
-All weights are float64 tensors named for checkpointing.
 """
 
 from __future__ import annotations
@@ -84,8 +86,20 @@ def concat_premises(premises: Sequence[Sequence[str]]) -> list[str]:
     return joined
 
 
-def _weight(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    return Tensor(rng.normal(scale=INIT_SCALE, size=shape), name=name)
+def initial_tensors(
+    shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator
+) -> dict[str, Tensor]:
+    """Fresh tensors in `shapes` order by one rule: a bias (`.b`) starts at 0,
+    the forget gate's at FORGET_BIAS, and every other tensor is drawn from
+    N(0, INIT_SCALE^2)."""
+    tensors = {}
+    for name, shape in shapes.items():
+        if name.endswith(".b"):
+            values = np.full(shape, FORGET_BIAS if name.endswith(".forget.b") else 0.0)
+        else:
+            values = rng.normal(scale=INIT_SCALE, size=shape)
+        tensors[name] = Tensor(values, name=name)
+    return tensors
 
 
 class EmbeddingTable:
@@ -120,24 +134,14 @@ class EmbeddingTable:
         return self.main.values.shape[1]
 
     @classmethod
-    def random(
-        cls,
-        tokens: Sequence[str],
-        dim: int,
-        rng: np.random.Generator,
-        trainable: bool = True,
-    ) -> "EmbeddingTable":
-        ordered = sorted({t for t in tokens if t not in (UNK_TOKEN, SEPARATOR)})
-        matrix = rng.normal(scale=INIT_SCALE, size=(len(ordered), dim))
-        return cls._build(ordered, matrix, rng, trainable)
-
-    @classmethod
     def from_vectors(
         cls,
         vectors: Mapping[str, Sequence[float]],
         rng: np.random.Generator,
         trainable: bool = False,
     ) -> "EmbeddingTable":
+        """Rows of the given vectors in sorted token order, plus UNK and
+        separator rows drawn from `rng`."""
         ordered = sorted(t for t in vectors if t not in (UNK_TOKEN, SEPARATOR))
         if not ordered:
             raise ValueError("no vectors supplied")
@@ -150,22 +154,10 @@ class EmbeddingTable:
                     f"vector for {token!r} has length {row.shape[0]}, expected {dim}"
                 )
             matrix[i] = row
-        return cls._build(ordered, matrix, rng, trainable)
-
-    @classmethod
-    def _build(
-        cls,
-        ordered: Sequence[str],
-        matrix: np.ndarray,
-        rng: np.random.Generator,
-        trainable: bool,
-    ) -> "EmbeddingTable":
-        """Rows of `matrix` in `ordered` token order, plus freshly drawn UNK
-        and separator rows."""
-        special = _weight("embeddings.special", (2, matrix.shape[1]), rng)
-        main = Tensor(matrix, name="embeddings.main")
+        special = initial_tensors({"embeddings.special": (2, dim)}, rng)
         vocab = {token: i for i, token in enumerate(ordered)}
-        return cls(vocab, main, special, trainable)
+        main = Tensor(matrix, name="embeddings.main")
+        return cls(vocab, main, special["embeddings.special"], trainable)
 
     def embed(self, tokens: Sequence[str]) -> Tensor:
         """The (T, dim) rows of a token sequence; unknown words share the UNK
@@ -222,9 +214,6 @@ class EmbeddingTable:
     def params(self) -> list[Tensor]:
         return [self.main, self.special] if self.trainable else [self.special]
 
-    def all_tensors(self) -> dict[str, Tensor]:
-        return {self.main.name: self.main, self.special.name: self.special}
-
 
 def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
     """Parse a text file of `token v1 .. vd` lines into a vector table."""
@@ -265,32 +254,27 @@ class LstmCell:
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(self, tensors: dict[str, Tensor], state_dim: int, prefix: str):
-        self.tensors = tensors
+    def __init__(self, tensors: Mapping[str, Tensor], state_dim: int, prefix: str):
+        """The cell's tensors `<prefix>.<gate>.{Wx,Wh,b}`, taken from `tensors`."""
         self.state_dim = state_dim
         self._gates = tuple(
             [tensors[f"{prefix}.{gate}.{part}"] for gate in self.GATES]
             for part in ("Wx", "Wh", "b")
         )
+        self.tensors = {t.name: t for part in self._gates for t in part}
 
     @classmethod
-    def random(
-        cls, dim: int, state_dim: int, rng: np.random.Generator, prefix: str
-    ) -> "LstmCell":
-        tensors: dict[str, Tensor] = {}
-        for gate in cls.GATES:
-            for suffix, shape in (
+    def shapes(cls, prefix: str, dim: int, state_dim: int) -> dict[str, tuple[int, ...]]:
+        """Tensor shapes by name in draw order: gate by gate, Wx, Wh, b."""
+        return {
+            f"{prefix}.{gate}.{part}": shape
+            for gate in cls.GATES
+            for part, shape in (
                 ("Wx", (dim, state_dim)),
                 ("Wh", (state_dim, state_dim)),
-            ):
-                name = f"{prefix}.{gate}.{suffix}"
-                tensors[name] = _weight(name, shape, rng)
-            bias = np.zeros(state_dim)
-            if gate == "forget":
-                bias += FORGET_BIAS
-            name = f"{prefix}.{gate}.b"
-            tensors[name] = Tensor(bias, name=name)
-        return cls(tensors, state_dim, prefix)
+                ("b", (state_dim,)),
+            )
+        }
 
     def read(
         self, rows: Tensor, h0: Tensor, c0: Tensor, lengths: Sequence[int] | None = None
@@ -328,19 +312,22 @@ class ConditionalCore:
     carries over. Each LSTM reads a whole batch of sequences in one op.
     """
 
-    def __init__(self, premise_cell: LstmCell, hypothesis_cell: LstmCell):
-        self.premise_cell = premise_cell
-        self.hypothesis_cell = hypothesis_cell
-        self.state_dim = premise_cell.state_dim
+    PREFIXES = ("premise_lstm", "hypothesis_lstm")
+
+    def __init__(self, tensors: Mapping[str, Tensor], state_dim: int):
+        self.premise_cell, self.hypothesis_cell = (
+            LstmCell(tensors, state_dim, prefix) for prefix in self.PREFIXES
+        )
+        self.state_dim = state_dim
 
     @classmethod
-    def random(
-        cls, dim: int, state_dim: int, rng: np.random.Generator
-    ) -> "ConditionalCore":
-        return cls(
-            LstmCell.random(dim, state_dim, rng, "premise_lstm"),
-            LstmCell.random(dim, state_dim, rng, "hypothesis_lstm"),
-        )
+    def shapes(cls, dim: int, state_dim: int) -> dict[str, tuple[int, ...]]:
+        """Both cells' tensor shapes by name, premise cell first."""
+        return {
+            name: shape
+            for prefix in cls.PREFIXES
+            for name, shape in LstmCell.shapes(prefix, dim, state_dim).items()
+        }
 
     def read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
         """Returns (premise hidden rows (B, T, k), final premise cell states)."""
@@ -369,34 +356,54 @@ class ConditionalCore:
         return self.premise_cell.params() + self.hypothesis_cell.params()
 
 
-def _affine(name: str, rows: int, cols: int, rng: np.random.Generator):
-    w = _weight(f"{name}.W", (rows, cols), rng)
-    b = Tensor(np.zeros(cols), name=f"{name}.b")
-    return w, b
-
-
 # Checkpoint meta fields `_restore` needs besides the architecture.
 _META_KEYS = ("dim", "state_dim", "keep_prob", "trainable_embeddings", "vocab")
 
 
 class _ModelBase:
-    """Embeddings, one conditional core and a head; subclasses name the head
-    tensors in `_init_head` and define `_forward_batch` and its B = 1 call
-    `forward`."""
+    """Embeddings, one conditional core and a head, all read from one
+    name -> tensor dict; subclasses give the head's tensor shapes in
+    `_head_shapes` and define `_forward_batch` and its B = 1 call `forward`."""
 
     architecture = ""
     # True: `forward` reads the premises joined by `concat_premises`; False:
     # it takes the list of premises itself.
     joined_premises = True
-    head: list[Tensor]
 
     def __init__(
-        self, embeddings: EmbeddingTable, core: ConditionalCore, keep_prob: float
+        self,
+        vocab: Mapping[str, int],
+        tensors: Mapping[str, Tensor],
+        state_dim: int,
+        keep_prob: float,
+        trainable_embeddings: bool,
     ):
-        self.embeddings = embeddings
-        self.core = core
+        self.tensors = dict(tensors)
+        self.embeddings = EmbeddingTable(
+            vocab, tensors["embeddings.main"], tensors["embeddings.special"],
+            trainable_embeddings,
+        )
+        self.core = ConditionalCore(tensors, state_dim)
+        self.head = [tensors[name] for name in self._head_shapes(state_dim)]
         self.keep_prob = keep_prob
-        self.state_dim = core.state_dim
+        self.state_dim = state_dim
+
+    @classmethod
+    def shapes(
+        cls, vocab_size: int, dim: int, state_dim: int
+    ) -> dict[str, tuple[int, ...]]:
+        """Every checkpoint tensor's shape by name, in draw order: the
+        embeddings, then the core, then the head."""
+        return {
+            "embeddings.main": (vocab_size, dim),
+            "embeddings.special": (2, dim),
+            **ConditionalCore.shapes(dim, state_dim),
+            **cls._head_shapes(state_dim),
+        }
+
+    @classmethod
+    def _head_shapes(cls, state_dim: int) -> dict[str, tuple[int, ...]]:
+        raise NotImplementedError
 
     @classmethod
     def init(
@@ -409,17 +416,21 @@ class _ModelBase:
         trainable_embeddings: bool = True,
         embeddings: EmbeddingTable | None = None,
     ) -> "_ModelBase":
-        """Fresh weights, drawn from `rng` in a fixed order: embeddings (unless
-        given), then the core, then the head."""
-        emb = embeddings or EmbeddingTable.random(
-            vocab_tokens, dim, rng, trainable_embeddings
+        """Fresh weights, drawn from `rng` in `shapes` order by the rule of
+        `initial_tensors`; given embeddings keep their own rows, width and
+        trainability."""
+        if embeddings is None:
+            ordered = sorted({t for t in vocab_tokens if t not in (UNK_TOKEN, SEPARATOR)})
+            vocab, given = {token: i for i, token in enumerate(ordered)}, {}
+        else:
+            vocab = embeddings.vocab
+            given = {t.name: t for t in (embeddings.main, embeddings.special)}
+            dim, trainable_embeddings = embeddings.dim, embeddings.trainable
+        shapes = cls.shapes(len(vocab), dim, state_dim)
+        drawn = initial_tensors(
+            {name: shape for name, shape in shapes.items() if name not in given}, rng
         )
-        model = cls(emb, ConditionalCore.random(emb.dim, state_dim, rng), keep_prob)
-        model._init_head(rng)
-        return model
-
-    def _init_head(self, rng: np.random.Generator) -> None:
-        raise NotImplementedError
+        return cls(vocab, given | drawn, state_dim, keep_prob, trainable_embeddings)
 
     def _dropout(
         self, x: Tensor, train: bool, rng: np.random.Generator | None
@@ -461,13 +472,6 @@ class _ModelBase:
         """Trainable tensors: embeddings, then the core, then the head."""
         return self.embeddings.params() + self.core.params() + self.head
 
-    def all_tensors(self) -> dict[str, Tensor]:
-        """Every named tensor, frozen embeddings included; the checkpoint set."""
-        tensors = self.embeddings.all_tensors()
-        for t in self.core.params() + self.head:
-            tensors[t.name] = t
-        return tensors
-
     def _meta(self) -> dict:
         return {
             "architecture": self.architecture,
@@ -479,10 +483,12 @@ class _ModelBase:
         }
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.all_tensors(), self._meta())
+        save_checkpoint(path, self.tensors, self._meta())
 
     @classmethod
-    def _restore(cls, tensors: dict[str, np.ndarray], meta: dict) -> "_ModelBase":
+    def _restore(cls, arrays: dict[str, np.ndarray], meta: dict) -> "_ModelBase":
+        """The model of a checkpoint's arrays, once their names and shapes
+        match the table its meta implies; nothing is drawn."""
         if meta.get("architecture") != cls.architecture:
             raise ValueError(
                 f"checkpoint holds {meta.get('architecture')!r}, "
@@ -491,26 +497,25 @@ class _ModelBase:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise ValueError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
-        model = cls.init(
-            vocab_tokens=meta["vocab"],
-            dim=meta["dim"],
-            state_dim=meta["state_dim"],
-            rng=np.random.default_rng(0),
-            keep_prob=meta["keep_prob"],
-            trainable_embeddings=meta["trainable_embeddings"],
-        )
-        own = model.all_tensors()
-        if set(own) != set(tensors):
-            missing = sorted(set(own) ^ set(tensors))
-            raise ValueError(f"checkpoint parameter names do not match: {missing}")
-        for name, values in tensors.items():
-            if own[name].values.shape != values.shape:
+        if not all(type(meta[key]) is int for key in ("dim", "state_dim")):
+            raise ValueError("checkpoint meta 'dim' and 'state_dim' must be integers")
+        shapes = cls.shapes(len(meta["vocab"]), meta["dim"], meta["state_dim"])
+        if set(shapes) != set(arrays):
+            mismatched = sorted(set(shapes) ^ set(arrays))
+            raise ValueError(f"checkpoint parameter names do not match: {mismatched}")
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
                 raise ValueError(
-                    f"checkpoint tensor {name} has shape {values.shape}, "
-                    f"expected {own[name].values.shape}"
+                    f"checkpoint tensor {name} has shape {arrays[name].shape}, "
+                    f"expected {shape}"
                 )
-            own[name].values = values.copy()
-        return model
+        return cls(
+            {token: row for row, token in enumerate(meta["vocab"])},
+            {name: Tensor(arrays[name], name=name) for name in shapes},
+            meta["state_dim"],
+            meta["keep_prob"],
+            meta["trainable_embeddings"],
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "_ModelBase":
@@ -525,18 +530,19 @@ class ConditionalLstmModel(_ModelBase):
 
     architecture = "conditional-lstm"
 
-    def _init_head(self, rng: np.random.Generator) -> None:
-        k = self.state_dim
-        self.hidden_w, self.hidden_b = _affine("hidden", 2 * k, k, rng)
-        self.out_w, self.out_b = _affine("output", k, 3, rng)
-        self.head = [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
+    @classmethod
+    def _head_shapes(cls, k: int) -> dict[str, tuple[int, ...]]:
+        return {
+            "hidden.W": (2 * k, k), "hidden.b": (k,), "output.W": (k, 3), "output.b": (3,)
+        }
 
     def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, None]:
+        hidden_w, hidden_b, out_w, out_b = self.head
         embed = self.embeddings.embed_batch
         _, premise_vec, hypothesis_vec = self.core.run(embed(premises), embed(hypotheses))
         pair = self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
-        hidden = tanh(add(matmul(pair, self.hidden_w), self.hidden_b))
-        return add(matmul(hidden, self.out_w), self.out_b), None
+        hidden = tanh(add(matmul(pair, hidden_w), hidden_b))
+        return add(matmul(hidden, out_w), out_b), None
 
     def forward(
         self,
@@ -569,22 +575,25 @@ class AttentionModel(_ModelBase):
 
     ATTN_NAMES = ("Wy", "Wh", "Wr", "Wt", "Wp", "Wx")
 
-    def _init_head(self, rng: np.random.Generator) -> None:
-        k = self.state_dim
-        self.attn = {s: _weight(f"attention.{s}", (k, k), rng) for s in self.ATTN_NAMES}
-        self.score_w = _weight("attention.score", (k, 1), rng)
-        self.out_w, self.out_b = _affine("output", k, 3, rng)
-        self.head = [*self.attn.values(), self.score_w, self.out_w, self.out_b]
+    @classmethod
+    def _head_shapes(cls, k: int) -> dict[str, tuple[int, ...]]:
+        return {
+            **{f"attention.{name}": (k, k) for name in cls.ATTN_NAMES},
+            "attention.score": (k, 1),
+            "output.W": (k, 3),
+            "output.b": (3,),
+        }
 
     def _forward_batch(
         self, premises, hypotheses, train, rng
     ) -> tuple[Tensor, list[np.ndarray]]:
+        wy, wh, wr, wt, wp, wx, score_w, out_w, out_b = self.head
         premise = self.embeddings.embed_batch(premises)
         hypothesis = self.embeddings.embed_batch(hypotheses)
         memory, c = self.core.read_premise(premise)
         hypothesis_states = self.core.read_hypothesis(hypothesis, c)
         batch, span, k = memory.values.shape
-        projected = matmul(memory, self.attn["Wy"])
+        projected = matmul(memory, wy)
         # -inf on padded premise positions, so the softmax gives them no weight.
         padding = np.arange(span) >= premise.lengths[:, None]
         mask = Tensor(np.where(padding, -np.inf, 0.0)[:, :, None]) if padding.any() else None
@@ -593,26 +602,19 @@ class AttentionModel(_ModelBase):
         weights_rows = []
         for t in range(hypothesis.rows.values.shape[1]):
             h = pick(hypothesis_states, t)
-            query = add(
-                matmul(h, self.attn["Wh"]), matmul(attention_state, self.attn["Wr"])
-            )
+            query = add(matmul(h, wh), matmul(attention_state, wr))
             scored = tanh(add(projected, reshape(query, (batch, 1, k))))
-            scores = matmul(scored, self.score_w)
+            scores = matmul(scored, score_w)
             weights = softmax(scores if mask is None else add(scores, mask), axis=1)
             weights_rows.append(weights.values[:, :, 0].copy())
             mixed = reshape(matmul(transpose(weights), memory), (batch, k))
-            state = add(mixed, tanh(matmul(attention_state, self.attn["Wt"])))
+            state = add(mixed, tanh(matmul(attention_state, wt)))
             live = t < hypothesis.lengths
             attention_state = state if live.all() else _hold(state, attention_state, live)
         last = pick(hypothesis_states, hypothesis.lengths - 1)
-        pair = tanh(
-            add(
-                matmul(attention_state, self.attn["Wp"]),
-                matmul(last, self.attn["Wx"]),
-            )
-        )
+        pair = tanh(add(matmul(attention_state, wp), matmul(last, wx)))
         pair = self._dropout(pair, train, rng)
-        logits = add(matmul(pair, self.out_w), self.out_b)
+        logits = add(matmul(pair, out_w), out_b)
         weights = [
             np.stack([rows[i, :premise_len] for rows in weights_rows[:hypothesis_len]])
             for i, (premise_len, hypothesis_len) in enumerate(
@@ -645,11 +647,12 @@ class SumOfExpertsModel(_ModelBase):
     architecture = "sum-of-experts"
     joined_premises = False
 
-    def _init_head(self, rng: np.random.Generator) -> None:
-        self.expert_w, self.expert_b = _affine("experts", 2 * self.state_dim, 3, rng)
-        self.head = [self.expert_w, self.expert_b]
+    @classmethod
+    def _head_shapes(cls, k: int) -> dict[str, tuple[int, ...]]:
+        return {"experts.W": (2 * k, 3), "experts.b": (3,)}
 
     def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, list[Tensor]]:
+        expert_w, expert_b = self.head
         slots = {len(p) for p in premises}
         if len(slots) != 1 or not slots <= {1, 4}:
             raise ValueError(f"need 1 or 4 premises per item, got {sorted(slots)}")
@@ -667,7 +670,7 @@ class SumOfExpertsModel(_ModelBase):
             reshape(concat(vectors, axis=1), (batch, count, 2 * k)), train, rng
         )
         experts = [
-            add(matmul(pick(pairs, slot), self.expert_w), self.expert_b)
+            add(matmul(pick(pairs, slot), expert_w), expert_b)
             for slot in range(count)
         ]
         if count == 1:

@@ -208,7 +208,7 @@ class Trainer:
             self.best_phase = phase
             self.best_epoch = epoch
             self.best_params = {
-                name: t.values.copy() for name, t in self.model.all_tensors().items()
+                name: t.values.copy() for name, t in self.model.tensors.items()
             }
 
     def run(

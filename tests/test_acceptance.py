@@ -206,7 +206,7 @@ def test_criterion_4_attention_invariants():
 
     # Zeroed score vector: every position scores identically, so each row
     # must come out exactly uniform over the four premise tokens.
-    model.score_w.values[:] = 0.0
+    model.tensors["attention.score"].values[:] = 0.0
     _, uniform = model.forward(["tok3"] * 4, ["tok4", "tok5"])
     uniform_ok = bool(np.all(uniform == 0.25))
 

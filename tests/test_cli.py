@@ -6,11 +6,17 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpe.cli as cli
 import mpe.graph
-from mpe.autodiff import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from mpe.autodiff import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mpe.cli import main
 from mpe.dataset import (
     Item,
@@ -21,7 +27,7 @@ from mpe.dataset import (
     save_spe_pairs,
 )
 from mpe.graph import PhraseGraph
-from mpe.models import load_model
+from mpe.models import ConditionalLstmModel, load_model
 from mpe.text import normalize
 from mpe.voting import save_pair_labels
 
@@ -680,6 +686,56 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert expected in err
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda t, m: t.pop("output.b"), "names do not match: ['output.b']"),
+            (lambda t, m: t.update(extra=np.zeros(1)), "names do not match: ['extra']"),
+            (
+                lambda t, m: t.update({"hidden.W": np.zeros((4, 8))}),
+                "tensor hidden.W has shape (4, 8), expected (8, 4)",
+            ),
+            # A width no machine can allocate: restore must compare shapes
+            # without building a model of that size first.
+            (lambda t, m: m.update(dim=10**13), ", 10000000000000)"),
+            (lambda t, m: m.update(state_dim=4.0), "must be integers"),
+        ],
+        ids=["missing-tensor", "extra-tensor", "misshaped-tensor", "huge-dim", "float-dim"],
+    )
+    def test_checkpoint_tensors_not_matching_meta_exit_1(
+        self, checkpoint, labeled_items_file, tmp_path, capsys, edit, expected
+    ):
+        tensors, meta = load_checkpoint(checkpoint)
+        edit(tensors, meta)
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, tensors, meta)
+        code = main(["eval", "--model", str(path), "--items", str(labeled_items_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert expected in err
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "stats", "vote", "adjudicate"])
+def test_empty_items_file_gives_one_message(tmp_path, capsys, command):
+    """Every command reads `--items` through the same loader."""
+    empty = tmp_path / "items.jsonl"
+    empty.write_bytes(b"")
+    model = tmp_path / "model.ckpt"
+    ConditionalLstmModel.init(["dog"], 2, 2, np.random.default_rng(0)).save(model)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("")
+    out = ["--out", str(tmp_path / "out")]
+    extra = {
+        "eval": ["--model", str(model)],
+        "train": out + TINY_TRAIN_FLAGS,
+        "stats": [],
+        "vote": ["--pairs", str(pairs)],
+        "adjudicate": out,
+    }[command]
+    assert main([command, "--items", str(empty), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty items file\n"
 
 
 class TestGradcheck:

@@ -27,6 +27,7 @@ from mpe.models import (
     SumOfExpertsModel,
     UNK_TOKEN,
     concat_premises,
+    initial_tensors,
     load_model,
     load_pretrained_vectors,
 )
@@ -47,6 +48,22 @@ FOUR_PREMISES = [
 def zero_params(model) -> None:
     for p in model.params():
         p.values[...] = 0.0
+
+
+def make_embeddings(rng, trainable=True):
+    """A 4-wide table over VOCAB, drawn first from rng as a model's are."""
+    model = ConditionalLstmModel.init(VOCAB, 4, 1, rng, trainable_embeddings=trainable)
+    return model.embeddings
+
+
+def make_cell(dim, state_dim, rng):
+    tensors = initial_tensors(LstmCell.shapes("cell", dim, state_dim), rng)
+    return LstmCell(tensors, state_dim, "cell")
+
+
+def make_core(dim, state_dim, rng):
+    tensors = initial_tensors(ConditionalCore.shapes(dim, state_dim), rng)
+    return ConditionalCore(tensors, state_dim)
 
 
 class TestConcatPremises:
@@ -75,7 +92,7 @@ class TestConcatPremises:
 
 class TestEmbeddingTable:
     def table(self, trainable=True):
-        return EmbeddingTable.random(VOCAB, 4, np.random.default_rng(0), trainable)
+        return make_embeddings(np.random.default_rng(0), trainable)
 
     def test_vocabulary_rows_sorted_and_dense(self):
         table = self.table()
@@ -215,7 +232,7 @@ def reference_lstm_step(cell: LstmCell, x, h, c):
 
 class TestLstmCell:
     def make(self, seed=0):
-        return LstmCell.random(2, 3, np.random.default_rng(seed), "cell")
+        return make_cell(2, 3, np.random.default_rng(seed))
 
     def test_twelve_named_tensors(self):
         cell = self.make()
@@ -261,7 +278,7 @@ class TestLstmCell:
         assert np.max(np.abs(c.values - expected_c)) < 1e-12
 
     def test_read_matches_a_loop_of_reference_steps(self):
-        cell = LstmCell.random(5, 6, np.random.default_rng(7), "cell")
+        cell = make_cell(5, 6, np.random.default_rng(7))
         rng = np.random.default_rng(8)
         x = rng.normal(size=(9, 5))
         h, c = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
@@ -276,7 +293,7 @@ class TestLstmCell:
 
 class TestConditionalCore:
     def test_empty_sequences_rejected(self):
-        core = ConditionalCore.random(2, 3, np.random.default_rng(0))
+        core = make_core(2, 3, np.random.default_rng(0))
         row = Padded(Tensor(np.zeros((1, 1, 2))), np.array([1]))
         empty = Padded(Tensor(np.zeros((1, 0, 2))), np.array([0]))
         with pytest.raises(ValueError):
@@ -285,7 +302,7 @@ class TestConditionalCore:
             core.run(row, empty)
 
     def test_one_state_per_premise_token(self):
-        core = ConditionalCore.random(2, 3, np.random.default_rng(0))
+        core = make_core(2, 3, np.random.default_rng(0))
         rows = Tensor(np.ones((1, 4, 2)))
         states, final, _ = core.run(
             Padded(rows, np.array([4])), Padded(Tensor(rows.values[:, :2]), np.array([2]))
@@ -478,7 +495,8 @@ class TestSumOfExpertsModel:
             model.embeddings.embed_batch([PREMISE]), model.embeddings.embed_batch([HYPOTHESIS])
         )
         pair = np.concatenate([p_vec.values, h_vec.values], axis=1)
-        manual = (pair @ model.expert_w.values + model.expert_b.values).reshape(-1)
+        w, b = model.tensors["experts.W"].values, model.tensors["experts.b"].values
+        manual = (pair @ w + b).reshape(-1)
         assert np.array_equal(total.values, manual)
 
     def test_weight_sharing_single_core(self):
@@ -506,8 +524,9 @@ class TestSumOfExpertsModel:
             total, _ = model.forward(FOUR_PREMISES, HYPOTHESIS)
             loss = cross_entropy(total, 0)
         tape.backward(loss)
-        assert model.expert_w.grad is not None
-        assert np.any(model.expert_w.grad != 0.0)
+        expert_w = model.tensors["experts.W"]
+        assert expert_w.grad is not None
+        assert np.any(expert_w.grad != 0.0)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         model = make_se(seed=6)
@@ -522,7 +541,7 @@ class TestSumOfExpertsModel:
 
 def reference_logits(model, premises, hypothesis):
     """Plain-numpy eval forward of any architecture, one reference step per token."""
-    w = {name: t.values for name, t in model.all_tensors().items()}
+    w = {name: t.values for name, t in model.tensors.items()}
     table, zero = model.embeddings, np.zeros((1, model.state_dim))
 
     def read(cell, tokens, h, c):
@@ -599,7 +618,7 @@ def test_batch_attention_weights_match_single_items():
 
 
 def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():
-    table = EmbeddingTable.random(VOCAB, 4, np.random.default_rng(0))
+    table = make_embeddings(np.random.default_rng(0))
     sequences = [["dog", "zebra", SEPARATOR], ["girl"]]
     with Tape() as tape:
         batch = table.embed_batch(sequences)
@@ -611,6 +630,26 @@ def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():
     tape.backward(loss)
     # Three real rows of ones each: the padding adds nothing anywhere.
     assert table.main.grad.sum() + table.special.grad.sum() == 4 * 4
+
+
+@pytest.mark.parametrize("embeddings", ["trainable", "frozen", "from-vectors"])
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_save_load_save_is_byte_identical(tmp_path, arch, embeddings):
+    rng = np.random.default_rng(17)
+    given = None
+    if embeddings == "from-vectors":
+        vectors = {t: [i / 10, -i / 10, 0.5] for i, t in enumerate(VOCAB)}
+        given = EmbeddingTable.from_vectors(vectors, rng)
+    model = ARCHITECTURES[arch].init(
+        VOCAB, 3, 5, rng, keep_prob=0.75,
+        trainable_embeddings=embeddings == "trainable", embeddings=given,
+    )
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    model.save(first)
+    restored = load_model(first)
+    restored.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert [t.name for t in restored.params()] == [t.name for t in model.params()]
 
 
 class TestCheckpointDispatch:
@@ -657,7 +696,7 @@ class TestModelInterface:
         assert [t.name for t in model.params()] == (
             embeddings + ["embeddings.special"] + self.CORE + self.HEADS[arch]
         )
-        assert set(model.all_tensors()) == {
+        assert set(model.tensors) == {
             "embeddings.main",
             "embeddings.special",
             *self.CORE,
@@ -684,7 +723,7 @@ class TestModelInterface:
 def weights_digest(model) -> str:
     """sha256 over every tensor's name and little-endian float64 bytes."""
     digest = hashlib.sha256()
-    for name, t in sorted(model.all_tensors().items()):
+    for name, t in sorted(model.tensors.items()):
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
     return digest.hexdigest()

@@ -159,3 +159,24 @@ def test_benchmark_dataset_bytes_pinned(perfbench_path, tmp_path, workload):
         hashlib.sha256(out.read_bytes()).hexdigest(),
         hashlib.sha256(diagnostics).hexdigest(),
     ) == PINNED_DATASETS[workload]
+
+
+# sha256 of the preset-size initial checkpoints `Pipeline.set_up` writes for
+# eval-mpe at seed 41: they pin the draw order, every shape and name, and
+# checkpoint format v1.
+PINNED_CHECKPOINTS = {
+    "attn": "83e6939420bd24035ed790a0b90992418a6bbc375a5233d6c7baf03d36e08b95",
+    "lstm": "3ae985fa57c267df57b03458b04a4acfd258a836b3e214c697d56c0aeabb168a",
+    "se": "fa1fe4ba8f787b36fa3bf704b2a817a5506b2073dadbf0e8b203e1040e58c2d2",
+}
+
+
+def test_benchmark_initial_checkpoint_bytes_pinned(perfbench_path, tmp_path):
+    workloads = importlib.import_module("workloads")
+    sizes, _ = workloads.WORKLOADS["eval-mpe"]
+    pipeline = workloads.Pipeline(PERFBENCH.parent, tmp_path, sizes, seed=41)
+    pipeline.set_up()
+    assert {
+        arch: hashlib.sha256(path.read_bytes()).hexdigest()
+        for arch, path in pipeline.initial.items()
+    } == PINNED_CHECKPOINTS

@@ -91,7 +91,7 @@ def tiny_config(**overrides):
 
 
 def tensor_values(model):
-    return {name: t.values.copy() for name, t in model.all_tensors().items()}
+    return {name: t.values.copy() for name, t in model.tensors.items()}
 
 
 class TestTrainConfig:
@@ -215,7 +215,7 @@ class TestTrainer:
         result = train(items, cfg)
         fresh = build_model(cfg, vocabulary_from_items(items))
         for name, values in tensor_values(fresh).items():
-            assert np.array_equal(result.model.all_tensors()[name].values, values)
+            assert np.array_equal(result.model.tensors[name].values, values)
 
     def test_identical_seeds_reproduce_logs_and_weights(self):
         items = synth_items(6)
@@ -223,7 +223,7 @@ class TestTrainer:
         b = train(items, tiny_config(seed=3))
         assert a.logs == b.logs
         for name, values in tensor_values(a.model).items():
-            assert np.array_equal(values, b.model.all_tensors()[name].values)
+            assert np.array_equal(values, b.model.tensors[name].values)
 
     def test_different_seeds_diverge(self):
         items = synth_items(6)
@@ -273,12 +273,12 @@ class TestTrainer:
         result = train(items, cfg, dev=dev)
         assert 1 <= result.best_epoch <= 3
         assert result.best_phase == "train"
-        assert set(result.best_params) == set(result.model.all_tensors())
+        assert set(result.best_params) == set(result.model.tensors)
         path = tmp_path / "best.ckpt"
         result.save_best_checkpoint(path)
         restored = load_model(path)
         for name, values in result.best_params.items():
-            assert np.array_equal(restored.all_tensors()[name].values, values)
+            assert np.array_equal(restored.tensors[name].values, values)
 
 
 class TestOverfit:
@@ -311,7 +311,7 @@ class TestPretrainFinetune:
             log.train_loss for log in flat.logs
         ]
         for name, values in tensor_values(staged.model).items():
-            assert np.array_equal(values, flat.model.all_tensors()[name].values)
+            assert np.array_equal(values, flat.model.tensors[name].values)
 
     def test_se_consumes_single_premise_pretrain(self):
         cfg = tiny_config(model="sum-of-experts", epochs=1)
