@@ -2,13 +2,15 @@
 adjudication, voting baselines, training, evaluation, and gradient checks.
 
 Each subcommand declares its input flags, and `main` checks that each given
-input exists before the command runs. After a run that wrote files, `main`
-writes `<output>.manifest.json` beside the primary output, recording the
-subcommand, argv, input hashes, configuration (with a hash), format versions
-and the command's extra records, such as interactive adjudication decisions —
-enough to reproduce the run byte-for-byte. Inputs are loaded and validated in
-full before any output is written, and all writes are atomic, so a failed run
-leaves no partial artifacts.
+input exists before the command runs. The settings flags of `build-dataset`
+and `train` are the fields of `GenerationConfig` and `TrainConfig`; `train`
+hands its config to `mpe.training.train`, which builds the model. After a run
+that wrote files, `main` writes `<output>.manifest.json` beside the primary
+output, recording the subcommand, argv, input hashes, configuration (with a
+hash), format versions and the command's extra records, such as interactive
+adjudication decisions — enough to reproduce the run byte-for-byte. Inputs are
+loaded and validated in full before any output is written, and all writes are
+atomic, so a failed run leaves no partial artifacts.
 
 Relative paths resolve against $MPE_DATA_DIR when it is set.
 """
@@ -47,12 +49,7 @@ from .dataset import (
     _atomic_write,
 )
 from .graph import GRAPH_VERSION, build_graph, caption_closures
-from .models import (
-    ARCHITECTURES,
-    EmbeddingTable,
-    load_model,
-    load_pretrained_vectors,
-)
+from .models import ARCHITECTURES, load_model, load_pretrained_vectors
 from .training import (
     PRESETS,
     TrainConfig,
@@ -60,7 +57,6 @@ from .training import (
     evaluate,
     format_eval_report,
     train,
-    vocabulary_from_items,
 )
 from .voting import attach_pair_labels, load_pair_labels, score_baselines
 
@@ -318,27 +314,13 @@ def cmd_vote(args, inputs) -> _Written:
 
 
 def _train_config(args) -> TrainConfig:
+    """The preset's (or the default) config with each given flag's field set."""
     config = PRESETS[args.preset] if args.preset else TrainConfig()
-    overrides = {}
-    for name in (
-        "model",
-        "state_dim",
-        "embedding_dim",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "keep_prob",
-        "seed",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if "model" in overrides:
-        overrides["model"] = MODEL_ALIASES.get(overrides["model"], overrides["model"])
-    if args.trainable_embeddings and not args.embeddings:
-        raise CliError("--trainable-embeddings needs --embeddings")
-    if args.embeddings:
-        overrides["trainable_embeddings"] = args.trainable_embeddings
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(TrainConfig)
+        if getattr(args, f.name) is not None
+    }
     try:
         return replace(config, **overrides)
     except ValueError as exc:
@@ -356,23 +338,25 @@ def _load_training_input(inputs, name: str):
 
 
 def cmd_train(args, inputs) -> _Written:
+    if args.trainable_embeddings and not args.embeddings:
+        raise CliError("--trainable-embeddings needs --embeddings")
     config = _train_config(args)
     items = _load_training_input(inputs, "items")
     dev = _load_training_input(inputs, "dev")
     pretrain = _load_training_input(inputs, "pretrain")
 
-    embeddings = None
+    vectors = None
     if "embeddings" in inputs:
+        # Pretrained vectors are frozen by default; their width is the run's,
+        # and `build_model` rejects an --embedding-dim that differs.
         vectors = load_pretrained_vectors(inputs["embeddings"])
-        embeddings = EmbeddingTable.from_vectors(
-            vectors,
-            np.random.default_rng(config.seed),
-            trainable=config.trainable_embeddings,
+        config = replace(
+            config,
+            embedding_dim=args.embedding_dim or len(next(iter(vectors.values()))),
+            trainable_embeddings=bool(args.trainable_embeddings),
         )
 
-    corpus = [*items, *(pretrain or ())]
-    model = build_model(config, vocabulary_from_items(corpus), embeddings=embeddings)
-    result = train(items, config, dev=dev, model=model, pretrain=pretrain)
+    result = train(items, config, dev=dev, pretrain=pretrain, vectors=vectors)
 
     out = _resolve(args.out)
     result.model.save(out)
@@ -430,14 +414,10 @@ GRADCHECK_HYPOTHESIS = ("w10", "w11")
 
 def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     """Finite-difference check of one architecture on a fixed tiny example."""
-    vocab = [f"w{i:02d}" for i in range(12)]
-    model = ARCHITECTURES[kind].init(
-        vocab_tokens=vocab,
-        dim=dim,
-        state_dim=state_dim,
-        rng=np.random.default_rng(seed),
-        keep_prob=1.0,
+    config = TrainConfig(
+        model=kind, state_dim=state_dim, embedding_dim=dim, keep_prob=1.0, seed=seed
     )
+    model = build_model(config, [f"w{i:02d}" for i in range(12)])
 
     def forward():
         logits = model.logits(
@@ -523,22 +503,23 @@ def build_parser() -> _Parser:
     p.add_argument("--items", required=True, help="training items")
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--model", choices=sorted(MODEL_ALIASES))
+    # `type` maps an alias to its architecture before `choices` is checked.
+    alias = lambda name: MODEL_ALIASES.get(name, name)
+    p.add_argument("--model", type=alias, choices=sorted(MODEL_ALIASES))
+    # One flag per numeric TrainConfig field, typed by its default; unset, it
+    # keeps the preset's (or the default) value.
+    for f in fields(TrainConfig):
+        if type(f.default) in (int, float):
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
     p.add_argument("--dev", help="dev items for per-epoch accuracy")
     p.add_argument("--pretrain", help="items to pretrain on first (single-premise ok)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--keep-prob", type=float)
-    p.add_argument("--state-dim", type=int)
-    p.add_argument("--embedding-dim", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--logs", help="epoch log path (default: <out>.logs.jsonl)")
     p.add_argument("--best-out", help="also write the best-epoch checkpoint")
     p.add_argument("--embeddings", help="pretrained vector file (frozen by default)")
     p.add_argument(
         "--trainable-embeddings",
         action="store_true",
+        default=None,
         help="update pretrained embeddings during training",
     )
     p.set_defaults(func=cmd_train, inputs=("items", "dev", "pretrain", "embeddings"))
@@ -562,10 +543,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: every `main` call parses with the same tree.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         inputs = {
             name: _require_input(getattr(args, name))
             for name in args.inputs

@@ -267,7 +267,6 @@ class Sentence:
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
     content_tokens: frozenset[str]
-    content_lemmas: frozenset[str]
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -288,7 +287,7 @@ def normalize(
     stopwords: StopwordList | None = None,
     lexicon: Lemmatizer | None = None,
 ) -> Sentence:
-    """Tokenize, lemmatize, and compute content sets for one raw string."""
+    """Tokenize, lemmatize, and find the content tokens of one raw string."""
     stopwords = stopwords if stopwords is not None else default_stopwords()
     lexicon = lexicon if lexicon is not None else default_lemmatizer()
     tokens = tokenize(raw)
@@ -296,15 +295,11 @@ def normalize(
         raise EmptySentenceError(f"no alphanumeric content in {raw!r}")
     lemmas = tuple(lexicon.lemma(t) for t in tokens)
     content_tokens = frozenset(t for t in tokens if t not in stopwords)
-    content_lemmas = frozenset(
-        l for t, l in zip(tokens, lemmas) if t not in stopwords
-    )
     return Sentence(
         raw=raw,
         tokens=tokens,
         lemmas=lemmas,
         content_tokens=content_tokens,
-        content_lemmas=content_lemmas,
     )
 
 

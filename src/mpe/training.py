@@ -1,13 +1,14 @@
 """Training loops, the pretrain/fine-tune phases, and evaluation reports.
 
-`train` is the one entry point. Given `pretrain` items it runs a `pretrain`
-phase on them and then a `finetune` phase on the training items; otherwise it
-runs one `train` phase, and returns its Trainer. A Trainer owns one optimizer
-over the model's `params()` (the trainable set has no other record) and two
-seeded random streams (shuffling and dropout) that persist across phases, so
-running a pretrain phase followed by a fine-tune phase on the same data is
-bitwise equivalent to one long run. It also holds the run's state: the
-model, the epoch logs and the best-epoch snapshot, which
+`train` is the one entry point: it builds the run's model with `build_model`,
+the one caller of an architecture's `init`. Given `pretrain` items it runs a
+`pretrain` phase on them and then a `finetune` phase on the training items;
+otherwise it runs one `train` phase, and returns its Trainer. A Trainer owns
+one optimizer over the model's `params()` (the trainable set has no other
+record) and two seeded random streams (shuffling and dropout) that persist
+across phases, so running a pretrain phase followed by a fine-tune phase on
+the same data is bitwise equivalent to one long run. It also holds the run's
+state: the model, the epoch logs and the best-epoch snapshot, which
 `save_best_checkpoint` writes.
 Each mini-batch is one padded batch through the model: one taped forward,
 one backward of its mean loss and one Adam step. Dropout masks are drawn
@@ -42,7 +43,7 @@ from .autodiff import (
     tensor_sum,
 )
 from .dataset import Item, LABELS, SpePair, label_index
-from .models import ARCHITECTURES
+from .models import ARCHITECTURES, EmbeddingTable
 from .text import Sentence, tokenize
 
 
@@ -159,13 +160,31 @@ def _check_labeled(items: Iterable["Item | SpePair"]) -> None:
             raise ValueError(f"item {item.id} has no gold label")
 
 
-def build_model(config: TrainConfig, vocab_tokens: Sequence[str], embeddings=None):
-    rng = np.random.default_rng(config.seed)
+def build_model(
+    config: TrainConfig,
+    vocab_tokens: Sequence[str],
+    vectors: Mapping[str, Sequence[float]] | None = None,
+):
+    """A fresh `config.model` over `vocab_tokens`, drawn from `config.seed`;
+    given pretrained `vectors` of width `config.embedding_dim`, their rows
+    (and vocabulary) are its embeddings."""
+    embeddings = None
+    if vectors is not None:
+        embeddings = EmbeddingTable.from_vectors(
+            vectors,
+            np.random.default_rng(config.seed),
+            trainable=config.trainable_embeddings,
+        )
+        if embeddings.dim != config.embedding_dim:
+            raise ValueError(
+                f"embedding_dim {config.embedding_dim} differs from the "
+                f"{embeddings.dim}-d pretrained vectors"
+            )
     return ARCHITECTURES[config.model].init(
         vocab_tokens=vocab_tokens,
-        dim=embeddings.dim if embeddings is not None else config.embedding_dim,
+        dim=config.embedding_dim,
         state_dim=config.state_dim,
-        rng=rng,
+        rng=np.random.default_rng(config.seed),
         keep_prob=config.keep_prob,
         trainable_embeddings=config.trainable_embeddings,
         embeddings=embeddings,
@@ -266,16 +285,15 @@ def train(
     items: Sequence["Item | SpePair"],
     config: TrainConfig,
     dev: Sequence["Item | SpePair"] | None = None,
-    model=None,
     pretrain: Sequence["Item | SpePair"] | None = None,
+    vectors: Mapping[str, Sequence[float]] | None = None,
 ) -> Trainer:
-    """Train on `items` for `config.epochs` epochs, after as many epochs on
+    """Train a fresh `build_model` over both item sets' vocabulary (or over
+    `vectors`) on `items` for `config.epochs` epochs, after as many epochs on
     `pretrain` when given, with one optimizer and one pair of random streams,
-    and return the Trainer holding the model, logs and best snapshot.
-    Without `model`, builds one from the vocabulary of both item sets."""
-    if model is None:
-        model = build_model(config, vocabulary_from_items([*(pretrain or ()), *items]))
-    trainer = Trainer(model, config)
+    and return the Trainer holding the model, logs and best snapshot."""
+    vocab = vocabulary_from_items([*(pretrain or ()), *items])
+    trainer = Trainer(build_model(config, vocab, vectors), config)
     if pretrain is None:
         trainer.run(items, config.epochs, dev=dev, phase="train")
     else:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import struct
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from mpe.dataset import (
 from mpe.graph import PhraseGraph
 from mpe.models import ConditionalLstmModel, load_model
 from mpe.text import normalize
+from mpe.training import TrainConfig
 from mpe.voting import save_pair_labels
 
 CAPTIONS = Path(__file__).parent / "fixtures" / "captions.tsv"
@@ -588,6 +590,62 @@ class TestTrain:
         assert "embeddings" in manifest["inputs"]
         model = load_model(ckpt)
         assert model.embeddings.trainable is False
+
+    @pytest.fixture
+    def vectors_3d(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("dog 0.1 0.2 0.3\ncat 0.3 0.2 0.1\n")
+        return path
+
+    def test_embeddings_set_manifest_width(self, labeled_items_file, vectors_3d, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+        argv += ["--embeddings", str(vectors_3d), "--epochs", "1", "--state-dim", "2"]
+        assert main(argv) == 0
+        assert read_manifest(ckpt)["config"]["embedding_dim"] == 3
+        assert load_model(ckpt).embeddings.dim == 3
+
+    def test_embedding_dim_unlike_vectors_exits_1(
+        self, labeled_items_file, vectors_3d, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+        argv += ["--embeddings", str(vectors_3d), "--embedding-dim", "300"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "embedding_dim 300" in err and "3-d" in err
+        assert not ckpt.exists()
+
+    # Each settable TrainConfig field, the flags that set it and the value,
+    # unlike the default, that they give it.
+    FIELD_FLAGS = {
+        "model": (["--model", "se"], "sum-of-experts"),
+        "state_dim": (["--state-dim", "3"], 3),
+        "embedding_dim": (["--embedding-dim", "3"], 3),
+        "epochs": (["--epochs", "2"], 2),
+        "batch_size": (["--batch-size", "5"], 5),
+        "learning_rate": (["--learning-rate", "0.01"], 0.01),
+        "keep_prob": (["--keep-prob", "0.5"], 0.5),
+        "seed": (["--seed", "9"], 9),
+    }
+
+    def test_field_flags_cover_train_config(self):
+        # trainable_embeddings is set only with --embeddings, tested above.
+        names = {f.name for f in fields(TrainConfig)} - {"trainable_embeddings"}
+        assert set(self.FIELD_FLAGS) == names
+
+    @pytest.mark.parametrize("name", sorted(FIELD_FLAGS))
+    def test_flag_overrides_its_field(self, labeled_items_file, tmp_path, name):
+        base = {"epochs": 1, "state_dim": 2, "embedding_dim": 2, "batch_size": 4}
+        flags, value = self.FIELD_FLAGS[name]
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
+        for field, number in base.items():
+            if field != name:
+                argv += [f"--{field.replace('_', '-')}", str(number)]
+        assert main(argv + flags) == 0
+        config = read_manifest(tmp_path / "m.ckpt")["config"]
+        assert value != getattr(TrainConfig(), name)
+        assert config == asdict(replace(TrainConfig(**base), **{name: value}))
 
     def test_malformed_items_header_exits_1(self, tmp_path, capsys):
         path = tmp_path / "items.jsonl"

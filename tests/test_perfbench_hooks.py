@@ -17,6 +17,8 @@ import pytest
 
 import mpe.autodiff as ad
 from mpe import cli
+from mpe.dataset import load_items
+from mpe.training import vocabulary_from_items
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -180,3 +182,43 @@ def test_benchmark_initial_checkpoint_bytes_pinned(perfbench_path, tmp_path):
         arch: hashlib.sha256(path.read_bytes()).hexdigest()
         for arch, path in pipeline.initial.items()
     } == PINNED_CHECKPOINTS
+
+
+# sha256 of the checkpoint `mpe train` writes on the benchmark's train-mpe
+# seed-41 inputs with `Pipeline.one_pass`'s argv: for each preset, and for
+# lstm-mpe from 3-d vectors of every other training token, frozen and
+# trainable. They pin the path from flags through `TrainConfig` and
+# `build_model` to the trained weights. The bits of a trained model depend on
+# the BLAS thread count; these are with the one thread conftest.py pins.
+PINNED_TRAINED = {
+    "attn-mpe": "2382c1d6e505f0f71483d57111fd7f9ac80c92b8a3c0e30158512bf069409ab9",
+    "lstm-mpe": "e52c2f4a3cab8678a8cb9d840a6e288eb2710085e5f0602053fe360d434fd581",
+    "se-mpe": "11280421a2d6c69178f4ab2fc3f725deb8c1fc3ac279e45897ef5b4d670ba46b",
+    "vectors-frozen": "825125777eedc4db43ef155148746c4c947967b4b4696a49d305ed21dd8e3276",
+    "vectors-trainable": "92f52eeaca1024796f54816824fb32aa07815582ba38c70a2939437df96d7eba",
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_TRAINED))
+def test_benchmark_trained_checkpoint_bytes_pinned(perfbench_path, tmp_path, run):
+    workloads = importlib.import_module("workloads")
+    inputs = importlib.import_module("inputs")
+    sizes, _ = workloads.WORKLOADS["train-mpe"]
+    files = inputs.write_inputs(41, sizes, tmp_path)
+    out = tmp_path / "model.ckpt"
+    preset = "lstm-mpe" if run.startswith("vectors") else run
+    argv = ["train", "--preset", preset, "--items", str(files.train), "--dev", str(files.dev),
+            "--epochs", str(sizes.epochs), "--batch-size", str(sizes.batch_size),
+            "--out", str(out)]
+    if run.startswith("vectors"):
+        vocab = vocabulary_from_items(load_items(files.train))
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(
+            f"{token} {i % 7 / 10} {-(i % 5) / 10} 0.25\n" for i, token in enumerate(vocab[::2])
+        ))
+        argv += ["--embeddings", str(vectors)]
+        if run == "vectors-trainable":
+            argv.append("--trainable-embeddings")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRAINED[run]

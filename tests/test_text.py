@@ -168,12 +168,10 @@ class TestNormalizeFixtures:
 
     def test_custom_stopwords(self):
         s = normalize("A man runs", stopwords=StopwordList.from_words(["a"]))
-        assert s.content_lemmas == {"man", "run"}
         assert s.content_tokens == {"man", "runs"}
 
-    def test_content_lemmas_subset_of_lemmas(self):
+    def test_content_tokens_subset_of_tokens(self):
         s = normalize("The young boys are playing soccer near the old barn.")
-        assert s.content_lemmas <= set(s.lemmas)
         assert s.content_tokens <= set(s.tokens)
 
     def test_empty_raises(self):
