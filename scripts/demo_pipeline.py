@@ -23,6 +23,7 @@ from mpe.dataset import (
     aggregate_labels,
     attach_judgments,
     corpus_stats,
+    flagged_items,
     generate_items,
     graph_captions,
     load_captions,
@@ -84,9 +85,7 @@ def run(args: argparse.Namespace, workdir: Path) -> int:
         for item in result.items
     }
     items = attach_judgments(result.items, judgments)
-    flagged = [
-        item for item in items if aggregate_labels(item.judgments).needs_adjudication
-    ]
+    flagged = flagged_items(items)
     print(f"   {len(flagged)} of {len(items)} items flagged for adjudication")
 
     if flagged:
@@ -96,9 +95,7 @@ def run(args: argparse.Namespace, workdir: Path) -> int:
             counts = aggregate_labels(item.judgments).vote_counts
             leader = max(zip(counts, ("E", "N", "C")))[1]
             decisions[item.id] = leader
-        resolved, unresolved = adjudicate(flagged, decisions)
-        by_id = {item.id: item for item in resolved}
-        items = [by_id.get(item.id, item) for item in items]
+        items, unresolved = adjudicate(items, decisions)
         print(f"   decided {len(decisions)}, unresolved {len(unresolved)}")
 
     items_path = workdir / "demo.items.jsonl"

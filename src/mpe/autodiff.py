@@ -27,6 +27,7 @@ finite-difference agreement is worth more than speed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -757,8 +758,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"{path}: duplicate tensor name {name!r}")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: tensor {name!r} has bad shape: {exc}") from None
         tensors[name] = data.astype(np.float64)
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -37,8 +37,8 @@ from .dataset import (
     GenerationConfig,
     Item,
     adjudicate,
-    aggregate_labels,
     corpus_stats,
+    flagged_items,
     generate_items,
     graph_captions,
     load_captions,
@@ -234,17 +234,12 @@ def cmd_stats(args, inputs) -> _Written:
     return _report(args.out, asdict(report))
 
 
-def _raw(text) -> str:
-    """Sentence objects render as their raw text; plain strings pass through."""
-    return getattr(text, "raw", text)
-
-
 def _adjudication_prompt(item: Item, stream) -> str | None:
     counts = {label: item.judgments.count(label) for label in ("E", "N", "C")}
     print(f"\nitem {item.id} (votes E:{counts['E']} N:{counts['N']} C:{counts['C']})")
     for i, premise in enumerate(item.premises, 1):
-        print(f"  premise {i}: {_raw(premise)}")
-    print(f"  hypothesis: {_raw(item.hypothesis)}")
+        print(f"  premise {i}: {premise.raw}")
+    print(f"  hypothesis: {item.hypothesis.raw}")
     while True:
         print("label [E/N/C/s=skip]? ", end="", flush=True)
         line = stream.readline()
@@ -273,22 +268,16 @@ def run_adjudication_loop(flagged: Sequence[Item], stream) -> dict[str, str]:
 def cmd_adjudicate(args, inputs) -> _Written:
     items_path = inputs["items"]
     items = load_items(items_path)
-    flagged = [
-        item
-        for item in items
-        if item.judgments and aggregate_labels(item.judgments).needs_adjudication
-    ]
+    flagged = flagged_items(items)
     if not flagged:
         raise CliError(f"{items_path}: no items need adjudication")
     if "decisions" in inputs:
         decisions = load_decisions(inputs["decisions"])
     else:
         decisions = run_adjudication_loop(flagged, sys.stdin)
-    resolved, unresolved = adjudicate(flagged, decisions)
-    by_id = {item.id: item for item in resolved}
-    merged = [by_id.get(item.id, item) for item in items]
+    items, unresolved = adjudicate(items, decisions)
     out = _resolve(args.out)
-    save_items(merged, out)
+    save_items(items, out)
     print(
         f"flagged {len(flagged)}, decided {len(decisions)}, "
         f"unresolved {len(unresolved)} -> {out}"

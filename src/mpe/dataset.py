@@ -40,8 +40,8 @@ SPE_FORMAT = "mpe-spe-items"
 FORMAT_VERSION = 1
 
 
-class UnknownItemError(KeyError):
-    """A judgment or decision references an item id that does not exist."""
+class UnknownItemError(ValueError):
+    """A judgment, decision or pair label names an item id that does not exist."""
 
 
 class EmptyCorpusError(ValueError):
@@ -112,24 +112,6 @@ class SpePair:
         return self.label
 
 
-def spe_pairs(items: Iterable[Item]) -> list[SpePair]:
-    """Expand each item into its four annotated premise-hypothesis pairs."""
-    out = []
-    for item in items:
-        if item.pair_labels is None:
-            raise ValueError(f"item {item.id}: no pair_labels to expand")
-        for i, (premise, label) in enumerate(zip(item.premises, item.pair_labels)):
-            out.append(
-                SpePair(
-                    id=f"{item.id}#{i}",
-                    premise=premise,
-                    hypothesis=item.hypothesis,
-                    label=label,
-                )
-            )
-    return out
-
-
 # --- judgment aggregation -------------------------------------------------
 
 AGGREGATION_KINDS = ("clear-majority", "split-3-2", "split-2-2-1")
@@ -179,13 +161,21 @@ def aggregate_labels(judgments: Sequence[str]) -> AggregationOutcome:
     return AggregationOutcome("split-2-2-1", None, counts)
 
 
+def _at(table: Mapping[str, object], key: str) -> str:
+    """`path:line: ` of `key` when `table` was read by `_load_label_table`."""
+    return f"{table.lines[key]}: " if isinstance(table, _LabelTable) else ""
+
+
 def _check_known(
     items: Sequence[Item], by_id: Mapping[str, object], what: str
 ) -> None:
     """Reject keys of `by_id` that name no item in `items`."""
-    unknown = sorted(set(by_id) - {item.id for item in items})
+    known = {item.id for item in items}
+    unknown = [key for key in by_id if key not in known]
     if unknown:
-        raise UnknownItemError(f"{what} for unknown item ids: {unknown}")
+        raise UnknownItemError(
+            f"{_at(by_id, unknown[0])}{what} for unknown item ids: {unknown}"
+        )
 
 
 def attach_judgments(
@@ -216,76 +206,44 @@ def attach_judgments(
     return out
 
 
+def flagged_items(items: Iterable[Item]) -> list[Item]:
+    """The judged items that aggregation flags (split-3-2 or split-2-2-1)."""
+    return [
+        item
+        for item in items
+        if item.judgments and aggregate_labels(item.judgments).needs_adjudication
+    ]
+
+
 def adjudicate(
     items: Sequence[Item], decisions: Mapping[str, str]
 ) -> tuple[list[Item], list[str]]:
-    """Apply human decisions to flagged items.
+    """Apply human decisions to the flagged items among `items`.
 
-    Every input item must be one aggregation flags (split-3-2 or split-2-2-1).
-    Returns the updated items plus the ids left unresolved: a 2-2-1 item
-    without a decision stays unlabeled, a 3-2 item keeps its provisional label.
+    Returns every item in input order plus the ids of flagged items left
+    without a decision: a 2-2-1 item stays unlabeled, a 3-2 item keeps its
+    provisional label. A decision for an unknown id or for an item that is
+    not flagged is an error, and the message says which.
     """
     _check_known(items, decisions, "decisions")
+    flagged = {item.id for item in flagged_items(items)}
+    unflagged = [key for key in decisions if key not in flagged]
+    if unflagged:
+        raise ValueError(
+            f"{_at(decisions, unflagged[0])}decisions for items that do not "
+            f"need adjudication: {unflagged}"
+        )
     out = []
     unresolved = []
     for item in items:
-        outcome = aggregate_labels(item.judgments)
-        if not outcome.needs_adjudication:
-            raise ValueError(f"item {item.id} does not need adjudication")
         if item.id in decisions:
             decision = decisions[item.id]
             label_index(decision)
-            out.append(replace(item, gold_label=decision, label_source="adjudicated"))
-        else:
+            item = replace(item, gold_label=decision, label_source="adjudicated")
+        elif item.id in flagged:
             unresolved.append(item.id)
-            out.append(item)
+        out.append(item)
     return out, unresolved
-
-
-@dataclass(frozen=True)
-class ProvenanceReport:
-    """How final labels came to be, and how often they match a strict majority."""
-
-    total: int
-    labeled: int
-    unlabeled: int
-    by_source: dict[str, int]
-    majority_matches: int
-    majority_fraction: float | None
-
-
-def provenance_report(items: Sequence[Item]) -> ProvenanceReport:
-    """Fraction of final labels equal to the strict majority of judgments.
-
-    A label "matches the majority" when the item's judgments have a unique
-    count >= 3 and the final label equals it; adjudicated 2-2-1 items never
-    match. Only labeled items with judgments enter the fraction.
-    """
-    by_source = {source: 0 for source in LABEL_SOURCES}
-    labeled = 0
-    judged_labeled = 0
-    matches = 0
-    for item in items:
-        if item.gold_label is None:
-            continue
-        labeled += 1
-        if item.label_source is not None:
-            by_source[item.label_source] += 1
-        if not item.judgments:
-            continue
-        judged_labeled += 1
-        # Five votes: a count >= 3 is always a unique leader, and only then
-        # does aggregation return a label.
-        if item.gold_label == aggregate_labels(item.judgments).label:
-            matches += 1
-    return ProvenanceReport(
-        total=len(items),
-        labeled=labeled,
-        unlabeled=len(items) - labeled,
-        by_source=by_source,
-        majority_matches=matches,
-        majority_fraction=(matches / judged_labeled) if judged_labeled else None,
-    )
 
 
 # --- corpus loading --------------------------------------------------------
@@ -614,10 +572,6 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
 # --- file formats ----------------------------------------------------------
 
 
-def _header_line(fmt: str) -> str:
-    return json.dumps({"format": fmt, "version": FORMAT_VERSION}, sort_keys=True)
-
-
 def _check_header(path: Path, line: str, fmt: str | None) -> str:
     """The format the header line names: `fmt`, or any known one if None."""
     try:
@@ -679,15 +633,6 @@ def _item_from_record(rec: dict) -> Item:
     )
 
 
-def _pair_record(pair: SpePair) -> dict:
-    return {
-        "id": pair.id,
-        "premise": pair.premise.raw,
-        "hypothesis": pair.hypothesis.raw,
-        "label": pair.label,
-    }
-
-
 def _pair_from_record(rec: dict) -> SpePair:
     return SpePair(
         id=_field(rec, "id", str),
@@ -695,13 +640,6 @@ def _pair_from_record(rec: dict) -> SpePair:
         hypothesis=normalize(_field(rec, "hypothesis", str)),
         label=_field(rec, "label", str),
     )
-
-
-def _save_jsonl(path: str | Path, fmt: str, records: Iterable[dict]) -> None:
-    """Header line, then one sorted-key JSON record per line."""
-    lines = [_header_line(fmt)]
-    lines.extend(json.dumps(rec, sort_keys=True) for rec in records)
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # Record parser and noun (for messages) of each JSONL format.
@@ -739,7 +677,11 @@ def _load_jsonl(path: str | Path, fmt: str | None) -> list:
 
 
 def save_items(items: Sequence[Item], path: str | Path) -> None:
-    _save_jsonl(path, ITEMS_FORMAT, map(_item_record, items))
+    """Header line, then one sorted-key JSON record per item."""
+    header = {"format": ITEMS_FORMAT, "version": FORMAT_VERSION}
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(_item_record(item), sort_keys=True) for item in items)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_items(path: str | Path) -> list[Item]:
@@ -747,29 +689,24 @@ def load_items(path: str | Path) -> list[Item]:
     return _load_jsonl(path, ITEMS_FORMAT)
 
 
-def save_spe_pairs(pairs: Sequence[SpePair], path: str | Path) -> None:
-    _save_jsonl(path, SPE_FORMAT, map(_pair_record, pairs))
-
-
-def load_spe_pairs(path: str | Path) -> list[SpePair]:
-    return _load_jsonl(path, SPE_FORMAT)
-
-
 def load_examples(path: str | Path) -> "list[Item] | list[SpePair]":
     """Load an items or single-premise-pairs file, dispatching on its header."""
     return _load_jsonl(path, None)
 
 
-def _save_label_table(table: Mapping[str, Sequence[str]], path: str | Path) -> None:
-    """Write `item_id<TAB>L,L,...` lines sorted by id."""
-    lines = [f"{item_id}\t{','.join(table[item_id])}" for item_id in sorted(table)]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+class _LabelTable(dict):
+    """An id -> labels map read from a file; `lines` holds each id's
+    `path:line`, so an error about an id can say where it came from."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: dict[str, str] = {}
 
 
-def _load_label_table(path: str | Path, count: int) -> dict[str, tuple[str, ...]]:
+def _load_label_table(path: str | Path, count: int) -> _LabelTable:
     """Read `item_id<TAB>L,L,...` lines, each holding exactly `count` labels."""
     path = Path(path)
-    out: dict[str, tuple[str, ...]] = {}
+    out = _LabelTable()
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line:
             continue
@@ -788,22 +725,13 @@ def _load_label_table(path: str | Path, count: int) -> dict[str, tuple[str, ...]
             if label not in LABELS:
                 raise ValueError(f"{path}:{lineno}: bad label {label!r}")
         out[item_id] = labels
+        out.lines[item_id] = f"{path}:{lineno}"
     return out
-
-
-def save_judgments(judgments: Mapping[str, Sequence[str]], path: str | Path) -> None:
-    _save_label_table(judgments, path)
-
-
-def load_judgments(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read `item_id<TAB>J,J,J,J,J` lines into an id -> judgments map."""
-    return _load_label_table(path, 5)
-
-
-def save_decisions(decisions: Mapping[str, str], path: str | Path) -> None:
-    _save_label_table({item_id: (label,) for item_id, label in decisions.items()}, path)
 
 
 def load_decisions(path: str | Path) -> dict[str, str]:
     """Read `item_id<TAB>label` adjudication decisions."""
-    return {item_id: labels[0] for item_id, labels in _load_label_table(path, 1).items()}
+    decisions = _load_label_table(path, 1)
+    for item_id, (label,) in decisions.items():
+        decisions[item_id] = label
+    return decisions

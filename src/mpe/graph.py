@@ -83,10 +83,6 @@ def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
     return {k: tuple(sorted(v)) for k, v in table.items()}
 
 
-def _raw(caption: "Sentence | str") -> str:
-    return caption.raw if isinstance(caption, Sentence) else caption
-
-
 def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_Node]:
     """Every node reached from start by one or more steps.
 
@@ -274,12 +270,13 @@ class PhraseGraph:
     def node_id_for_phrase(self, phrase: Phrase) -> int | None:
         return self._phrase_ids.get(tuple(phrase))
 
-    def node_for_caption(self, caption: "Sentence | str") -> int:
-        raw = _raw(caption)
+    def node_for_caption(self, caption: Sentence) -> int:
         try:
-            return self.caption_index[raw]
+            return self.caption_index[caption.raw]
         except KeyError:
-            raise UnknownCaptionError(f"caption not indexed in graph: {raw!r}") from None
+            raise UnknownCaptionError(
+                f"caption not indexed in graph: {caption.raw!r}"
+            ) from None
 
     def ancestors(self, node_id: int) -> frozenset[int]:
         """All strictly more generic nodes reachable from node_id.
@@ -479,12 +476,11 @@ class CaptionClosures:
     ancestors: Mapping[str, frozenset[Phrase]]
     caption_counts: Counter[Phrase]
 
-    def ancestors_of(self, caption: "Sentence | str") -> frozenset[Phrase]:
-        raw = _raw(caption)
+    def ancestors_of(self, caption: Sentence) -> frozenset[Phrase]:
         try:
-            return self.ancestors[raw]
+            return self.ancestors[caption.raw]
         except KeyError:
-            raise UnknownCaptionError(f"caption not indexed: {raw!r}") from None
+            raise UnknownCaptionError(f"caption not indexed: {caption.raw!r}") from None
 
 
 def caption_closures(
@@ -505,8 +501,8 @@ def caption_closures(
 
 
 def simplify_hypothesis(
-    source_caption: "Sentence | str",
-    premises: Sequence["Sentence | str"],
+    source_caption: Sentence,
+    premises: Sequence[Sentence],
     closures: CaptionClosures,
 ) -> list[Phrase]:
     """Generalizations of the source that no premise also generalizes to.

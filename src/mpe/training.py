@@ -18,8 +18,7 @@ Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model as runs of items with the same number of
 premises, in their original order; an `Item` and a `SpePair` (one premise)
 offer the same `premises`, `hypothesis` and `gold_label`. The single-item
-calls `forward_logits` and `predict` are the B = 1 calls of `batch_logits` and
-`predict_all`.
+call `forward_logits` is the B = 1 call of `batch_logits`.
 """
 
 from __future__ import annotations
@@ -44,12 +43,7 @@ from .autodiff import (
 )
 from .dataset import Item, LABELS, SpePair, label_index
 from .models import ARCHITECTURES, EmbeddingTable
-from .text import Sentence, tokenize
 
-
-def _tokens(text: "Sentence | str") -> tuple[str, ...]:
-    """A normalized sentence already carries its tokens; raw strings don't."""
-    return text.tokens if isinstance(text, Sentence) else tokenize(text)
 
 # Items per forward pass when predicting, scoring and evaluating.
 EVAL_CHUNK = 32
@@ -100,12 +94,12 @@ def vocabulary_from_items(items: Iterable["Item | SpePair"]) -> list[str]:
     tokens: set[str] = set()
     for item in items:
         for text in (*item.premises, item.hypothesis):
-            tokens.update(_tokens(text))
+            tokens.update(text.tokens)
     return sorted(tokens)
 
 
 def _token_lists(item: "Item | SpePair") -> tuple[list[list[str]], list[str]]:
-    return [list(_tokens(p)) for p in item.premises], list(_tokens(item.hypothesis))
+    return [list(p.tokens) for p in item.premises], list(item.hypothesis.tokens)
 
 
 def forward_logits(
@@ -133,12 +127,8 @@ def batch_logits(
     return parts[0] if len(parts) == 1 else concat(parts)
 
 
-def predict(model, item: "Item | SpePair") -> str:
-    return predict_all(model, [item])[0]
-
-
 def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:
-    """`predict` of every item, scored in chunks of EVAL_CHUNK items."""
+    """The predicted label of every item, scored in chunks of EVAL_CHUNK items."""
     guesses: list[str] = []
     for start in range(0, len(items), EVAL_CHUNK):
         logits = batch_logits(model, items[start : start + EVAL_CHUNK])

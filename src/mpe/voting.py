@@ -17,7 +17,6 @@ from .dataset import (
     Item,
     _check_known,
     _load_label_table,
-    _save_label_table,
     label_index,
 )
 
@@ -122,12 +121,6 @@ def attach_pair_labels(
         else:
             out.append(item)
     return out
-
-
-def save_pair_labels(pair_labels: Mapping[str, Sequence[str]], path: str | Path) -> None:
-    _save_label_table(
-        {item_id: _validated(labels) for item_id, labels in pair_labels.items()}, path
-    )
 
 
 def load_pair_labels(path: str | Path) -> dict[str, tuple[str, ...]]:

@@ -29,7 +29,7 @@ from mpe.dataset import (
 )
 from mpe.graph import build_graph, caption_closures
 from mpe.models import ARCHITECTURES, concat_premises
-from mpe.text import default_stopwords, tokenize
+from mpe.text import default_stopwords, normalize, tokenize
 from mpe.training import TrainConfig, Trainer, build_model, vocabulary_from_items
 from mpe.voting import (
     attach_pair_labels,
@@ -90,8 +90,8 @@ def overfit_items(n: int) -> list[Item]:
         Item(
             id=f"syn-{i:03d}",
             scene_group_id=f"g{i % 4}",
-            premises=FILLERS[i % len(FILLERS)],
-            hypothesis=f"the {MARKERS[labels[i % 3]]} case number {i % 7} holds",
+            premises=tuple(map(normalize, FILLERS[i % len(FILLERS)])),
+            hypothesis=normalize(f"the {MARKERS[labels[i % 3]]} case number {i % 7} holds"),
             gold_label=labels[i % 3],
             label_source="majority",
             split="train",
@@ -420,7 +420,7 @@ def test_criterion_8_pipeline_invariants(tmp_path):
         hyp_node = graph.node_id_for_phrase(tuple(item.hypothesis.tokens))
         ancestry_ok = ancestry_ok and hyp_node is not None
         for premise in item.premises:
-            premise_node = graph.node_for_caption(premise.raw)
+            premise_node = graph.node_for_caption(premise)
             ancestry_ok = ancestry_ok and hyp_node not in graph.ancestors(premise_node)
 
     first = tmp_path / "run1.jsonl"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -19,21 +20,14 @@ from mpe.autodiff import (
     save_checkpoint,
 )
 from mpe.cli import main
-from mpe.dataset import (
-    Item,
-    SpePair,
-    load_decisions,
-    load_items,
-    save_items,
-    save_spe_pairs,
-)
+from mpe.dataset import Item, load_items, save_items
 from mpe.graph import PhraseGraph
 from mpe.models import ConditionalLstmModel, load_model
 from mpe.text import normalize
 from mpe.training import TrainConfig
-from mpe.voting import save_pair_labels
 
 CAPTIONS = Path(__file__).parent / "fixtures" / "captions.tsv"
+SPE_HEADER = '{"format": "mpe-spe-items", "version": 1}'
 
 MARKERS = {"E": "alpha", "N": "beta", "C": "gamma"}
 PREMISE_TEXTS = ("A dog runs.", "A cat sits.", "A bird sings.", "A fish swims.")
@@ -292,6 +286,26 @@ class TestAdjudicate:
         assert "no items need adjudication" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("nope-1\tE", "decisions for unknown item ids: ['nope-1']"),
+            ("it-002\tE", "decisions for items that do not need adjudication: ['it-002']"),
+        ],
+        ids=["unknown-id", "unflagged-id"],
+    )
+    def test_bad_decision_id_named_at_its_line(
+        self, flagged_file, tmp_path, capsys, line, expected
+    ):
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text(f"it-000\tN\n{line}\n")
+        out = tmp_path / "resolved.jsonl"
+        argv = ["adjudicate", "--items", str(flagged_file), "--out", str(out)]
+        assert main(argv + ["--decisions", str(decisions)]) == 1
+        assert capsys.readouterr().err == f"error: {decisions}:2: {expected}\n"
+        assert not out.exists()
+
+
 class TestVote:
     def test_scores_baselines(self, tmp_path, capsys):
         items = [
@@ -303,14 +317,7 @@ class TestVote:
         save_items(items, items_path)
         # The pairs file is authoritative; overwrite one entry to prove it.
         pairs_path = tmp_path / "pairs.tsv"
-        save_pair_labels(
-            {
-                "it-000": ("E", "E", "E", "E"),
-                "it-001": ("E", "N", "C", "N"),
-                "it-002": ("C", "C", "C", "N"),
-            },
-            pairs_path,
-        )
+        pairs_path.write_text("it-000\tE,E,E,E\nit-001\tE,N,C,N\nit-002\tC,C,C,N\n")
         report_path = tmp_path / "vote.json"
         code = main(
             [
@@ -330,6 +337,17 @@ class TestVote:
         assert record["n_scored"] == 3
         # it-000 4/4 agree -> cat 4; it-002 3/4 -> cat 3; both majority-correct.
         assert record["majority_acc_strict"] == pytest.approx(2 / 3)
+
+    def test_unknown_id_named_at_its_line(self, labeled_items_file, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("it-000\tE,E,E,E\nnope-1\tE,N,C,N\n")
+        out = tmp_path / "vote.json"
+        argv = ["vote", "--items", str(labeled_items_file), "--pairs", str(pairs)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}:2: pair labels for unknown item ids: ['nope-1']\n"
+        )
+        assert not out.exists()
 
     def test_missing_pairs_file_exits_1(self, labeled_items_file, tmp_path, capsys):
         code = main(
@@ -412,17 +430,17 @@ class TestTrain:
 
     @pytest.fixture
     def pretrain_file(self, tmp_path):
-        pairs = [
-            SpePair(
-                id=f"sp-{i}",
-                premise=normalize(PREMISE_TEXTS[i % 4]),
-                hypothesis=normalize(f"The {MARKERS[label]} thing happens."),
-                label=label,
-            )
+        records = [
+            {
+                "id": f"sp-{i}",
+                "premise": PREMISE_TEXTS[i % 4],
+                "hypothesis": f"The {MARKERS[label]} thing happens.",
+                "label": label,
+            }
             for i, label in enumerate(["E", "N", "C"] * 2)
         ]
         path = tmp_path / "pretrain.jsonl"
-        save_spe_pairs(pairs, path)
+        path.write_text("\n".join([SPE_HEADER, *map(json.dumps, records)]) + "\n")
         return path
 
     def test_pretrain_then_finetune(self, labeled_items_file, pretrain_file, tmp_path):
@@ -521,7 +539,7 @@ class TestTrain:
     ):
         empty = tmp_path / f"empty-{flag}.jsonl"
         if flag == "pretrain":
-            save_spe_pairs([], empty)
+            empty.write_text(SPE_HEADER + "\n")
         else:
             save_items([], empty)
         # A repeated --items replaces the first, so every case has items to train on.
@@ -702,6 +720,29 @@ class TestEval:
         assert item_id == "it-000" and guess in ("E", "N", "C")
         manifest = read_manifest(report_path)
         assert set(manifest["inputs"]) == {"model", "items"}
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2**63 + 1,) * 3 + (7,) * 300, (2**40, 2**40), (0, 2**64 - 1)],
+        ids=["overflowing-product", "huge-size", "zero-size-huge-dim"],
+    )
+    def test_corrupt_tensor_dims_exit_1(self, labeled_items_file, tmp_path, capsys, dims):
+        """Shapes numpy cannot build are reported against the file, whatever
+        the product of the dims or its overflow in 64 bits."""
+        path = tmp_path / "dims.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<II", CHECKPOINT_VERSION, 2)
+            + b"{}"
+            + struct.pack("<II", 1, 1)
+            + b"w"
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--model", str(path), "--items", str(labeled_items_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_missing_checkpoint_exits_1(self, labeled_items_file, tmp_path, capsys):
         code = main(
@@ -934,7 +975,9 @@ def test_manifest_records_the_run(run, tmp_path, capsys):
         in_dir / "flagged.jsonl",
     )
     (in_dir / "decisions.tsv").write_text("it-000\tN\n")
-    save_pair_labels({item.id: item.pair_labels for item in items}, in_dir / "pairs.tsv")
+    (in_dir / "pairs.tsv").write_text(
+        "".join(f"{item.id}\t{','.join(item.pair_labels)}\n" for item in items)
+    )
     (in_dir / "vectors.txt").write_text("dog 0.1 0.2 0.3 0.4\ncat 0.4 0.3 0.2 0.1\n")
     if template[0] == "eval":
         argv = ["train", "--items", str(in_dir / "items.jsonl"), "--out",

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,24 +21,19 @@ from mpe.dataset import (
     aggregate_labels,
     attach_judgments,
     corpus_stats,
+    flagged_items,
     generate_items,
     graph_captions,
     load_captions,
     load_decisions,
     load_examples,
     load_items,
-    load_judgments,
-    load_spe_pairs,
-    provenance_report,
-    save_decisions,
     save_items,
-    save_judgments,
-    save_spe_pairs,
-    spe_pairs,
 )
 from mpe.graph import build_graph, caption_closures
 from mpe.models import load_pretrained_vectors
 from mpe.text import normalize, word_overlap
+from mpe.voting import load_pair_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,61 +210,36 @@ class TestAdjudicate:
 
     def test_unknown_decision_id_rejected(self):
         item = mk_item(judgments=("E", "E", "N", "N", "C"))
-        with pytest.raises(UnknownItemError, match="ghost"):
+        with pytest.raises(UnknownItemError, match=r"unknown item ids: \['ghost'\]"):
             adjudicate([item], {"ghost": "E"})
 
     def test_unflagged_item_rejected(self):
+        # A known item that aggregation does not flag: not an unknown id.
         item = mk_item(gold="E", judgments=("E", "E", "E", "E", "N"))
-        with pytest.raises(ValueError, match="does not need adjudication"):
-            adjudicate([item], {})
+        with pytest.raises(ValueError, match=r"do not need adjudication: \['i0'\]") as exc:
+            adjudicate([item], {"i0": "C"})
+        assert not isinstance(exc.value, UnknownItemError)
+
+    def test_whole_list_returned_in_order(self):
+        items = [
+            mk_item("a", gold="E", judgments=("E", "E", "E", "E", "N")),
+            mk_item("b", judgments=("E", "E", "N", "N", "C")),
+            mk_item("c"),
+            mk_item("d", gold="C", judgments=("C", "C", "C", "E", "E")),
+            mk_item("e", judgments=("N", "N", "C", "C", "E")),
+        ]
+        assert [item.id for item in flagged_items(items)] == ["b", "d", "e"]
+        out, unresolved = adjudicate(items, {"e": "N"})
+        assert [item.id for item in out] == ["a", "b", "c", "d", "e"]
+        assert out[:4] == items[:4]
+        assert out[4].gold_label == "N"
+        assert out[4].label_source == "adjudicated"
+        assert unresolved == ["b", "d"]
 
     def test_bad_decision_label_rejected(self):
         item = mk_item(judgments=("E", "E", "N", "N", "C"))
         with pytest.raises(ValueError, match="unknown label"):
             adjudicate([item], {"i0": "Q"})
-
-
-class TestProvenance:
-    def test_majority_fraction(self):
-        items = []
-        # Six clear-majority items whose label matches the majority.
-        for i in range(6):
-            items.append(
-                mk_item(f"m{i}", gold="E", judgments=("E", "E", "E", "N", "C"))
-            )
-        # Two adjudicated 3-2 items where the human agreed with the majority.
-        for i in range(2):
-            items.append(
-                mk_item(f"a{i}", gold="E", judgments=("E", "E", "E", "C", "C"))
-            )
-        # Two adjudicated 2-2-1 items: no majority existed, so never a match.
-        for i in range(2):
-            items.append(
-                mk_item(f"s{i}", gold="N", judgments=("E", "E", "C", "C", "N"))
-            )
-        report = provenance_report(items)
-        assert report.total == 10
-        assert report.labeled == 10
-        assert report.majority_matches == 8
-        assert report.majority_fraction == pytest.approx(0.8)
-
-    def test_sources_counted(self):
-        items = [
-            replace(mk_item("x", gold="E", judgments=("E",) * 5), label_source="majority"),
-            replace(
-                mk_item("y", gold="C", judgments=("E", "E", "C", "C", "N")),
-                label_source="adjudicated",
-            ),
-        ]
-        report = provenance_report(items)
-        assert report.by_source["majority"] == 1
-        assert report.by_source["adjudicated"] == 1
-
-    def test_unlabeled_counted(self):
-        report = provenance_report([mk_item()])
-        assert report.labeled == 0
-        assert report.unlabeled == 1
-        assert report.majority_fraction is None
 
 
 class TestItemValidation:
@@ -306,20 +275,6 @@ class TestItemValidation:
             mk_item(pair_labels=("E", "N"))
 
 
-class TestSpePairs:
-    def test_expansion(self):
-        item = mk_item(pair_labels=("E", "N", "C", "N"))
-        pairs = spe_pairs([item])
-        assert [p.id for p in pairs] == ["i0#0", "i0#1", "i0#2", "i0#3"]
-        assert [p.label for p in pairs] == ["E", "N", "C", "N"]
-        assert pairs[0].premise == item.premises[0]
-        assert all(p.hypothesis == item.hypothesis for p in pairs)
-
-    def test_missing_pair_labels_rejected(self):
-        with pytest.raises(ValueError, match="no pair_labels"):
-            spe_pairs([mk_item()])
-
-
 class TestGeneration:
     def test_requested_count_produced(self, generated):
         assert len(generated.items) == 8
@@ -344,7 +299,7 @@ class TestGeneration:
             hid = graph.node_id_for_phrase(tuple(item.hypothesis.lemmas))
             assert hid is not None
             for premise in item.premises:
-                pid = graph.node_for_caption(premise.raw)
+                pid = graph.node_for_caption(premise)
                 assert hid != pid
                 assert hid not in graph.ancestors(pid)
 
@@ -630,69 +585,80 @@ class TestItemsIO:
             load_items(path)
 
 
+SPE_HEADER = '{"format": "mpe-spe-items", "version": 1}\n'
+SPE_RECORD = {"id": "x#0", "premise": "A dog runs.", "hypothesis": "dog", "label": "E"}
+
+
 class TestSpeIO:
+    """Single-premise pairs are written by outside tools in the documented
+    JSONL format and read by `load_examples`."""
+
     def test_roundtrip(self, tmp_path):
-        pairs = spe_pairs([mk_item(pair_labels=("E", "N", "C", "E"))])
         path = tmp_path / "pairs.jsonl"
-        save_spe_pairs(pairs, path)
-        assert load_spe_pairs(path) == pairs
+        path.write_text(
+            SPE_HEADER
+            + json.dumps(SPE_RECORD)
+            + "\n"
+            + json.dumps({**SPE_RECORD, "id": "x#1", "label": "N"})
+            + "\n"
+        )
+        pairs = load_examples(path)
+        assert pairs == [
+            SpePair("x#0", normalize("A dog runs."), normalize("dog"), "E"),
+            SpePair("x#1", normalize("A dog runs."), normalize("dog"), "N"),
+        ]
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
-        path.write_text(
-            '{"format": "mpe-spe-items", "version": 1}\n'
-            '{"hypothesis": "dog", "id": "x#0", "label": "Q", "premise": "A dog runs."}\n'
-        )
+        path.write_text(SPE_HEADER + json.dumps({**SPE_RECORD, "label": "Q"}) + "\n")
         with pytest.raises(ValueError, match=":2:"):
-            load_spe_pairs(path)
+            load_examples(path)
 
     @pytest.mark.parametrize(
         "key, value", [("id", 7), ("premise", 5), ("hypothesis", ["dog"]), ("label", None)]
     )
     def test_wrong_json_type_located(self, tmp_path, key, value):
-        pair = spe_pairs([mk_item(pair_labels=("E", "N", "C", "E"))])[0]
-        path = with_field(tmp_path / "pairs.jsonl", save_spe_pairs, pair, key, value)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(SPE_HEADER + json.dumps({**SPE_RECORD, key: value}) + "\n")
         with pytest.raises(ValueError, match=f":2: bad pair record: '{key}' must be"):
-            load_spe_pairs(path)
+            load_examples(path)
 
 
 class TestJudgmentsIO:
-    def test_roundtrip(self, tmp_path):
-        judgments = {"i1": ("E", "E", "N", "C", "C"), "i0": ("N",) * 5}
-        path = tmp_path / "judgments.tsv"
-        save_judgments(judgments, path)
-        assert load_judgments(path) == judgments
+    """Judgments travel inside the items file, the one file that carries them."""
 
-    def test_sorted_output(self, tmp_path):
-        path = tmp_path / "judgments.tsv"
-        save_judgments({"b": ("E",) * 5, "a": ("C",) * 5}, path)
-        assert path.read_text().splitlines() == ["a\tC,C,C,C,C", "b\tE,E,E,E,E"]
+    def test_roundtrip(self, tmp_path):
+        items = [
+            mk_item("i1", judgments=("E", "E", "N", "C", "C")),
+            mk_item("i0", gold="N", judgments=("N",) * 5),
+        ]
+        path = tmp_path / "items.jsonl"
+        save_items(items, path)
+        assert [item.judgments for item in load_items(path)] == [
+            ("E", "E", "N", "C", "C"),
+            ("N",) * 5,
+        ]
 
     def test_wrong_label_count_rejected(self, tmp_path):
-        path = tmp_path / "judgments.tsv"
-        path.write_text("i0\tE,E,E\n")
-        with pytest.raises(ValueError, match="expected 5"):
-            load_judgments(path)
+        path = with_field(
+            tmp_path / "items.jsonl", save_items, mk_item(), "judgments", ["E"] * 3
+        )
+        with pytest.raises(ValueError, match=":2: bad item record: .*exactly 5"):
+            load_items(path)
 
     def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "judgments.tsv"
-        path.write_text("i0\tE,E,E,E,Q\n")
-        with pytest.raises(ValueError, match="bad label"):
-            load_judgments(path)
-
-    def test_duplicate_rejected(self, tmp_path):
-        path = tmp_path / "judgments.tsv"
-        path.write_text("i0\tE,E,E,E,E\ni0\tC,C,C,C,C\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            load_judgments(path)
+        path = with_field(
+            tmp_path / "items.jsonl", save_items, mk_item(), "judgments", ["E"] * 4 + ["Q"]
+        )
+        with pytest.raises(ValueError, match=":2: bad item record: unknown label 'Q'"):
+            load_items(path)
 
 
 class TestDecisionsIO:
     def test_roundtrip(self, tmp_path):
-        decisions = {"i0": "E", "i1": "C"}
         path = tmp_path / "decisions.tsv"
-        save_decisions(decisions, path)
-        assert load_decisions(path) == decisions
+        path.write_text("i1\tC\ni0\tE\n")
+        assert load_decisions(path) == {"i1": "C", "i0": "E"}
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "decisions.tsv"
@@ -777,7 +743,8 @@ class TestUndecodableBytes:
         self.check(load, path, path.read_bytes(), 4)
 
     def test_label_table(self, tmp_path):
-        self.check(load_judgments, tmp_path / "judgments.tsv", b"it-1\tE,E,E,N,C\n", 2)
+        self.check(load_pair_labels, tmp_path / "pairs.tsv", b"it-1\tE,E,N,C\n", 2)
+        self.check(load_decisions, tmp_path / "decisions.tsv", b"it-1\tE\n", 2)
 
     def test_vectors(self, tmp_path):
         # Read line by line in binary, yet CRLF and a lone CR end lines as above.

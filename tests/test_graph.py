@@ -311,7 +311,7 @@ class TestBuildGraph:
 
     def test_entry_node_counts_own_caption(self):
         graph, _ = build_fixture_graph()
-        nid = graph.node_for_caption("A girl runs.")
+        nid = graph.node_for_caption(normalize("A girl runs."))
         phrase, support, _ = graph.nodes[nid]
         assert phrase == ("a", "girl", "run")
         assert support == ("g1",)
@@ -465,15 +465,20 @@ def fixture_closures():
 
 def graph_simplify(source, premises, graph):
     """simplify_hypothesis read off the phrase graph's edges (test-side oracle)."""
-    candidates = set(graph.ancestors(graph.node_for_caption(source)))
+    candidates = set(graph.ancestors(graph.node_for_caption(normalize(source))))
     for premise in premises:
-        candidates -= graph.ancestors(graph.node_for_caption(premise))
+        candidates -= graph.ancestors(graph.node_for_caption(normalize(premise)))
     return sorted(phrase_of(graph, nid) for nid in candidates)
+
+
+def simplify(source, premises, closures):
+    """simplify_hypothesis on caption texts, normalized first."""
+    return simplify_hypothesis(normalize(source), [normalize(p) for p in premises], closures)
 
 
 class TestSimplifyHypothesis:
     def test_premise_ancestors_excluded(self):
-        got = simplify_hypothesis("A girl runs.", ["A boy runs."], fixture_closures())
+        got = simplify("A girl runs.", ["A boy runs."], fixture_closures())
         # Shared generalizations (child run / person run lineages) are excluded;
         # girl-specific ones survive.
         assert ("girl", "run") in got
@@ -482,17 +487,17 @@ class TestSimplifyHypothesis:
         assert all("boy" not in p for p in got)
 
     def test_source_itself_never_returned(self):
-        got = simplify_hypothesis("A girl runs.", [], fixture_closures())
+        got = simplify("A girl runs.", [], fixture_closures())
         assert ("a", "girl", "run") not in got
 
     def test_no_premises_returns_all_ancestors(self):
         graph, _ = build_fixture_graph()
-        got = simplify_hypothesis("A girl runs.", [], fixture_closures())
-        nid = graph.node_for_caption("A girl runs.")
+        got = simplify("A girl runs.", [], fixture_closures())
+        nid = graph.node_for_caption(normalize("A girl runs."))
         assert set(got) == {phrase_of(graph, a) for a in graph.ancestors(nid)}
 
     def test_full_exclusion_yields_empty(self):
-        got = simplify_hypothesis(
+        got = simplify(
             "A girl runs.", ["A girl runs.", "A boy runs."], fixture_closures()
         )
         # The identical premise removes every shared ancestor.
@@ -505,35 +510,35 @@ class TestSimplifyHypothesis:
         )
         # "girl run" is the second caption's own phrase: it stays a candidate
         # until a premise that generalizes to it is added.
-        assert ("girl", "run") in simplify_hypothesis("A girl runs.", ["Girl runs."], closures)
-        got = simplify_hypothesis("A girl runs.", ["Girl runs.", "A girl runs."], closures)
+        assert ("girl", "run") in simplify("A girl runs.", ["Girl runs."], closures)
+        got = simplify("A girl runs.", ["Girl runs.", "A girl runs."], closures)
         assert ("girl", "run") not in got
 
     def test_candidates_not_ancestors_of_any_premise(self):
         graph, _ = build_fixture_graph()
         premises = ["A boy runs.", "A young girl is running."]
-        got = simplify_hypothesis("A girl runs.", premises, fixture_closures())
+        got = simplify("A girl runs.", premises, fixture_closures())
         for premise in premises:
-            pid = graph.node_for_caption(premise)
+            pid = graph.node_for_caption(normalize(premise))
             ancestor_phrases = {phrase_of(graph, a) for a in graph.ancestors(pid)}
             assert not set(got) & ancestor_phrases
 
     def test_accepts_sentence_objects(self):
-        closures = fixture_closures()
+        graph, _ = build_fixture_graph()
         got = simplify_hypothesis(
-            normalize("A girl runs."), [normalize("A boy runs.")], closures
+            normalize("A girl runs."), [normalize("A boy runs.")], fixture_closures()
         )
-        assert got == simplify_hypothesis("A girl runs.", ["A boy runs."], closures)
+        assert got == graph_simplify("A girl runs.", ["A boy runs."], graph)
 
     def test_unknown_caption_raises(self):
         closures = fixture_closures()
         with pytest.raises(UnknownCaptionError):
-            simplify_hypothesis("Never indexed.", [], closures)
+            simplify("Never indexed.", [], closures)
         with pytest.raises(UnknownCaptionError):
-            simplify_hypothesis("A girl runs.", ["Never indexed."], closures)
+            simplify("A girl runs.", ["Never indexed."], closures)
 
     def test_sorted_and_duplicate_free(self):
-        got = simplify_hypothesis(
+        got = simplify(
             "A young girl is running.", ["A boy runs."], fixture_closures()
         )
         assert got == sorted(set(got))
@@ -565,14 +570,14 @@ class TestCaptionClosures:
         raws = sorted({sent.raw for _, sent in captions})
         assert sorted(closures.ancestors) == raws
         for raw in raws:
-            nid = graph.node_for_caption(raw)
+            nid = graph.node_for_caption(normalize(raw))
             assert closures.ancestors[raw] == {phrase_of(graph, a) for a in graph.ancestors(nid)}
         assert closures.caption_counts == {
             phrase: caption_count for phrase, _, caption_count in graph.nodes
         }
         source = data.draw(st.sampled_from(raws))
         premises = data.draw(st.lists(st.sampled_from(raws), max_size=4))
-        assert simplify_hypothesis(source, premises, closures) == graph_simplify(
+        assert simplify(source, premises, closures) == graph_simplify(
             source, premises, graph
         )
 

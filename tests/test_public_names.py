@@ -1,0 +1,51 @@
+"""Every public top-level function and class of the package has a caller in
+the program: in another module of `src/`, in `scripts/` or `perfbench/`, or
+elsewhere in its own module. A name that only tests reach is dead weight."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mpe"
+PROGRAM = sorted(
+    [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+)
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names, attributes and imported names under `node`, plus string
+    constants that are identifiers (names looked up with getattr)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                names.add(sub.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # Names referenced by each top-level statement of each program file.
+    statements = {
+        path: [(node, referenced_names(node)) for node in ast.parse(path.read_text("utf-8")).body]
+        for path in PROGRAM
+    }
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, _ in statements[path]:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # Any statement of any program file but the definition itself.
+            if not any(
+                node.name in names
+                for other in PROGRAM
+                for stmt, names in statements[other]
+                if stmt is not node
+            ):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []

@@ -9,7 +9,7 @@ import pytest
 from mpe.autodiff import Tape, cross_entropy, scale, tensor_sum, zero_grad
 from mpe.dataset import Item, LABELS, SpePair, label_index
 from mpe.models import ARCHITECTURES, SumOfExpertsModel, concat_premises, load_model
-from mpe.text import tokenize
+from mpe.text import normalize
 from mpe.training import (
     EVAL_CHUNK,
     EpochLog,
@@ -22,7 +22,6 @@ from mpe.training import (
     evaluate,
     format_eval_report,
     forward_logits,
-    predict,
     predict_all,
     train,
     vocabulary_from_items,
@@ -50,8 +49,8 @@ def synth_items(n=12, with_pairs=False, with_tags=False, offset=0):
             Item(
                 id=f"syn-{offset}-{i:03d}",
                 scene_group_id=f"g{i:03d}",
-                premises=FILLERS[i % 2],
-                hypothesis=f"{MARKERS[label]} sign {VARIANTS[i % 4]}",
+                premises=tuple(map(normalize, FILLERS[i % 2])),
+                hypothesis=normalize(f"{MARKERS[label]} sign {VARIANTS[i % 4]}"),
                 gold_label=label,
                 pair_labels=PAIR_PATTERNS[i % 3] if with_pairs else None,
                 phenomenon_tags=frozenset({f"tag{i % 2}"}) if with_tags else frozenset(),
@@ -67,8 +66,8 @@ def synth_pairs(n=12, offset=0):
         pairs.append(
             SpePair(
                 id=f"pair-{i:03d}",
-                premise=FILLERS[i % 2][i % 4],
-                hypothesis=f"{MARKERS[label]} sign {VARIANTS[(i + 1) % 4]}",
+                premise=normalize(FILLERS[i % 2][i % 4]),
+                hypothesis=normalize(f"{MARKERS[label]} sign {VARIANTS[(i + 1) % 4]}"),
                 label=label,
             )
         )
@@ -166,8 +165,8 @@ class TestAdapters:
         model = batch_model(arch, keep_prob=1.0)
         for item in (*synth_pairs(2), *ragged_items(2)):
             row = batch_logits(model, [item]).values[0]
-            premises = [list(tokenize(p)) for p in item.premises]
-            hypothesis = list(tokenize(item.hypothesis))
+            premises = [list(p.tokens) for p in item.premises]
+            hypothesis = list(item.hypothesis.tokens)
             joined = concat_premises(premises) if model.joined_premises else premises
             assert np.array_equal(model.logits(premises, hypothesis).values, row)
             # The conditional LSTM's forward has no extras to return.
@@ -175,7 +174,6 @@ class TestAdapters:
             forward = out if arch == "conditional-lstm" else out[0]
             assert np.array_equal(forward.values, row)
             assert np.array_equal(forward_logits(model, item).values, row)
-            assert predict(model, item) == predict_all(model, [item])[0]
 
     def test_spe_pairs_score_like_items(self):
         pairs = synth_pairs(5)
@@ -192,7 +190,7 @@ class TestAdapters:
         model = build_model(tiny_config(), ["dog"])
         for p in model.params():
             p.values[...] = 0.0
-        assert predict(model, synth_items(1)[0]) == "E"
+        assert predict_all(model, synth_items(1)) == ["E"]
 
 
 class TestTrainer:
@@ -365,7 +363,7 @@ class TestEvaluate:
     def test_overall_matches_correct_over_total(self):
         model, items = self.eval_fixture()
         report = evaluate(model, items)
-        hits = sum(predict(model, item) == item.gold_label for item in items)
+        hits = sum(g == item.gold_label for g, item in zip(predict_all(model, items), items))
         assert report.correct == hits
         assert report.accuracy == hits / len(items)
         assert accuracy(model, items) == report.accuracy
@@ -418,7 +416,7 @@ class TestEvaluate:
         report = evaluate(model, items)
         assert len(report.predictions) == len(items)
         for item, guess in zip(items, report.predictions):
-            assert guess == predict(model, item)
+            assert [guess] == predict_all(model, [item])
 
     def test_evaluation_never_mutates_parameters(self):
         model, items = self.eval_fixture()
@@ -448,8 +446,8 @@ def ragged_items(n=7):
         Item(
             id=f"rag-{i:03d}",
             scene_group_id=f"r{i:03d}",
-            premises=tuple(sentence() for _ in range(4)),
-            hypothesis=sentence(),
+            premises=tuple(normalize(sentence()) for _ in range(4)),
+            hypothesis=normalize(sentence()),
             gold_label=LABELS[i % 3],
         )
         for i in range(n)
@@ -516,7 +514,7 @@ class TestBatchPath:
         model = batch_model(arch, keep_prob=1.0)
         items = ragged_items(EVAL_CHUNK + 9)
         report = evaluate(model, items)
-        assert list(report.predictions) == [predict(model, item) for item in items]
+        assert list(report.predictions) == [predict_all(model, [item])[0] for item in items]
 
 
 class TestReportRendering:

@@ -15,7 +15,6 @@ from mpe.voting import (
     load_pair_labels,
     majority_vote,
     pair_agreement_category,
-    save_pair_labels,
     score_baselines,
 )
 
@@ -190,15 +189,9 @@ class TestPairLabelAttachment:
 
 class TestPairLabelsIO:
     def test_roundtrip(self, tmp_path):
-        labels = {"i0": ("E", "N", "C", "N"), "i1": ("C",) * 4}
         path = tmp_path / "pairs.tsv"
-        save_pair_labels(labels, path)
-        assert load_pair_labels(path) == labels
-
-    def test_sorted_output(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        save_pair_labels({"b": ("E",) * 4, "a": ("N",) * 4}, path)
-        assert path.read_text().splitlines() == ["a\tN,N,N,N", "b\tE,E,E,E"]
+        path.write_text("i1\tC,C,C,C\n\ni0\tE,N,C,N\n")
+        assert load_pair_labels(path) == {"i1": ("C",) * 4, "i0": ("E", "N", "C", "N")}
 
     def test_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "pairs.tsv"
