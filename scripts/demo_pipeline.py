@@ -20,7 +20,6 @@ from pathlib import Path
 from mpe.dataset import (
     GenerationConfig,
     adjudicate,
-    aggregate_labels,
     attach_judgments,
     corpus_stats,
     flagged_items,
@@ -92,9 +91,8 @@ def run(args: argparse.Namespace, workdir: Path) -> int:
         print("== adjudicating flagged items (demo rule: pick the first leader)")
         decisions = {}
         for item in flagged:
-            counts = aggregate_labels(item.judgments).vote_counts
-            leader = max(zip(counts, ("E", "N", "C")))[1]
-            decisions[item.id] = leader
+            counts = [item.judgments.count(label) for label in ("E", "N", "C")]
+            decisions[item.id] = max(zip(counts, ("E", "N", "C")))[1]
         items, unresolved = adjudicate(items, decisions)
         print(f"   decided {len(decisions)}, unresolved {len(unresolved)}")
 

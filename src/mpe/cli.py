@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -228,8 +229,20 @@ def _format_stats(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _naming_items(inputs):
+    """Report a ValueError about the `--items` items, such as too few labels
+    or an id another input names, against that file too."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{exc} (items: {inputs['items']})") from None
+
+
 def cmd_stats(args, inputs) -> _Written:
-    report = corpus_stats(load_items(inputs["items"]))
+    items = load_items(inputs["items"])
+    with _naming_items(inputs):
+        report = corpus_stats(items)
     print(_format_stats(report), end="")
     return _report(args.out, asdict(report))
 
@@ -275,7 +288,8 @@ def cmd_adjudicate(args, inputs) -> _Written:
         decisions = load_decisions(inputs["decisions"])
     else:
         decisions = run_adjudication_loop(flagged, sys.stdin)
-    items, unresolved = adjudicate(items, decisions)
+    with _naming_items(inputs):
+        items, unresolved = adjudicate(items, decisions)
     out = _resolve(args.out)
     save_items(items, out)
     print(
@@ -289,8 +303,8 @@ def cmd_adjudicate(args, inputs) -> _Written:
 def cmd_vote(args, inputs) -> _Written:
     items = load_items(inputs["items"])
     pair_labels = load_pair_labels(inputs["pairs"])
-    items = attach_pair_labels(items, pair_labels)
-    report = score_baselines(items)
+    with _naming_items(inputs):
+        report = score_baselines(attach_pair_labels(items, pair_labels))
     histogram = "  ".join(
         f"{cat}:{share:.1%}" for cat, share in enumerate(report.category_histogram)
     )
@@ -316,13 +330,17 @@ def _train_config(args) -> TrainConfig:
         raise CliError(str(exc)) from None
 
 
-def _load_training_input(inputs, name: str):
-    """Examples of the `--name` input, None if not given; an empty file is an error."""
+def _load_examples(inputs, name: str):
+    """Examples of the `--name` input, None if not given; an empty file or an
+    unlabeled example is an error."""
     if name not in inputs:
         return None
     examples = load_examples(inputs[name])
     if not examples:
         raise CliError(f"--{name} {inputs[name]}: holds no items")
+    for example in examples:
+        if example.gold_label is None:
+            raise CliError(f"--{name} {inputs[name]}: item {example.id} has no gold label")
     return examples
 
 
@@ -330,18 +348,23 @@ def cmd_train(args, inputs) -> _Written:
     if args.trainable_embeddings and not args.embeddings:
         raise CliError("--trainable-embeddings needs --embeddings")
     config = _train_config(args)
-    items = _load_training_input(inputs, "items")
-    dev = _load_training_input(inputs, "dev")
-    pretrain = _load_training_input(inputs, "pretrain")
+    items = _load_examples(inputs, "items")
+    dev = _load_examples(inputs, "dev")
+    pretrain = _load_examples(inputs, "pretrain")
 
     vectors = None
     if "embeddings" in inputs:
-        # Pretrained vectors are frozen by default; their width is the run's,
-        # and `build_model` rejects an --embedding-dim that differs.
+        # Pretrained vectors are frozen by default; their width is the run's.
         vectors = load_pretrained_vectors(inputs["embeddings"])
+        width = len(next(iter(vectors.values())))
+        if args.embedding_dim not in (None, width):
+            raise CliError(
+                f"--embeddings {inputs['embeddings']}: embedding_dim "
+                f"{args.embedding_dim} differs from the {width}-d pretrained vectors"
+            )
         config = replace(
             config,
-            embedding_dim=args.embedding_dim or len(next(iter(vectors.values()))),
+            embedding_dim=width,
             trainable_embeddings=bool(args.trainable_embeddings),
         )
 
@@ -375,7 +398,7 @@ def cmd_train(args, inputs) -> _Written:
 
 def cmd_eval(args, inputs) -> _Written:
     model = load_model(inputs["model"])
-    items = load_examples(inputs["items"])
+    items = _load_examples(inputs, "items")
     report = evaluate(model, items)
     print(format_eval_report(report), end="")
     written = _report(args.out, report.to_record())

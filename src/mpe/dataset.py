@@ -8,9 +8,12 @@ from another group (unrelated) that no premise generalizes to, kept only when
 they clear a support threshold and a word-overlap ceiling against the
 premises. No phrase graph is built; `build_graph` serves `build-graph` alone.
 
-Five crowd judgments reduce to a final label by majority, except two flagged
-patterns (3-2 between E and C, and 2-2-1) that go to human adjudication;
-label_source records which route produced each final label.
+Five crowd judgments reduce to a final label and its route, `label_source`
+(`aggregate_labels`): "majority", or "majority-provisional" for a 3-2 split
+between E and C; a 2-2-1 split gets no label. Both splits are flagged for human
+adjudication, and an "adjudicated" item is never flagged again. Judgments,
+decisions and pair labels attach to items by id through one merge, which
+rejects an id that names no item; their labels are checked once, by `Item`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import CaptionClosures, simplify_hypothesis
 from .text import (
@@ -75,15 +78,12 @@ class Item:
             raise ValueError(f"item {self.id}: needs exactly 4 premises")
         if self.judgments and len(self.judgments) != 5:
             raise ValueError(f"item {self.id}: judgments must number exactly 5")
-        for j in self.judgments:
-            label_index(j)
+        if self.pair_labels is not None and len(self.pair_labels) != 4:
+            raise ValueError(f"item {self.id}: pair_labels must number exactly 4")
+        for label in (*self.judgments, *(self.pair_labels or ())):
+            label_index(label)
         if self.gold_label is not None:
             label_index(self.gold_label)
-        if self.pair_labels is not None:
-            if len(self.pair_labels) != 4:
-                raise ValueError(f"item {self.id}: pair_labels must number exactly 4")
-            for p in self.pair_labels:
-                label_index(p)
         if self.split not in SPLITS:
             raise ValueError(f"item {self.id}: bad split {self.split!r}")
         if self.label_source is not None and self.label_source not in LABEL_SOURCES:
@@ -114,51 +114,22 @@ class SpePair:
 
 # --- judgment aggregation -------------------------------------------------
 
-AGGREGATION_KINDS = ("clear-majority", "split-3-2", "split-2-2-1")
 
+def aggregate_labels(judgments: Sequence[str]) -> tuple[str | None, str | None]:
+    """Reduce five E/N/C judgments to `(label, label_source)`.
 
-@dataclass(frozen=True)
-class AggregationOutcome:
-    """How five judgments reduce to a (possibly provisional) label.
-
-    label is None only for 2-2-1 splits, which carry no usable majority; 3-2
-    splits between E and C keep the majority label provisionally but are
-    flagged for human adjudication along with the 2-2-1 cases.
+    No label reaching 3 votes (a 2-2-1 split) gives `(None, None)`; a 3-2
+    split between E and C keeps its majority as "majority-provisional"; any
+    other majority is "majority". Both splits need adjudication.
     """
-
-    kind: str
-    label: str | None
-    vote_counts: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if self.kind not in AGGREGATION_KINDS:
-            raise ValueError(f"bad aggregation kind {self.kind!r}")
-        if sum(self.vote_counts) != 5:
-            raise ValueError(f"vote_counts {self.vote_counts} must sum to 5")
-
-    @property
-    def needs_adjudication(self) -> bool:
-        return self.kind != "clear-majority"
-
-
-def aggregate_labels(judgments: Sequence[str]) -> AggregationOutcome:
-    """Reduce exactly five E/N/C judgments to an aggregation outcome."""
-    js = tuple(judgments)
-    if len(js) != 5:
-        raise ValueError(f"expected exactly 5 judgments, got {len(js)}")
-    for j in js:
-        label_index(j)
-    counts = tuple(js.count(label) for label in LABELS)
+    counts = [judgments.count(label) for label in LABELS]
     top = max(counts)
-    leaders = [label for label, c in zip(LABELS, counts) if c == top]
-    if top >= 3:
-        label = leaders[0]
-        runners = [l for l, c in zip(LABELS, counts) if c == 2]
-        if top == 3 and runners and {label, runners[0]} == {"E", "C"}:
-            return AggregationOutcome("split-3-2", label, counts)
-        return AggregationOutcome("clear-majority", label, counts)
-    # Five votes over three labels: if no count reaches 3 the split is 2-2-1.
-    return AggregationOutcome("split-2-2-1", None, counts)
+    if top < 3:
+        return None, None
+    label = LABELS[counts.index(top)]
+    if top == 3 and "N" not in judgments:
+        return label, "majority-provisional"
+    return label, "majority"
 
 
 def _at(table: Mapping[str, object], key: str) -> str:
@@ -166,52 +137,46 @@ def _at(table: Mapping[str, object], key: str) -> str:
     return f"{table.lines[key]}: " if isinstance(table, _LabelTable) else ""
 
 
-def _check_known(
-    items: Sequence[Item], by_id: Mapping[str, object], what: str
-) -> None:
-    """Reject keys of `by_id` that name no item in `items`."""
+def _merge(
+    items: Sequence[Item], table: Mapping[str, object], what: str, update: Callable
+) -> list[Item]:
+    """Every item in order, each id of `table` replaced by
+    `update(item, table[id])`; an id that names no item is an error."""
     known = {item.id for item in items}
-    unknown = [key for key in by_id if key not in known]
+    unknown = [key for key in table if key not in known]
     if unknown:
         raise UnknownItemError(
-            f"{_at(by_id, unknown[0])}{what} for unknown item ids: {unknown}"
+            f"{_at(table, unknown[0])}{what} for unknown item ids: {unknown}"
         )
+    return [update(item, table[item.id]) if item.id in table else item for item in items]
+
+
+def _judged(item: Item, judgments: Sequence[str]) -> Item:
+    judgments = tuple(judgments)
+    label, source = aggregate_labels(judgments)
+    return replace(item, judgments=judgments, gold_label=label, label_source=source)
 
 
 def attach_judgments(
     items: Sequence[Item], judgments: Mapping[str, Sequence[str]]
 ) -> list[Item]:
-    """Attach crowd judgments and derive labels where a majority exists.
+    """Attach crowd judgments with the label and `label_source` they reduce to.
 
     Items without an entry pass through unchanged. 2-2-1 items come back with
     judgments attached but no label; 3-2 E/C items get a provisional label.
     """
-    _check_known(items, judgments, "judgments")
-    out = []
-    for item in items:
-        if item.id not in judgments:
-            out.append(item)
-            continue
-        js = tuple(judgments[item.id])
-        outcome = aggregate_labels(js)
-        if outcome.kind == "clear-majority":
-            source: str | None = "majority"
-        elif outcome.kind == "split-3-2":
-            source = "majority-provisional"
-        else:
-            source = None
-        out.append(
-            replace(item, judgments=js, gold_label=outcome.label, label_source=source)
-        )
-    return out
+    return _merge(items, judgments, "judgments", _judged)
 
 
 def flagged_items(items: Iterable[Item]) -> list[Item]:
-    """The judged items that aggregation flags (split-3-2 or split-2-2-1)."""
+    """The judged items whose judgments reduce to no label or a provisional
+    one, unless already adjudicated."""
     return [
         item
         for item in items
-        if item.judgments and aggregate_labels(item.judgments).needs_adjudication
+        if item.judgments
+        and item.label_source != "adjudicated"
+        and aggregate_labels(item.judgments)[1] != "majority"
     ]
 
 
@@ -225,25 +190,16 @@ def adjudicate(
     provisional label. A decision for an unknown id or for an item that is
     not flagged is an error, and the message says which.
     """
-    _check_known(items, decisions, "decisions")
-    flagged = {item.id for item in flagged_items(items)}
+    flagged = dict.fromkeys(item.id for item in flagged_items(items))
+    decide = lambda item, label: replace(item, gold_label=label, label_source="adjudicated")
+    out = _merge(items, decisions, "decisions", decide)
     unflagged = [key for key in decisions if key not in flagged]
     if unflagged:
         raise ValueError(
             f"{_at(decisions, unflagged[0])}decisions for items that do not "
             f"need adjudication: {unflagged}"
         )
-    out = []
-    unresolved = []
-    for item in items:
-        if item.id in decisions:
-            decision = decisions[item.id]
-            label_index(decision)
-            item = replace(item, gold_label=decision, label_source="adjudicated")
-        elif item.id in flagged:
-            unresolved.append(item.id)
-        out.append(item)
-    return out, unresolved
+    return out, [item_id for item_id in flagged if item_id not in decisions]
 
 
 # --- corpus loading --------------------------------------------------------
@@ -255,12 +211,6 @@ class CaptionGroup:
 
     gid: str
     captions: tuple[Sentence, ...]
-
-    def __post_init__(self) -> None:
-        if not self.gid or "\t" in self.gid:
-            raise ValueError(f"bad scene group id {self.gid!r}")
-        if not self.captions:
-            raise ValueError(f"group {self.gid}: no captions")
 
 
 def load_captions(path: str | Path) -> list[CaptionGroup]:
@@ -276,6 +226,8 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
                 f"{path}:{lineno}: expected gid<TAB>index<TAB>text, got {line!r}"
             )
         gid, idx_s, text = parts
+        if not gid:
+            raise ValueError(f"{path}:{lineno}: empty scene group id")
         try:
             idx = int(idx_s)
         except ValueError:
@@ -468,15 +420,15 @@ class Moments:
     mean: float
     sd: float
 
-    def __post_init__(self) -> None:
-        if self.sd < 0:
-            raise ValueError("sd must be >= 0")
+
+def _mean(values: Sequence[float]) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 def _moments(values: Sequence[float]) -> Moments | None:
     if not values:
         return None
-    mean = sum(values) / len(values)
+    mean = _mean(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     # Population variance; tiny negatives from roundoff clamp to zero.
     return Moments(mean=mean, sd=max(var, 0.0) ** 0.5)
@@ -522,8 +474,7 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
     overlap_excluded = 0
 
     for item in items:
-        sentences = list(item.premises) + [item.hypothesis]
-        for sent in sentences:
+        for sent in (*item.premises, item.hypothesis):
             types.update(sent.tokens)
             token_count += len(sent.tokens)
         premise_lengths.append(sum(len(p.tokens) for p in item.premises))
@@ -545,7 +496,6 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
             agreements[item.gold_label].append(agreement)
 
     n = len(items)
-    overall_agreement = agreements["all"]
     return StatsReport(
         item_count=n,
         type_count=len(types),
@@ -555,16 +505,8 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
         label_distribution={label: label_counts[label] / n for label in LABELS},
         overlap_full={k: _moments(v) for k, v in overlaps_full.items()},
         overlap_lemma={k: _moments(v) for k, v in overlaps_lemma.items()},
-        agreement_overall=(
-            sum(overall_agreement) / len(overall_agreement)
-            if overall_agreement
-            else None
-        ),
-        agreement_by_label={
-            label: (sum(vals) / len(vals) if vals else None)
-            for label, vals in agreements.items()
-            if label != "all"
-        },
+        agreement_overall=_mean(agreements["all"]),
+        agreement_by_label={label: _mean(agreements[label]) for label in LABELS},
         overlap_excluded=overlap_excluded,
     )
 

@@ -499,6 +499,15 @@ class _ModelBase:
             raise ValueError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
         if not all(type(meta[key]) is int for key in ("dim", "state_dim")):
             raise ValueError("checkpoint meta 'dim' and 'state_dim' must be integers")
+        keep_prob = meta["keep_prob"]
+        if type(keep_prob) not in (int, float) or not 0 < keep_prob <= 1:
+            raise ValueError(
+                f"checkpoint meta 'keep_prob' must be a number in (0, 1], got {keep_prob!r}"
+            )
+        if type(meta["trainable_embeddings"]) is not bool:
+            raise ValueError("checkpoint meta 'trainable_embeddings' must be true or false")
+        if type(meta["vocab"]) is not list or not all(type(t) is str for t in meta["vocab"]):
+            raise ValueError("checkpoint meta 'vocab' must be a list of strings")
         shapes = cls.shapes(len(meta["vocab"]), meta["dim"], meta["state_dim"])
         if set(shapes) != set(arrays):
             mismatched = sorted(set(shapes) ^ set(arrays))

@@ -3,7 +3,8 @@
 Each premise-hypothesis pair carries its own E/N/C label; these baselines try
 to recover the item label from the four pair labels alone. Their failure
 modes (ties, overruled minorities) are the motivation for models that read
-all premises jointly.
+all premises jointly. The schemes trust their input: pair labels are checked
+once, when an `Item` holding them is built.
 """
 
 from __future__ import annotations
@@ -12,41 +13,24 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import (
-    LABELS,
-    Item,
-    _check_known,
-    _load_label_table,
-    label_index,
-)
+from .dataset import LABELS, Item, _load_label_table, _merge
 
 PAIR_COUNT = 4
 
 NO_MAJORITY = None
 
 
-def _validated(pairs: Sequence[str]) -> tuple[str, ...]:
-    labels = tuple(pairs)
-    if len(labels) != PAIR_COUNT:
-        raise ValueError(f"expected exactly {PAIR_COUNT} pair labels, got {len(labels)}")
-    for label in labels:
-        label_index(label)
-    return labels
-
-
 def majority_vote(pairs: Sequence[str]) -> str | None:
     """Label held by at least 3 of the 4 pairs, else None (no majority)."""
-    labels = _validated(pairs)
     for label in LABELS:
-        if labels.count(label) >= 3:
+        if pairs.count(label) >= 3:
             return label
     return NO_MAJORITY
 
 
 def ec_heuristic(pairs: Sequence[str]) -> str:
     """Predict E if E-pairs outnumber C-pairs, C if the reverse, else N."""
-    labels = _validated(pairs)
-    e, c = labels.count("E"), labels.count("C")
+    e, c = pairs.count("E"), pairs.count("C")
     if e > c:
         return "E"
     if c > e:
@@ -56,9 +40,7 @@ def ec_heuristic(pairs: Sequence[str]) -> str:
 
 def pair_agreement_category(pairs: Sequence[str], gold: str) -> int:
     """How many pair labels equal the item label (0..4)."""
-    labels = _validated(pairs)
-    label_index(gold)
-    return sum(label == gold for label in labels)
+    return sum(label == gold for label in pairs)
 
 
 @dataclass(frozen=True)
@@ -113,14 +95,8 @@ def attach_pair_labels(
     items: Sequence[Item], pair_labels: Mapping[str, Sequence[str]]
 ) -> list[Item]:
     """Set pair labels on matching items; ids without items are an error."""
-    _check_known(items, pair_labels, "pair labels")
-    out = []
-    for item in items:
-        if item.id in pair_labels:
-            out.append(replace(item, pair_labels=_validated(pair_labels[item.id])))
-        else:
-            out.append(item)
-    return out
+    attach = lambda item, labels: replace(item, pair_labels=tuple(labels))
+    return _merge(items, pair_labels, "pair labels", attach)
 
 
 def load_pair_labels(path: str | Path) -> dict[str, tuple[str, ...]]:

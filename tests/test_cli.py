@@ -285,6 +285,46 @@ class TestAdjudicate:
         assert code == 1
         assert "no items need adjudication" in capsys.readouterr().err
 
+    def test_rerun_never_reflags_adjudicated_items(self, tmp_path, monkeypatch, capsys):
+        splits = {0: ("E", "E", "N", "N", "C"), 2: ("C", "C", "C", "E", "E"),
+                  4: ("N", "N", "E", "E", "C")}
+        items = [
+            make_item(i, "E", judgments=splits.get(i, ("E",) * 5), gold=i not in splits)
+            for i in range(5)
+        ]
+        first, second, third = (tmp_path / f"run{k}.jsonl" for k in (1, 2, 3))
+        save_items(items, tmp_path / "items.jsonl")
+        decisions = tmp_path / "d.tsv"
+        decisions.write_text("it-000\tN\nit-004\tC\n")
+
+        def adjudicate(items_path, out, *flags):
+            argv = ["adjudicate", "--items", str(items_path), "--out", str(out)]
+            return main(argv + list(flags))
+
+        assert adjudicate(tmp_path / "items.jsonl", first, "--decisions", str(decisions)) == 0
+        assert read_manifest(first)["unresolved"] == ["it-002"]
+        capsys.readouterr()
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert adjudicate(first, second) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("\nitem ") == 1 and "item it-002 " in printed
+        assert printed.endswith(f"flagged 1, decided 0, unresolved 1 -> {second}\n")
+        assert read_manifest(second)["unresolved"] == ["it-002"]
+
+        assert adjudicate(first, third, "--decisions", str(decisions)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {decisions}:1: decisions for items that do not need "
+            f"adjudication: ['it-000', 'it-004'] (items: {first})\n"
+        )
+        assert not third.exists()
+
+        decisions.write_text("it-002\tE\n")
+        assert adjudicate(first, third, "--decisions", str(decisions)) == 0
+        assert adjudicate(third, tmp_path / "run4.jsonl") == 1
+        assert capsys.readouterr().err.endswith(
+            f"{third}: no items need adjudication\n"
+        )
 
     @pytest.mark.parametrize(
         "line, expected",
@@ -302,7 +342,9 @@ class TestAdjudicate:
         out = tmp_path / "resolved.jsonl"
         argv = ["adjudicate", "--items", str(flagged_file), "--out", str(out)]
         assert main(argv + ["--decisions", str(decisions)]) == 1
-        assert capsys.readouterr().err == f"error: {decisions}:2: {expected}\n"
+        assert capsys.readouterr().err == (
+            f"error: {decisions}:2: {expected} (items: {flagged_file})\n"
+        )
         assert not out.exists()
 
 
@@ -345,7 +387,8 @@ class TestVote:
         argv = ["vote", "--items", str(labeled_items_file), "--pairs", str(pairs)]
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {pairs}:2: pair labels for unknown item ids: ['nope-1']\n"
+            f"error: {pairs}:2: pair labels for unknown item ids: ['nope-1']"
+            f" (items: {labeled_items_file})\n"
         )
         assert not out.exists()
 
@@ -549,6 +592,19 @@ class TestTrain:
         assert f"--{flag} {empty}" in err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flag", ["items", "dev"])
+    def test_unlabeled_input_exits_1_naming_flag_and_file(
+        self, labeled_items_file, tmp_path, capsys, flag
+    ):
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        save_items([make_item(0, "E"), make_item(1, "N", gold=False)], unlabeled)
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv + TINY_TRAIN_FLAGS + [f"--{flag}", str(unlabeled)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --{flag} {unlabeled}: item it-001 has no gold label\n"
+        )
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_best_out_and_dev(self, labeled_items_file, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         best = tmp_path / "best.ckpt"
@@ -632,6 +688,7 @@ class TestTrain:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "embedding_dim 300" in err and "3-d" in err
+        assert f"--embeddings {vectors_3d}: " in err
         assert not ckpt.exists()
 
     # Each settable TrainConfig field, the flags that set it and the value,
@@ -720,6 +777,19 @@ class TestEval:
         assert item_id == "it-000" and guess in ("E", "N", "C")
         manifest = read_manifest(report_path)
         assert set(manifest["inputs"]) == {"model", "items"}
+
+    @pytest.mark.parametrize(
+        "items, expected",
+        [([], "holds no items"), ([make_item(0, "E", gold=False)], "item it-000 has no gold label")],
+        ids=["header-only", "unlabeled"],
+    )
+    def test_items_without_labels_exit_1_naming_file(
+        self, checkpoint, tmp_path, capsys, items, expected
+    ):
+        path = tmp_path / "eval-items.jsonl"
+        save_items(items, path)
+        assert main(["eval", "--model", str(checkpoint), "--items", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: --items {path}: {expected}\n"
 
     @pytest.mark.parametrize(
         "dims",
@@ -814,6 +884,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert expected in err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("keep_prob", 0.0, "'keep_prob' must be a number in (0, 1], got 0.0"),
+            ("keep_prob", 9.8, "'keep_prob' must be a number in (0, 1], got 9.8"),
+            ("keep_prob", "0.8", "'keep_prob' must be a number in (0, 1], got '0.8'"),
+            ("keep_prob", True, "'keep_prob' must be a number in (0, 1], got True"),
+            ("trainable_embeddings", 1, "'trainable_embeddings' must be true or false"),
+            ("vocab", "abcdefghijkl", "'vocab' must be a list of strings"),
+            ("vocab", list(range(12)), "'vocab' must be a list of strings"),
+        ],
+        ids=["keep-prob-zero", "keep-prob-above-one", "keep-prob-string",
+             "keep-prob-bool", "trainable-int", "vocab-string", "vocab-ints"],
+    )
+    def test_bad_checkpoint_meta_value_exits_1(
+        self, checkpoint, labeled_items_file, tmp_path, capsys, key, value, expected
+    ):
+        tensors, meta = load_checkpoint(checkpoint)
+        meta[key] = value
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, tensors, meta)
+        code = main(["eval", "--model", str(path), "--items", str(labeled_items_file)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: checkpoint meta {expected}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "train", "stats", "vote", "adjudicate"])

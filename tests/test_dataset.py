@@ -85,68 +85,71 @@ def mk_item(item_id="i0", gold=None, judgments=(), pair_labels=None, hypothesis=
     )
 
 
+def old_rule(js):
+    """The earlier aggregation rule, as (label, label_source): a leader of 3+
+    votes is a 3-2 split when the runner-up pair is the other of E and C."""
+    counts = tuple(js.count(label) for label in LABELS)
+    top = max(counts)
+    if top < 3:
+        return None, None
+    label = LABELS[counts.index(top)]
+    runners = [l for l, c in zip(LABELS, counts) if c == 2]
+    if top == 3 and runners and {label, runners[0]} == {"E", "C"}:
+        return label, "majority-provisional"
+    return label, "majority"
+
+
 class TestAggregateLabels:
     def test_clear_majority(self):
-        outcome = aggregate_labels(["E", "E", "E", "N", "C"])
-        assert outcome.kind == "clear-majority"
-        assert outcome.label == "E"
-        assert outcome.vote_counts == (3, 1, 1)
-        assert not outcome.needs_adjudication
+        assert aggregate_labels(["E", "E", "E", "N", "C"]) == ("E", "majority")
 
     def test_two_two_one(self):
-        outcome = aggregate_labels(["E", "E", "C", "C", "N"])
-        assert outcome.kind == "split-2-2-1"
-        assert outcome.label is None
-        assert outcome.vote_counts == (2, 1, 2)
-        assert outcome.needs_adjudication
+        assert aggregate_labels(["E", "E", "C", "C", "N"]) == (None, None)
 
     def test_three_two_entailment_contradiction(self):
-        outcome = aggregate_labels(["E", "E", "E", "C", "C"])
-        assert outcome.kind == "split-3-2"
-        assert outcome.label == "E"
-        assert outcome.needs_adjudication
+        assert aggregate_labels(["E", "E", "E", "C", "C"]) == ("E", "majority-provisional")
 
     def test_three_two_contradiction_majority(self):
-        outcome = aggregate_labels(["C", "C", "C", "E", "E"])
-        assert outcome.kind == "split-3-2"
-        assert outcome.label == "C"
+        assert aggregate_labels(["C", "C", "C", "E", "E"]) == ("C", "majority-provisional")
 
     def test_three_two_with_neutral_is_clear(self):
-        assert aggregate_labels(["E", "E", "E", "N", "N"]).kind == "clear-majority"
-        assert aggregate_labels(["N", "N", "N", "C", "C"]).kind == "clear-majority"
+        assert aggregate_labels(["E", "E", "E", "N", "N"]) == ("E", "majority")
+        assert aggregate_labels(["N", "N", "N", "C", "C"]) == ("N", "majority")
 
     def test_unanimous(self):
-        outcome = aggregate_labels(["N"] * 5)
-        assert outcome.kind == "clear-majority"
-        assert outcome.vote_counts == (0, 5, 0)
+        assert aggregate_labels(["N"] * 5) == ("N", "majority")
 
     def test_four_one(self):
-        assert aggregate_labels(["C", "C", "C", "C", "E"]).label == "C"
+        assert aggregate_labels(["C", "C", "C", "C", "E"]) == ("C", "majority")
 
+    # Judgments reach aggregation only on an `Item`, which checks them.
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="exactly 5"):
-            aggregate_labels(["E", "E", "E", "E"])
+            attach_judgments([mk_item()], {"i0": ("E", "E", "E", "E")})
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label"):
-            aggregate_labels(["E", "E", "E", "E", "X"])
+            attach_judgments([mk_item()], {"i0": ("E", "E", "E", "E", "X")})
 
     def test_exhaustive_against_count_pattern_oracle(self):
         for js in itertools.product(LABELS, repeat=5):
-            outcome = aggregate_labels(js)
+            label, source = aggregate_labels(js)
             counts = {label: js.count(label) for label in LABELS}
             top = max(counts.values())
-            assert sum(outcome.vote_counts) == 5
             if top >= 3:
-                leader = max(LABELS, key=lambda l: counts[l])
-                assert outcome.label == leader
+                assert label == max(LABELS, key=lambda l: counts[l])
                 if sorted(counts.values()) == [0, 2, 3] and counts["N"] == 0:
-                    assert outcome.kind == "split-3-2"
+                    assert source == "majority-provisional"
                 else:
-                    assert outcome.kind == "clear-majority"
+                    assert source == "majority"
             else:
-                assert outcome.kind == "split-2-2-1"
-                assert outcome.label is None
+                assert (label, source) == (None, None)
+
+    def test_agrees_with_old_rule_on_all_patterns(self):
+        patterns = list(itertools.product(LABELS, repeat=5))
+        assert len(patterns) == 243
+        for js in patterns:
+            assert aggregate_labels(js) == old_rule(js), js
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -241,6 +244,19 @@ class TestAdjudicate:
         with pytest.raises(ValueError, match="unknown label"):
             adjudicate([item], {"i0": "Q"})
 
+    def test_adjudicated_item_never_flagged_again(self):
+        items = attach_judgments(
+            [mk_item("a"), mk_item("b")],
+            {"a": ("E", "E", "N", "N", "C"), "b": ("C", "C", "C", "E", "E")},
+        )
+        out, unresolved = adjudicate(items, {"a": "N"})
+        assert unresolved == ["b"]
+        assert [item.id for item in flagged_items(out)] == ["b"]
+        out, unresolved = adjudicate(out, {"b": "C"})
+        assert unresolved == [] and flagged_items(out) == []
+        with pytest.raises(ValueError, match=r"do not need adjudication: \['a'\]"):
+            adjudicate(out, {"a": "E"})
+
 
 class TestItemValidation:
     def test_wrong_premise_count(self):
@@ -273,6 +289,10 @@ class TestItemValidation:
     def test_wrong_pair_label_count(self):
         with pytest.raises(ValueError, match="exactly 4"):
             mk_item(pair_labels=("E", "N"))
+
+    def test_bad_pair_label(self):
+        with pytest.raises(ValueError, match="unknown label"):
+            mk_item(pair_labels=("E", "E", "E", "Q"))
 
 
 class TestGeneration:
@@ -715,6 +735,12 @@ class TestCaptionLoading:
         path = tmp_path / "captions.tsv"
         path.write_text("g1\t0\t...\n")
         with pytest.raises(ValueError, match=":1:"):
+            load_captions(path)
+
+    def test_empty_group_id_rejected(self, tmp_path):
+        path = tmp_path / "captions.tsv"
+        path.write_text("g1\t0\tA girl runs.\n\t1\tA boy runs.\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: empty scene group id"):
             load_captions(path)
 
 

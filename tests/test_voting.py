@@ -49,14 +49,6 @@ class TestMajorityVote:
     def test_three_of_four(self):
         assert majority_vote(("N", "E", "N", "N")) == "N"
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="exactly 4"):
-            majority_vote(("E", "E", "E"))
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown label"):
-            majority_vote(("E", "E", "E", "Q"))
-
     def test_brute_force_all_assignments(self):
         for pairs in itertools.product(LABELS, repeat=4):
             got = majority_vote(pairs)
@@ -121,10 +113,6 @@ class TestAgreementCategory:
                     p == gold for p in pairs
                 )
 
-    def test_bad_gold_rejected(self):
-        with pytest.raises(ValueError, match="unknown label"):
-            pair_agreement_category(("E",) * 4, "Q")
-
 
 def items_from(assignments):
     return [
@@ -185,6 +173,14 @@ class TestPairLabelAttachment:
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownItemError, match="ghost"):
             attach_pair_labels([mk_item("a")], {"ghost": ("E",) * 4})
+
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [(("E", "E", "E"), "exactly 4"), (("E", "E", "E", "Q"), "unknown label")],
+    )
+    def test_bad_labels_rejected_by_item(self, labels, expected):
+        with pytest.raises(ValueError, match=expected):
+            attach_pair_labels([mk_item("a")], {"a": labels})
 
 
 class TestPairLabelsIO:
