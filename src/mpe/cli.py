@@ -2,15 +2,17 @@
 adjudication, voting baselines, training, evaluation, and gradient checks.
 
 Each subcommand declares its input flags, and `main` checks that each given
-input exists before the command runs. The settings flags of `build-dataset`
-and `train` are the fields of `GenerationConfig` and `TrainConfig`; `train`
-hands its config to `mpe.training.train`, which builds the model. After a run
-that wrote files, `main` writes `<output>.manifest.json` beside the primary
-output, recording the subcommand, argv, input hashes, configuration (with a
-hash), format versions and the command's extra records, such as interactive
-adjudication decisions — enough to reproduce the run byte-for-byte. Inputs are
-loaded and validated in full before any output is written, and all writes are
-atomic, so a failed run leaves no partial artifacts.
+input exists and hashes it before the command runs. The settings flags of
+`build-dataset` and `train` are the fields of `GenerationConfig` and
+`TrainConfig`; `train` hands its config to `mpe.training.train`, which builds
+the model. After a run that wrote files, `main` writes
+`<output>.manifest.json` beside the primary output, recording the
+subcommand, argv, input hashes, configuration (with a hash), format versions
+and the command's extra records, such as interactive adjudication decisions —
+enough to reproduce the run byte-for-byte. `train` and `eval`, the commands
+with more than one output, refuse two outputs that resolve to one file.
+Inputs are loaded and validated in full before any output is written, and all
+writes are atomic, so a failed run leaves no partial artifacts.
 
 Relative paths resolve against $MPE_DATA_DIR when it is set.
 """
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .autodiff import CHECKPOINT_VERSION, cross_entropy, grad_check
+from .autodiff import CHECKPOINT_VERSION, cross_entropy, flatten, grad_check
 from .dataset import (
     FORMAT_VERSION,
     SPLITS,
@@ -117,17 +119,31 @@ class _Written:
     extra: dict = field(default_factory=dict)
 
 
+def _manifest_path(primary: Path) -> Path:
+    return primary.with_name(primary.name + ".manifest.json")
+
+
+def _distinct_outputs(*paths: Path | None) -> list[Path]:
+    """The given output paths, primary first, once no two of them and the
+    primary's manifest resolve to one file."""
+    outputs = [path for path in paths if path is not None]
+    seen = set()
+    for path in outputs + [_manifest_path(p) for p in outputs[:1]]:
+        key = path.resolve()
+        if key in seen:
+            raise CliError(f"two outputs would be written to {path}")
+        seen.add(key)
+    return outputs
+
+
 def _write_manifest(
-    command: str, argv: Sequence[str], inputs: dict[str, Path], run: _Written
+    command: str, argv: Sequence[str], inputs: dict[str, dict], run: _Written
 ) -> None:
     config_blob = json.dumps(run.config, sort_keys=True)
     manifest = {
         "command": command,
         "argv": list(argv),
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in sorted(inputs.items())
-        },
+        "inputs": inputs,
         "outputs": [str(p) for p in run.outputs],
         "config": run.config,
         "config_hash": hashlib.sha256(config_blob.encode("utf-8")).hexdigest(),
@@ -139,8 +155,7 @@ def _write_manifest(
         },
         **run.extra,
     }
-    primary = run.outputs[0]
-    _write_json(primary.with_name(primary.name + ".manifest.json"), manifest)
+    _write_json(_manifest_path(run.outputs[0]), manifest)
 
 
 def _report(path: str | None, record: dict) -> _Written:
@@ -347,6 +362,10 @@ def _load_examples(inputs, name: str):
 def cmd_train(args, inputs) -> _Written:
     if args.trainable_embeddings and not args.embeddings:
         raise CliError("--trainable-embeddings needs --embeddings")
+    out = _resolve(args.out)
+    logs = _resolve(args.logs) if args.logs else out.with_name(out.name + ".logs.jsonl")
+    best = _resolve(args.best_out) if args.best_out else None
+    outputs = _distinct_outputs(out, logs, best)
     config = _train_config(args)
     items = _load_examples(inputs, "items")
     dev = _load_examples(inputs, "dev")
@@ -370,20 +389,13 @@ def cmd_train(args, inputs) -> _Written:
 
     result = train(items, config, dev=dev, pretrain=pretrain, vectors=vectors)
 
-    out = _resolve(args.out)
     result.model.save(out)
-    logs_path = (
-        _resolve(args.logs) if args.logs else out.with_name(out.name + ".logs.jsonl")
-    )
     _atomic_write(
-        logs_path,
+        logs,
         "".join(json.dumps(log.to_record(), sort_keys=True) + "\n" for log in result.logs),
     )
-    outputs = [out, logs_path]
-    if args.best_out:
-        best_path = _resolve(args.best_out)
-        result.save_best_checkpoint(best_path)
-        outputs.append(best_path)
+    if best:
+        result.save_best_checkpoint(best)
     last = result.logs[-1]
     dev_note = "" if last.dev_accuracy is None else f", dev acc {last.dev_accuracy:.1%}"
     print(
@@ -397,22 +409,23 @@ def cmd_train(args, inputs) -> _Written:
 
 
 def cmd_eval(args, inputs) -> _Written:
+    out, predictions = (_resolve(p) if p else None for p in (args.out, args.predictions))
+    outputs = _distinct_outputs(out, predictions)
     model = load_model(inputs["model"])
     items = _load_examples(inputs, "items")
     report = evaluate(model, items)
     print(format_eval_report(report), end="")
-    written = _report(args.out, report.to_record())
-    if args.predictions:
-        predictions_path = _resolve(args.predictions)
+    if out:
+        _write_json(out, report.to_record())
+    if predictions:
         _atomic_write(
-            predictions_path,
+            predictions,
             "".join(
                 f"{item.id}\t{guess}\n"
                 for item, guess in zip(items, report.predictions)
             ),
         )
-        written.outputs.append(predictions_path)
-    return written
+    return _Written(outputs)
 
 
 GRADCHECK_PREMISES = (
@@ -432,10 +445,10 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     model = build_model(config, [f"w{i:02d}" for i in range(12)])
 
     def forward():
-        logits = model.logits(
-            [list(p) for p in GRADCHECK_PREMISES], list(GRADCHECK_HYPOTHESIS)
+        logits = model.batch_logits(
+            [[list(p) for p in GRADCHECK_PREMISES]], [list(GRADCHECK_HYPOTHESIS)]
         )
-        return cross_entropy(logits, 1)
+        return cross_entropy(flatten(logits), 1)
 
     return grad_check(
         forward, model.params(), np.random.default_rng(seed + 1), samples=3
@@ -568,11 +581,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             for name in args.inputs
             if getattr(args, name) is not None
         }
+        # Hashed before the command runs: its output may overwrite an input.
+        recorded = {
+            name: {"path": str(path), "sha256": _sha256(path)}
+            for name, path in sorted(inputs.items())
+        }
         run = args.func(args, inputs)
         if isinstance(run, int):
             return run
         if run.outputs:
-            _write_manifest(args.subcommand, argv, inputs, run)
+            _write_manifest(args.subcommand, argv, recorded, run)
         return 0
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,21 +13,20 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
 
 A model is its named float64 tensors, `model.tensors`, the checkpoint set.
 `shapes` is the one table of them, name to shape in draw order: embeddings,
-the shared two-LSTM core, then the architecture's `_head_shapes`. `init`
-fills it from a seeded rng by the rule of `initial_tensors`; `_restore` checks
-a checkpoint's names and shapes against the table its meta implies and wraps
-the stored arrays, drawing nothing. Everything else the three share is
-written once on `_ModelBase` too: dropout, `params()` and checkpoint save.
+the shared two-LSTM core, then the architecture's `_head_shapes`.
+`training.build_model` fills it by the rule of `initial_tensors`;
+`load_model` restores a checkpoint as the architecture its meta names, and
+`_restore` checks the names and shapes against the table that meta implies
+and wraps the stored arrays, drawing nothing. Everything else the three share
+is written once on `_ModelBase` too: dropout, `params()` and checkpoint save.
 Each architecture adds only `_head_shapes` and `_forward_batch`, its
 equations over a batch of B items.
 
-`model.batch_logits(premises, hypotheses)` scores B items at once and
-`model.logits(premises, hypothesis)` is its B = 1 call, with no logic of its
-own; both take premises as lists of token lists, and each architecture says
-with `joined_premises` whether to read them joined by `concat_premises` or one
-at a time. `forward` is the architecture's own single-item call form, also the
-B = 1 batch, and also returns its extras (attention weights, per-premise
-experts).
+`model.batch_logits(premises, hypotheses)` scores B items at once, each given
+by its list of premise token lists; the conditional LSTM and attention join
+an item's premises with `concat_premises`, sum-of-experts reads them one at a
+time. `forward` is the architecture's own single-item call form, the B = 1
+batch, and also returns its extras (attention weights, per-premise experts).
 
 A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
 zero past each sequence's end, with the length of each sequence. Each LSTM
@@ -113,13 +112,7 @@ class EmbeddingTable:
         special: Tensor,
         trainable: bool,
     ):
-        if main.values.ndim != 2:
-            raise ValueError(f"embedding matrix must be 2-d, got {main.shape}")
-        rows, dim = main.values.shape
-        if special.values.shape != (2, dim):
-            raise ValueError(
-                f"special rows must have shape (2, {dim}), got {special.values.shape}"
-            )
+        rows = len(main.values)
         if len(vocab) != rows or sorted(vocab.values()) != list(range(rows)):
             raise ValueError("vocabulary must map tokens onto rows 0..V-1 exactly")
         if UNK_TOKEN in vocab or SEPARATOR in vocab:
@@ -132,32 +125,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.main.values.shape[1]
-
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: Mapping[str, Sequence[float]],
-        rng: np.random.Generator,
-        trainable: bool = False,
-    ) -> "EmbeddingTable":
-        """Rows of the given vectors in sorted token order, plus UNK and
-        separator rows drawn from `rng`."""
-        ordered = sorted(t for t in vectors if t not in (UNK_TOKEN, SEPARATOR))
-        if not ordered:
-            raise ValueError("no vectors supplied")
-        dim = len(vectors[ordered[0]])
-        matrix = np.empty((len(ordered), dim))
-        for i, token in enumerate(ordered):
-            row = np.asarray(vectors[token], dtype=np.float64)
-            if row.shape != (dim,):
-                raise ValueError(
-                    f"vector for {token!r} has length {row.shape[0]}, expected {dim}"
-                )
-            matrix[i] = row
-        special = initial_tensors({"embeddings.special": (2, dim)}, rng)
-        vocab = {token: i for i, token in enumerate(ordered)}
-        main = Tensor(matrix, name="embeddings.main")
-        return cls(vocab, main, special["embeddings.special"], trainable)
 
     def embed(self, tokens: Sequence[str]) -> Tensor:
         """The (T, dim) rows of a token sequence; unknown words share the UNK
@@ -254,9 +221,8 @@ class LstmCell:
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(self, tensors: Mapping[str, Tensor], state_dim: int, prefix: str):
+    def __init__(self, tensors: Mapping[str, Tensor], prefix: str):
         """The cell's tensors `<prefix>.<gate>.{Wx,Wh,b}`, taken from `tensors`."""
-        self.state_dim = state_dim
         self._gates = tuple(
             [tensors[f"{prefix}.{gate}.{part}"] for gate in self.GATES]
             for part in ("Wx", "Wh", "b")
@@ -316,7 +282,7 @@ class ConditionalCore:
 
     def __init__(self, tensors: Mapping[str, Tensor], state_dim: int):
         self.premise_cell, self.hypothesis_cell = (
-            LstmCell(tensors, state_dim, prefix) for prefix in self.PREFIXES
+            LstmCell(tensors, prefix) for prefix in self.PREFIXES
         )
         self.state_dim = state_dim
 
@@ -366,9 +332,6 @@ class _ModelBase:
     `_head_shapes` and define `_forward_batch` and its B = 1 call `forward`."""
 
     architecture = ""
-    # True: `forward` reads the premises joined by `concat_premises`; False:
-    # it takes the list of premises itself.
-    joined_premises = True
 
     def __init__(
         self,
@@ -405,50 +368,12 @@ class _ModelBase:
     def _head_shapes(cls, state_dim: int) -> dict[str, tuple[int, ...]]:
         raise NotImplementedError
 
-    @classmethod
-    def init(
-        cls,
-        vocab_tokens: Sequence[str],
-        dim: int,
-        state_dim: int,
-        rng: np.random.Generator,
-        keep_prob: float = 1.0,
-        trainable_embeddings: bool = True,
-        embeddings: EmbeddingTable | None = None,
-    ) -> "_ModelBase":
-        """Fresh weights, drawn from `rng` in `shapes` order by the rule of
-        `initial_tensors`; given embeddings keep their own rows, width and
-        trainability."""
-        if embeddings is None:
-            ordered = sorted({t for t in vocab_tokens if t not in (UNK_TOKEN, SEPARATOR)})
-            vocab, given = {token: i for i, token in enumerate(ordered)}, {}
-        else:
-            vocab = embeddings.vocab
-            given = {t.name: t for t in (embeddings.main, embeddings.special)}
-            dim, trainable_embeddings = embeddings.dim, embeddings.trainable
-        shapes = cls.shapes(len(vocab), dim, state_dim)
-        drawn = initial_tensors(
-            {name: shape for name, shape in shapes.items() if name not in given}, rng
-        )
-        return cls(vocab, given | drawn, state_dim, keep_prob, trainable_embeddings)
-
     def _dropout(
         self, x: Tensor, train: bool, rng: np.random.Generator | None
     ) -> Tensor:
         if train and rng is None:
             raise ValueError("training mode needs a dropout rng")
         return dropout(x, self.keep_prob, rng, train=train)
-
-    def logits(
-        self,
-        premises: Sequence[Sequence[str]],
-        hypothesis: Sequence[str],
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """The 3 logits for a list of premise token lists: the B = 1 call of
-        `batch_logits`."""
-        return flatten(self.batch_logits([premises], [hypothesis], train, rng))
 
     def batch_logits(
         self,
@@ -460,12 +385,11 @@ class _ModelBase:
         """(B, 3) logits of B items, each given by its list of premise token
         lists and its hypothesis. Dropout masks are drawn item by item, so
         they equal those of B single-item calls in turn."""
-        if self.joined_premises:
-            premises = [concat_premises(p) for p in premises]
         return self._forward_batch(premises, hypotheses, train, rng)[0]
 
     def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, object]:
-        """(logits (B, 3), the architecture's extras) of B items."""
+        """(logits (B, 3), the architecture's extras) of B items, each given
+        by its list of premise token lists."""
         raise NotImplementedError
 
     def params(self) -> list[Tensor]:
@@ -489,11 +413,6 @@ class _ModelBase:
     def _restore(cls, arrays: dict[str, np.ndarray], meta: dict) -> "_ModelBase":
         """The model of a checkpoint's arrays, once their names and shapes
         match the table its meta implies; nothing is drawn."""
-        if meta.get("architecture") != cls.architecture:
-            raise ValueError(
-                f"checkpoint holds {meta.get('architecture')!r}, "
-                f"expected {cls.architecture!r}"
-            )
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise ValueError(f"checkpoint meta lacks {', '.join(map(repr, missing))}")
@@ -526,10 +445,6 @@ class _ModelBase:
             meta["trainable_embeddings"],
         )
 
-    @classmethod
-    def load(cls, path: str | Path) -> "_ModelBase":
-        return _load(path, cls)
-
 
 class ConditionalLstmModel(_ModelBase):
     """Premise-conditioned LSTM pair with a tanh hidden layer head.
@@ -548,7 +463,8 @@ class ConditionalLstmModel(_ModelBase):
     def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, None]:
         hidden_w, hidden_b, out_w, out_b = self.head
         embed = self.embeddings.embed_batch
-        _, premise_vec, hypothesis_vec = self.core.run(embed(premises), embed(hypotheses))
+        joined = embed([concat_premises(p) for p in premises])
+        _, premise_vec, hypothesis_vec = self.core.run(joined, embed(hypotheses))
         pair = self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
         hidden = tanh(add(matmul(pair, hidden_w), hidden_b))
         return add(matmul(hidden, out_w), out_b), None
@@ -560,7 +476,7 @@ class ConditionalLstmModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        logits, _ = self._forward_batch([premise], [hypothesis], train, rng)
+        logits, _ = self._forward_batch([[premise]], [hypothesis], train, rng)
         return flatten(logits)
 
 
@@ -597,7 +513,7 @@ class AttentionModel(_ModelBase):
         self, premises, hypotheses, train, rng
     ) -> tuple[Tensor, list[np.ndarray]]:
         wy, wh, wr, wt, wp, wx, score_w, out_w, out_b = self.head
-        premise = self.embeddings.embed_batch(premises)
+        premise = self.embeddings.embed_batch([concat_premises(p) for p in premises])
         hypothesis = self.embeddings.embed_batch(hypotheses)
         memory, c = self.core.read_premise(premise)
         hypothesis_states = self.core.read_hypothesis(hypothesis, c)
@@ -639,7 +555,7 @@ class AttentionModel(_ModelBase):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        logits, weights = self._forward_batch([premise], [hypothesis], train, rng)
+        logits, weights = self._forward_batch([[premise]], [hypothesis], train, rng)
         return flatten(logits), weights[0]
 
 
@@ -654,7 +570,6 @@ class SumOfExpertsModel(_ModelBase):
     """
 
     architecture = "sum-of-experts"
-    joined_premises = False
 
     @classmethod
     def _head_shapes(cls, k: int) -> dict[str, tuple[int, ...]]:
@@ -709,21 +624,14 @@ ARCHITECTURES = {
 }
 
 
-def _load(path: str | Path, cls: type[_ModelBase] | None) -> _ModelBase:
-    """Restore a checkpoint as `cls`, or as its own architecture when None;
-    every error names the path."""
+def load_model(path: str | Path) -> _ModelBase:
+    """Restore a checkpoint as the architecture its meta names; every error
+    names the path."""
     tensors, meta = load_checkpoint(path)
     try:
-        if cls is None:
-            arch = meta.get("architecture")
-            if arch not in ARCHITECTURES:
-                raise ValueError(f"unknown architecture in checkpoint: {arch!r}")
-            cls = ARCHITECTURES[arch]
-        return cls._restore(tensors, meta)
+        arch = meta.get("architecture")
+        if arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture in checkpoint: {arch!r}")
+        return ARCHITECTURES[arch]._restore(tensors, meta)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def load_model(path: str | Path) -> _ModelBase:
-    """Load any checkpoint, dispatching on its architecture field."""
-    return _load(path, None)

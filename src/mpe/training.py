@@ -1,7 +1,7 @@
 """Training loops, the pretrain/fine-tune phases, and evaluation reports.
 
 `train` is the one entry point: it builds the run's model with `build_model`,
-the one caller of an architecture's `init`. Given `pretrain` items it runs a
+the one place where fresh weights are drawn. Given `pretrain` items it runs a
 `pretrain` phase on them and then a `finetune` phase on the training items;
 otherwise it runs one `train` phase, and returns its Trainer. A Trainer owns
 one optimizer over the model's `params()` (the trainable set has no other
@@ -42,7 +42,7 @@ from .autodiff import (
     tensor_sum,
 )
 from .dataset import Item, LABELS, SpePair, label_index
-from .models import ARCHITECTURES, EmbeddingTable
+from .models import ARCHITECTURES, SEPARATOR, UNK_TOKEN, initial_tensors
 
 
 # Items per forward pass when predicting, scoring and evaluating.
@@ -155,29 +155,51 @@ def build_model(
     vocab_tokens: Sequence[str],
     vectors: Mapping[str, Sequence[float]] | None = None,
 ):
-    """A fresh `config.model` over `vocab_tokens`, drawn from `config.seed`;
-    given pretrained `vectors` of width `config.embedding_dim`, their rows
-    (and vocabulary) are its embeddings."""
-    embeddings = None
+    """A fresh `config.model` over `vocab_tokens`: its `shapes` table drawn
+    from `default_rng(config.seed)` by the rule of `initial_tensors`.
+
+    Given pretrained `vectors` of width `config.embedding_dim`, their rows in
+    sorted token order are `embeddings.main` and their tokens the vocabulary;
+    `embeddings.special` is drawn from one `default_rng(config.seed)` and every
+    other tensor from a second one."""
+    cls = ARCHITECTURES[config.model]
+    tokens = vocab_tokens if vectors is None else vectors
+    ordered = sorted({t for t in tokens if t not in (UNK_TOKEN, SEPARATOR)})
+    given: dict[str, Tensor] = {}
     if vectors is not None:
-        embeddings = EmbeddingTable.from_vectors(
-            vectors,
-            np.random.default_rng(config.seed),
-            trainable=config.trainable_embeddings,
-        )
-        if embeddings.dim != config.embedding_dim:
+        if not ordered:
+            raise ValueError("no vectors supplied")
+        dim = len(vectors[ordered[0]])
+        matrix = np.empty((len(ordered), dim))
+        for i, token in enumerate(ordered):
+            row = np.asarray(vectors[token], dtype=np.float64)
+            if row.shape != (dim,):
+                raise ValueError(
+                    f"vector for {token!r} has length {row.shape[0]}, expected {dim}"
+                )
+            matrix[i] = row
+        if dim != config.embedding_dim:
             raise ValueError(
                 f"embedding_dim {config.embedding_dim} differs from the "
-                f"{embeddings.dim}-d pretrained vectors"
+                f"{dim}-d pretrained vectors"
             )
-    return ARCHITECTURES[config.model].init(
-        vocab_tokens=vocab_tokens,
-        dim=config.embedding_dim,
-        state_dim=config.state_dim,
-        rng=np.random.default_rng(config.seed),
-        keep_prob=config.keep_prob,
-        trainable_embeddings=config.trainable_embeddings,
-        embeddings=embeddings,
+        given = {
+            "embeddings.main": Tensor(matrix, name="embeddings.main"),
+            **initial_tensors(
+                {"embeddings.special": (2, dim)}, np.random.default_rng(config.seed)
+            ),
+        }
+    shapes = cls.shapes(len(ordered), config.embedding_dim, config.state_dim)
+    drawn = initial_tensors(
+        {name: shape for name, shape in shapes.items() if name not in given},
+        np.random.default_rng(config.seed),
+    )
+    return cls(
+        {token: i for i, token in enumerate(ordered)},
+        given | drawn,
+        config.state_dim,
+        config.keep_prob,
+        config.trainable_embeddings,
     )
 
 

@@ -28,7 +28,7 @@ from mpe.dataset import (
     save_items,
 )
 from mpe.graph import build_graph, caption_closures
-from mpe.models import ARCHITECTURES, concat_premises
+from mpe.models import concat_premises
 from mpe.text import default_stopwords, normalize, tokenize
 from mpe.training import TrainConfig, Trainer, build_model, vocabulary_from_items
 from mpe.voting import (
@@ -149,13 +149,10 @@ def random_sequences(rng: random.Random, vocab: list[str]):
 
 def test_criterion_3_sum_of_experts_invariants():
     vocab = [f"tok{i}" for i in range(12)]
-    model = ARCHITECTURES["sum-of-experts"].init(
-        vocab_tokens=vocab,
-        dim=4,
-        state_dim=4,
-        rng=np.random.default_rng(5),
-        keep_prob=1.0,
+    config = TrainConfig(
+        model="sum-of-experts", embedding_dim=4, state_dim=4, keep_prob=1.0, seed=5
     )
+    model = build_model(config, vocab)
     rng = random.Random(9)
     worst_perm = 0.0
     identity_ok = True
@@ -186,13 +183,10 @@ def test_criterion_3_sum_of_experts_invariants():
 
 def test_criterion_4_attention_invariants():
     vocab = [f"tok{i}" for i in range(12)]
-    model = ARCHITECTURES["attention"].init(
-        vocab_tokens=vocab,
-        dim=4,
-        state_dim=4,
-        rng=np.random.default_rng(6),
-        keep_prob=1.0,
+    config = TrainConfig(
+        model="attention", embedding_dim=4, state_dim=4, keep_prob=1.0, seed=6
     )
+    model = build_model(config, vocab)
     rng = random.Random(10)
     worst_row = 0.0
     for _ in range(20):

@@ -22,9 +22,9 @@ from mpe.autodiff import (
 from mpe.cli import main
 from mpe.dataset import Item, load_items, save_items
 from mpe.graph import PhraseGraph
-from mpe.models import ConditionalLstmModel, load_model
+from mpe.models import load_model
 from mpe.text import normalize
-from mpe.training import TrainConfig
+from mpe.training import TrainConfig, build_model
 
 CAPTIONS = Path(__file__).parent / "fixtures" / "captions.tsv"
 SPE_HEADER = '{"format": "mpe-spe-items", "version": 1}'
@@ -250,6 +250,18 @@ class TestAdjudicate:
         manifest = read_manifest(out)
         assert manifest["decisions"] == {"it-000": "N", "it-001": "E"}
         assert manifest["unresolved"] == []
+
+    def test_manifest_hashes_the_items_read_not_written(self, flagged_file, tmp_path):
+        """An `--out` onto `--items` overwrites the input; the manifest still
+        records the file the command read."""
+        read = hashlib.sha256(flagged_file.read_bytes()).hexdigest()
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text("it-000\tN\n")
+        argv = ["adjudicate", "--items", str(flagged_file), "--out", str(flagged_file),
+                "--decisions", str(decisions)]
+        assert main(argv) == 0
+        assert hashlib.sha256(flagged_file.read_bytes()).hexdigest() != read
+        assert read_manifest(flagged_file)["inputs"]["items"]["sha256"] == read
 
     def test_interactive_loop(self, flagged_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("x\nC\ns\n"))
@@ -605,6 +617,28 @@ class TestTrain:
         )
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "flags, shared",
+        [
+            (["--out", "m.ckpt", "--logs", "m.ckpt"], "m.ckpt"),
+            (["--best-out", "m2.ckpt", "--out", "m2.ckpt"], "m2.ckpt"),
+            (["--out", "m.ckpt", "--logs", "m.ckpt.manifest.json"], "m.ckpt.manifest.json"),
+            (["--out", "m.ckpt", "--best-out", "sub/../m.ckpt.logs.jsonl"],
+             "sub/../m.ckpt.logs.jsonl"),
+        ],
+        ids=["logs", "best-out", "manifest", "default-logs"],
+    )
+    def test_outputs_on_one_path_exit_1_writing_nothing(
+        self, labeled_items_file, tmp_path, capsys, monkeypatch, flags, shared
+    ):
+        monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path / "run"))
+        (tmp_path / "run" / "sub").mkdir(parents=True)
+        argv = ["train", "--items", str(labeled_items_file), *flags, *TINY_TRAIN_FLAGS]
+        assert main(argv) == 1
+        shared = tmp_path / "run" / shared
+        assert capsys.readouterr().err == f"error: two outputs would be written to {shared}\n"
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["sub"]
+
     def test_best_out_and_dev(self, labeled_items_file, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         best = tmp_path / "best.ckpt"
@@ -779,6 +813,26 @@ class TestEval:
         assert set(manifest["inputs"]) == {"model", "items"}
 
     @pytest.mark.parametrize(
+        "flags, shared",
+        [
+            (["--out", "x", "--predictions", "x"], "x"),
+            (["--out", "x", "--predictions", "x.manifest.json"], "x.manifest.json"),
+            (["--predictions", "p", "--out", "./p"], "p"),
+        ],
+        ids=["report", "manifest", "dot-slash"],
+    )
+    def test_outputs_on_one_path_exit_1_writing_nothing(
+        self, checkpoint, labeled_items_file, tmp_path, capsys, monkeypatch, flags, shared
+    ):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.setenv(cli.DATA_DIR_ENV, str(run))
+        argv = ["eval", "--model", str(checkpoint), "--items", str(labeled_items_file)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err == f"error: two outputs would be written to {run / shared}\n"
+        assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "items, expected",
         [([], "holds no items"), ([make_item(0, "E", gold=False)], "item it-000 has no gold label")],
         ids=["header-only", "unlabeled"],
@@ -917,7 +971,8 @@ def test_empty_items_file_gives_one_message(tmp_path, capsys, command):
     empty = tmp_path / "items.jsonl"
     empty.write_bytes(b"")
     model = tmp_path / "model.ckpt"
-    ConditionalLstmModel.init(["dog"], 2, 2, np.random.default_rng(0)).save(model)
+    config = TrainConfig(embedding_dim=2, state_dim=2, keep_prob=1.0)
+    build_model(config, ["dog"]).save(model)
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("")
     out = ["--out", str(tmp_path / "out")]
@@ -933,6 +988,15 @@ def test_empty_items_file_gives_one_message(tmp_path, capsys, command):
 
 
 class TestGradcheck:
+    def test_all_models_stdout_pinned(self, capsys):
+        """`mpe gradcheck --model all` at its default sizes and seed."""
+        assert main(["gradcheck", "--model", "all"]) == 0
+        assert capsys.readouterr().out == (
+            "attention: max rel err 1.509e-07 (worst: hypothesis_lstm.forget.Wh) [PASS]\n"
+            "conditional-lstm: max rel err 1.931e-07 (worst: embeddings.main) [PASS]\n"
+            "sum-of-experts: max rel err 1.412e-07 (worst: premise_lstm.input.b) [PASS]\n"
+        )
+
     def test_all_models_pass(self, capsys):
         code = main(["gradcheck", "--dim", "4", "--state-dim", "4"])
         assert code == 0

@@ -10,6 +10,7 @@ from mpe.autodiff import (
     Tape,
     Tensor,
     cross_entropy,
+    flatten,
     grad_check,
     mul,
     save_checkpoint,
@@ -21,6 +22,7 @@ from mpe.models import (
     ConditionalCore,
     ConditionalLstmModel,
     EmbeddingTable,
+    INIT_SCALE,
     LstmCell,
     Padded,
     SEPARATOR,
@@ -31,7 +33,7 @@ from mpe.models import (
     load_model,
     load_pretrained_vectors,
 )
-from mpe.training import PRESETS
+from mpe.training import PRESETS, TrainConfig, build_model
 
 VOCAB = ["girl", "run", "dog", "jump", "man", "cook", "woman", "sing", "fast"]
 
@@ -50,15 +52,23 @@ def zero_params(model) -> None:
         p.values[...] = 0.0
 
 
-def make_embeddings(rng, trainable=True):
-    """A 4-wide table over VOCAB, drawn first from rng as a model's are."""
-    model = ConditionalLstmModel.init(VOCAB, 4, 1, rng, trainable_embeddings=trainable)
-    return model.embeddings
+def fresh(arch, dim, state_dim, seed, vocab=VOCAB, **settings):
+    """A `build_model` model of `arch` over `vocab`; dropout off unless given."""
+    settings.setdefault("keep_prob", 1.0)
+    config = TrainConfig(
+        model=arch, embedding_dim=dim, state_dim=state_dim, seed=seed, **settings
+    )
+    return build_model(config, vocab)
+
+
+def make_embeddings(trainable=True):
+    """A 4-wide table over VOCAB, drawn from seed 0 as a model's are."""
+    return fresh("conditional-lstm", 4, 1, 0, trainable_embeddings=trainable).embeddings
 
 
 def make_cell(dim, state_dim, rng):
     tensors = initial_tensors(LstmCell.shapes("cell", dim, state_dim), rng)
-    return LstmCell(tensors, state_dim, "cell")
+    return LstmCell(tensors, "cell")
 
 
 def make_core(dim, state_dim, rng):
@@ -92,7 +102,7 @@ class TestConcatPremises:
 
 class TestEmbeddingTable:
     def table(self, trainable=True):
-        return make_embeddings(np.random.default_rng(0), trainable)
+        return make_embeddings(trainable)
 
     def test_vocabulary_rows_sorted_and_dense(self):
         table = self.table()
@@ -158,20 +168,23 @@ class TestEmbeddingTable:
                 {"a": 0, "b": 2}, Tensor(np.zeros((2, 4))), table.special, True
             )
 
-    def test_from_vectors_exact_and_frozen_by_default(self):
-        vectors = {"b": [1.0, 2.0], "a": [3.0, 4.0]}
-        table = EmbeddingTable.from_vectors(vectors, np.random.default_rng(0))
-        assert list(table.vocab) == ["a", "b"]
-        assert np.array_equal(table.main.values[table.vocab["a"]], [3.0, 4.0])
-        assert not table.trainable
+    def test_from_vectors_exact_and_trainable_per_config(self):
+        vectors = {"b": [1.0, 2.0], "a": [3.0, 4.0], UNK_TOKEN: [5.0, 6.0]}
+        for trainable in (True, False):
+            config = TrainConfig(embedding_dim=2, trainable_embeddings=trainable)
+            table = build_model(config, VOCAB, vectors).embeddings
+            assert list(table.vocab) == ["a", "b"]
+            assert np.array_equal(table.main.values, [[3.0, 4.0], [1.0, 2.0]])
+            assert table.trainable is trainable
 
     def test_from_vectors_length_mismatch(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable.from_vectors(
-                {"a": [1.0], "b": [1.0, 2.0]}, np.random.default_rng(0)
-            )
-        with pytest.raises(ValueError):
-            EmbeddingTable.from_vectors({}, np.random.default_rng(0))
+        config = TrainConfig(embedding_dim=1)
+        with pytest.raises(ValueError, match="length 2, expected 1"):
+            build_model(config, VOCAB, {"a": [1.0], "b": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="no vectors supplied"):
+            build_model(config, VOCAB, {})
+        with pytest.raises(ValueError, match="embedding_dim 1 differs"):
+            build_model(config, VOCAB, {"a": [1.0, 2.0]})
 
 
 class TestPretrainedVectorFile:
@@ -312,9 +325,7 @@ class TestConditionalCore:
 
 
 def make_lstm(seed=0, state_dim=6, keep_prob=1.0):
-    return ConditionalLstmModel.init(
-        VOCAB, 4, state_dim, np.random.default_rng(seed), keep_prob=keep_prob
-    )
+    return fresh("conditional-lstm", 4, state_dim, seed, keep_prob=keep_prob)
 
 
 class TestConditionalLstmModel:
@@ -368,9 +379,7 @@ class TestConditionalLstmModel:
         assert not np.array_equal(eval_logits, train_logits)
 
     def test_gradients_match_finite_differences(self):
-        model = ConditionalLstmModel.init(
-            VOCAB, 5, 8, np.random.default_rng(7)
-        )
+        model = fresh("conditional-lstm", 5, 8, 7)
 
         def forward():
             return cross_entropy(model.forward(["girl", "run"], ["woman", "run"]), 2)
@@ -382,25 +391,17 @@ class TestConditionalLstmModel:
         model = make_lstm(seed=9, keep_prob=0.8)
         path = tmp_path / "lstm.ckpt"
         model.save(path)
-        restored = ConditionalLstmModel.load(path)
+        restored = load_model(path)
+        assert isinstance(restored, ConditionalLstmModel)
         assert restored.keep_prob == 0.8
         assert np.array_equal(
             model.forward(PREMISE, HYPOTHESIS).values,
             restored.forward(PREMISE, HYPOTHESIS).values,
         )
 
-    def test_load_rejects_other_architecture(self, tmp_path):
-        model = make_lstm()
-        path = tmp_path / "lstm.ckpt"
-        model.save(path)
-        with pytest.raises(ValueError):
-            AttentionModel.load(path)
-
 
 def make_attention(seed=0, state_dim=6, keep_prob=1.0):
-    return AttentionModel.init(
-        VOCAB, 4, state_dim, np.random.default_rng(seed), keep_prob=keep_prob
-    )
+    return fresh("attention", 4, state_dim, seed, keep_prob=keep_prob)
 
 
 class TestAttentionModel:
@@ -432,7 +433,7 @@ class TestAttentionModel:
         assert np.array_equal(alpha_a, alpha_b)
 
     def test_gradients_match_finite_differences(self):
-        model = AttentionModel.init(VOCAB, 5, 8, np.random.default_rng(11))
+        model = fresh("attention", 5, 8, 11)
 
         def forward():
             logits, _ = model.forward(["girl", "run"], ["woman", "run"])
@@ -454,9 +455,7 @@ class TestAttentionModel:
 
 
 def make_se(seed=0, state_dim=6, keep_prob=1.0):
-    return SumOfExpertsModel.init(
-        VOCAB, 4, state_dim, np.random.default_rng(seed), keep_prob=keep_prob
-    )
+    return fresh("sum-of-experts", 4, state_dim, seed, keep_prob=keep_prob)
 
 
 class TestSumOfExpertsModel:
@@ -506,7 +505,7 @@ class TestSumOfExpertsModel:
         assert sum(name.startswith("premise_lstm.") for name in names) == 12
 
     def test_gradients_match_finite_differences(self):
-        model = SumOfExpertsModel.init(VOCAB, 5, 8, np.random.default_rng(13))
+        model = fresh("sum-of-experts", 5, 8, 13)
 
         def forward():
             total, _ = model.forward(
@@ -578,11 +577,9 @@ def reference_logits(model, premises, hypothesis):
 @pytest.mark.parametrize("preset", ["lstm-mpe", "attn-mpe", "se-mpe"])
 def test_logits_match_numpy_reference_at_preset_sizes(preset):
     config = PRESETS[preset]
-    model = ARCHITECTURES[config.model].init(
-        VOCAB, config.embedding_dim, config.state_dim, np.random.default_rng(21)
-    )
+    model = fresh(config.model, config.embedding_dim, config.state_dim, 21)
     premises = [*FOUR_PREMISES[:3], ["woman", "quokka", "sing"]]
-    got = model.logits(premises, HYPOTHESIS).values
+    got = flatten(model.batch_logits([premises], [HYPOTHESIS])).values
     assert np.max(np.abs(got - reference_logits(model, premises, HYPOTHESIS))) <= 1e-12
 
 
@@ -599,18 +596,18 @@ BATCH_PREMISES = [
 @pytest.mark.parametrize("arity", [1, 4])
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_batch_logits_match_single_item_logits(arch, arity):
-    model = ARCHITECTURES[arch].init(VOCAB, 5, 7, np.random.default_rng(31))
+    model = fresh(arch, 5, 7, 31)
     premises = [p[:arity] for p in BATCH_PREMISES]
     batch = model.batch_logits(premises, BATCH_HYPOTHESES).values
     assert batch.shape == (3, 3)
     for row, p, h in zip(batch, premises, BATCH_HYPOTHESES):
-        assert np.max(np.abs(row - model.logits(p, h).values)) <= 1e-12
+        assert np.max(np.abs(row - model.batch_logits([p], [h]).values[0])) <= 1e-12
 
 
 def test_batch_attention_weights_match_single_items():
     model = make_attention(seed=32)
     joined = [concat_premises(p) for p in BATCH_PREMISES]
-    _, weights = model._forward_batch(joined, BATCH_HYPOTHESES, False, None)
+    _, weights = model._forward_batch(BATCH_PREMISES, BATCH_HYPOTHESES, False, None)
     for w, p, h in zip(weights, joined, BATCH_HYPOTHESES):
         _, single = model.forward(p, h)
         assert w.shape == single.shape == (len(h), len(p))
@@ -618,7 +615,7 @@ def test_batch_attention_weights_match_single_items():
 
 
 def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():
-    table = make_embeddings(np.random.default_rng(0))
+    table = make_embeddings()
     sequences = [["dog", "zebra", SEPARATOR], ["girl"]]
     with Tape() as tape:
         batch = table.embed_batch(sequences)
@@ -635,15 +632,14 @@ def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():
 @pytest.mark.parametrize("embeddings", ["trainable", "frozen", "from-vectors"])
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_save_load_save_is_byte_identical(tmp_path, arch, embeddings):
-    rng = np.random.default_rng(17)
-    given = None
+    vectors = None
     if embeddings == "from-vectors":
         vectors = {t: [i / 10, -i / 10, 0.5] for i, t in enumerate(VOCAB)}
-        given = EmbeddingTable.from_vectors(vectors, rng)
-    model = ARCHITECTURES[arch].init(
-        VOCAB, 3, 5, rng, keep_prob=0.75,
-        trainable_embeddings=embeddings == "trainable", embeddings=given,
+    config = TrainConfig(
+        model=arch, embedding_dim=3, state_dim=5, keep_prob=0.75, seed=17,
+        trainable_embeddings=embeddings == "trainable",
     )
+    model = build_model(config, VOCAB, vectors)
     first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
     model.save(first)
     restored = load_model(first)
@@ -689,9 +685,7 @@ class TestModelInterface:
     @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_tensor_names_pinned(self, arch, trainable):
-        model = ARCHITECTURES[arch].init(
-            VOCAB, 6, 7, np.random.default_rng(0), trainable_embeddings=trainable
-        )
+        model = fresh(arch, 6, 7, 0, trainable_embeddings=trainable)
         embeddings = ["embeddings.main"] if trainable else []
         assert [t.name for t in model.params()] == (
             embeddings + ["embeddings.special"] + self.CORE + self.HEADS[arch]
@@ -705,10 +699,10 @@ class TestModelInterface:
 
     @pytest.mark.parametrize("premises", [[PREMISE], FOUR_PREMISES], ids=["one", "four"])
     def test_logits_match_forward_call_form(self, premises):
-        rng = np.random.default_rng(3)
-        lstm = ConditionalLstmModel.init(VOCAB, 6, 7, rng)
-        attention = AttentionModel.init(VOCAB, 6, 7, rng)
-        experts = SumOfExpertsModel.init(VOCAB, 6, 7, rng)
+        lstm, attention, experts = (
+            fresh(arch, 6, 7, 3)
+            for arch in ("conditional-lstm", "attention", "sum-of-experts")
+        )
         joined = concat_premises(premises)
         expected = {
             lstm: lstm.forward(joined, HYPOTHESIS),
@@ -716,7 +710,7 @@ class TestModelInterface:
             experts: experts.forward(premises, HYPOTHESIS)[0],
         }
         for model, reference in expected.items():
-            got = model.logits(premises, HYPOTHESIS)
+            got = flatten(model.batch_logits([premises], [HYPOTHESIS]))
             assert got.values.tobytes() == reference.values.tobytes()
 
 
@@ -746,25 +740,20 @@ class TestInitialWeightsPinned:
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_random_init(self, arch):
-        model = ARCHITECTURES[arch].init(
-            vocab_tokens=self.VOCAB,
-            dim=4,
-            state_dim=3,
-            rng=np.random.default_rng(11),
-            keep_prob=0.5,
-        )
+        model = fresh(arch, 4, 3, 11, vocab=self.VOCAB, keep_prob=0.5)
         assert weights_digest(model) == self.DIGESTS[arch]
 
     def test_init_from_vectors(self):
+        """The special rows come from a first `default_rng(seed)`, every other
+        drawn tensor from a second one. The digest was pinned with the special
+        rows drawn from seed 5 and the rest from seed 11."""
         vectors = {t: [i / 10, -i / 10, 0.5] for i, t in enumerate(self.VOCAB)}
-        embeddings = EmbeddingTable.from_vectors(vectors, np.random.default_rng(5))
-        model = SumOfExpertsModel.init(
-            vocab_tokens=self.VOCAB,
-            dim=3,
-            state_dim=3,
-            rng=np.random.default_rng(11),
-            embeddings=embeddings,
-        )
+        config = TrainConfig(model="sum-of-experts", embedding_dim=3, state_dim=3, seed=11)
+        model = build_model(config, self.VOCAB, vectors)
+        special = model.tensors["embeddings.special"].values
+        draw = lambda seed: np.random.default_rng(seed).normal(scale=INIT_SCALE, size=(2, 3))
+        assert np.array_equal(special, draw(11))
+        special[...] = draw(5)
         assert weights_digest(model) == (
             "3c13d1657baef99b8d1cb10b89bc67331fa477bcffc6357820f92228bd0e9712"
         )

@@ -167,8 +167,8 @@ class TestAdapters:
             row = batch_logits(model, [item]).values[0]
             premises = [list(p.tokens) for p in item.premises]
             hypothesis = list(item.hypothesis.tokens)
-            joined = concat_premises(premises) if model.joined_premises else premises
-            assert np.array_equal(model.logits(premises, hypothesis).values, row)
+            joined = premises if arch == "sum-of-experts" else concat_premises(premises)
+            assert np.array_equal(model.batch_logits([premises], [hypothesis]).values[0], row)
             # The conditional LSTM's forward has no extras to return.
             out = model.forward(joined, hypothesis)
             forward = out if arch == "conditional-lstm" else out[0]
@@ -456,7 +456,10 @@ def ragged_items(n=7):
 
 def batch_model(arch, keep_prob):
     vocab = "dog runs cat sits bird man".split()
-    return ARCHITECTURES[arch].init(vocab, 4, 5, np.random.default_rng(3), keep_prob=keep_prob)
+    config = TrainConfig(
+        model=arch, embedding_dim=4, state_dim=5, seed=3, keep_prob=keep_prob
+    )
+    return build_model(config, vocab)
 
 
 def labels_of(items):
