@@ -1,18 +1,19 @@
 """Command-line pipeline: graph building, dataset generation, statistics,
 adjudication, voting baselines, training, evaluation, and gradient checks.
 
-Each subcommand declares its input flags, and `main` checks that each given
-input exists and hashes it before the command runs. The settings flags of
-`build-dataset` and `train` are the fields of `GenerationConfig` and
-`TrainConfig`; `train` hands its config to `mpe.training.train`, which builds
-the model. After a run that wrote files, `main` writes
-`<output>.manifest.json` beside the primary output, recording the
-subcommand, argv, input hashes, configuration (with a hash), format versions
-and the command's extra records, such as interactive adjudication decisions —
-enough to reproduce the run byte-for-byte. `train` and `eval`, the commands
-with more than one output, refuse two outputs that resolve to one file.
-Inputs are loaded and validated in full before any output is written, and all
-writes are atomic, so a failed run leaves no partial artifacts.
+Each subcommand declares its input and output flags, primary output first.
+Before the command runs, `main` checks that each given input exists and hashes
+it, and refuses two outputs on one file (the primary's manifest included) or
+an output on an input, but for `adjudicate` rewriting its own `--items`. The
+settings flags of `build-dataset` and `train` are the fields of
+`GenerationConfig` and `TrainConfig`; `train` hands its config to
+`mpe.training.train`, which builds the model. After a run that wrote files,
+`main` writes `<output>.manifest.json` beside the primary output, recording
+the subcommand, argv, input hashes, configuration (with a hash), format and
+numeric-stack versions and the command's extra records, such as interactive
+adjudication decisions — enough to reproduce the run byte-for-byte. Inputs are
+loaded and validated in full before any output is written, and all writes are
+atomic, so a failed run leaves no partial artifacts.
 
 Relative paths resolve against $MPE_DATA_DIR when it is set.
 """
@@ -111,10 +112,9 @@ def _write_json(path: Path, record: dict) -> None:
 
 @dataclass
 class _Written:
-    """What a command hands `main` for the manifest: the files it wrote,
-    primary first, its configuration, and extra top-level manifest keys."""
+    """What a command hands `main` for the manifest: its configuration and
+    extra top-level manifest keys."""
 
-    outputs: list[Path]
     config: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
@@ -123,28 +123,50 @@ def _manifest_path(primary: Path) -> Path:
     return primary.with_name(primary.name + ".manifest.json")
 
 
-def _distinct_outputs(*paths: Path | None) -> list[Path]:
-    """The given output paths, primary first, once no two of them and the
-    primary's manifest resolve to one file."""
-    outputs = [path for path in paths if path is not None]
+def _outputs(args, inputs: dict[str, Path]) -> dict[str, Path]:
+    """The given outputs by flag, resolved, primary first, once no two of them
+    and the primary's manifest are one file and none is an input the
+    subcommand does not declare in `rewrites`."""
+    outputs = {}
+    for name in args.outputs:
+        if getattr(args, name):
+            outputs[name] = _resolve(getattr(args, name))
+        elif name == "logs":  # train's epoch log goes beside its checkpoint
+            outputs[name] = outputs["out"].with_name(outputs["out"].name + ".logs.jsonl")
+    rewrites = getattr(args, "rewrites", ())
+    read = {path.resolve(): name for name, path in inputs.items() if name not in rewrites}
+    paths = list(outputs.values())
     seen = set()
-    for path in outputs + [_manifest_path(p) for p in outputs[:1]]:
+    for path in paths + [_manifest_path(p) for p in paths[:1]]:
         key = path.resolve()
         if key in seen:
             raise CliError(f"two outputs would be written to {path}")
+        if key in read:
+            name = read[key]
+            raise CliError(f"an output would overwrite the input --{name} {inputs[name]}")
         seen.add(key)
     return outputs
 
 
+def _blas() -> str | None:
+    """Name and version of numpy's BLAS, None where numpy cannot report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no `mode`
+        return None
+
+
 def _write_manifest(
-    command: str, argv: Sequence[str], inputs: dict[str, dict], run: _Written
+    command: str, argv: Sequence[str], inputs: dict[str, dict], outputs: list[Path],
+    run: _Written,
 ) -> None:
     config_blob = json.dumps(run.config, sort_keys=True)
     manifest = {
         "command": command,
         "argv": list(argv),
         "inputs": inputs,
-        "outputs": [str(p) for p in run.outputs],
+        "outputs": [str(p) for p in outputs],
         "config": run.config,
         "config_hash": hashlib.sha256(config_blob.encode("utf-8")).hexdigest(),
         "versions": {
@@ -152,19 +174,13 @@ def _write_manifest(
             "items_format": FORMAT_VERSION,
             "graph_format": GRAPH_VERSION,
             "checkpoint_format": CHECKPOINT_VERSION,
+            "numpy": np.__version__,
+            "blas": _blas(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         **run.extra,
     }
-    _write_json(_manifest_path(run.outputs[0]), manifest)
-
-
-def _report(path: str | None, record: dict) -> _Written:
-    """Write the optional `--out` JSON report of stats, vote and eval."""
-    if not path:
-        return _Written([])
-    out = _resolve(path)
-    _write_json(out, record)
-    return _Written([out])
+    _write_json(_manifest_path(outputs[0]), manifest)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -178,21 +194,20 @@ def _load_corpus(inputs) -> list[CaptionGroup]:
     return groups
 
 
-def cmd_build_graph(args, inputs) -> _Written:
+def cmd_build_graph(args, inputs, outputs) -> _Written:
     graph = build_graph(graph_captions(_load_corpus(inputs)))
-    out = _resolve(args.out)
-    graph.save(out)
-    print(f"graph: {len(graph)} nodes, {graph.edge_count} edges -> {out}")
-    return _Written([out])
+    graph.save(outputs["out"])
+    print(f"graph: {len(graph)} nodes, {graph.edge_count} edges -> {outputs['out']}")
+    return _Written()
 
 
-def cmd_build_dataset(args, inputs) -> _Written:
+def cmd_build_dataset(args, inputs, outputs) -> _Written:
     config = GenerationConfig(
         **{f.name: getattr(args, f.name) for f in fields(GenerationConfig)}
     )
     groups = _load_corpus(inputs)
     result = generate_items(groups, caption_closures(graph_captions(groups)), config)
-    out = _resolve(args.out)
+    out = outputs["out"]
     save_items(result.items, out)
     diag = asdict(result.diagnostics)
     print(
@@ -207,7 +222,7 @@ def cmd_build_dataset(args, inputs) -> _Written:
             f"overlap {diag['rejected_overlap']}, "
             f"no-content {diag['rejected_no_content']})"
         )
-    return _Written([out], asdict(config), {"diagnostics": diag})
+    return _Written(asdict(config), {"diagnostics": diag})
 
 
 def _format_stats(report) -> str:
@@ -254,12 +269,14 @@ def _naming_items(inputs):
         raise CliError(f"{exc} (items: {inputs['items']})") from None
 
 
-def cmd_stats(args, inputs) -> _Written:
+def cmd_stats(args, inputs, outputs) -> _Written:
     items = load_items(inputs["items"])
     with _naming_items(inputs):
         report = corpus_stats(items)
     print(_format_stats(report), end="")
-    return _report(args.out, asdict(report))
+    if "out" in outputs:
+        _write_json(outputs["out"], asdict(report))
+    return _Written()
 
 
 def _adjudication_prompt(item: Item, stream) -> str | None:
@@ -293,7 +310,7 @@ def run_adjudication_loop(flagged: Sequence[Item], stream) -> dict[str, str]:
     return decisions
 
 
-def cmd_adjudicate(args, inputs) -> _Written:
+def cmd_adjudicate(args, inputs, outputs) -> _Written:
     items_path = inputs["items"]
     items = load_items(items_path)
     flagged = flagged_items(items)
@@ -305,17 +322,17 @@ def cmd_adjudicate(args, inputs) -> _Written:
         decisions = run_adjudication_loop(flagged, sys.stdin)
     with _naming_items(inputs):
         items, unresolved = adjudicate(items, decisions)
-    out = _resolve(args.out)
+    out = outputs["out"]
     save_items(items, out)
     print(
         f"flagged {len(flagged)}, decided {len(decisions)}, "
         f"unresolved {len(unresolved)} -> {out}"
     )
     extra = {"decisions": dict(sorted(decisions.items())), "unresolved": unresolved}
-    return _Written([out], extra=extra)
+    return _Written(extra=extra)
 
 
-def cmd_vote(args, inputs) -> _Written:
+def cmd_vote(args, inputs, outputs) -> _Written:
     items = load_items(inputs["items"])
     pair_labels = load_pair_labels(inputs["pairs"])
     with _naming_items(inputs):
@@ -328,7 +345,9 @@ def cmd_vote(args, inputs) -> _Written:
     print(f"majority (neutral fallback): {report.majority_acc_neutral_fallback:.1%}")
     print(f"entail/contradict heuristic: {report.heuristic_acc:.1%}")
     print(f"agreement histogram: {histogram}")
-    return _report(args.out, asdict(report))
+    if "out" in outputs:
+        _write_json(outputs["out"], asdict(report))
+    return _Written()
 
 
 def _train_config(args) -> TrainConfig:
@@ -359,13 +378,10 @@ def _load_examples(inputs, name: str):
     return examples
 
 
-def cmd_train(args, inputs) -> _Written:
+def cmd_train(args, inputs, outputs) -> _Written:
     if args.trainable_embeddings and not args.embeddings:
         raise CliError("--trainable-embeddings needs --embeddings")
-    out = _resolve(args.out)
-    logs = _resolve(args.logs) if args.logs else out.with_name(out.name + ".logs.jsonl")
-    best = _resolve(args.best_out) if args.best_out else None
-    outputs = _distinct_outputs(out, logs, best)
+    out, logs, best = outputs["out"], outputs["logs"], outputs.get("best_out")
     config = _train_config(args)
     items = _load_examples(inputs, "items")
     dev = _load_examples(inputs, "dev")
@@ -405,12 +421,11 @@ def cmd_train(args, inputs) -> _Written:
     )
     print(f"best epoch: {result.best_phase} {result.best_epoch}")
     extra = {"best_phase": result.best_phase, "best_epoch": result.best_epoch}
-    return _Written(outputs, asdict(config), extra)
+    return _Written(asdict(config), extra)
 
 
-def cmd_eval(args, inputs) -> _Written:
-    out, predictions = (_resolve(p) if p else None for p in (args.out, args.predictions))
-    outputs = _distinct_outputs(out, predictions)
+def cmd_eval(args, inputs, outputs) -> _Written:
+    out, predictions = outputs.get("out"), outputs.get("predictions")
     model = load_model(inputs["model"])
     items = _load_examples(inputs, "items")
     report = evaluate(model, items)
@@ -425,7 +440,7 @@ def cmd_eval(args, inputs) -> _Written:
                 for item, guess in zip(items, report.predictions)
             ),
         )
-    return _Written(outputs)
+    return _Written()
 
 
 GRADCHECK_PREMISES = (
@@ -455,7 +470,7 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     )
 
 
-def cmd_gradcheck(args, inputs) -> int:
+def cmd_gradcheck(args, inputs, outputs) -> int:
     for flag, value in (("--dim", args.dim), ("--state-dim", args.state_dim)):
         if value < 1:
             raise CliError(f"{flag} must be >= 1, got {value}")
@@ -488,7 +503,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-graph", help="build the phrase graph from captions")
     p.add_argument("--captions", required=True, help="caption groups TSV")
     p.add_argument("--out", required=True, help="graph file to write")
-    p.set_defaults(func=cmd_build_graph, inputs=("captions",))
+    p.set_defaults(func=cmd_build_graph, inputs=("captions",), outputs=("out",))
 
     p = sub.add_parser("build-dataset", help="generate entailment items")
     p.add_argument("--captions", required=True)
@@ -503,12 +518,12 @@ def build_parser() -> _Parser:
                 default=f.default,
                 choices=SPLITS if f.name == "split" else None,
             )
-    p.set_defaults(func=cmd_build_dataset, inputs=("captions",))
+    p.set_defaults(func=cmd_build_dataset, inputs=("captions",), outputs=("out",))
 
     p = sub.add_parser("stats", help="summarize a labeled items file")
     p.add_argument("--items", required=True)
     p.add_argument("--out", help="also write the report as JSON")
-    p.set_defaults(func=cmd_stats, inputs=("items",))
+    p.set_defaults(func=cmd_stats, inputs=("items",), outputs=("out",))
 
     p = sub.add_parser("adjudicate", help="resolve items with split judgments")
     p.add_argument("--items", required=True)
@@ -516,13 +531,14 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--decisions", help="TSV of item-id<TAB>label; omit for an interactive loop"
     )
-    p.set_defaults(func=cmd_adjudicate, inputs=("items", "decisions"))
+    p.set_defaults(func=cmd_adjudicate, inputs=("items", "decisions"), outputs=("out",))
+    p.set_defaults(rewrites=("items",))  # `--out` may apply decisions in place
 
     p = sub.add_parser("vote", help="score the pair-label voting baselines")
     p.add_argument("--items", required=True)
     p.add_argument("--pairs", required=True, help="pair labels TSV")
     p.add_argument("--out", help="also write the report as JSON")
-    p.set_defaults(func=cmd_vote, inputs=("items", "pairs"))
+    p.set_defaults(func=cmd_vote, inputs=("items", "pairs"), outputs=("out",))
 
     p = sub.add_parser("train", help="train an entailment model")
     p.add_argument("--items", required=True, help="training items")
@@ -548,13 +564,14 @@ def build_parser() -> _Parser:
         help="update pretrained embeddings during training",
     )
     p.set_defaults(func=cmd_train, inputs=("items", "dev", "pretrain", "embeddings"))
+    p.set_defaults(outputs=("out", "logs", "best_out"))
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled items")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--items", required=True)
     p.add_argument("--out", help="also write the report as JSON")
     p.add_argument("--predictions", help="write id<TAB>prediction lines")
-    p.set_defaults(func=cmd_eval, inputs=("model", "items"))
+    p.set_defaults(func=cmd_eval, inputs=("model", "items"), outputs=("out", "predictions"))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument(
@@ -563,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=8, help="embedding dimension")
     p.add_argument("--state-dim", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_gradcheck, inputs=())
+    p.set_defaults(func=cmd_gradcheck, inputs=(), outputs=())
 
     return parser
 
@@ -581,16 +598,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             for name in args.inputs
             if getattr(args, name) is not None
         }
-        # Hashed before the command runs: its output may overwrite an input.
+        outputs = _outputs(args, inputs)
+        # Hashed before the command runs: `adjudicate` may rewrite its items.
         recorded = {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in sorted(inputs.items())
         }
-        run = args.func(args, inputs)
+        run = args.func(args, inputs, outputs)
         if isinstance(run, int):
             return run
-        if run.outputs:
-            _write_manifest(args.subcommand, argv, recorded, run)
+        if outputs:
+            _write_manifest(args.subcommand, argv, recorded, list(outputs.values()), run)
         return 0
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

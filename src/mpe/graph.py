@@ -42,7 +42,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .text import Sentence, _atomic_write, _read_text, _read_word_list
+from .text import Sentence, _atomic_write, _read_pairs, _read_text, _read_word_list
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -69,17 +69,9 @@ class LexiconCycleError(ValueError):
 
 
 def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
-    table: dict[str, list[str]] = {}
-    for lineno, line in _read_word_list(path).items():
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(
-                f"{path}:{lineno}: bad hypernym entry (want specific<TAB>general): {line!r}"
-            )
-        specific, general = parts
-        table.setdefault(specific, [])
-        if general not in table[specific]:
-            table[specific].append(general)
+    table: dict[str, set[str]] = {}
+    for specific, general in _read_pairs(path, "hypernym entry (want specific<TAB>general)"):
+        table.setdefault(specific, set()).add(general)
     return {k: tuple(sorted(v)) for k, v in table.items()}
 
 

@@ -3,7 +3,8 @@
 Tokenization, rule-based lemmatization, and word overlap are pinned artifacts
 of this package: every consumer (graph construction, dataset generation,
 statistics) goes through `normalize` so that the same raw string always maps
-to the same Sentence.
+to the same Sentence. The word lists in `data/` are read once, when the
+module is imported.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,16 +73,10 @@ def _read_text(path: str | Path) -> str:
     number of LF bytes before it, plus one.
     """
     data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return _decode(data, path)
-
-
-def _decode(data: bytes, path: str | Path, lineno: int = 1) -> str:
-    """data as UTF-8, where data starts on line `lineno` of `path`; a byte
-    that is not UTF-8 raises ValueError naming `path:line`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno += data.count(b"\n", 0, exc.start)
+        lineno = 1 + data.count(b"\n", 0, exc.start)
         raise ValueError(
             f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
         ) from None
@@ -96,42 +92,24 @@ def _read_word_list(path: Path) -> dict[int, str]:
     return words
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    """Set of function words removed before overlap counting."""
-
-    words: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.words:
-            raise ValueError("stopword list must be non-empty")
-        bad = sorted(w for w in self.words if w != w.lower())
-        if bad:
-            raise ValueError(f"stopword list must be lowercase, got: {bad[:5]}")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    @classmethod
-    def from_words(cls, words: Iterable[str]) -> "StopwordList":
-        return cls(frozenset(words))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "StopwordList":
-        return cls.from_words(_read_word_list(Path(path)).values())
+def _read_pairs(path: Path, what: str) -> list[tuple[str, str]]:
+    """The `a<TAB>b` entries of a word list, in file order; any other entry
+    raises ValueError naming `path:lineno` as a bad `what`."""
+    pairs = []
+    for lineno, line in _read_word_list(path).items():
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: bad {what}: {line!r}")
+        pairs.append((parts[0], parts[1]))
+    return pairs
 
 
-_DEFAULT_STOPWORDS: StopwordList | None = None
-
-
-def default_stopwords() -> StopwordList:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = StopwordList.from_file(_DATA_DIR / "stopwords.txt")
-    return _DEFAULT_STOPWORDS
+# Function words removed before overlap counting.
+STOPWORDS = frozenset(_read_word_list(_DATA_DIR / "stopwords.txt").values())
+# Irregular and protected forms, consulted before every rule pass.
+_LEMMA_EXCEPTIONS = dict(
+    _read_pairs(_DATA_DIR / "lemma_exceptions.txt", "exception entry (want form<TAB>lemma)")
+)
 
 
 def _has_vowel(s: str) -> bool:
@@ -169,110 +147,71 @@ def _repair_stem(stem: str) -> str:
     return stem
 
 
-class Lemmatizer:
-    """Finite rule table: ordered suffix rules plus an exception list.
+@cache
+def _lemma(token: str) -> str:
+    """The token's lemma: ordered suffix rules applied to a fixpoint.
 
-    Rules are applied to a fixpoint; the exception table is consulted before
-    every pass, so protected forms (identity entries) stop the rules cold.
-    Each rewriting pass strictly shortens the token, so iteration terminates.
+    The exception table is consulted before every pass, so protected forms
+    (identity entries) stop the rules cold. Each rewriting pass strictly
+    shortens the token, so iteration terminates.
     """
-
-    def __init__(self, exceptions: Mapping[str, str]):
-        self.exceptions = dict(exceptions)
-        self._cache: dict[str, str] = {}
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Lemmatizer":
-        exceptions = {}
-        for lineno, line in _read_word_list(Path(path)).items():
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: bad exception entry (want form<TAB>lemma): {line!r}"
-                )
-            exceptions[parts[0]] = parts[1]
-        return cls(exceptions)
-
-    def lemma(self, token: str) -> str:
-        out = self._cache.get(token)
-        if out is None:
-            out = self._lemma(token)
-            self._cache[token] = out
-        return out
-
-    def _lemma(self, token: str) -> str:
-        seen = {token}
-        word = token
-        while True:
-            if word in self.exceptions:
-                return self.exceptions[word]
-            nxt = self._rule_pass(word)
-            if nxt == word or nxt in seen:
-                return nxt
-            seen.add(nxt)
-            word = nxt
-
-    @staticmethod
-    def _rule_pass(w: str) -> str:
-        n = len(w)
-        # plural / third-person -s
-        if n >= 5 and w.endswith("sses"):
-            return w[:-2]
-        if n >= 5 and (w.endswith("shes") or w.endswith("ches")):
-            return w[:-2]
-        if n >= 5 and w.endswith("zzes"):
-            return w[:-2]
-        if n >= 4 and w.endswith("xes"):
-            return w[:-2]
-        if n >= 4 and w.endswith("zes"):
-            return w[:-1]
-        if n >= 5 and w.endswith("ies"):
-            return w[:-3] + "y"
-        if n >= 6 and w.endswith("oes"):
-            return w[:-2]
-        if n >= 5 and w.endswith("ses"):
-            return w[:-1]
-        if n >= 4 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
-            return w[:-1]
-        # present participle
-        if n >= 6 and w.endswith("ing"):
-            stem = w[:-3]
-            if _has_vowel(stem):
-                return _repair_stem(stem)
-        # past tense
-        if n >= 5 and w.endswith("ied"):
-            return w[:-3] + "y"
-        if n >= 5 and w.endswith("ed") and not w.endswith("eed"):
-            stem = w[:-2]
-            if _has_vowel(stem):
-                return _repair_stem(stem)
-        return w
+    seen = {token}
+    word = token
+    while True:
+        if word in _LEMMA_EXCEPTIONS:
+            return _LEMMA_EXCEPTIONS[word]
+        nxt = _rule_pass(word)
+        if nxt == word or nxt in seen:
+            return nxt
+        seen.add(nxt)
+        word = nxt
 
 
-_DEFAULT_LEMMATIZER: Lemmatizer | None = None
-
-
-def default_lemmatizer() -> Lemmatizer:
-    global _DEFAULT_LEMMATIZER
-    if _DEFAULT_LEMMATIZER is None:
-        _DEFAULT_LEMMATIZER = Lemmatizer.from_file(_DATA_DIR / "lemma_exceptions.txt")
-    return _DEFAULT_LEMMATIZER
+def _rule_pass(w: str) -> str:
+    n = len(w)
+    # plural / third-person -s
+    if n >= 5 and w.endswith("sses"):
+        return w[:-2]
+    if n >= 5 and (w.endswith("shes") or w.endswith("ches")):
+        return w[:-2]
+    if n >= 5 and w.endswith("zzes"):
+        return w[:-2]
+    if n >= 4 and w.endswith("xes"):
+        return w[:-2]
+    if n >= 4 and w.endswith("zes"):
+        return w[:-1]
+    if n >= 5 and w.endswith("ies"):
+        return w[:-3] + "y"
+    if n >= 6 and w.endswith("oes"):
+        return w[:-2]
+    if n >= 5 and w.endswith("ses"):
+        return w[:-1]
+    if n >= 4 and w.endswith("s") and not w.endswith(("ss", "us", "is")):
+        return w[:-1]
+    # present participle
+    if n >= 6 and w.endswith("ing"):
+        stem = w[:-3]
+        if _has_vowel(stem):
+            return _repair_stem(stem)
+    # past tense
+    if n >= 5 and w.endswith("ied"):
+        return w[:-3] + "y"
+    if n >= 5 and w.endswith("ed") and not w.endswith("eed"):
+        stem = w[:-2]
+        if _has_vowel(stem):
+            return _repair_stem(stem)
+    return w
 
 
 @dataclass(frozen=True)
 class Sentence:
-    """Normalized view of one raw caption or hypothesis string."""
+    """Normalized view of one raw caption or hypothesis string; `normalize`
+    builds it, with at least one token and one lemma per token."""
 
     raw: str
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
     content_tokens: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise EmptySentenceError(f"sentence has no tokens: {self.raw!r}")
-        if len(self.tokens) != len(self.lemmas):
-            raise ValueError("tokens and lemmas must align")
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -282,24 +221,16 @@ def tokenize(raw: str) -> tuple[str, ...]:
     return tuple(_WORD.findall(lowered))
 
 
-def normalize(
-    raw: str,
-    stopwords: StopwordList | None = None,
-    lexicon: Lemmatizer | None = None,
-) -> Sentence:
+def normalize(raw: str) -> Sentence:
     """Tokenize, lemmatize, and find the content tokens of one raw string."""
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    lexicon = lexicon if lexicon is not None else default_lemmatizer()
     tokens = tokenize(raw)
     if not tokens:
         raise EmptySentenceError(f"no alphanumeric content in {raw!r}")
-    lemmas = tuple(lexicon.lemma(t) for t in tokens)
-    content_tokens = frozenset(t for t in tokens if t not in stopwords)
     return Sentence(
         raw=raw,
         tokens=tokens,
-        lemmas=lemmas,
-        content_tokens=content_tokens,
+        lemmas=tuple(_lemma(t) for t in tokens),
+        content_tokens=frozenset(t for t in tokens if t not in STOPWORDS),
     )
 
 

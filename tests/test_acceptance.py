@@ -29,7 +29,7 @@ from mpe.dataset import (
 )
 from mpe.graph import build_graph, caption_closures
 from mpe.models import concat_premises
-from mpe.text import default_stopwords, normalize, tokenize
+from mpe.text import STOPWORDS, normalize, tokenize
 from mpe.training import TrainConfig, Trainer, build_model, vocabulary_from_items
 from mpe.voting import (
     attach_pair_labels,
@@ -388,8 +388,7 @@ def test_criterion_7_released_data_reproduction():
 
 def independent_overlap(hypothesis_raw: str, premise_raws: list[str]) -> float:
     """Recompute overlap from raw strings without the corpus-stats code path."""
-    stopwords = default_stopwords()
-    hyp_content = {t for t in tokenize(hypothesis_raw) if t not in stopwords}
+    hyp_content = {t for t in tokenize(hypothesis_raw) if t not in STOPWORDS}
     premise_union = set()
     for raw in premise_raws:
         premise_union.update(tokenize(raw))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict, fields, replace
@@ -72,6 +73,24 @@ class TestBuildGraph:
         assert len(manifest["inputs"]["captions"]["sha256"]) == 64
         assert manifest["outputs"] == [str(out)]
         assert "nodes" in capsys.readouterr().out
+
+    def test_manifest_names_the_numeric_stack(self, tmp_path):
+        out = tmp_path / "graph.tsv"
+        assert main(["build-graph", "--captions", str(CAPTIONS), "--out", str(out)]) == 0
+        versions = read_manifest(out)["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["openblas_num_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
+        name, version = versions["blas"].split(" ")
+        assert name and version[0].isdigit()
+
+    def test_blas_is_null_where_numpy_cannot_report_it(self, tmp_path, monkeypatch):
+        def show_config(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        out = tmp_path / "graph.tsv"
+        assert main(["build-graph", "--captions", str(CAPTIONS), "--out", str(out)]) == 0
+        assert read_manifest(out)["versions"]["blas"] is None
 
     def test_fixture_graph_bytes_pinned(self, tmp_path, capsys):
         out = tmp_path / "graph.tsv"
@@ -1118,12 +1137,9 @@ MANIFEST_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
-def test_manifest_records_the_run(run, tmp_path, capsys):
-    template, input_flags, primary = MANIFEST_RUNS[run]
-    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+def write_run_inputs(in_dir: Path, checkpoint: bool) -> None:
+    """The input files the runs above read, and `model.ckpt` if asked."""
     in_dir.mkdir()
-    out_dir.mkdir()
     items = [
         make_item(i, label, pair_labels=("E", "N", "C", label))
         for i, label in enumerate(["E", "N", "C"] * 2)
@@ -1138,10 +1154,19 @@ def test_manifest_records_the_run(run, tmp_path, capsys):
         "".join(f"{item.id}\t{','.join(item.pair_labels)}\n" for item in items)
     )
     (in_dir / "vectors.txt").write_text("dog 0.1 0.2 0.3 0.4\ncat 0.4 0.3 0.2 0.1\n")
-    if template[0] == "eval":
+    (in_dir / "captions.tsv").write_bytes(CAPTIONS.read_bytes())
+    if checkpoint:
         argv = ["train", "--items", str(in_dir / "items.jsonl"), "--out",
                 str(in_dir / "model.ckpt")]
         assert main(argv + TINY_TRAIN_FLAGS) == 0
+
+
+@pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
+def test_manifest_records_the_run(run, tmp_path, capsys):
+    template, input_flags, primary = MANIFEST_RUNS[run]
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    write_run_inputs(in_dir, checkpoint=template[0] == "eval")
+    out_dir.mkdir()
     argv = [arg.format(**{"in": in_dir, "out": out_dir}) for arg in template]
 
     assert main(argv) == 0, capsys.readouterr().err
@@ -1153,3 +1178,57 @@ def test_manifest_records_the_run(run, tmp_path, capsys):
     assert manifest["outputs"][0] == str(out_dir / primary)
     created = {p for p in out_dir.iterdir() if p != manifest_path}
     assert set(map(Path, manifest["outputs"])) == created
+
+
+# An output onto an input of the same run: argv with an {in} directory
+# placeholder, and the input flag and file it would overwrite.
+OVERWRITE_RUNS = {
+    "train-out": (
+        ["train", "--items", "{in}/items.jsonl", "--out", "{in}/items.jsonl"] + TINY_TRAIN_FLAGS,
+        "items", "items.jsonl",
+    ),
+    "train-logs": (
+        ["train", "--items", "{in}/items.jsonl", "--out", "{in}/m.ckpt",
+         "--logs", "{in}/items.jsonl"] + TINY_TRAIN_FLAGS,
+        "items", "items.jsonl",
+    ),
+    "stats-out": (
+        ["stats", "--items", "{in}/items.jsonl", "--out", "{in}/items.jsonl"],
+        "items", "items.jsonl",
+    ),
+    "eval-predictions": (
+        ["eval", "--model", "{in}/model.ckpt", "--items", "{in}/items.jsonl",
+         "--predictions", "{in}/model.ckpt"],
+        "model", "model.ckpt",
+    ),
+    "vote-out": (
+        ["vote", "--items", "{in}/items.jsonl", "--pairs", "{in}/pairs.tsv",
+         "--out", "{in}/pairs.tsv"],
+        "pairs", "pairs.tsv",
+    ),
+    "build-dataset-out": (
+        ["build-dataset", "--captions", "{in}/captions.tsv", "--out", "{in}/captions.tsv",
+         "--n-items", "4"],
+        "captions", "captions.tsv",
+    ),
+    # Only `--items` may be rewritten in place by `adjudicate`.
+    "adjudicate-decisions": (
+        ["adjudicate", "--items", "{in}/flagged.jsonl", "--decisions", "{in}/decisions.tsv",
+         "--out", "{in}/decisions.tsv"],
+        "decisions", "decisions.tsv",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(OVERWRITE_RUNS))
+def test_output_onto_an_input_exits_1_leaving_it(run, tmp_path, capsys):
+    template, flag, name = OVERWRITE_RUNS[run]
+    in_dir = tmp_path / "in"
+    write_run_inputs(in_dir, checkpoint=template[0] == "eval")
+    before = {p: p.read_bytes() for p in in_dir.iterdir()}
+    argv = [arg.format(**{"in": in_dir}) for arg in template]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: an output would overwrite the input --{flag} {in_dir / name}\n"
+    )
+    assert {p: p.read_bytes() for p in in_dir.iterdir()} == before

@@ -5,7 +5,8 @@ inserted bytes, deleted runs, truncations and repeated lines, drawn from a
 fixed seed) run through every command that reads that kind, beside valid
 copies of the other inputs. Every run must exit 0 or 1, and every exit 1
 must name the mutated file: malformed input never gives a traceback or an
-error that does not say where it came from.
+error that does not say where it came from. The graph file, which no command
+reads, is fuzzed through `PhraseGraph.load` the same way.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from mpe.cli import main
 from mpe.dataset import Item, save_items
+from mpe.graph import PhraseGraph
 from mpe.text import normalize
 
 SEED = 20170
@@ -66,7 +68,7 @@ def write_inputs(root):
         ("captions", "captions.tsv"), ("items", "items.jsonl"),
         ("spe", "spe.jsonl"), ("decisions", "decisions.tsv"),
         ("pairs", "pairs.tsv"), ("checkpoint", "model.ckpt"),
-        ("vectors", "vectors.txt"),
+        ("vectors", "vectors.txt"), ("graph", "graph.tsv"),
     ]}
     paths["captions"].write_text(CAPTIONS)
     save_items(items, paths["items"])
@@ -85,6 +87,8 @@ def write_inputs(root):
     paths["vectors"].write_text("dog 0.1 0.2\nruns -0.3 0.4\nanimal 0.5 0.6\ncat 1 2\n")
     assert main(["train", "--items", str(paths["items"]),
                  "--out", str(paths["checkpoint"]), *TINY_TRAIN]) == 0
+    assert main(["build-graph", "--captions", str(paths["captions"]),
+                 "--out", str(paths["graph"])]) == 0
     return paths
 
 
@@ -160,4 +164,22 @@ def test_mutated_input_exits_0_or_1_naming_the_file(inputs, kind, tmp_path, caps
             err = capsys.readouterr().err
             if code not in (0, 1) or (code == 1 and str(mutant) not in err):
                 failures.append(f"mutant {n} {data!r}\n  {argv[0]}: exit {code}: {err}")
+    assert not failures, "\n".join(failures)
+
+
+def test_mutated_graph_loads_or_raises_value_error_naming_the_file(inputs, tmp_path):
+    rng = random.Random(f"{SEED}-graph")
+    original = inputs["graph"].read_bytes()
+    mutant = tmp_path / inputs["graph"].name
+    failures = []
+    for n in range(MUTANTS_PER_INPUT):
+        data = mutate(original, rng)
+        mutant.write_bytes(data)
+        try:
+            PhraseGraph.load(mutant)
+        except ValueError as exc:
+            if str(mutant) not in str(exc):
+                failures.append(f"mutant {n} {data!r}\n  {exc}")
+        except Exception as exc:
+            failures.append(f"mutant {n} {data!r}\n  {type(exc).__name__}: {exc}")
     assert not failures, "\n".join(failures)

@@ -5,19 +5,22 @@ by hand before the implementation and are frozen here.
 """
 
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpe.text
 from mpe.text import (
+    STOPWORDS,
     EmptySentenceError,
-    Lemmatizer,
     OverlapUndefinedError,
-    Sentence,
-    StopwordList,
-    default_lemmatizer,
-    default_stopwords,
+    _LEMMA_EXCEPTIONS,
+    _lemma,
+    _read_pairs,
+    _read_word_list,
     normalize,
     tokenize,
     word_overlap,
@@ -137,12 +140,11 @@ class TestLemmatizer:
 
     @pytest.mark.parametrize("surface,lemma", CASES)
     def test_fixture(self, surface, lemma):
-        assert default_lemmatizer().lemma(surface) == lemma
+        assert _lemma(surface) == lemma
 
     def test_exception_values_are_fixpoints(self):
-        lem = default_lemmatizer()
-        for form, target in lem.exceptions.items():
-            assert lem.lemma(target) == target, (form, target)
+        for form, target in _LEMMA_EXCEPTIONS.items():
+            assert _lemma(target) == target, (form, target)
 
     def test_bad_exception_entry_located(self, tmp_path):
         path = tmp_path / "exceptions.txt"
@@ -150,14 +152,13 @@ class TestLemmatizer:
         with pytest.raises(
             ValueError, match=re.escape(f"{path}:4: bad exception entry") + ".*'bad'"
         ):
-            Lemmatizer.from_file(path)
+            _read_pairs(path, "exception entry (want form<TAB>lemma)")
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=14))
     @settings(max_examples=400, deadline=None)
     def test_idempotent_on_arbitrary_strings(self, word):
-        lem = default_lemmatizer()
-        once = lem.lemma(word)
-        assert lem.lemma(once) == once
+        once = _lemma(word)
+        assert _lemma(once) == once
 
 
 class TestNormalizeFixtures:
@@ -166,8 +167,8 @@ class TestNormalizeFixtures:
         assert s.tokens == ("two", "girls", "sitting", "down")
         assert s.lemmas == ("two", "girl", "sit", "down")
 
-    def test_custom_stopwords(self):
-        s = normalize("A man runs", stopwords=StopwordList.from_words(["a"]))
+    def test_stopwords_removed_from_content(self):
+        s = normalize("A man runs")
         assert s.content_tokens == {"man", "runs"}
 
     def test_content_tokens_subset_of_tokens(self):
@@ -179,13 +180,12 @@ class TestNormalizeFixtures:
             normalize("  --- !!! ")
 
     def test_default_stopwords_nonempty_lowercase(self):
-        sw = default_stopwords()
-        assert len(sw) > 50
-        assert "the" in sw and "a" in sw
+        assert len(STOPWORDS) > 50
+        assert "the" in STOPWORDS and "a" in STOPWORDS
+        assert all(w == w.lower() for w in STOPWORDS)
 
 
-def sent(raw, stop=None):
-    return normalize(raw, stopwords=stop)
+sent = normalize
 
 
 class TestOverlapFixtures:
@@ -294,3 +294,34 @@ class TestNormalizeDeterminism:
         s = normalize("The dogs were running across the fields.")
         again = normalize(" ".join(s.lemmas))
         assert again.lemmas == s.lemmas
+
+
+class TestWordLists:
+    """The bundled word lists: each entry is one token `tokenize` can produce
+    and is listed once, and the reduction rules' lexicons hold lemmas only,
+    because the rules match lemmas."""
+
+    DATA = Path(mpe.text.__file__).parent / "data"
+    TAB_FILES = ("hypernyms.txt", "lemma_exceptions.txt")
+    RULE_LEXICONS = ("determiners.txt", "adjectives.txt", "prepositions.txt", "hypernyms.txt")
+
+    def words(self, name):
+        """The file's entries, each tab file's entries split into their columns."""
+        path = self.DATA / name
+        if name in self.TAB_FILES:
+            return [w for pair in _read_pairs(path, "entry") for w in pair]
+        return list(_read_word_list(path).values())
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.txt")))
+    def test_entries_are_tokens_listed_once(self, name):
+        assert [w for w in self.words(name) if tokenize(w) != (w,)] == []
+        entries = list(_read_word_list(self.DATA / name).values())
+        assert [e for e, n in Counter(entries).items() if n > 1] == []
+
+    def test_lemma_exception_forms_listed_once(self):
+        forms = [form for form, _ in _read_pairs(self.DATA / "lemma_exceptions.txt", "entry")]
+        assert [f for f, n in Counter(forms).items() if n > 1] == []
+
+    @pytest.mark.parametrize("name", RULE_LEXICONS)
+    def test_rule_lexicon_entries_are_lemmas(self, name):
+        assert [w for w in self.words(name) if _lemma(w) != w] == []
