@@ -119,31 +119,29 @@ class _Written:
     extra: dict = field(default_factory=dict)
 
 
-def _manifest_path(primary: Path) -> Path:
-    return primary.with_name(primary.name + ".manifest.json")
+def _beside(path: Path, suffix: str) -> Path:
+    return path.with_name(path.name + suffix)
 
 
 def _outputs(args, inputs: dict[str, Path]) -> dict[str, Path]:
-    """The given outputs by flag, resolved, primary first, once no two of them
-    and the primary's manifest are one file and none is an input the
-    subcommand does not declare in `rewrites`."""
+    """The outputs by flag, resolved, primary first (an unset one in `beside`
+    goes beside the primary); refused if two of them or the primary's manifest
+    are one file, or if one is an input the subcommand leaves out of `rewrites`."""
     outputs = {}
     for name in args.outputs:
         if getattr(args, name):
             outputs[name] = _resolve(getattr(args, name))
-        elif name == "logs":  # train's epoch log goes beside its checkpoint
-            outputs[name] = outputs["out"].with_name(outputs["out"].name + ".logs.jsonl")
-    rewrites = getattr(args, "rewrites", ())
-    read = {path.resolve(): name for name, path in inputs.items() if name not in rewrites}
+        elif name in args.beside:
+            outputs[name] = _beside(outputs[args.outputs[0]], args.beside[name])
+    read = {p.resolve(): f"--{n} {p}" for n, p in inputs.items() if n not in args.rewrites}
     paths = list(outputs.values())
     seen = set()
-    for path in paths + [_manifest_path(p) for p in paths[:1]]:
+    for path in paths + [_beside(p, ".manifest.json") for p in paths[:1]]:
         key = path.resolve()
         if key in seen:
             raise CliError(f"two outputs would be written to {path}")
         if key in read:
-            name = read[key]
-            raise CliError(f"an output would overwrite the input --{name} {inputs[name]}")
+            raise CliError(f"an output would overwrite the input {read[key]}")
         seen.add(key)
     return outputs
 
@@ -180,7 +178,7 @@ def _write_manifest(
         },
         **run.extra,
     }
-    _write_json(_manifest_path(outputs[0]), manifest)
+    _write_json(_beside(outputs[0], ".manifest.json"), manifest)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -498,6 +496,7 @@ def cmd_gradcheck(args, inputs, outputs) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="mpe", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mpe {__version__}")
+    parser.set_defaults(rewrites=(), beside={})  # read by `_outputs`
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("build-graph", help="build the phrase graph from captions")
@@ -564,7 +563,7 @@ def build_parser() -> _Parser:
         help="update pretrained embeddings during training",
     )
     p.set_defaults(func=cmd_train, inputs=("items", "dev", "pretrain", "embeddings"))
-    p.set_defaults(outputs=("out", "logs", "best_out"))
+    p.set_defaults(outputs=("out", "logs", "best_out"), beside={"logs": ".logs.jsonl"})
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled items")
     p.add_argument("--model", required=True, help="checkpoint file")

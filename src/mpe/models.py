@@ -64,7 +64,7 @@ from .autodiff import (
     tanh,
     transpose,
 )
-from .text import _read_text
+from .text import _decode
 
 UNK_TOKEN = "<unk>"
 SEPARATOR = "<sep>"
@@ -187,29 +187,29 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
     path = Path(path)
     vectors: dict[str, list[float]] = {}
     dim: int | None = None
-    lines = _read_text(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final line end, or an empty file
-    for lineno, line in enumerate(lines, 1):
-        parts = line.split(" ")
-        if len(parts) < 2:
-            raise ValueError(f"{path}:{lineno}: malformed vector line")
-        token = parts[0]
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric component") from None
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}:{lineno}: non-finite component")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ValueError(
-                f"{path}:{lineno}: expected {dim} components, got {len(values)}"
-            )
-        if token in vectors:
-            raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-        vectors[token] = values
+    with path.open("rb") as fh:
+        # bytes.splitlines ends a line at LF, CRLF or a lone CR, as text mode does.
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            parts = _decode(line, path, lineno).split(" ")
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: malformed vector line")
+            token = parts[0]
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric component") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: non-finite component")
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim} components, got {len(values)}"
+                )
+            if token in vectors:
+                raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
+            vectors[token] = values
     if not vectors:
         raise ValueError(f"{path}: no vectors found")
     return vectors

@@ -73,10 +73,16 @@ def _read_text(path: str | Path) -> str:
     number of LF bytes before it, plus one.
     """
     data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return _decode(data, path)
+
+
+def _decode(data: bytes, path: str | Path, lineno: int = 1) -> str:
+    """data as UTF-8, where data starts on line `lineno` of `path`; a byte
+    that is not UTF-8 raises ValueError naming `path:line`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = 1 + data.count(b"\n", 0, exc.start)
+        lineno += data.count(b"\n", 0, exc.start)
         raise ValueError(
             f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
         ) from None

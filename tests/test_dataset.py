@@ -773,7 +773,7 @@ class TestUndecodableBytes:
         self.check(load_decisions, tmp_path / "decisions.tsv", b"it-1\tE\n", 2)
 
     def test_vectors(self, tmp_path):
-        # CRLF and a lone CR end lines as above.
+        # Read line by line in binary, yet CRLF and a lone CR end lines as above.
         good = b"cat 1.0 2.0\r\ndog 3.5 -4.0\rcow 0.5 0.5\n"
         lf, mixed = tmp_path / "lf.txt", tmp_path / "mixed.txt"
         lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))

@@ -218,13 +218,6 @@ class TestPretrainedVectorFile:
         with pytest.raises(ValueError, match=f":{lineno}: non-finite component"):
             load_pretrained_vectors(path)
 
-    def test_bad_byte_reported_before_an_earlier_malformed_line(self, tmp_path):
-        # The whole file is decoded before its first line is parsed.
-        path = tmp_path / "vecs.txt"
-        path.write_bytes(b"cat\ndog 1.0\ncaf\xff 2.0\n")
-        with pytest.raises(ValueError, match=":3: byte 0xff is not UTF-8"):
-            load_pretrained_vectors(path)
-
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
