@@ -29,7 +29,7 @@ from .text import (
     OverlapUndefinedError,
     Sentence,
     _atomic_write,
-    _read_text,
+    _lines,
     normalize,
     word_overlap,
 )
@@ -217,7 +217,7 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
     """Parse a `gid<TAB>index<TAB>text` corpus into groups sorted by gid."""
     path = Path(path)
     rows: dict[str, dict[int, Sentence]] = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in _lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -328,10 +328,21 @@ def generate_items(
     diag.groups_with_4plus = len(hosts)
     diag.groups_with_5plus = sum(1 for g in groups if len(g.captions) >= 5)
 
-    def filtered_candidates(
-        premises: Sequence[Sentence], source: Sentence
-    ) -> list[Sentence]:
-        out = []
+    def draw(group: CaptionGroup, related: bool) -> Sentence | None:
+        """A hypothesis of the given kind for group's first four captions:
+        one generalization of the source caption that passes the support and
+        overlap gates, drawn at random; None if there is none."""
+        premises = group.captions[:4]
+        if related:
+            if len(group.captions) < 5:
+                return None
+            source = group.captions[4]
+        else:
+            partners = [g for g in groups if g.gid != group.gid]
+            if not partners:
+                return None
+            source = rng.choice(rng.choice(partners).captions)
+        candidates = []
         for phrase in simplify_hypothesis(source, premises, closures):
             if closures.caption_counts[phrase] < config.min_support:
                 diag.rejected_support += 1
@@ -345,68 +356,40 @@ def generate_items(
             if overlap > config.overlap_max:
                 diag.rejected_overlap += 1
                 continue
-            out.append(hypothesis)
-        return out
+            candidates.append(hypothesis)
+        return rng.choice(candidates) if candidates else None
 
     order = list(hosts)
     rng.shuffle(order)
-    related_left = round(config.n_items * config.related_fraction)
-    unrelated_left = config.n_items - related_left
-    drafted: list[tuple[CaptionGroup, Sentence, bool]] = []
-
+    n_related = round(config.n_items * config.related_fraction)
+    left = {True: n_related, False: config.n_items - n_related}  # by relatedness
+    items = []
     for group in order:
-        if related_left + unrelated_left == 0:
+        if left[True] + left[False] == 0:
             break
-        premises = group.captions[:4]
-
-        def make_related() -> Sentence | None:
-            if len(group.captions) < 5:
-                return None
-            candidates = filtered_candidates(premises, group.captions[4])
-            return rng.choice(candidates) if candidates else None
-
-        def make_unrelated() -> Sentence | None:
-            partners = [g for g in groups if g.gid != group.gid]
-            if not partners:
-                return None
-            partner = rng.choice(partners)
-            source = rng.choice(partner.captions)
-            candidates = filtered_candidates(premises, source)
-            return rng.choice(candidates) if candidates else None
-
-        if related_left and unrelated_left:
-            want_related = rng.random() < related_left / (related_left + unrelated_left)
+        if left[True] and left[False]:
+            related = rng.random() < left[True] / (left[True] + left[False])
         else:
-            want_related = related_left > 0
-
-        hypothesis = make_related() if want_related else make_unrelated()
-        is_related = want_related
-        if hypothesis is None:
-            other_left = unrelated_left if want_related else related_left
-            if other_left > 0:
-                hypothesis = make_unrelated() if want_related else make_related()
-                is_related = not want_related
+            related = left[True] > 0
+        hypothesis = draw(group, related)
+        if hypothesis is None and left[not related]:
+            related = not related
+            hypothesis = draw(group, related)
         if hypothesis is None:
             diag.groups_skipped += 1
             continue
-        drafted.append((group, hypothesis, is_related))
-        if is_related:
-            related_left -= 1
-            diag.related += 1
-        else:
-            unrelated_left -= 1
-            diag.unrelated += 1
-
-    items = [
-        Item(
-            id=f"{config.split}-{i:05d}",
-            scene_group_id=group.gid,
-            premises=group.captions[:4],
-            hypothesis=hypothesis,
-            split=config.split,
+        left[related] -= 1
+        items.append(
+            Item(
+                id=f"{config.split}-{len(items):05d}",
+                scene_group_id=group.gid,
+                premises=group.captions[:4],
+                hypothesis=hypothesis,
+                split=config.split,
+            )
         )
-        for i, (group, hypothesis, _) in enumerate(drafted)
-    ]
+    diag.related = n_related - left[True]
+    diag.unrelated = config.n_items - n_related - left[False]
     diag.produced = len(items)
     diag.shortfall = config.n_items - len(items)
     return GenerationResult(items=items, diagnostics=diag)
@@ -597,14 +580,14 @@ def _load_jsonl(path: str | Path, fmt: str | None) -> list:
     naming the `path:lineno` of the first bad record or repeated id; an empty
     file is an empty items file unless `fmt` names another format."""
     path = Path(path)
-    text = _read_text(path)
-    if not text:
+    lines = _lines(path)
+    _, header = next(lines, (1, None))
+    if header is None:
         raise ValueError(f"{path}: empty {_RECORDS[fmt or ITEMS_FORMAT][1]}s file")
-    lines = text.split("\n")
-    parse, noun = _RECORDS[_check_header(path, lines[0], fmt)]
+    parse, noun = _RECORDS[_check_header(path, header, fmt)]
     out = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line:
             continue
         try:
@@ -649,7 +632,7 @@ def _load_label_table(path: str | Path, count: int) -> _LabelTable:
     """Read `item_id<TAB>L,L,...` lines, each holding exactly `count` labels."""
     path = Path(path)
     out = _LabelTable()
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in _lines(path):
         if not line:
             continue
         parts = line.split("\t")

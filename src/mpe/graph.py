@@ -42,7 +42,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .text import Sentence, _atomic_write, _read_pairs, _read_text, _read_word_list
+from .text import Sentence, _atomic_write, _lines, _read_pairs, _read_word_list
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -292,13 +292,13 @@ class PhraseGraph:
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
         """Read a `save`d file; this is where node rows are checked."""
-        text = _read_text(path)
-        if not text:
+        lines = _lines(path)
+        _, first = next(lines, (1, None))
+        if first is None:
             raise ValueError(f"{path}: empty graph file")
-        lines = text.split("\n")
-        header = lines[0].split("\t")
+        header = first.split("\t")
         if len(header) != 2 or header[0] != GRAPH_FORMAT:
-            raise ValueError(f"{path}:1: bad header {lines[0]!r}")
+            raise ValueError(f"{path}:1: bad header {first!r}")
         if header[1] != str(GRAPH_VERSION):
             raise ValueError(f"{path}:1: unsupported version {header[1]}")
         rows: dict[int, NodeRow] = {}
@@ -306,7 +306,7 @@ class PhraseGraph:
         parents: dict[int, set[int]] = {}
         caption_index: dict[str, int] = {}
         caption_lines: list[tuple[int, int]] = []  # (lineno, node id)
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in lines:
             if not line:
                 continue
             kind, _, rest = line.partition("\t")
@@ -328,6 +328,8 @@ class PhraseGraph:
                     known.add(parent)
                 elif kind == "caption":
                     nid_s, _, raw = rest.partition("\t")
+                    if not raw:
+                        raise ValueError("no caption text")
                     if raw in caption_index:
                         raise ValueError(f"duplicate caption {raw!r}")
                     caption_index[raw] = int(nid_s)

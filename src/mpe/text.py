@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 import tempfile
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,10 +52,18 @@ def _atomic_write(path: str | Path, content: str) -> None:
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Replace path with data in one step; a failed write leaves the old
-    file and no temp file behind."""
+    file and no temp file behind. The file gets the mode a plain
+    `open(path, "w")` would leave: the old file's, or 0o666 less the umask."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        try:
+            mode = stat.S_IMODE(path.stat().st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -64,34 +73,36 @@ def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _read_text(path: str | Path) -> str:
-    """The file's UTF-8 text with universal newlines, as `Path.read_text`
-    gives it; a byte that is not UTF-8 raises ValueError naming `path:lineno`.
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 file and its number, from 1, without its line
+    end; LF, CRLF and a lone CR each end a line. A byte that is not UTF-8
+    raises ValueError naming `path:lineno`.
 
-    CR and LF bytes never occur inside a multi-byte UTF-8 sequence, so line
-    ends are translated before decoding and the line of a bad byte is the
-    number of LF bytes before it, plus one.
+    The file is read as a stream. On a decode error its bytes are scanned
+    once more to place the bad byte: CR and LF never occur inside a
+    multi-byte UTF-8 sequence, so its line is one more than the line ends
+    before it.
     """
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return _decode(data, path)
-
-
-def _decode(data: bytes, path: str | Path, lineno: int = 1) -> str:
-    """data as UTF-8, where data starts on line `lineno` of `path`; a byte
-    that is not UTF-8 raises ValueError naming `path:line`."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno += data.count(b"\n", 0, exc.start)
-        raise ValueError(
-            f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-        ) from None
+        with open(path, encoding="utf-8", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+            ) from None
+        raise
 
 
 def _read_word_list(path: Path) -> dict[int, str]:
     """Each non-blank, non-comment line, stripped, by its line number."""
     words = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in _lines(path):
         line = line.strip()
         if line and not line.startswith("#"):
             words[lineno] = line

@@ -30,9 +30,9 @@ from mpe.dataset import (
     load_items,
     save_items,
 )
-from mpe.graph import build_graph, caption_closures
+from mpe.graph import PhraseGraph, build_graph, caption_closures
 from mpe.models import load_pretrained_vectors
-from mpe.text import normalize, word_overlap
+from mpe.text import _read_pairs, _read_word_list, normalize, word_overlap
 from mpe.voting import load_pair_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -772,8 +772,31 @@ class TestUndecodableBytes:
         self.check(load_pair_labels, tmp_path / "pairs.tsv", b"it-1\tE,E,N,C\n", 2)
         self.check(load_decisions, tmp_path / "decisions.tsv", b"it-1\tE\n", 2)
 
+    def test_graph(self, tmp_path):
+        good = b"mpe-graph\t1\r\nnode\t0\tdog\tg1\t1\rcaption\t0\tA dog.\n"
+        lf, mixed = tmp_path / "lf.graph", tmp_path / "mixed.graph"
+        lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        mixed.write_bytes(good)
+        a, b = PhraseGraph.load(mixed), PhraseGraph.load(lf)
+        assert (a.nodes, a.edges, a.caption_index) == (b.nodes, b.edges, b.caption_index)
+        self.check(PhraseGraph.load, tmp_path / "fixture.graph", good, 4)
+
+    @pytest.mark.parametrize(
+        "read, good",
+        [
+            (_read_word_list, b"# comment\r\ncat\rdog\n"),
+            (lambda path: _read_pairs(path, "entry"), b"# comment\r\ncat\tpet\rdog\tpet\n"),
+        ],
+        ids=["word-list", "pairs"],
+    )
+    def test_word_lists(self, tmp_path, read, good):
+        lf, mixed = tmp_path / "lf.txt", tmp_path / "mixed.txt"
+        lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        mixed.write_bytes(good)
+        assert read(mixed) == read(lf)
+        self.check(read, tmp_path / "words.txt", good, 4)
+
     def test_vectors(self, tmp_path):
-        # Read line by line in binary, yet CRLF and a lone CR end lines as above.
         good = b"cat 1.0 2.0\r\ndog 3.5 -4.0\rcow 0.5 0.5\n"
         lf, mixed = tmp_path / "lf.txt", tmp_path / "mixed.txt"
         lf.write_bytes(good.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))

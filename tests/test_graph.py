@@ -722,8 +722,20 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "record",
-        ["node\t0\tdog run\tg1", "edge\t0", "node\tx\tdog run\tg1\t1"],
-        ids=["node-3-fields", "edge-1-field", "node-id-not-int"],
+        [
+            "node\t0\tdog run\tg1",
+            "edge\t0",
+            "node\tx\tdog run\tg1\t1",
+            "caption\t0",
+            "caption\t0\t",
+        ],
+        ids=[
+            "node-3-fields",
+            "edge-1-field",
+            "node-id-not-int",
+            "caption-no-text",
+            "caption-empty-text",
+        ],
     )
     def test_malformed_record_located(self, tmp_path, record):
         path = tmp_path / "bad.graph"

@@ -4,6 +4,7 @@ Expected values in TestNormalizeFixtures and TestOverlapFixtures were derived
 by hand before the implementation and are frozen here.
 """
 
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -18,6 +19,7 @@ from mpe.text import (
     EmptySentenceError,
     OverlapUndefinedError,
     _LEMMA_EXCEPTIONS,
+    _atomic_write,
     _lemma,
     _read_pairs,
     _read_word_list,
@@ -325,3 +327,25 @@ class TestWordLists:
     @pytest.mark.parametrize("name", RULE_LEXICONS)
     def test_rule_lexicon_entries_are_lemmas(self, name):
         assert [w for w in self.words(name) if _lemma(w) != w] == []
+
+
+class TestAtomicWrite:
+    """A replaced file ends with the mode a plain `open(path, "w")` leaves."""
+
+    @pytest.fixture
+    def umask(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_takes_umask_mode(self, tmp_path, umask):
+        path = tmp_path / "new.txt"
+        _atomic_write(path, "text\n")
+        assert (path.stat().st_mode & 0o777, path.read_text()) == (0o644, "text\n")
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask):
+        path = tmp_path / "old.txt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        _atomic_write(path, "new\n")
+        assert (path.stat().st_mode & 0o777, path.read_text()) == (0o640, "new\n")
