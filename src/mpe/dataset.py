@@ -327,6 +327,7 @@ def generate_items(
     hosts = [g for g in groups if len(g.captions) >= 4]
     diag.groups_with_4plus = len(hosts)
     diag.groups_with_5plus = sum(1 for g in groups if len(g.captions) >= 5)
+    position = {g.gid: i for i, g in enumerate(groups)}
 
     def draw(group: CaptionGroup, related: bool) -> Sentence | None:
         """A hypothesis of the given kind for group's first four captions:
@@ -338,10 +339,13 @@ def generate_items(
                 return None
             source = group.captions[4]
         else:
-            partners = [g for g in groups if g.gid != group.gid]
-            if not partners:
+            if len(groups) < 2:
                 return None
-            source = rng.choice(rng.choice(partners).captions)
+            # The index `rng.choice` would draw from the list of the other
+            # groups, shifted past the host's own position.
+            j = rng.choice(range(len(groups) - 1))
+            partner = groups[j + (j >= position[group.gid])]
+            source = rng.choice(partner.captions)
         candidates = []
         for phrase in simplify_hypothesis(source, premises, closures):
             if closures.caption_counts[phrase] < config.min_support:

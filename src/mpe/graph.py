@@ -18,7 +18,10 @@ needs no edges, and `build_graph` is the only producer of them.
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
 stored parent edges from a node. A rule step reads closed-class flags that
-the rule set caches per distinct token.
+the rule set caches per distinct token; it keeps nothing per phrase. A
+phrase seldom recurs across captions, and within one closure walk each
+phrase is expanded once, so a walk's successor sets live for one caption:
+`build_graph` hands them to that caption's reduction and then drops them.
 
 Only the transitive reduction of the single-step DAG is stored. Every step
 shortens the phrase or swaps a word for its hypernym, so the generality key
@@ -99,11 +102,8 @@ class ReductionRuleSet:
     adjectives: frozenset[str]
     prepositions: frozenset[str]
     hypernyms: Mapping[str, tuple[str, ...]]
-    # single_step results by phrase; phrases recur across closures.
-    _steps: dict[Phrase, frozenset[Phrase]] = field(
-        init=False, compare=False, repr=False, default_factory=dict
-    )
-    # Closed-class flags by token, filled as tokens are first met.
+    # Closed-class flags by token, filled as tokens are first met; bounded by
+    # the vocabulary, the only rule-set state that grows with the corpus.
     _flags: dict[str, int] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
@@ -143,20 +143,13 @@ class ReductionRuleSet:
         depths = self._depths
         return len(phrase), sum([depths.get(tok, 0) for tok in phrase])
 
-    def single_step(self, phrase: Phrase) -> frozenset[Phrase]:
-        """All phrases reachable by one rule application, memoized.
+    def single_step(self, phrase: Phrase) -> set[Phrase]:
+        """All phrases reachable by one rule application.
 
         Every result is strictly shorter than `phrase` or an equal-length
         hypernym substitution, so repeated application terminates.
-        """
-        cached = self._steps.get(phrase)
-        if cached is None:
-            cached = self._steps[phrase] = frozenset(self._single_step(phrase))
-        return cached
 
-    def _single_step(self, phrase: Phrase) -> set[Phrase]:
-        """One right-to-left pass; at token i the state describes phrase[i + 1:].
-
+        One right-to-left pass; at token i the state describes phrase[i + 1:].
         A token is content when it has no closed-class flag. An adjective is
         dropped when the first non-adjective after its run is content; a
         prepositional phrase spans its determiner/adjective run and at most
@@ -216,6 +209,22 @@ def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     closure = _reachable(start, rules.single_step)
     closure.add(start)
     return closure
+
+
+def _closure_steps(start: Phrase, rules: ReductionRuleSet) -> dict[Phrase, set[Phrase]]:
+    """The closure of start, each phrase mapped to its single-step successors.
+
+    The walk expands each phrase once, so this is the same rule passes as
+    `apply_reductions`, kept for the caller's transitive reduction.
+    """
+    steps: dict[Phrase, set[Phrase]] = {}
+
+    def step(phrase: Phrase) -> set[Phrase]:
+        found = steps[phrase] = rules.single_step(phrase)
+        return found
+
+    _reachable(start, step)
+    return steps
 
 
 NodeRow = tuple[Phrase, tuple[str, ...], int]  # (phrase, support, caption_count)
@@ -433,13 +442,13 @@ def build_graph(
     reduced: dict[Phrase, tuple[Phrase, ...]] = {}
 
     for gid, sentence in captions:
-        caption_starts[sentence.raw] = tuple(sentence.lemmas)
-        closure = apply_reductions(sentence, rules)
-        for phrase in closure:
+        start = caption_starts[sentence.raw] = tuple(sentence.lemmas)
+        steps = _closure_steps(start, rules)  # held for this caption only
+        for phrase in steps:
             supports.setdefault(phrase, set()).add(gid)
             caption_counts[phrase] = caption_counts.get(phrase, 0) + 1
-        order = sorted(closure, key=rules.generality)
-        reduced.update(_transitive_reduction(order, rules.single_step))
+        order = sorted(steps, key=rules.generality)
+        reduced.update(_transitive_reduction(order, steps.__getitem__))
 
     phrases = sorted(supports)
     phrase_ids = {phrase: nid for nid, phrase in enumerate(phrases)}

@@ -146,6 +146,21 @@ class TestBuildDataset:
         assert main(self.args(out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "3fe62c10f2e10fb101e55126686dd148919008c0f045f17046c934bec363b9c3"),
+            (2, "f8c99a4b24b7ef3880ddd60c3ee484fd034be8e0ec1f860fa8dd8a44d7b3f1ab"),
+            (3, "ed274625911b4ca2424312836148adc36f0d3562c373c6510c5f6b36b9a52d05"),
+        ],
+    )
+    def test_unrelated_items_bytes_pinned(self, tmp_path, seed, digest):
+        # Every item draws its partner group from the others; the bytes pin
+        # that order of rng calls.
+        out = tmp_path / "items.jsonl"
+        assert main(self.args(out, n=12, seed=seed) + ["--related-fraction", "0.0"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_invalid_overlap_max_exits_1(self, tmp_path, capsys):
         out = tmp_path / "items.jsonl"
         code = main(self.args(out) + ["--overlap-max", "1.5"])

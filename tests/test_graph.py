@@ -3,6 +3,8 @@
 import os
 import re
 import tempfile
+from collections.abc import Mapping
+from dataclasses import fields
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from mpe.graph import (
     caption_closures,
     simplify_hypothesis,
 )
-from mpe.dataset import Item, load_items, save_items
+from mpe.dataset import Item, graph_captions, load_captions, load_items, save_items
 from mpe.text import normalize
 
 # Characters at which str.splitlines breaks a line but "\n"-split file
@@ -580,6 +582,24 @@ class TestCaptionClosures:
         assert simplify(source, premises, closures) == graph_simplify(
             source, premises, graph
         )
+
+    def test_rule_set_keeps_no_per_phrase_state(self):
+        """Closing a corpus leaves the rule set no larger than its vocabulary:
+        no phrase-keyed cache outlives the caption whose walk filled it."""
+        rules = ReductionRuleSet.default()
+        captions = graph_captions(load_captions(Path(__file__).parent / "fixtures/captions.tsv"))
+        closures = caption_closures(captions, rules)
+        build_graph(captions, rules)
+        tokens = {tok for _, sent in captions for tok in sent.lemmas}
+        lexicon = rules.determiners | rules.adjectives | rules.prepositions
+        for specific, generals in rules.hypernyms.items():
+            lexicon |= {specific, *generals}
+        bound = len(tokens | lexicon)
+        assert sum(map(len, closures.ancestors.values())) > bound  # the corpus is not trivial
+        for f in fields(rules):
+            held = getattr(rules, f.name)
+            if isinstance(held, Mapping):
+                assert len(held) <= bound, (f.name, len(held), bound)
 
 
 class TestSerialization:
