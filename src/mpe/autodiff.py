@@ -604,10 +604,6 @@ class Adam:
             v_hat = v / correction2
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
 
 # --- gradient checking -------------------------------------------------------
 

@@ -2,18 +2,19 @@
 adjudication, voting baselines, training, evaluation, and gradient checks.
 
 Each subcommand declares its input and output flags, primary output first.
-Before the command runs, `main` checks that each given input exists and hashes
-it, and refuses two outputs on one file (the primary's manifest included) or
-an output on an input, but for `adjudicate` rewriting its own `--items`. The
-settings flags of `build-dataset` and `train` are the fields of
-`GenerationConfig` and `TrainConfig`; `train` hands its config to
-`mpe.training.train`, which builds the model. After a run that wrote files,
-`main` writes `<output>.manifest.json` beside the primary output, recording
-the subcommand, argv, input hashes, configuration (with a hash), format and
-numeric-stack versions and the command's extra records, such as interactive
-adjudication decisions — enough to reproduce the run byte-for-byte. Inputs are
-loaded and validated in full before any output is written, and all writes are
-atomic, so a failed run leaves no partial artifacts.
+Before the command runs, `main` refuses an empty path for any of them, checks
+that each given input exists and hashes it, and refuses two outputs on one
+file (the primary's manifest included) or an output on an input, but for
+`adjudicate` rewriting its own `--items`. The settings flags of
+`build-dataset` and `train` are the fields of `GenerationConfig` and
+`TrainConfig`; `train` hands its config to `mpe.training.train`, which builds
+the model. After a run that wrote files, `main` writes
+`<output>.manifest.json` beside the primary output, recording the subcommand,
+argv, input hashes, configuration (with a hash), format and numeric-stack
+versions and the command's extra records, such as interactive adjudication
+decisions — enough to reproduce the run byte-for-byte. Inputs are loaded and
+validated in full before any output is written, and all writes are atomic, so
+a failed run leaves no partial artifacts.
 
 Relative paths resolve against $MPE_DATA_DIR when it is set.
 """
@@ -592,6 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _PARSER.parse_args(argv)
+        for name in (*args.inputs, *args.outputs):
+            if getattr(args, name) == "":
+                raise CliError(f"--{name.replace('_', '-')}: empty path")
         inputs = {
             name: _require_input(getattr(args, name))
             for name in args.inputs

@@ -7,20 +7,22 @@ sentence vectors producing three logits (entailment, neutral, contradiction).
 - ConditionalLstmModel reads the premise text as one sequence.
 - AttentionModel adds word-by-word attention over premise positions with a
   recurrently updated attention memory.
-- SumOfExpertsModel applies a shared conditional core to each premise
-  separately and sums the per-premise logits in a canonical order, which
+- SumOfExpertsModel reads each premise separately with the same two LSTMs
+  and sums the per-premise logits in a canonical order, which
   makes the output bitwise invariant under premise reordering.
 
 A model is its named float64 tensors, `model.tensors`, the checkpoint set.
 `shapes` is the one table of them, name to shape in draw order: embeddings,
-the shared two-LSTM core, then the architecture's `_head_shapes`.
+premise cell, hypothesis cell, then the architecture's `_head_shapes`.
 `training.build_model` fills it by the rule of `initial_tensors`;
 `load_model` restores a checkpoint as the architecture its meta names, and
 `_restore` checks the names and shapes against the table that meta implies
 and wraps the stored arrays, drawing nothing. Everything else the three share
-is written once on `_ModelBase` too: dropout, `params()` and checkpoint save.
-Each architecture adds only `_head_shapes` and `_forward_batch`, its
-equations over a batch of B items.
+is written once on `_ModelBase`, with no separate core object: the two LSTM
+reads, dropout, checkpoint save, and `params()`, the one rule of what trains
+(the embedding matrix only when `trainable_embeddings` is set). Each
+architecture adds only `_head_shapes` and `_forward_batch`, its equations
+over a batch of B items.
 
 `model.batch_logits(premises, hypotheses)` scores B items at once, each given
 by its list of premise token lists; the conditional LSTM and attention join
@@ -35,8 +37,8 @@ sequence ends: `LstmCell` keeps its weights per gate (the checkpoint names
 `<prefix>.<gate>.{Wx,Wh,b}`) and the op concatenates them at call time, so a
 read is one tape entry whatever its length or batch size. Attention runs its
 attention recurrence once per hypothesis step over all B rows, with padded
-premise positions masked out of the softmax; sum-of-experts makes one core
-call per premise slot over the B items.
+premise positions masked out of the softmax; sum-of-experts reads both LSTMs
+once per premise slot over the B items.
 """
 
 from __future__ import annotations
@@ -102,15 +104,14 @@ def initial_tensors(
 
 
 class EmbeddingTable:
-    """Token embeddings: a vocabulary matrix plus always-trainable rows for
-    the unknown token and the premise separator."""
+    """Token embeddings: a vocabulary matrix plus rows for the unknown token
+    and the premise separator."""
 
     def __init__(
         self,
         vocab: Mapping[str, int],
         main: Tensor,
         special: Tensor,
-        trainable: bool,
     ):
         rows = len(main.values)
         if len(vocab) != rows or sorted(vocab.values()) != list(range(rows)):
@@ -120,7 +121,6 @@ class EmbeddingTable:
         self.vocab = dict(vocab)
         self.main = main
         self.special = special
-        self.trainable = trainable
 
     @property
     def dim(self) -> int:
@@ -177,9 +177,6 @@ class EmbeddingTable:
             parts.append(Tensor(np.zeros((1, self.dim))))
             position[padding] = start
         return lookup(concat(parts), position)
-
-    def params(self) -> list[Tensor]:
-        return [self.main, self.special] if self.trainable else [self.special]
 
 
 def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
@@ -268,65 +265,20 @@ def _zero_state(batch: int, state_dim: int) -> Tensor:
     return Tensor(np.zeros((batch, state_dim)))
 
 
-class ConditionalCore:
-    """Premise LSTM feeding its final cell state into a hypothesis LSTM.
-
-    The hypothesis LSTM starts from a zero hidden state; only the cell state
-    carries over. Each LSTM reads a whole batch of sequences in one op.
-    """
-
-    PREFIXES = ("premise_lstm", "hypothesis_lstm")
-
-    def __init__(self, tensors: Mapping[str, Tensor], state_dim: int):
-        self.premise_cell, self.hypothesis_cell = (
-            LstmCell(tensors, prefix) for prefix in self.PREFIXES
-        )
-        self.state_dim = state_dim
-
-    @classmethod
-    def shapes(cls, dim: int, state_dim: int) -> dict[str, tuple[int, ...]]:
-        """Both cells' tensor shapes by name, premise cell first."""
-        return {
-            name: shape
-            for prefix in cls.PREFIXES
-            for name, shape in LstmCell.shapes(prefix, dim, state_dim).items()
-        }
-
-    def read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
-        """Returns (premise hidden rows (B, T, k), final premise cell states)."""
-        zero = _zero_state(len(premise.lengths), self.state_dim)
-        return self.premise_cell.read(premise.rows, zero, zero, premise.lengths)
-
-    def read_hypothesis(self, hypothesis: Padded, c: Tensor) -> Tensor:
-        """Hypothesis hidden rows (B, T, k), from zero hidden states and cell
-        states c."""
-        zero = _zero_state(len(hypothesis.lengths), self.state_dim)
-        hidden, _ = self.hypothesis_cell.read(hypothesis.rows, zero, c, hypothesis.lengths)
-        return hidden
-
-    def run(self, premise: Padded, hypothesis: Padded) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (premise hidden rows, final premise hidden (B, k), final
-        hypothesis hidden (B, k))."""
-        premise_states, c = self.read_premise(premise)
-        hypothesis_states = self.read_hypothesis(hypothesis, c)
-        return (
-            premise_states,
-            pick(premise_states, premise.lengths - 1),
-            pick(hypothesis_states, hypothesis.lengths - 1),
-        )
-
-    def params(self) -> list[Tensor]:
-        return self.premise_cell.params() + self.hypothesis_cell.params()
-
-
 # Checkpoint meta fields `_restore` needs besides the architecture.
 _META_KEYS = ("dim", "state_dim", "keep_prob", "trainable_embeddings", "vocab")
 
 
 class _ModelBase:
-    """Embeddings, one conditional core and a head, all read from one
-    name -> tensor dict; subclasses give the head's tensor shapes in
-    `_head_shapes` and define `_forward_batch` and its B = 1 call `forward`."""
+    """Embeddings, a premise LSTM whose final cell state seeds a hypothesis
+    LSTM, and a head, all read from one name -> tensor dict; subclasses give
+    the head's tensor shapes in `_head_shapes` and define `_forward_batch`
+    and its B = 1 call `forward`.
+
+    The hypothesis LSTM starts from a zero hidden state; only the cell state
+    carries over. Each LSTM reads a whole batch of sequences in one op. The
+    two cells live on the model, with no separate core object, and
+    `params()` alone decides what trains."""
 
     architecture = ""
 
@@ -340,24 +292,26 @@ class _ModelBase:
     ):
         self.tensors = dict(tensors)
         self.embeddings = EmbeddingTable(
-            vocab, tensors["embeddings.main"], tensors["embeddings.special"],
-            trainable_embeddings,
+            vocab, tensors["embeddings.main"], tensors["embeddings.special"]
         )
-        self.core = ConditionalCore(tensors, state_dim)
+        self.premise_cell = LstmCell(tensors, "premise_lstm")
+        self.hypothesis_cell = LstmCell(tensors, "hypothesis_lstm")
         self.head = [tensors[name] for name in self._head_shapes(state_dim)]
-        self.keep_prob = keep_prob
         self.state_dim = state_dim
+        self.keep_prob = keep_prob
+        self.trainable_embeddings = trainable_embeddings
 
     @classmethod
     def shapes(
         cls, vocab_size: int, dim: int, state_dim: int
     ) -> dict[str, tuple[int, ...]]:
         """Every checkpoint tensor's shape by name, in draw order: the
-        embeddings, then the core, then the head."""
+        embeddings, the premise cell, the hypothesis cell, then the head."""
         return {
             "embeddings.main": (vocab_size, dim),
             "embeddings.special": (2, dim),
-            **ConditionalCore.shapes(dim, state_dim),
+            **LstmCell.shapes("premise_lstm", dim, state_dim),
+            **LstmCell.shapes("hypothesis_lstm", dim, state_dim),
             **cls._head_shapes(state_dim),
         }
 
@@ -389,9 +343,33 @@ class _ModelBase:
         by its list of premise token lists."""
         raise NotImplementedError
 
+    def _read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
+        """Returns (premise hidden rows (B, T, k), final premise cell states)."""
+        zero = _zero_state(len(premise.lengths), self.state_dim)
+        return self.premise_cell.read(premise.rows, zero, zero, premise.lengths)
+
+    def _read_hypothesis(self, hypothesis: Padded, c: Tensor) -> Tensor:
+        """Hypothesis hidden rows (B, T, k), from zero hidden states and cell
+        states c."""
+        zero = _zero_state(len(hypothesis.lengths), self.state_dim)
+        hidden, _ = self.hypothesis_cell.read(hypothesis.rows, zero, c, hypothesis.lengths)
+        return hidden
+
+    def _final_hidden(self, premise: Padded, hypothesis: Padded) -> tuple[Tensor, Tensor]:
+        """(final premise hidden (B, k), final hypothesis hidden (B, k))."""
+        premise_states, c = self._read_premise(premise)
+        hypothesis_states = self._read_hypothesis(hypothesis, c)
+        return (
+            pick(premise_states, premise.lengths - 1),
+            pick(hypothesis_states, hypothesis.lengths - 1),
+        )
+
     def params(self) -> list[Tensor]:
-        """Trainable tensors: embeddings, then the core, then the head."""
-        return self.embeddings.params() + self.core.params() + self.head
+        """Trainable tensors: the embedding matrix unless frozen, the special
+        rows, each cell's tensors by sorted name, then the head."""
+        main = [self.embeddings.main] if self.trainable_embeddings else []
+        cells = self.premise_cell.params() + self.hypothesis_cell.params()
+        return main + [self.embeddings.special] + cells + self.head
 
     def _meta(self) -> dict:
         return {
@@ -399,7 +377,7 @@ class _ModelBase:
             "dim": self.embeddings.dim,
             "state_dim": self.state_dim,
             "keep_prob": self.keep_prob,
-            "trainable_embeddings": self.embeddings.trainable,
+            "trainable_embeddings": self.trainable_embeddings,
             "vocab": sorted(self.embeddings.vocab, key=self.embeddings.vocab.get),
         }
 
@@ -461,7 +439,7 @@ class ConditionalLstmModel(_ModelBase):
         hidden_w, hidden_b, out_w, out_b = self.head
         embed = self.embeddings.embed_batch
         joined = embed([concat_premises(p) for p in premises])
-        _, premise_vec, hypothesis_vec = self.core.run(joined, embed(hypotheses))
+        premise_vec, hypothesis_vec = self._final_hidden(joined, embed(hypotheses))
         pair = self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
         hidden = tanh(add(matmul(pair, hidden_w), hidden_b))
         return add(matmul(hidden, out_w), out_b), None
@@ -512,8 +490,8 @@ class AttentionModel(_ModelBase):
         wy, wh, wr, wt, wp, wx, score_w, out_w, out_b = self.head
         premise = self.embeddings.embed_batch([concat_premises(p) for p in premises])
         hypothesis = self.embeddings.embed_batch(hypotheses)
-        memory, c = self.core.read_premise(premise)
-        hypothesis_states = self.core.read_hypothesis(hypothesis, c)
+        memory, c = self._read_premise(premise)
+        hypothesis_states = self._read_hypothesis(hypothesis, c)
         batch, span, k = memory.values.shape
         projected = matmul(memory, wy)
         # -inf on padded premise positions, so the softmax gives them no weight.
@@ -557,12 +535,13 @@ class AttentionModel(_ModelBase):
 
 
 class SumOfExpertsModel(_ModelBase):
-    """One shared conditional core judged against each premise separately.
+    """One premise LSTM and one hypothesis LSTM judged against each premise
+    separately.
 
     Per-premise logits are produced by a shared affine head and summed in a
     canonical value-sorted tree, so any ordering of the same four premises
-    yields bitwise-identical totals. A batch makes one core call per premise
-    slot over its B items, never one call over an item's premises: a row's
+    yields bitwise-identical totals. A batch reads both LSTMs once per premise
+    slot over its B items, never once over an item's premises: a row's
     product would then depend on its position among them.
     """
 
@@ -583,8 +562,7 @@ class SumOfExpertsModel(_ModelBase):
         vectors = []
         for slot in range(count):
             premise = self.embeddings.embed_batch([p[slot] for p in premises])
-            _, premise_vec, hypothesis_vec = self.core.run(premise, hypothesis)
-            vectors += [premise_vec, hypothesis_vec]
+            vectors += self._final_hidden(premise, hypothesis)
         # One (B, slots, 2k) draw: each item's masks in premise order, as if
         # the items were read one after another.
         pairs = self._dropout(

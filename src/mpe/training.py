@@ -15,17 +15,17 @@ one backward of its mean loss and one Adam step. Dropout masks are drawn
 item by item, so the mask stream is that of reading the items one at a time,
 and the gradient equals the per-item accumulated one up to summation order.
 Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
-A batch or chunk reaches the model as runs of items with the same number of
-premises, in their original order; an `Item` and a `SpePair` (one premise)
-offer the same `premises`, `hypothesis` and `gold_label`. The single-item
-call `forward_logits` is the B = 1 call of `batch_logits`.
+A batch or chunk reaches the model in one call, its items in their original
+order; an `Item` and a `SpePair` (one premise) offer the same `premises`,
+`hypothesis` and `gold_label`. Every batch comes from one file or one phase,
+so its items share their number of premises. The single-item call
+`forward_logits` is the B = 1 call of `batch_logits`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,12 +34,12 @@ from .autodiff import (
     Adam,
     Tape,
     Tensor,
-    concat,
     cross_entropy,
     flatten,
     save_checkpoint,
     scale,
     tensor_sum,
+    zero_grad,
 )
 from .dataset import Item, LABELS, SpePair, label_index
 from .models import ARCHITECTURES, SEPARATOR, UNK_TOKEN, initial_tensors
@@ -118,13 +118,10 @@ def batch_logits(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """(B, 3) logits of B items, one model call per run of items with the
-    same number of premises."""
-    parts = []
-    for _, run in groupby(map(_token_lists, items), key=lambda pair: len(pair[0])):
-        premises, hypotheses = zip(*run)
-        parts.append(model.batch_logits(premises, hypotheses, train=train, rng=rng))
-    return parts[0] if len(parts) == 1 else concat(parts)
+    """(B, 3) logits of B items in one model call; sum-of-experts needs
+    every item of the batch to have the same number of premises."""
+    premises, hypotheses = zip(*map(_token_lists, items))
+    return model.batch_logits(premises, hypotheses, train=train, rng=rng)
 
 
 def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:
@@ -262,7 +259,7 @@ class Trainer:
             losses: list[float] = []
             for start in range(0, len(order), batch_size):
                 chunk = [items[idx] for idx in order[start : start + batch_size]]
-                self.optimizer.zero_grad()
+                zero_grad(self.optimizer.params)
                 with Tape() as tape:
                     logits = batch_logits(
                         self.model, chunk, train=True, rng=self._dropout_rng

@@ -860,7 +860,7 @@ class TestAdam:
     def test_zero_grad_clears_all(self):
         w = Tensor([1.0], name="w")
         w.grad = np.ones(1)
-        Adam([w]).zero_grad()
+        zero_grad(Adam([w]).params)
         assert w.grad is None
 
     def test_quadratic_descent_tracks_oracle(self):
@@ -870,7 +870,7 @@ class TestAdam:
         opt = Adam([w], lr=0.01)
         losses = []
         for _ in range(100):
-            opt.zero_grad()
+            zero_grad(opt.params)
             with Tape() as tape:
                 loss = tensor_sum(mul(w, w))
             losses.append(float(loss.values))
@@ -886,7 +886,7 @@ class TestAdam:
             w = Tensor([1.0, 2.0], name="w")
             opt = Adam([w], lr=0.05)
             for _ in range(10):
-                opt.zero_grad()
+                zero_grad(opt.params)
                 with Tape() as tape:
                     loss = tensor_sum(mul(w, w))
                 tape.backward(loss)

@@ -732,7 +732,7 @@ class TestTrain:
         assert manifest["config"]["trainable_embeddings"] is False
         assert "embeddings" in manifest["inputs"]
         model = load_model(ckpt)
-        assert model.embeddings.trainable is False
+        assert model.trainable_embeddings is False
 
     @pytest.fixture
     def vectors_3d(self, tmp_path):
@@ -1248,3 +1248,30 @@ def test_output_onto_an_input_exits_1_leaving_it(run, tmp_path, capsys):
         f"error: an output would overwrite the input --{flag} {in_dir / name}\n"
     )
     assert {p: p.read_bytes() for p in in_dir.iterdir()} == before
+
+
+def empty_path_cases():
+    """(run, flag) for every input and output flag each command declares."""
+    parser = cli.build_parser()
+    for run in ("adjudicate", "build-dataset", "build-graph", "eval", "stats", "train", "vote"):
+        args = parser.parse_args(MANIFEST_RUNS[run][0])
+        for name in (*args.inputs, *args.outputs):
+            yield run, f"--{name.replace('_', '-')}"
+
+
+@pytest.mark.parametrize("run, flag", list(empty_path_cases()))
+def test_empty_path_exits_1_naming_its_flag(run, flag, tmp_path, capsys):
+    """`--flag ""` is refused before any work, whether the run gives that
+    flag (its value emptied) or not (the flag added)."""
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    write_run_inputs(in_dir, checkpoint=run == "eval")
+    out_dir.mkdir()
+    argv = [arg.format(**{"in": in_dir, "out": out_dir}) for arg in MANIFEST_RUNS[run][0]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ""
+    else:
+        argv += [flag, ""]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag}: empty path\n"
+    assert list(out_dir.iterdir()) == []

@@ -19,7 +19,6 @@ from mpe.autodiff import (
 from mpe.models import (
     ARCHITECTURES,
     AttentionModel,
-    ConditionalCore,
     ConditionalLstmModel,
     EmbeddingTable,
     INIT_SCALE,
@@ -61,19 +60,14 @@ def fresh(arch, dim, state_dim, seed, vocab=VOCAB, **settings):
     return build_model(config, vocab)
 
 
-def make_embeddings(trainable=True):
+def make_embeddings():
     """A 4-wide table over VOCAB, drawn from seed 0 as a model's are."""
-    return fresh("conditional-lstm", 4, 1, 0, trainable_embeddings=trainable).embeddings
+    return fresh("conditional-lstm", 4, 1, 0).embeddings
 
 
 def make_cell(dim, state_dim, rng):
     tensors = initial_tensors(LstmCell.shapes("cell", dim, state_dim), rng)
     return LstmCell(tensors, "cell")
-
-
-def make_core(dim, state_dim, rng):
-    tensors = initial_tensors(ConditionalCore.shapes(dim, state_dim), rng)
-    return ConditionalCore(tensors, state_dim)
 
 
 class TestConcatPremises:
@@ -101,8 +95,8 @@ class TestConcatPremises:
 
 
 class TestEmbeddingTable:
-    def table(self, trainable=True):
-        return make_embeddings(trainable)
+    def table(self):
+        return make_embeddings()
 
     def test_vocabulary_rows_sorted_and_dense(self):
         table = self.table()
@@ -147,35 +141,34 @@ class TestEmbeddingTable:
         assert np.array_equal(table.special.grad, [np.full(4, 2.0), np.full(4, 3.0)])
 
     def test_trainable_flag_controls_params(self):
-        assert [t.name for t in self.table(True).params()] == [
-            "embeddings.main",
-            "embeddings.special",
-        ]
-        frozen = self.table(False)
-        assert [t.name for t in frozen.params()] == ["embeddings.special"]
+        for trainable, names in (
+            (True, ["embeddings.main", "embeddings.special"]),
+            (False, ["embeddings.special"]),
+        ):
+            model = fresh("conditional-lstm", 4, 1, 0, trainable_embeddings=trainable)
+            params = [t.name for t in model.params()]
+            assert [n for n in params if n.startswith("embeddings.")] == names
 
     def test_reserved_tokens_rejected_in_vocab(self):
         table = self.table()
         with pytest.raises(ValueError):
-            EmbeddingTable(
-                {UNK_TOKEN: 0}, Tensor(np.zeros((1, 4))), table.special, True
-            )
+            EmbeddingTable({UNK_TOKEN: 0}, Tensor(np.zeros((1, 4))), table.special)
 
     def test_row_map_must_be_dense(self):
         table = self.table()
         with pytest.raises(ValueError):
-            EmbeddingTable(
-                {"a": 0, "b": 2}, Tensor(np.zeros((2, 4))), table.special, True
-            )
+            EmbeddingTable({"a": 0, "b": 2}, Tensor(np.zeros((2, 4))), table.special)
 
     def test_from_vectors_exact_and_trainable_per_config(self):
         vectors = {"b": [1.0, 2.0], "a": [3.0, 4.0], UNK_TOKEN: [5.0, 6.0]}
         for trainable in (True, False):
             config = TrainConfig(embedding_dim=2, trainable_embeddings=trainable)
-            table = build_model(config, VOCAB, vectors).embeddings
+            model = build_model(config, VOCAB, vectors)
+            table = model.embeddings
             assert list(table.vocab) == ["a", "b"]
             assert np.array_equal(table.main.values, [[3.0, 4.0], [1.0, 2.0]])
-            assert table.trainable is trainable
+            assert model.trainable_embeddings is trainable
+            assert (table.main in model.params()) is trainable
 
     def test_from_vectors_length_mismatch(self):
         config = TrainConfig(embedding_dim=1)
@@ -304,21 +297,25 @@ class TestLstmCell:
         assert np.max(np.abs(final_c.values - c)) <= 1e-12
 
 
-class TestConditionalCore:
+class TestConditionalEncoding:
+    """The two LSTM reads every architecture shares, on the model itself."""
+
     def test_empty_sequences_rejected(self):
-        core = make_core(2, 3, np.random.default_rng(0))
+        model = fresh("conditional-lstm", 2, 3, 0)
         row = Padded(Tensor(np.zeros((1, 1, 2))), np.array([1]))
         empty = Padded(Tensor(np.zeros((1, 0, 2))), np.array([0]))
         with pytest.raises(ValueError):
-            core.run(empty, row)
+            model._final_hidden(empty, row)
         with pytest.raises(ValueError):
-            core.run(row, empty)
+            model._final_hidden(row, empty)
 
     def test_one_state_per_premise_token(self):
-        core = make_core(2, 3, np.random.default_rng(0))
+        model = fresh("conditional-lstm", 2, 3, 0)
         rows = Tensor(np.ones((1, 4, 2)))
-        states, final, _ = core.run(
-            Padded(rows, np.array([4])), Padded(Tensor(rows.values[:, :2]), np.array([2]))
+        premise = Padded(rows, np.array([4]))
+        states, _ = model._read_premise(premise)
+        final, _ = model._final_hidden(
+            premise, Padded(Tensor(rows.values[:, :2]), np.array([2]))
         )
         assert len(states.values[0]) == 4
         assert np.array_equal(states.values[0, -1:], final.values)
@@ -490,7 +487,7 @@ class TestSumOfExpertsModel:
         model = make_se(seed=4)
         total, experts = model.forward([PREMISE], HYPOTHESIS)
         assert np.array_equal(total.values, experts[0].values)
-        _, p_vec, h_vec = model.core.run(
+        p_vec, h_vec = model._final_hidden(
             model.embeddings.embed_batch([PREMISE]), model.embeddings.embed_batch([HYPOTHESIS])
         )
         pair = np.concatenate([p_vec.values, h_vec.values], axis=1)
@@ -554,8 +551,8 @@ def reference_logits(model, premises, hypothesis):
         return np.concatenate(rows), c
 
     def states(premise):
-        memory, c = read(model.core.premise_cell, premise, zero, zero)
-        return memory, read(model.core.hypothesis_cell, hypothesis, zero, c)[0]
+        memory, c = read(model.premise_cell, premise, zero, zero)
+        return memory, read(model.hypothesis_cell, hypothesis, zero, c)[0]
 
     if isinstance(model, SumOfExpertsModel):
         pairs = [np.hstack([m[-1:], h[-1:]]) for m, h in map(states, premises)]

@@ -1,13 +1,15 @@
 """Trainer phases, determinism, and evaluation report identities."""
 
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpe.autodiff import Tape, cross_entropy, scale, tensor_sum, zero_grad
-from mpe.dataset import Item, LABELS, SpePair, label_index
+from mpe.dataset import Item, LABELS, SpePair, label_index, load_items
 from mpe.models import ARCHITECTURES, SumOfExpertsModel, concat_premises, load_model
 from mpe.text import normalize
 from mpe.training import (
@@ -505,12 +507,13 @@ class TestBatchPath:
             grads.append([p.grad.tobytes() for p in model.params()])
         assert grads[0] == grads[1]
 
-    def test_mixed_premise_counts_run_in_order(self):
+    def test_mixed_premise_counts_rejected(self):
+        # A batch is one model call; sum-of-experts reads one premise slot
+        # at a time, so its items must share their number of premises.
         model = batch_model("sum-of-experts", keep_prob=1.0)
         items = [*ragged_items(3), *synth_pairs(2), *ragged_items(2)]
-        batch = batch_logits(model, items).values
-        for row, item in zip(batch, items):
-            assert np.max(np.abs(row - forward_logits(model, item).values)) <= 1e-12
+        with pytest.raises(ValueError, match=r"need 1 or 4 premises per item, got \[1, 4\]"):
+            batch_logits(model, items)
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_evaluate_past_one_chunk_matches_predict(self, arch):
@@ -518,6 +521,26 @@ class TestBatchPath:
         items = ragged_items(EVAL_CHUNK + 9)
         report = evaluate(model, items)
         assert list(report.predictions) == [predict_all(model, [item])[0] for item in items]
+
+
+# sha256 of the untaped (8, 3) logits `batch_logits` gives for the items of
+# tests/fixtures/golden_items.jsonl, from each preset's fresh `build_model`
+# over their vocabulary: they pin the eval path of all three architectures
+# bit for bit (with the one BLAS thread conftest.py pins).
+PINNED_LOGITS = {
+    "attn-mpe": "89dbbeac3374d80d249a0c8cb575d4520146606b6d8689597ba9ed0d419667ea",
+    "lstm-mpe": "089a8aebf18806e92bccbd5a5cad59bfed8e87e40a2d8aff7a4c6407e31a6a7e",
+    "se-mpe": "4ded9bc5d15e6f2838e55601676afed5b2f694e1f48ada871a09f9ffdb8ccc1f",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_LOGITS))
+def test_golden_items_logits_pinned(preset):
+    items = load_items(Path(__file__).parent / "fixtures" / "golden_items.jsonl")
+    model = build_model(PRESETS[preset], vocabulary_from_items(items))
+    logits = batch_logits(model, items).values
+    assert logits.shape == (len(items), 3)
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == PINNED_LOGITS[preset]
 
 
 class TestReportRendering:
