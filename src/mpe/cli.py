@@ -407,7 +407,7 @@ def cmd_train(args, inputs, outputs) -> _Written:
     result.model.save(out)
     _atomic_write(
         logs,
-        "".join(json.dumps(log.to_record(), sort_keys=True) + "\n" for log in result.logs),
+        "".join(json.dumps(asdict(log), sort_keys=True) + "\n" for log in result.logs),
     )
     if best:
         result.save_best_checkpoint(best)

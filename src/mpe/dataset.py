@@ -443,6 +443,15 @@ class StatsReport:
     overlap_excluded: int
 
 
+def _by_label(rows: Sequence[tuple], column: int) -> dict[str, list]:
+    """`column` of every row under "all", then of each label's rows; a row
+    starts with its item's label."""
+    return {
+        "all": [row[column] for row in rows],
+        **{label: [row[column] for row in rows if row[0] == label] for label in LABELS},
+    }
+
+
 def corpus_stats(items: Sequence[Item]) -> StatsReport:
     if not items:
         raise EmptyCorpusError("no items to summarize")
@@ -454,11 +463,8 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
     token_count = 0
     premise_lengths = []
     hyp_lengths = []
-    label_counts = {label: 0 for label in LABELS}
-    overlaps_full: dict[str, list[float]] = {"all": [], **{l: [] for l in LABELS}}
-    overlaps_lemma: dict[str, list[float]] = {"all": [], **{l: [] for l in LABELS}}
-    agreements: dict[str, list[float]] = {"all": [], **{l: [] for l in LABELS}}
-    overlap_excluded = 0
+    overlaps = []  # (label, full, lemma) per item whose overlap is defined
+    agreements = []  # (label, agreement) per judged item
 
     for item in items:
         for sent in (*item.premises, item.hypothesis):
@@ -466,35 +472,32 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
             token_count += len(sent.tokens)
         premise_lengths.append(sum(len(p.tokens) for p in item.premises))
         hyp_lengths.append(len(item.hypothesis.tokens))
-        label_counts[item.gold_label] += 1
         try:
             full = word_overlap(item.hypothesis, item.premises, "full")
             lemma = word_overlap(item.hypothesis, item.premises, "lemma")
         except OverlapUndefinedError:
-            overlap_excluded += 1
+            pass
         else:
-            overlaps_full["all"].append(full)
-            overlaps_full[item.gold_label].append(full)
-            overlaps_lemma["all"].append(lemma)
-            overlaps_lemma[item.gold_label].append(lemma)
+            overlaps.append((item.gold_label, full, lemma))
         if item.judgments:
             agreement = sum(j == item.gold_label for j in item.judgments) / 5
-            agreements["all"].append(agreement)
-            agreements[item.gold_label].append(agreement)
+            agreements.append((item.gold_label, agreement))
 
     n = len(items)
+    labels = [item.gold_label for item in items]
+    agreement_by_key = {k: _mean(v) for k, v in _by_label(agreements, 1).items()}
     return StatsReport(
         item_count=n,
         type_count=len(types),
         token_count=token_count,
         premise_set_length=_moments(premise_lengths),
         hypothesis_length=_moments(hyp_lengths),
-        label_distribution={label: label_counts[label] / n for label in LABELS},
-        overlap_full={k: _moments(v) for k, v in overlaps_full.items()},
-        overlap_lemma={k: _moments(v) for k, v in overlaps_lemma.items()},
-        agreement_overall=_mean(agreements["all"]),
-        agreement_by_label={label: _mean(agreements[label]) for label in LABELS},
-        overlap_excluded=overlap_excluded,
+        label_distribution={label: labels.count(label) / n for label in LABELS},
+        overlap_full={k: _moments(v) for k, v in _by_label(overlaps, 1).items()},
+        overlap_lemma={k: _moments(v) for k, v in _by_label(overlaps, 2).items()},
+        agreement_overall=agreement_by_key.pop("all"),
+        agreement_by_label=agreement_by_key,
+        overlap_excluded=n - len(overlaps),
     )
 
 

@@ -25,7 +25,7 @@ so its items share their number of premises. The single-item call
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .autodiff import (
 )
 from .dataset import Item, LABELS, SpePair, label_index
 from .models import ARCHITECTURES, SEPARATOR, UNK_TOKEN, initial_tensors
+from .voting import PAIR_COUNT, pair_agreement_category
 
 
 # Items per forward pass when predicting, scoring and evaluating.
@@ -210,9 +211,6 @@ class EpochLog:
     train_accuracy: float
     dev_accuracy: float | None
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 class Trainer:
     """Mini-batch optimizer state shared across training phases, the
@@ -370,64 +368,70 @@ class EvalReport:
         }
 
 
-def evaluate(model, items: Sequence[Item]) -> EvalReport:
-    """Score a labeled dataset with dropout off; never mutates parameters."""
-    from .voting import pair_agreement_category
+def _breakdowns(pairs: Iterable[tuple[object, bool]], keys: Iterable = ()) -> dict:
+    """A Breakdown per key of the `(key, hit)` pairs, in sorted key order;
+    each of `keys` is present even when no pair names it."""
+    counts = {key: [0, 0] for key in keys}
+    for key, hit in pairs:
+        bucket = counts.setdefault(key, [0, 0])
+        bucket[0] += hit
+        bucket[1] += 1
+    return {key: Breakdown(*counts[key]) for key in sorted(counts)}
 
+
+def evaluate(model, items: Sequence[Item]) -> EvalReport:
+    """Score a labeled dataset with dropout off; never mutates parameters.
+
+    The predictions and their hits are the one tally: `correct` is the number
+    of hits, `per_class` reads each gold row of `confusion` (the diagonal cell
+    is the correct count, the row sum the total), and the agreement-category
+    and phenomenon breakdowns count the hits per key. The category view needs
+    pair labels on every item; the phenomenon view needs a tagged item.
+    """
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
     _check_labeled(items)
 
-    predictions = []
+    predictions = predict_all(model, items)
+    golds = [item.gold_label for item in items]
+    hits = [guess == gold for guess, gold in zip(predictions, golds)]
     confusion = [[0] * len(LABELS) for _ in LABELS]
-    class_counts = {label: [0, 0] for label in LABELS}
-    category_counts = {cat: [0, 0] for cat in range(5)}
-    phenomenon_counts: dict[str, list[int]] = {}
-    missing_pairs = 0
+    for gold, guess in zip(golds, predictions):
+        confusion[label_index(gold)][label_index(guess)] += 1
+    pair_labels = [getattr(item, "pair_labels", None) for item in items]
     diagnostics: list[str] = []
 
-    for item, guess in zip(items, predict_all(model, items)):
-        gold = item.gold_label
-        predictions.append(guess)
-        hit = guess == gold
-        confusion[label_index(gold)][label_index(guess)] += 1
-        class_counts[gold][0] += hit
-        class_counts[gold][1] += 1
-        pair_labels = getattr(item, "pair_labels", None)
-        if pair_labels is None:
-            missing_pairs += 1
-        else:
-            cat = pair_agreement_category(pair_labels, gold)
-            category_counts[cat][0] += hit
-            category_counts[cat][1] += 1
-        for tag in sorted(getattr(item, "phenomenon_tags", ()) or ()):
-            bucket = phenomenon_counts.setdefault(tag, [0, 0])
-            bucket[0] += hit
-            bucket[1] += 1
-
-    by_category: dict[int, Breakdown] | None
-    if missing_pairs:
-        by_category = None
+    by_category: dict[int, Breakdown] | None = None
+    if None in pair_labels:
         diagnostics.append(
-            f"pair-agreement breakdown skipped: {missing_pairs} of "
+            f"pair-agreement breakdown skipped: {pair_labels.count(None)} of "
             f"{len(items)} items lack pair labels"
         )
     else:
-        by_category = {
-            cat: Breakdown(*counts) for cat, counts in category_counts.items()
-        }
-    if not phenomenon_counts:
+        by_category = _breakdowns(
+            (
+                (pair_agreement_category(pairs, gold), hit)
+                for pairs, gold, hit in zip(pair_labels, golds, hits)
+            ),
+            keys=range(PAIR_COUNT + 1),
+        )
+    by_phenomenon = _breakdowns(
+        (tag, hit)
+        for item, hit in zip(items, hits)
+        for tag in getattr(item, "phenomenon_tags", ())
+    )
+    if not by_phenomenon:
         diagnostics.append("phenomenon breakdown skipped: no tagged items")
 
     return EvalReport(
         n_items=len(items),
-        correct=sum(row[label_index(label)] for label, row in zip(LABELS, confusion)),
-        per_class={label: Breakdown(*class_counts[label]) for label in LABELS},
-        by_category=by_category,
-        by_phenomenon={
-            tag: Breakdown(*counts)
-            for tag, counts in sorted(phenomenon_counts.items())
+        correct=sum(hits),
+        per_class={
+            label: Breakdown(row[i], sum(row))
+            for i, (label, row) in enumerate(zip(LABELS, confusion))
         },
+        by_category=by_category,
+        by_phenomenon=by_phenomenon,
         confusion=tuple(tuple(row) for row in confusion),
         predictions=tuple(predictions),
         diagnostics=tuple(diagnostics),
@@ -440,36 +444,29 @@ def format_eval_report(report: EvalReport) -> str:
     def pct(value: float | None) -> str:
         return "   -" if value is None else f"{100 * value:5.1f}%"
 
+    def rows(table: Mapping, width: int) -> list[str]:
+        return [
+            f"  {key!s:<{width}}: {pct(b.accuracy)} ({b.correct}/{b.total})"
+            for key, b in table.items()
+        ]
+
     lines = [
         f"items: {report.n_items}",
         f"accuracy: {pct(report.accuracy)} ({report.correct}/{report.n_items})",
         "",
         "per class:",
+        *rows(report.per_class, 1),
+        "",
     ]
-    for label in LABELS:
-        b = report.per_class[label]
-        lines.append(f"  {label}: {pct(b.accuracy)} ({b.correct}/{b.total})")
-    lines.append("")
     if report.by_category is None:
         lines.append("pair-agreement categories: (skipped)")
     else:
-        lines.append("pair-agreement categories:")
-        for cat in range(5):
-            b = report.by_category[cat]
-            lines.append(f"  {cat}: {pct(b.accuracy)} ({b.correct}/{b.total})")
+        lines += ["pair-agreement categories:", *rows(report.by_category, 1)]
     if report.by_phenomenon:
-        lines.append("")
-        lines.append("phenomena:")
-        width = max(len(tag) for tag in report.by_phenomenon)
-        for tag, b in report.by_phenomenon.items():
-            lines.append(
-                f"  {tag:<{width}}: {pct(b.accuracy)} ({b.correct}/{b.total})"
-            )
-    lines.append("")
-    lines.append("confusion (rows gold, cols predicted " + "/".join(LABELS) + "):")
+        width = max(map(len, report.by_phenomenon))
+        lines += ["", "phenomena:", *rows(report.by_phenomenon, width)]
+    lines += ["", "confusion (rows gold, cols predicted " + "/".join(LABELS) + "):"]
     for label, row in zip(LABELS, report.confusion):
-        cells = " ".join(f"{n:5d}" for n in row)
-        lines.append(f"  {label} {cells}")
-    for note in report.diagnostics:
-        lines.append(f"note: {note}")
+        lines.append(f"  {label} " + " ".join(f"{n:5d}" for n in row))
+    lines += [f"note: {note}" for note in report.diagnostics]
     return "\n".join(lines) + "\n"

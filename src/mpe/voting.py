@@ -17,15 +17,13 @@ from .dataset import LABELS, Item, _load_label_table, _merge
 
 PAIR_COUNT = 4
 
-NO_MAJORITY = None
-
 
 def majority_vote(pairs: Sequence[str]) -> str | None:
     """Label held by at least 3 of the 4 pairs, else None (no majority)."""
     for label in LABELS:
         if pairs.count(label) >= 3:
             return label
-    return NO_MAJORITY
+    return None
 
 
 def ec_heuristic(pairs: Sequence[str]) -> str:
@@ -49,8 +47,10 @@ class BaselineReport:
 
     majority_acc_strict scores a no-majority vote as incorrect; the
     neutral-fallback variant maps no-majority to N first. The histogram holds
-    the fraction of scored items in each agreement category 0..4; by
-    construction majority_acc_strict equals histogram[3] + histogram[4].
+    the fraction of scored items in each agreement category 0..4. A strict
+    majority is right exactly when 3 or 4 pairs agree with the item, so
+    majority_acc_strict is read off the category counts: (count of category 3
+    + count of category 4) / n_scored.
     """
 
     n_scored: int
@@ -63,31 +63,29 @@ class BaselineReport:
 
 def score_baselines(items: Sequence[Item]) -> BaselineReport:
     """Score both voting schemes over items carrying pair labels and gold."""
-    strict = 0
+    scored = [
+        item
+        for item in items
+        if item.pair_labels is not None and item.gold_label is not None
+    ]
+    if not scored:
+        raise ValueError("no items with both pair_labels and gold_label")
     fallback = 0
     heuristic = 0
     histogram = [0] * (PAIR_COUNT + 1)
-    scored = 0
-    skipped = 0
-    for item in items:
-        if item.pair_labels is None or item.gold_label is None:
-            skipped += 1
-            continue
-        scored += 1
-        vote = majority_vote(item.pair_labels)
-        strict += vote == item.gold_label
-        fallback += (vote if vote is not NO_MAJORITY else "N") == item.gold_label
-        heuristic += ec_heuristic(item.pair_labels) == item.gold_label
-        histogram[pair_agreement_category(item.pair_labels, item.gold_label)] += 1
-    if scored == 0:
-        raise ValueError("no items with both pair_labels and gold_label")
+    for item in scored:
+        pairs, gold = item.pair_labels, item.gold_label
+        fallback += (majority_vote(pairs) or "N") == gold
+        heuristic += ec_heuristic(pairs) == gold
+        histogram[pair_agreement_category(pairs, gold)] += 1
+    n = len(scored)
     return BaselineReport(
-        n_scored=scored,
-        n_skipped=skipped,
-        majority_acc_strict=strict / scored,
-        majority_acc_neutral_fallback=fallback / scored,
-        heuristic_acc=heuristic / scored,
-        category_histogram=tuple(count / scored for count in histogram),
+        n_scored=n,
+        n_skipped=len(items) - n,
+        majority_acc_strict=(histogram[3] + histogram[4]) / n,
+        majority_acc_neutral_fallback=fallback / n,
+        heuristic_acc=heuristic / n,
+        category_histogram=tuple(count / n for count in histogram),
     )
 
 

@@ -203,6 +203,14 @@ class TestConcat:
         assert np.array_equal(a.grad, [[10.0, 20.0]])
         assert np.array_equal(b.grad, [[30.0, 40.0], [50.0, 60.0]])
 
+    def test_negative_axis_counts_from_the_end(self):
+        a = Tensor([[1.0, 2.0]])
+        b = Tensor([[3.0]])
+        weights = Tensor([[10.0, 20.0, 30.0]])
+        run_backward(lambda: tensor_sum(mul(concat([a, b], axis=-1), weights)))
+        assert np.array_equal(a.grad, [[10.0, 20.0]])
+        assert np.array_equal(b.grad, [[30.0]])
+
     def test_mismatched_off_axis_shape(self):
         with pytest.raises(ShapeError) as exc:
             concat([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3)))], axis=0)

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +252,7 @@ class TestTrainer:
 
     def test_epoch_log_record_is_json_ready(self):
         log = EpochLog("train", 1, 0.5, 0.75, None)
-        record = json.loads(json.dumps(log.to_record()))
+        record = json.loads(json.dumps(asdict(log)))
         assert record == {
             "phase": "train",
             "epoch": 1,
