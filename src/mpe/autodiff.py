@@ -2,11 +2,13 @@
 
 A Tape records every op executed while it is the active context; backward
 walks the recording in exact reverse order, accumulating gradients into leaf
-tensors. Gradients accumulate across backward calls until explicitly zeroed,
-so training steps must zero between batches. Ops run outside any tape compute
-values only, which is how evaluation avoids bookkeeping. A tape holds its
-outputs and a tensor holds no reference back, so a tape is freed by reference
-count as soon as its last name goes away.
+tensors. Gradients accumulate across backward calls until `zero_grad` sets
+them to zero arrays, so training steps zero between batches and a parameter
+no op reached keeps an exactly-zero gradient. `dropout` is the identity
+without a random stream. Ops run outside any tape compute values only, which
+is how evaluation avoids bookkeeping. A tape holds its outputs and a tensor
+holds no reference back, so a tape is freed by reference count as soon as its
+last name goes away.
 
 Besides elementwise and matrix ops, `lstm_sequence` reads a batch of padded
 sequences through one LSTM layer as a single op (the fused-gate layout of
@@ -45,7 +47,8 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus its accumulated gradient.
 
-    grad is allocated lazily the first time backward reaches the tensor.
+    grad is None until `zero_grad` sets it to zeros or backward first reaches
+    the tensor; backward resets the grads of a tape's own outputs to None.
     """
 
     __slots__ = ("values", "grad", "name")
@@ -130,8 +133,9 @@ def active_tape() -> "Tape | None":
 
 
 def zero_grad(tensors: Sequence[Tensor]) -> None:
+    """Set each tensor's gradient to an array of zeros."""
     for t in tensors:
-        t.grad = None
+        t.grad = np.zeros_like(t.values)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -357,13 +361,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, thunk)
 
 
-def dropout(
-    a: Tensor, keep_prob: float, rng: np.random.Generator, train: bool = True
-) -> Tensor:
-    """Inverted dropout: retained activations are scaled by 1/keep_prob."""
+def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: retained activations are scaled by 1/keep_prob. The
+    identity when rng is None, so no stream means no dropout."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must lie in (0, 1], got {keep_prob}")
-    if not train:
+    if rng is None:
         return a
     mask = (rng.random(a.values.shape) < keep_prob) / keep_prob
     out = Tensor(a.values * mask)
@@ -627,19 +630,16 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients with central differences.
 
-    forward_fn must be deterministic (dropout off) and return a scalar loss.
-    For each parameter a random coordinate subset is perturbed; the relative
-    error denominator is floored at 1e-4 so near-zero coordinates do not
-    explode the ratio.
+    forward_fn must be deterministic (no dropout stream) and return a scalar
+    loss. For each parameter a random coordinate subset is perturbed; the
+    relative error denominator is floored at 1e-4 so near-zero coordinates do
+    not explode the ratio.
     """
     zero_grad(params)
     with Tape() as tape:
         loss = forward_fn()
     tape.backward(loss)
-    analytic = {
-        p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-        for p in params
-    }
+    analytic = {p.name: p.grad.copy() for p in params}
 
     def loss_value() -> float:
         out = forward_fn()
@@ -677,7 +677,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(
     path: str | Path,
-    tensors: Mapping[str, "Tensor | np.ndarray"],
+    tensors: Mapping[str, np.ndarray],
     meta: Mapping | None = None,
 ) -> None:
     """Binary layout: magic, u32 version, JSON meta, then named f64 tensors.
@@ -694,10 +694,7 @@ def save_checkpoint(
     blob += meta_bytes
     blob += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
-        values = tensors[name]
-        array = np.asarray(
-            values.values if isinstance(values, Tensor) else values, dtype=np.float64
-        )
+        array = np.asarray(tensors[name], dtype=np.float64)
         name_bytes = name.encode("utf-8")
         blob += struct.pack("<I", len(name_bytes))
         blob += name_bytes
@@ -729,7 +726,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     (meta_len,) = struct.unpack("<I", take(4))
     try:
         meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: bad checkpoint meta: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint meta must be a JSON object")

@@ -508,7 +508,7 @@ def _check_header(path: Path, line: str, fmt: str | None) -> str:
     """The format the header line names: `fmt`, or any known one if None."""
     try:
         header = json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise ValueError(f"{path}:1: bad header line {line!r}") from None
     named = header.get("format") if isinstance(header, dict) else None
     expected = [fmt] if fmt else list(_RECORDS)
@@ -599,7 +599,7 @@ def _load_jsonl(path: str | Path, fmt: str | None) -> list:
             continue
         try:
             record = parse(json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {noun} record: {exc}") from None
         if record.id in seen:
             raise ValueError(f"{path}:{lineno}: duplicate {noun} id {record.id!r}")

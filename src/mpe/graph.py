@@ -17,8 +17,9 @@ needs no edges, and `build_graph` is the only producer of them.
 
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
-stored parent edges from a node. A rule step reads closed-class flags that
-the rule set caches per distinct token; it keeps nothing per phrase. A
+stored parent edges from a node. A rule step reads the closed-class flags
+the rule set fixes per lexicon word when it is built; a rule set never
+changes after that and keeps nothing per token met or per phrase. A
 phrase seldom recurs across captions, and within one closure walk each
 phrase is expanded once, so a walk's successor sets live for one caption:
 `build_graph` hands them to that caption's reduction and then drops them.
@@ -102,8 +103,8 @@ class ReductionRuleSet:
     adjectives: frozenset[str]
     prepositions: frozenset[str]
     hypernyms: Mapping[str, tuple[str, ...]]
-    # Closed-class flags by token, filled as tokens are first met; bounded by
-    # the vocabulary, the only rule-set state that grows with the corpus.
+    # Closed-class flags of every lexicon word (and conjunction), filled once
+    # in __post_init__; any other token is content, with no flag.
     _flags: dict[str, int] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
@@ -113,6 +114,10 @@ class ReductionRuleSet:
     )
 
     def __post_init__(self) -> None:
+        lexicons = self.determiners, self.adjectives, self.prepositions, _CONJUNCTIONS
+        for flag, words in zip((_DET, _ADJ, _PREP, _CONJ), lexicons):
+            for word in words:
+                self._flags[word] = self._flags.get(word, 0) | flag
         try:
             # Generals come before their specifics, so each depth is known
             # by the time a more specific word needs it.
@@ -165,14 +170,7 @@ class ReductionRuleSet:
         chunk_content = False
         for i in range(n - 1, -1, -1):
             tok = phrase[i]
-            flags = flags_of.get(tok)
-            if flags is None:
-                flags = flags_of[tok] = (
-                    _DET * (tok in self.determiners)
-                    | _ADJ * (tok in self.adjectives)
-                    | _PREP * (tok in self.prepositions)
-                    | _CONJ * (tok in _CONJUNCTIONS)
-                )
+            flags = flags_of.get(tok, 0)
             if not flags:
                 adjective_droppable = True
                 pp_end = i + 1

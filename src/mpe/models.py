@@ -19,16 +19,18 @@ premise cell, hypothesis cell, then the architecture's `_head_shapes`.
 `_restore` checks the names and shapes against the table that meta implies
 and wraps the stored arrays, drawing nothing. Everything else the three share
 is written once on `_ModelBase`, with no separate core object: the two LSTM
-reads, dropout, checkpoint save, and `params()`, the one rule of what trains
-(the embedding matrix only when `trainable_embeddings` is set). Each
-architecture adds only `_head_shapes` and `_forward_batch`, its equations
-over a batch of B items.
+reads, checkpoint save, and `params()`, the one rule of what trains (the
+embedding matrix only when `trainable_embeddings` is set). Each architecture
+adds only `_head_shapes` and `_forward_batch`, its equations over a batch of
+B items, which applies `autodiff.dropout` at `keep_prob` to its pair vectors.
 
-`model.batch_logits(premises, hypotheses)` scores B items at once, each given
-by its list of premise token lists; the conditional LSTM and attention join
-an item's premises with `concat_premises`, sum-of-experts reads them one at a
-time. `forward` is the architecture's own single-item call form, the B = 1
-batch, and also returns its extras (attention weights, per-premise experts).
+`model.batch_logits(premises, hypotheses, rng)` scores B items at once, each
+given by its list of premise token lists; the conditional LSTM and attention
+join an item's premises with `concat_premises`, sum-of-experts reads them one
+at a time. The dropout stream `rng` is the only training switch: given, masks
+are drawn from it; omitted, there is no dropout. `forward` is the
+architecture's own single-item call form, the B = 1 batch, with the same
+`rng`, and also returns its extras (attention weights, per-premise experts).
 
 A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
 zero past each sequence's end, with the length of each sequence. Each LSTM
@@ -319,26 +321,19 @@ class _ModelBase:
     def _head_shapes(cls, state_dim: int) -> dict[str, tuple[int, ...]]:
         raise NotImplementedError
 
-    def _dropout(
-        self, x: Tensor, train: bool, rng: np.random.Generator | None
-    ) -> Tensor:
-        if train and rng is None:
-            raise ValueError("training mode needs a dropout rng")
-        return dropout(x, self.keep_prob, rng, train=train)
-
     def batch_logits(
         self,
         premises: Sequence[Sequence[Sequence[str]]],
         hypotheses: Sequence[Sequence[str]],
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """(B, 3) logits of B items, each given by its list of premise token
-        lists and its hypothesis. Dropout masks are drawn item by item, so
-        they equal those of B single-item calls in turn."""
-        return self._forward_batch(premises, hypotheses, train, rng)[0]
+        lists and its hypothesis. With a dropout stream `rng` the masks are
+        drawn from it item by item, so they equal those of B single-item
+        calls in turn; without one there is no dropout."""
+        return self._forward_batch(premises, hypotheses, rng)[0]
 
-    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, object]:
+    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, object]:
         """(logits (B, 3), the architecture's extras) of B items, each given
         by its list of premise token lists."""
         raise NotImplementedError
@@ -382,7 +377,8 @@ class _ModelBase:
         }
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.tensors, self._meta())
+        arrays = {name: t.values for name, t in self.tensors.items()}
+        save_checkpoint(path, arrays, self._meta())
 
     @classmethod
     def _restore(cls, arrays: dict[str, np.ndarray], meta: dict) -> "_ModelBase":
@@ -435,12 +431,12 @@ class ConditionalLstmModel(_ModelBase):
             "hidden.W": (2 * k, k), "hidden.b": (k,), "output.W": (k, 3), "output.b": (3,)
         }
 
-    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, None]:
+    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, None]:
         hidden_w, hidden_b, out_w, out_b = self.head
         embed = self.embeddings.embed_batch
         joined = embed([concat_premises(p) for p in premises])
         premise_vec, hypothesis_vec = self._final_hidden(joined, embed(hypotheses))
-        pair = self._dropout(concat([premise_vec, hypothesis_vec], axis=1), train, rng)
+        pair = dropout(concat([premise_vec, hypothesis_vec], axis=1), self.keep_prob, rng)
         hidden = tanh(add(matmul(pair, hidden_w), hidden_b))
         return add(matmul(hidden, out_w), out_b), None
 
@@ -448,10 +444,9 @@ class ConditionalLstmModel(_ModelBase):
         self,
         premise: Sequence[str],
         hypothesis: Sequence[str],
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        logits, _ = self._forward_batch([[premise]], [hypothesis], train, rng)
+        logits, _ = self._forward_batch([[premise]], [hypothesis], rng)
         return flatten(logits)
 
 
@@ -484,9 +479,7 @@ class AttentionModel(_ModelBase):
             "output.b": (3,),
         }
 
-    def _forward_batch(
-        self, premises, hypotheses, train, rng
-    ) -> tuple[Tensor, list[np.ndarray]]:
+    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, list[np.ndarray]]:
         wy, wh, wr, wt, wp, wx, score_w, out_w, out_b = self.head
         premise = self.embeddings.embed_batch([concat_premises(p) for p in premises])
         hypothesis = self.embeddings.embed_batch(hypotheses)
@@ -513,7 +506,7 @@ class AttentionModel(_ModelBase):
             attention_state = state if live.all() else _hold(state, attention_state, live)
         last = pick(hypothesis_states, hypothesis.lengths - 1)
         pair = tanh(add(matmul(attention_state, wp), matmul(last, wx)))
-        pair = self._dropout(pair, train, rng)
+        pair = dropout(pair, self.keep_prob, rng)
         logits = add(matmul(pair, out_w), out_b)
         weights = [
             np.stack([rows[i, :premise_len] for rows in weights_rows[:hypothesis_len]])
@@ -527,10 +520,9 @@ class AttentionModel(_ModelBase):
         self,
         premise: Sequence[str],
         hypothesis: Sequence[str],
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        logits, weights = self._forward_batch([[premise]], [hypothesis], train, rng)
+        logits, weights = self._forward_batch([[premise]], [hypothesis], rng)
         return flatten(logits), weights[0]
 
 
@@ -551,7 +543,7 @@ class SumOfExpertsModel(_ModelBase):
     def _head_shapes(cls, k: int) -> dict[str, tuple[int, ...]]:
         return {"experts.W": (2 * k, 3), "experts.b": (3,)}
 
-    def _forward_batch(self, premises, hypotheses, train, rng) -> tuple[Tensor, list[Tensor]]:
+    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, list[Tensor]]:
         expert_w, expert_b = self.head
         slots = {len(p) for p in premises}
         if len(slots) != 1 or not slots <= {1, 4}:
@@ -565,8 +557,8 @@ class SumOfExpertsModel(_ModelBase):
             vectors += self._final_hidden(premise, hypothesis)
         # One (B, slots, 2k) draw: each item's masks in premise order, as if
         # the items were read one after another.
-        pairs = self._dropout(
-            reshape(concat(vectors, axis=1), (batch, count, 2 * k)), train, rng
+        pairs = dropout(
+            reshape(concat(vectors, axis=1), (batch, count, 2 * k)), self.keep_prob, rng
         )
         experts = [
             add(matmul(pick(pairs, slot), expert_w), expert_b)
@@ -586,10 +578,9 @@ class SumOfExpertsModel(_ModelBase):
         self,
         premises: Sequence[Sequence[str]],
         hypothesis: Sequence[str],
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list[Tensor]]:
-        total, experts = self._forward_batch([premises], [hypothesis], train, rng)
+        total, experts = self._forward_batch([premises], [hypothesis], rng)
         return flatten(total), [flatten(e) for e in experts]
 
 

@@ -10,10 +10,11 @@ across phases, so running a pretrain phase followed by a fine-tune phase on
 the same data is bitwise equivalent to one long run. It also holds the run's
 state: the model, the epoch logs and the best-epoch snapshot, which
 `save_best_checkpoint` writes.
-Each mini-batch is one padded batch through the model: one taped forward,
-one backward of its mean loss and one Adam step. Dropout masks are drawn
-item by item, so the mask stream is that of reading the items one at a time,
-and the gradient equals the per-item accumulated one up to summation order.
+Each mini-batch is one padded batch through the model: one taped forward
+given the dropout stream, one backward of its mean loss and one Adam step.
+Dropout masks are drawn item by item, so the mask stream is that of reading
+the items one at a time, and the gradient equals the per-item accumulated one
+up to summation order. Scoring passes no stream, so it runs without dropout.
 Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model in one call, its items in their original
 order; an `Item` and a `SpePair` (one premise) offer the same `premises`,
@@ -109,20 +110,21 @@ def forward_logits(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run any architecture on a labeled item, returning its 3 logits."""
-    return flatten(batch_logits(model, [item], train, rng))
+    """Run any architecture on a labeled item, returning its 3 logits; with
+    `train` the dropout stream `rng` is used, otherwise there is no dropout."""
+    return flatten(batch_logits(model, [item], rng if train else None))
 
 
 def batch_logits(
     model,
     items: Sequence["Item | SpePair"],
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """(B, 3) logits of B items in one model call; sum-of-experts needs
-    every item of the batch to have the same number of premises."""
+    """(B, 3) logits of B items in one model call, with dropout drawn from
+    `rng` when one is given; sum-of-experts needs every item of the batch to
+    have the same number of premises."""
     premises, hypotheses = zip(*map(_token_lists, items))
-    return model.batch_logits(premises, hypotheses, train=train, rng=rng)
+    return model.batch_logits(premises, hypotheses, rng)
 
 
 def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:
@@ -259,20 +261,13 @@ class Trainer:
                 chunk = [items[idx] for idx in order[start : start + batch_size]]
                 zero_grad(self.optimizer.params)
                 with Tape() as tape:
-                    logits = batch_logits(
-                        self.model, chunk, train=True, rng=self._dropout_rng
-                    )
+                    logits = batch_logits(self.model, chunk, self._dropout_rng)
                     item_losses = cross_entropy(
                         logits, [label_index(item.gold_label) for item in chunk]
                     )
                     loss = scale(tensor_sum(item_losses), 1.0 / len(chunk))
                 tape.backward(loss)
                 losses.extend(item_losses.values.tolist())
-                for p in self.optimizer.params:
-                    # A parameter no batch item touched has an exactly-zero
-                    # gradient; Adam requires it spelled out.
-                    if p.grad is None:
-                        p.grad = np.zeros_like(p.values)
                 self.optimizer.step()
             train_loss = float(np.mean(losses))
             train_acc = accuracy(self.model, items)

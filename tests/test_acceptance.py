@@ -460,9 +460,7 @@ def test_criterion_9_numerical_core():
         np.array_equal(p.values, prev) for p, prev in zip(params, before)
     ) and opt.step_count == 1
 
-    kept = dropout(
-        Tensor(np.ones(200_000)), keep_prob=0.8, rng=np.random.default_rng(4), train=True
-    )
+    kept = dropout(Tensor(np.ones(200_000)), keep_prob=0.8, rng=np.random.default_rng(4))
     dropout_ok = abs(float(kept.values.mean()) - 1.0) <= 0.02
 
     elapsed = time.perf_counter() - started

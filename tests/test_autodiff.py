@@ -67,7 +67,7 @@ class TestTensor:
         t = Tensor([1.0])
         t.grad = np.ones(1)
         zero_grad([t])
-        assert t.grad is None
+        assert t.grad.dtype == np.float64 and np.array_equal(t.grad, np.zeros(1))
 
 
 class TestElementwiseOps:
@@ -382,7 +382,7 @@ class TestDropout:
 
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones(5))
-        assert dropout(x, 0.5, np.random.default_rng(0), train=False) is x
+        assert dropout(x, 0.5, None) is x
 
     def test_keep_prob_one_keeps_everything(self):
         x = Tensor(np.arange(6.0))
@@ -869,7 +869,7 @@ class TestAdam:
         w = Tensor([1.0], name="w")
         w.grad = np.ones(1)
         zero_grad(Adam([w]).params)
-        assert w.grad is None
+        assert w.grad.dtype == np.float64 and np.array_equal(w.grad, np.zeros(1))
 
     def test_quadratic_descent_tracks_oracle(self):
         # Minimize w^2 from w=1; at lr=0.01 Adam's near-unit steps bring
@@ -989,7 +989,7 @@ class TestCheckpoints:
     def payload(self):
         rng = np.random.default_rng(9)
         return {
-            "w": Tensor(rng.normal(size=(2, 3)), name="w"),
+            "w": rng.normal(size=(2, 3)),
             "b": rng.normal(size=3),
             "s": np.float64(4.25),
         }
@@ -1002,7 +1002,7 @@ class TestCheckpoints:
         source = self.payload()
         assert loaded_meta == meta
         assert set(tensors) == {"w", "b", "s"}
-        assert np.array_equal(tensors["w"], source["w"].values)
+        assert np.array_equal(tensors["w"], source["w"])
         assert np.array_equal(tensors["b"], source["b"])
         assert tensors["s"].shape == ()
         assert tensors["s"] == 4.25

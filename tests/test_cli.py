@@ -246,6 +246,19 @@ class TestStats:
         assert main(["stats", "--items", str(path)]) == 1
         assert ":2: bad item record: 'hypothesis' must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lineno, expected", [(1, "bad header line"), (2, "bad item record")],
+        ids=["header", "record"],
+    )
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, lineno, expected):
+        path = tmp_path / "items.jsonl"
+        save_items([make_item(0, "E")], path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = "[" * 100_000 + "]" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["stats", "--items", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: {expected}")
+
 
 class TestAdjudicate:
     @pytest.fixture
@@ -921,13 +934,14 @@ class TestEval:
         [
             (b"[]", "must be a JSON object"),
             (b"{not json", "bad checkpoint meta"),
+            (b"[" * 100_000 + b"]" * 100_000, "bad checkpoint meta"),
             (
                 b'{"architecture": "conditional-lstm", "dim": 4, "keep_prob": 1.0,'
                 b' "state_dim": 4, "trainable_embeddings": true}',
                 "lacks 'vocab'",
             ),
         ],
-        ids=["meta-list", "meta-not-json", "meta-no-vocab"],
+        ids=["meta-list", "meta-not-json", "meta-deeply-nested", "meta-no-vocab"],
     )
     def test_malformed_checkpoint_meta_exits_1(
         self, labeled_items_file, tmp_path, capsys, meta, expected

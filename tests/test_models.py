@@ -362,17 +362,11 @@ class TestConditionalLstmModel:
         with pytest.raises(ValueError):
             model.forward(PREMISE, [])
 
-    def test_train_mode_requires_rng(self):
-        model = make_lstm(keep_prob=0.5)
-        with pytest.raises(ValueError):
-            model.forward(PREMISE, HYPOTHESIS, train=True)
-
     def test_dropout_changes_training_logits(self):
         model = make_lstm(seed=5, keep_prob=0.5)
         eval_logits = model.forward(PREMISE, HYPOTHESIS).values
-        train_logits = model.forward(
-            PREMISE, HYPOTHESIS, train=True, rng=np.random.default_rng(0)
-        ).values
+        rng = np.random.default_rng(0)
+        train_logits = model.forward(PREMISE, HYPOTHESIS, rng=rng).values
         assert not np.array_equal(eval_logits, train_logits)
 
     def test_gradients_match_finite_differences(self):
@@ -604,7 +598,7 @@ def test_batch_logits_match_single_item_logits(arch, arity):
 def test_batch_attention_weights_match_single_items():
     model = make_attention(seed=32)
     joined = [concat_premises(p) for p in BATCH_PREMISES]
-    _, weights = model._forward_batch(BATCH_PREMISES, BATCH_HYPOTHESES, False, None)
+    _, weights = model._forward_batch(BATCH_PREMISES, BATCH_HYPOTHESES, None)
     for w, p, h in zip(weights, joined, BATCH_HYPOTHESES):
         _, single = model.forward(p, h)
         assert w.shape == single.shape == (len(h), len(p))

@@ -483,7 +483,7 @@ class TestBatchPath:
         zero_grad(model.params())
         with Tape() as tape:
             losses = cross_entropy(
-                batch_logits(model, items, train=True, rng=batch_rng), labels_of(items)
+                batch_logits(model, items, rng=batch_rng), labels_of(items)
             )
             loss = scale(tensor_sum(losses), 1.0 / len(items))
         tape.backward(loss)
@@ -491,6 +491,32 @@ class TestBatchPath:
             assert np.max(np.abs(p.grad - serial[p.name])) <= 1e-12, p.name
         # The same masks were drawn, so both streams stand at the same place.
         assert serial_rng.random() == batch_rng.random()
+
+    def test_untouched_parameter_keeps_an_exact_zero_gradient(self):
+        """Sum-of-experts never joins premises, so a batch with no unknown word
+        reads no special row: that tensor's gradient is zeros after the
+        training step's zero_grad and backward, and Adam leaves it unchanged."""
+        model = batch_model("sum-of-experts", keep_prob=0.6)
+        items = [
+            Item(
+                id=f"known-{i}",
+                scene_group_id=f"k{i}",
+                premises=tuple(map(normalize, ("dog runs", "cat sits", "bird", "man"))),
+                hypothesis=normalize(("man runs", "dog sits", "cat")[i]),
+                gold_label=LABELS[i],
+            )
+            for i in range(3)
+        ]
+        texts = [text for item in items for text in (*item.premises, item.hypothesis)]
+        vocab = model.embeddings.vocab
+        assert all(token in vocab for text in texts for token in text.tokens)
+        special = model.embeddings.special
+        before = special.values.copy()
+        config = TrainConfig(model="sum-of-experts", batch_size=3, seed=3)
+        Trainer(model, config).run(items, epochs=1)
+        assert special.grad.shape == before.shape and not special.grad.any()
+        assert any(p.grad.any() for p in model.params())
+        assert np.array_equal(special.values, before)
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_batch_untaped_equals_taped_and_gradients_repeat(self, arch):
