@@ -613,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if outputs:
             _write_manifest(args.subcommand, argv, recorded, list(outputs.values()), run)
         return 0
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version

@@ -30,6 +30,7 @@ from .text import (
     Sentence,
     _atomic_write,
     _lines,
+    _quote,
     normalize,
     word_overlap,
 )
@@ -55,7 +56,13 @@ def label_index(label: str) -> int:
     try:
         return LABELS.index(label)
     except ValueError:
-        raise ValueError(f"unknown label {label!r}, expected one of {LABELS}") from None
+        raise ValueError(f"unknown label {_quote(label)}, expected one of {LABELS}") from None
+
+
+def _check_id(item_id: str) -> None:
+    """Refuse an id that no TSV output could hold: empty, or with a TAB, CR or LF."""
+    if not item_id or any(c in item_id for c in "\t\r\n"):
+        raise ValueError(f"id {_quote(item_id)} is empty or holds a TAB, CR or LF")
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,7 @@ class Item:
     label_source: str | None = None
 
     def __post_init__(self) -> None:
+        _check_id(self.id)
         if len(self.premises) != 4:
             raise ValueError(f"item {self.id}: needs exactly 4 premises")
         if self.judgments and len(self.judgments) != 5:
@@ -100,6 +108,7 @@ class SpePair:
     label: str
 
     def __post_init__(self) -> None:
+        _check_id(self.id)
         label_index(self.label)
 
     # An `Item`'s names, so training and evaluation read both kinds alike.
@@ -223,7 +232,7 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(
-                f"{path}:{lineno}: expected gid<TAB>index<TAB>text, got {line!r}"
+                f"{path}:{lineno}: expected gid<TAB>index<TAB>text, got {_quote(line)}"
             )
         gid, idx_s, text = parts
         if not gid:
@@ -231,7 +240,7 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
         try:
             idx = int(idx_s)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad caption index {idx_s!r}") from None
+            raise ValueError(f"{path}:{lineno}: bad caption index {_quote(idx_s)}") from None
         group = rows.setdefault(gid, {})
         if idx in group:
             raise ValueError(f"{path}:{lineno}: duplicate caption index {gid}/{idx}")
@@ -509,12 +518,12 @@ def _check_header(path: Path, line: str, fmt: str | None) -> str:
     try:
         header = json.loads(line)
     except (json.JSONDecodeError, RecursionError):
-        raise ValueError(f"{path}:1: bad header line {line!r}") from None
+        raise ValueError(f"{path}:1: bad header line {_quote(line)}") from None
     named = header.get("format") if isinstance(header, dict) else None
     expected = [fmt] if fmt else list(_RECORDS)
     if named not in expected:
         want = " or ".join(map(repr, expected))
-        raise ValueError(f"{path}:1: expected format {want}, got {line!r}")
+        raise ValueError(f"{path}:1: expected format {want}, got {_quote(line)}")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}:1: unsupported version {header.get('version')!r}")
     return named
@@ -602,7 +611,7 @@ def _load_jsonl(path: str | Path, fmt: str | None) -> list:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {noun} record: {exc}") from None
         if record.id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate {noun} id {record.id!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate {noun} id {_quote(record.id)}")
         seen.add(record.id)
         out.append(record)
     return out
@@ -644,7 +653,7 @@ def _load_label_table(path: str | Path, count: int) -> _LabelTable:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {_quote(line)}")
         item_id, labels_s = parts
         if item_id in out:
             raise ValueError(f"{path}:{lineno}: duplicate labels for {item_id}")
@@ -655,7 +664,7 @@ def _load_label_table(path: str | Path, count: int) -> _LabelTable:
             )
         for label in labels:
             if label not in LABELS:
-                raise ValueError(f"{path}:{lineno}: bad label {label!r}")
+                raise ValueError(f"{path}:{lineno}: bad label {_quote(label)}")
         out[item_id] = labels
         out.lines[item_id] = f"{path}:{lineno}"
     return out

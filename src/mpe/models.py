@@ -68,7 +68,7 @@ from .autodiff import (
     tanh,
     transpose,
 )
-from .text import _lines
+from .text import _lines, _quote
 
 UNK_TOKEN = "<unk>"
 SEPARATOR = "<sep>"
@@ -204,7 +204,7 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
                 f"{path}:{lineno}: expected {dim} components, got {len(values)}"
             )
         if token in vectors:
-            raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate token {_quote(token)}")
         vectors[token] = values
     if not vectors:
         raise ValueError(f"{path}: no vectors found")

@@ -99,6 +99,14 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise
 
 
+def _quote(field: str) -> str:
+    """`repr(field)`; past 80 characters, the repr of its first 80 and its
+    length, so one long input line cannot make as long an error message."""
+    if len(field) <= 80:
+        return repr(field)
+    return f"{field[:80]!r}... ({len(field)} characters)"
+
+
 def _read_word_list(path: Path) -> dict[int, str]:
     """Each non-blank, non-comment line, stripped, by its line number."""
     words = {}
@@ -116,7 +124,7 @@ def _read_pairs(path: Path, what: str) -> list[tuple[str, str]]:
     for lineno, line in _read_word_list(path).items():
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: bad {what}: {line!r}")
+            raise ValueError(f"{path}:{lineno}: bad {what}: {_quote(line)}")
         pairs.append((parts[0], parts[1]))
     return pairs
 
@@ -242,7 +250,7 @@ def normalize(raw: str) -> Sentence:
     """Tokenize, lemmatize, and find the content tokens of one raw string."""
     tokens = tokenize(raw)
     if not tokens:
-        raise EmptySentenceError(f"no alphanumeric content in {raw!r}")
+        raise EmptySentenceError(f"no alphanumeric content in {_quote(raw)}")
     return Sentence(
         raw=raw,
         tokens=tokens,

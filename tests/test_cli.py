@@ -1036,6 +1036,70 @@ def test_empty_items_file_gives_one_message(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {empty}: empty items file\n"
 
 
+LONG = "x" * 100_000
+BUILD_GRAPH = ["build-graph", "--out", "{out}"]
+VOTE = ["vote", "--items", "{items}"]
+# Inputs with one 100k-character field: the argv before `--<flag> <file>`,
+# the flag, the file's content, and the line the message names. `{items}` is
+# a labeled items file, `{out}` an output path.
+LONG_FIELD_CASES = {
+    "header-not-json": (["stats"], "items", LONG, 1),
+    "header-wrong-format": (["stats"], "items", json.dumps({"format": LONG}), 1),
+    "captions-no-tab": (BUILD_GRAPH, "captions", LONG, 1),
+    "caption-index": (BUILD_GRAPH, "captions", f"g\t{LONG}\tdog", 1),
+    "caption-no-content": (BUILD_GRAPH, "captions", "g\t0\t" + "." * 100_000, 1),
+    "labels-no-tab": (VOTE, "pairs", LONG, 1),
+    "bad-label": (VOTE, "pairs", f"it-000\tE,E,E,{LONG}", 1),
+    "duplicate-vector": (
+        ["train", "--items", "{items}", "--out", "{out}", *TINY_TRAIN_FLAGS],
+        "embeddings",
+        f"{LONG} 1.0\n{LONG} 2.0",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, content, lineno", LONG_FIELD_CASES.values(), ids=LONG_FIELD_CASES.keys()
+)
+def test_long_field_gives_a_short_message(
+    argv, flag, content, lineno, labeled_items_file, tmp_path, capsys
+):
+    path = tmp_path / "input"
+    path.write_text(content + "\n")
+    places = {"{items}": str(labeled_items_file), "{out}": str(tmp_path / "out")}
+    argv = [places.get(arg, arg) for arg in argv]
+    assert main([*argv, f"--{flag}", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{lineno}: ")
+    assert len(err.encode()) < 1024, err[:200]
+
+
+def bad_id_cases():
+    for kind, bad_id in {"empty": "", "tab": "a\tb", "cr": "a\rb", "lf": "a\nb"}.items():
+        for noun in ("item", "pair"):
+            yield pytest.param(noun, bad_id, id=f"{noun}-{kind}")
+
+
+@pytest.mark.parametrize("noun, bad_id", bad_id_cases())
+def test_id_no_tsv_can_hold_exits_1(noun, bad_id, labeled_items_file, tmp_path, capsys):
+    """An id goes into TSV outputs (predictions, decisions, pair labels), so
+    one that is empty or holds a TAB, CR or LF is refused where it is read."""
+    if noun == "item":
+        header, line = labeled_items_file.read_text().splitlines()[:2]
+        record = json.loads(line)
+        argv = ["stats"]
+    else:
+        header = SPE_HEADER
+        record = {"premise": "A dog runs.", "hypothesis": "A dog moves.", "label": "E"}
+        argv = ["train", "--out", str(tmp_path / "model.ckpt"), *TINY_TRAIN_FLAGS]
+    path = tmp_path / "examples.jsonl"
+    path.write_text(f"{header}\n{json.dumps({**record, 'id': bad_id})}\n")
+    assert main([*argv, "--items", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: bad {noun} record: id {bad_id!r} is empty")
+
+
 class TestGradcheck:
     def test_all_models_stdout_pinned(self, capsys):
         """`mpe gradcheck --model all` at its default sizes and seed."""
@@ -1111,6 +1175,17 @@ class TestCliPlumbing:
         monkeypatch.setattr(cli, "load_items", boom)
         assert main(["stats", "--items", str(labeled_items_file)]) == 2
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+    def test_internal_key_error_exits_2(self, labeled_items_file, monkeypatch, capsys):
+        """A KeyError that escapes a command is a bug, not a bad input: every
+        loader names a bad file's `path:line` in a ValueError."""
+
+        def boom(path):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "load_items", boom)
+        assert main(["stats", "--items", str(labeled_items_file)]) == 2
+        assert "internal error: KeyError" in capsys.readouterr().err
 
 
 # Each file-writing run: argv with {in}/{out} directory placeholders, the

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of the demo's stdout at its default flags: the stats lines and the
@@ -15,7 +17,6 @@ DEMO_STDOUT_SHA256 = "1a08e896e8a46e535b7f10473aa5a5e957ff4b5e4e4e1f0fe8b871d0e8
 
 def run_script(name, *args, **env_vars):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
-    env.pop("MPE_RELEASED_DIR", None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
@@ -47,7 +48,10 @@ def test_demo_pipeline_without_workdir_is_repeatable_and_cleans_up(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_reproduce_released_without_a_directory_exits_1():
-    run = run_script("reproduce_released.py")
-    assert run.returncode == 1
-    assert "MPE_RELEASED_DIR unset" in run.stderr
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+)
+def test_script_help_exits_0(script):
+    run = run_script(script, "--help")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage:")

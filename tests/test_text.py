@@ -156,6 +156,15 @@ class TestLemmatizer:
         ):
             _read_pairs(path, "exception entry (want form<TAB>lemma)")
 
+    def test_long_bad_entry_is_quoted_short(self, tmp_path):
+        path = tmp_path / "exceptions.txt"
+        path.write_text("x" * 100_000 + "\n")
+        with pytest.raises(ValueError) as info:
+            _read_pairs(path, "exception entry")
+        message = str(info.value)
+        assert message.startswith(f"{path}:1: bad exception entry: 'xxx")
+        assert message.endswith("... (100000 characters)") and len(message) < 1024
+
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=14))
     @settings(max_examples=400, deadline=None)
     def test_idempotent_on_arbitrary_strings(self, word):
