@@ -1,14 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A Tape records every op executed while it is the active context; backward
-walks the recording in exact reverse order, accumulating gradients into leaf
-tensors. Gradients accumulate across backward calls until `zero_grad` sets
-them to zero arrays, so training steps zero between batches and a parameter
-no op reached keeps an exactly-zero gradient. `dropout` is the identity
-without a random stream. Ops run outside any tape compute values only, which
-is how evaluation avoids bookkeeping. A tape holds its outputs and a tensor
-holds no reference back, so a tape is freed by reference count as soon as its
-last name goes away.
+A Tape records every op executed while it is the active context;
+`tape.backward(loss)` walks the recording in exact reverse order,
+accumulating gradients into leaf tensors. Gradients accumulate across
+backward calls until `zero_grad` sets them to zero arrays, so training steps
+zero between batches and a parameter no op reached keeps an exactly-zero
+gradient. `dropout` is the identity without a random stream. Ops run outside
+any tape compute values only, which is how evaluation avoids bookkeeping. A
+tape holds its outputs and a tensor holds no reference back, so a tape is
+freed by reference count as soon as its last name goes away.
 
 Besides elementwise and matrix ops, `lstm_sequence` reads a batch of padded
 sequences through one LSTM layer as a single op (the fused-gate layout of
@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .text import _atomic_write_bytes
+from .text import _atomic_write_bytes, _quote
 
 
 class ShapeError(ValueError):
@@ -726,7 +726,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     (meta_len,) = struct.unpack("<I", take(4))
     try:
         meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to convert
         raise ValueError(f"{path}: bad checkpoint meta: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint meta must be a JSON object")
@@ -739,14 +739,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: bad tensor name: {exc}") from None
         if name in tensors:
-            raise ValueError(f"{path}: duplicate tensor name {name!r}")
+            raise ValueError(f"{path}: duplicate tensor name {_quote(name)}")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         try:
             data = data.reshape(shape)
         except ValueError as exc:
-            raise ValueError(f"{path}: tensor {name!r} has bad shape: {exc}") from None
+            raise ValueError(f"{path}: tensor {_quote(name)} has bad shape: {exc}") from None
         tensors[name] = data.astype(np.float64)
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -55,6 +55,7 @@ from .dataset import (
 )
 from .graph import GRAPH_VERSION, build_graph, caption_closures
 from .models import ARCHITECTURES, load_model, load_pretrained_vectors
+from .text import _quote
 from .training import (
     PRESETS,
     TrainConfig,
@@ -294,7 +295,7 @@ def _adjudication_prompt(item: Item, stream) -> str | None:
             return answer
         if answer in ("S", "SKIP", ""):
             return "skip"
-        print(f"unrecognized answer {line.strip()!r}")
+        print(f"unrecognized answer {_quote(line.strip())}")
 
 
 def run_adjudication_loop(flagged: Sequence[Item], stream) -> dict[str, str]:
@@ -373,7 +374,9 @@ def _load_examples(inputs, name: str):
         raise CliError(f"--{name} {inputs[name]}: holds no items")
     for example in examples:
         if example.gold_label is None:
-            raise CliError(f"--{name} {inputs[name]}: item {example.id} has no gold label")
+            raise CliError(
+                f"--{name} {inputs[name]}: item {_quote(example.id)} has no gold label"
+            )
     return examples
 
 

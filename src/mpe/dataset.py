@@ -6,7 +6,7 @@ Hypotheses are drawn from caption closures (`mpe.graph.CaptionClosures`):
 generalizations of a fifth caption of the same group (related) or of a caption
 from another group (unrelated) that no premise generalizes to, kept only when
 they clear a support threshold and a word-overlap ceiling against the
-premises. No phrase graph is built; `build_graph` serves `build-graph` alone.
+premises.
 
 Five crowd judgments reduce to a final label and its route, `label_source`
 (`aggregate_labels`): "majority", or "majority-provisional" for a 3-2 split
@@ -31,6 +31,7 @@ from .text import (
     _atomic_write,
     _lines,
     _quote,
+    _quote_list,
     normalize,
     word_overlap,
 )
@@ -83,19 +84,21 @@ class Item:
     def __post_init__(self) -> None:
         _check_id(self.id)
         if len(self.premises) != 4:
-            raise ValueError(f"item {self.id}: needs exactly 4 premises")
+            raise ValueError(f"item {_quote(self.id)}: needs exactly 4 premises")
         if self.judgments and len(self.judgments) != 5:
-            raise ValueError(f"item {self.id}: judgments must number exactly 5")
+            raise ValueError(f"item {_quote(self.id)}: judgments must number exactly 5")
         if self.pair_labels is not None and len(self.pair_labels) != 4:
-            raise ValueError(f"item {self.id}: pair_labels must number exactly 4")
+            raise ValueError(f"item {_quote(self.id)}: pair_labels must number exactly 4")
         for label in (*self.judgments, *(self.pair_labels or ())):
             label_index(label)
         if self.gold_label is not None:
             label_index(self.gold_label)
         if self.split not in SPLITS:
-            raise ValueError(f"item {self.id}: bad split {self.split!r}")
+            raise ValueError(f"item {_quote(self.id)}: bad split {_quote(self.split)}")
         if self.label_source is not None and self.label_source not in LABEL_SOURCES:
-            raise ValueError(f"item {self.id}: bad label_source {self.label_source!r}")
+            raise ValueError(
+                f"item {_quote(self.id)}: bad label_source {_quote(self.label_source)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def _merge(
     unknown = [key for key in table if key not in known]
     if unknown:
         raise UnknownItemError(
-            f"{_at(table, unknown[0])}{what} for unknown item ids: {unknown}"
+            f"{_at(table, unknown[0])}{what} for unknown item ids: {_quote_list(unknown)}"
         )
     return [update(item, table[item.id]) if item.id in table else item for item in items]
 
@@ -206,7 +209,7 @@ def adjudicate(
     if unflagged:
         raise ValueError(
             f"{_at(decisions, unflagged[0])}decisions for items that do not "
-            f"need adjudication: {unflagged}"
+            f"need adjudication: {_quote_list(unflagged)}"
         )
     return out, [item_id for item_id in flagged if item_id not in decisions]
 
@@ -243,7 +246,7 @@ def load_captions(path: str | Path) -> list[CaptionGroup]:
             raise ValueError(f"{path}:{lineno}: bad caption index {_quote(idx_s)}") from None
         group = rows.setdefault(gid, {})
         if idx in group:
-            raise ValueError(f"{path}:{lineno}: duplicate caption index {gid}/{idx}")
+            raise ValueError(f"{path}:{lineno}: duplicate caption index {_quote(gid)}/{idx}")
         try:
             group[idx] = normalize(text)
         except ValueError as exc:
@@ -466,7 +469,7 @@ def corpus_stats(items: Sequence[Item]) -> StatsReport:
         raise EmptyCorpusError("no items to summarize")
     unlabeled = [item.id for item in items if item.gold_label is None]
     if unlabeled:
-        raise ValueError(f"items without gold labels: {unlabeled[:5]}")
+        raise ValueError(f"items without gold labels: {_quote_list(unlabeled)}")
 
     types: set[str] = set()
     token_count = 0
@@ -517,7 +520,7 @@ def _check_header(path: Path, line: str, fmt: str | None) -> str:
     """The format the header line names: `fmt`, or any known one if None."""
     try:
         header = json.loads(line)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # ValueError: also an int too long to convert
         raise ValueError(f"{path}:1: bad header line {_quote(line)}") from None
     named = header.get("format") if isinstance(header, dict) else None
     expected = [fmt] if fmt else list(_RECORDS)
@@ -525,7 +528,7 @@ def _check_header(path: Path, line: str, fmt: str | None) -> str:
         want = " or ".join(map(repr, expected))
         raise ValueError(f"{path}:1: expected format {want}, got {_quote(line)}")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}:1: unsupported version {header.get('version')!r}")
+        raise ValueError(f"{path}:1: unsupported version {_quote(header.get('version'))}")
     return named
 
 
@@ -656,7 +659,7 @@ def _load_label_table(path: str | Path, count: int) -> _LabelTable:
             raise ValueError(f"{path}:{lineno}: expected id<TAB>labels, got {_quote(line)}")
         item_id, labels_s = parts
         if item_id in out:
-            raise ValueError(f"{path}:{lineno}: duplicate labels for {item_id}")
+            raise ValueError(f"{path}:{lineno}: duplicate labels for {_quote(item_id)}")
         labels = tuple(labels_s.split(","))
         if len(labels) != count:
             raise ValueError(

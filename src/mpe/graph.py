@@ -9,20 +9,19 @@ phrase are its generalizations.
 
 `simplify_hypothesis` returns the generalizations of a source caption that
 cannot be reached from any premise, which is the candidate pool for
-hypothesis generation. It reads a `CaptionClosures` index, not a graph: a
-caption's ancestors are its closure minus its own lemma tuple, and a phrase's
-caption count is the number of caption closures that hold it. Both identities
-follow from the stored reduction keeping reachability, so item generation
-needs no edges, and `build_graph` is the only producer of them.
+hypothesis generation. It reads a `CaptionClosures` index: a caption's
+ancestors are its closure minus its own lemma tuple, and a phrase's caption
+count is the number of caption closures that hold it. Both identities follow
+from the stored reduction keeping reachability, so item generation needs no
+edges, and `build_graph` is the only producer of them.
 
 One stack walk, `_reachable`, serves both directions of use: the closure
 follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
 stored parent edges from a node. A rule step reads the closed-class flags
-the rule set fixes per lexicon word when it is built; a rule set never
-changes after that and keeps nothing per token met or per phrase. A
-phrase seldom recurs across captions, and within one closure walk each
-phrase is expanded once, so a walk's successor sets live for one caption:
-`build_graph` hands them to that caption's reduction and then drops them.
+the rule set fixes per lexicon word when it is built. A phrase seldom
+recurs across captions, and within one closure walk each phrase is expanded
+once, so a walk's successor sets live for one caption: `build_graph` hands
+them to that caption's reduction and then drops them.
 
 Only the transitive reduction of the single-step DAG is stored. Every step
 shortens the phrase or swaps a word for its hypernym, so the generality key
@@ -46,7 +45,15 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .text import Sentence, _atomic_write, _lines, _read_pairs, _read_word_list
+from .text import (
+    Sentence,
+    _atomic_write,
+    _lines,
+    _quote,
+    _quote_list,
+    _read_pairs,
+    _read_word_list,
+)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -274,7 +281,7 @@ class PhraseGraph:
             return self.caption_index[caption.raw]
         except KeyError:
             raise UnknownCaptionError(
-                f"caption not indexed in graph: {caption.raw!r}"
+                f"caption not indexed in graph: {_quote(caption.raw)}"
             ) from None
 
     def ancestors(self, node_id: int) -> frozenset[int]:
@@ -305,9 +312,9 @@ class PhraseGraph:
             raise ValueError(f"{path}: empty graph file")
         header = first.split("\t")
         if len(header) != 2 or header[0] != GRAPH_FORMAT:
-            raise ValueError(f"{path}:1: bad header {first!r}")
+            raise ValueError(f"{path}:1: bad header {_quote(first)}")
         if header[1] != str(GRAPH_VERSION):
-            raise ValueError(f"{path}:1: unsupported version {header[1]}")
+            raise ValueError(f"{path}:1: unsupported version {_quote(header[1])}")
         rows: dict[int, NodeRow] = {}
         phrase_ids: dict[Phrase, int] = {}
         parents: dict[int, set[int]] = {}
@@ -326,33 +333,34 @@ class PhraseGraph:
                     row = rows[nid] = _node_row(phrase_s, support_s, int(count_s))
                     held = phrase_ids.setdefault(row[0], nid)
                     if held != nid:
-                        raise ValueError(f"phrase {phrase_s!r} already held by node {held}")
+                        raise ValueError(f"phrase {_quote(phrase_s)} already held by node {held}")
                 elif kind == "edge":
                     parent_s, child_s = rest.split("\t")
-                    parent, known = int(parent_s), parents.setdefault(int(child_s), set())
+                    parent, child = int(parent_s), int(child_s)
+                    known = parents.setdefault(child, set())
                     if parent in known:
-                        raise ValueError(f"duplicate edge {parent} -> {child_s}")
+                        raise ValueError(f"duplicate edge {parent} -> {child}")
                     known.add(parent)
                 elif kind == "caption":
                     nid_s, _, raw = rest.partition("\t")
                     if not raw:
                         raise ValueError("no caption text")
                     if raw in caption_index:
-                        raise ValueError(f"duplicate caption {raw!r}")
+                        raise ValueError(f"duplicate caption {_quote(raw)}")
                     caption_index[raw] = int(nid_s)
                     caption_lines.append((lineno, caption_index[raw]))
                 else:
                     raise ValueError("unknown record kind")
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {kind!r} record: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: bad {_quote(kind)} record: {exc}") from None
         ids = range(len(rows))
         stray = sorted(nid for nid in rows if nid not in ids)
         if stray:
-            raise ValueError(f"{path}: node ids {stray} are not in 0..{len(ids) - 1}")
+            raise ValueError(f"{path}: node ids {_quote_list(stray)} are not in 0..{len(ids) - 1}")
         for child, ps in parents.items():
             unknown = sorted(nid for nid in ps | {child} if nid not in ids)
             if unknown:
-                raise ValueError(f"{path}: edge references unknown node {unknown}")
+                raise ValueError(f"{path}: edge references unknown node {_quote_list(unknown)}")
         for lineno, nid in caption_lines:
             if nid not in ids:
                 raise ValueError(f"{path}:{lineno}: caption references unknown node {nid}")
@@ -375,15 +383,15 @@ def _node_row(phrase_s: str, support_s: str, caption_count: int) -> NodeRow:
         raise ValueError("empty phrase")
     phrase = tuple(phrase_s.split(" "))
     if "" in phrase:
-        raise ValueError(f"empty token in phrase {phrase_s!r}")
+        raise ValueError(f"empty token in phrase {_quote(phrase_s)}")
     if not support_s:
         raise ValueError("empty support")
     groups = support_s.split(",")
     support = tuple(sorted(set(groups)))
     if "" in support:
-        raise ValueError(f"empty group id in support {support_s!r}")
+        raise ValueError(f"empty group id in support {_quote(support_s)}")
     if len(support) < len(groups):
-        raise ValueError(f"repeated group id in support {support_s!r}")
+        raise ValueError(f"repeated group id in support {_quote(support_s)}")
     if caption_count < len(support):
         raise ValueError(
             f"caption_count {caption_count} < {len(support)} supporting groups"
@@ -481,7 +489,7 @@ class CaptionClosures:
         try:
             return self.ancestors[caption.raw]
         except KeyError:
-            raise UnknownCaptionError(f"caption not indexed: {caption.raw!r}") from None
+            raise UnknownCaptionError(f"caption not indexed: {_quote(caption.raw)}") from None
 
 
 def caption_closures(

@@ -18,11 +18,11 @@ premise cell, hypothesis cell, then the architecture's `_head_shapes`.
 `load_model` restores a checkpoint as the architecture its meta names, and
 `_restore` checks the names and shapes against the table that meta implies
 and wraps the stored arrays, drawing nothing. Everything else the three share
-is written once on `_ModelBase`, with no separate core object: the two LSTM
-reads, checkpoint save, and `params()`, the one rule of what trains (the
-embedding matrix only when `trainable_embeddings` is set). Each architecture
-adds only `_head_shapes` and `_forward_batch`, its equations over a batch of
-B items, which applies `autodiff.dropout` at `keep_prob` to its pair vectors.
+is written once on `_ModelBase`: the two LSTM reads, checkpoint save, and
+`params()`, the one rule of what trains (the embedding matrix only when
+`trainable_embeddings` is set). Each architecture adds only `_head_shapes`
+and `_forward_batch`, its equations over a batch of B items, which applies
+`autodiff.dropout` at `keep_prob` to its pair vectors.
 
 `model.batch_logits(premises, hypotheses, rng)` scores B items at once, each
 given by its list of premise token lists; the conditional LSTM and attention
@@ -68,7 +68,7 @@ from .autodiff import (
     tanh,
     transpose,
 )
-from .text import _lines, _quote
+from .text import _lines, _quote, _quote_list
 
 UNK_TOKEN = "<unk>"
 SEPARATOR = "<sep>"
@@ -278,8 +278,7 @@ class _ModelBase:
     and its B = 1 call `forward`.
 
     The hypothesis LSTM starts from a zero hidden state; only the cell state
-    carries over. Each LSTM reads a whole batch of sequences in one op. The
-    two cells live on the model, with no separate core object, and
+    carries over. Each LSTM reads a whole batch of sequences in one op, and
     `params()` alone decides what trains."""
 
     architecture = ""
@@ -392,7 +391,7 @@ class _ModelBase:
         keep_prob = meta["keep_prob"]
         if type(keep_prob) not in (int, float) or not 0 < keep_prob <= 1:
             raise ValueError(
-                f"checkpoint meta 'keep_prob' must be a number in (0, 1], got {keep_prob!r}"
+                f"checkpoint meta 'keep_prob' must be a number in (0, 1], got {_quote(keep_prob)}"
             )
         if type(meta["trainable_embeddings"]) is not bool:
             raise ValueError("checkpoint meta 'trainable_embeddings' must be true or false")
@@ -401,7 +400,9 @@ class _ModelBase:
         shapes = cls.shapes(len(meta["vocab"]), meta["dim"], meta["state_dim"])
         if set(shapes) != set(arrays):
             mismatched = sorted(set(shapes) ^ set(arrays))
-            raise ValueError(f"checkpoint parameter names do not match: {mismatched}")
+            raise ValueError(
+                f"checkpoint parameter names do not match: {_quote_list(mismatched)}"
+            )
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(
@@ -597,7 +598,7 @@ def load_model(path: str | Path) -> _ModelBase:
     try:
         arch = meta.get("architecture")
         if arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture in checkpoint: {arch!r}")
+            raise ValueError(f"unknown architecture in checkpoint: {_quote(arch)}")
         return ARCHITECTURES[arch]._restore(tensors, meta)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -4,7 +4,8 @@ Tokenization, rule-based lemmatization, and word overlap are pinned artifacts
 of this package: every consumer (graph construction, dataset generation,
 statistics) goes through `normalize` so that the same raw string always maps
 to the same Sentence. The word lists in `data/` are read once, when the
-module is imported.
+module is imported; `tests/test_text.py` checks them: one token per entry,
+none listed twice, and every word of the rules' lexicons already a lemma.
 """
 
 from __future__ import annotations
@@ -99,12 +100,23 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise
 
 
-def _quote(field: str) -> str:
-    """`repr(field)`; past 80 characters, the repr of its first 80 and its
-    length, so one long input line cannot make as long an error message."""
+def _quote(field: object) -> str:
+    """`repr(field)`; a string past 80 characters as the repr of its first 80
+    and its length, and any other value as its repr so cut, so one long input
+    field cannot make as long an error message."""
+    if not isinstance(field, str):
+        shown = repr(field)
+        return shown if len(shown) <= 80 else _quote(shown)
     if len(field) <= 80:
         return repr(field)
     return f"{field[:80]!r}... ({len(field)} characters)"
+
+
+def _quote_list(fields: Sequence[object]) -> str:
+    """The list's repr with each field `_quote`d; past 5 fields, the first 5
+    and how many more."""
+    shown = "[" + ", ".join(map(_quote, fields[:5])) + "]"
+    return shown if len(fields) <= 5 else f"{shown} and {len(fields) - 5} more"
 
 
 def _read_word_list(path: Path) -> dict[int, str]:
@@ -277,7 +289,7 @@ def word_overlap(
     content = hypothesis.content_tokens
     if not content:
         raise OverlapUndefinedError(
-            f"hypothesis has no content tokens: {hypothesis.raw!r}"
+            f"hypothesis has no content tokens: {_quote(hypothesis.raw)}"
         )
     if mode == "full":
         union: set[str] = set()

@@ -4,12 +4,11 @@
 the one place where fresh weights are drawn. Given `pretrain` items it runs a
 `pretrain` phase on them and then a `finetune` phase on the training items;
 otherwise it runs one `train` phase, and returns its Trainer. A Trainer owns
-one optimizer over the model's `params()` (the trainable set has no other
-record) and two seeded random streams (shuffling and dropout) that persist
-across phases, so running a pretrain phase followed by a fine-tune phase on
-the same data is bitwise equivalent to one long run. It also holds the run's
-state: the model, the epoch logs and the best-epoch snapshot, which
-`save_best_checkpoint` writes.
+one optimizer over the model's `params()` and two seeded random streams
+(shuffling and dropout) that persist across phases, so running a pretrain
+phase followed by a fine-tune phase on the same data is bitwise equivalent to
+one long run. It also holds the run's state: the model, the epoch logs and
+the best-epoch snapshot, which `save_best_checkpoint` writes.
 Each mini-batch is one padded batch through the model: one taped forward
 given the dropout stream, one backward of its mean loss and one Adam step.
 Dropout masks are drawn item by item, so the mask stream is that of reading
@@ -19,8 +18,9 @@ Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model in one call, its items in their original
 order; an `Item` and a `SpePair` (one premise) offer the same `premises`,
 `hypothesis` and `gold_label`. Every batch comes from one file or one phase,
-so its items share their number of premises. The single-item call
-`forward_logits` is the B = 1 call of `batch_logits`.
+so its items share their number of premises; sum-of-experts refuses a batch
+that mixes 1- and 4-premise items. The single-item call `forward_logits` is
+the B = 1 call of `batch_logits`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .autodiff import (
 )
 from .dataset import Item, LABELS, SpePair, label_index
 from .models import ARCHITECTURES, SEPARATOR, UNK_TOKEN, initial_tensors
+from .text import _quote
 from .voting import PAIR_COUNT, pair_agreement_category
 
 
@@ -147,7 +148,7 @@ def accuracy(model, items: Sequence["Item | SpePair"]) -> float:
 def _check_labeled(items: Iterable["Item | SpePair"]) -> None:
     for item in items:
         if item.gold_label is None:
-            raise ValueError(f"item {item.id} has no gold label")
+            raise ValueError(f"item {_quote(item.id)} has no gold label")
 
 
 def build_model(
@@ -175,7 +176,7 @@ def build_model(
             row = np.asarray(vectors[token], dtype=np.float64)
             if row.shape != (dim,):
                 raise ValueError(
-                    f"vector for {token!r} has length {row.shape[0]}, expected {dim}"
+                    f"vector for {_quote(token)} has length {row.shape[0]}, expected {dim}"
                 )
             matrix[i] = row
         if dim != config.embedding_dim:

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see every verdict line.
 Criterion 7 needs the released corpus converted into this package's file
 formats; point MPE_RELEASED_DIR at a directory holding train.items.jsonl,
-dev.items.jsonl, and dev.pairs.tsv to enable it.
+dev.items.jsonl, and dev.pairs.tsv to enable it. Its comparison also runs,
+in tier 1, on a synthetic corpus.
 """
 
 import itertools
@@ -20,7 +21,10 @@ from mpe.cli import run_model_gradcheck
 from mpe.dataset import (
     GenerationConfig,
     Item,
+    adjudicate,
+    attach_judgments,
     corpus_stats,
+    flagged_items,
     generate_items,
     graph_captions,
     load_captions,
@@ -332,17 +336,11 @@ RELEASED_LAYOUT = (
 )
 
 
-def test_criterion_7_released_data_reproduction():
-    base = os.environ.get(RELEASED_ENV)
-    if not base:
-        print("acceptance 7 released-data-reproduction: SKIP (no MPE_RELEASED_DIR)")
-        pytest.skip(RELEASED_LAYOUT)
-    base = Path(base)
-    for name in ("train.items.jsonl", "dev.items.jsonl", "dev.pairs.tsv"):
-        if not (base / name).is_file():
-            print(f"acceptance 7 released-data-reproduction: SKIP (missing {name})")
-            pytest.skip(f"missing {base / name}; {RELEASED_LAYOUT}")
-
+def released_comparison(base: Path) -> tuple[list[tuple], list[str]]:
+    """Criterion 7 on the corpus in `base`: one (name, measured, reference,
+    tolerance) row per quantity the paper reports, and the names of the rows
+    out of tolerance, a quantity the corpus cannot measure (None) included,
+    plus the runtime when it reaches 60 s."""
     started = time.perf_counter()
     dev = attach_pair_labels(
         load_items(base / "dev.items.jsonl"),
@@ -352,8 +350,7 @@ def test_criterion_7_released_data_reproduction():
     stats = corpus_stats(load_items(base / "train.items.jsonl"))
     elapsed = time.perf_counter() - started
 
-    # The paper's numbers on its released corpus, one row each:
-    # (name, measured, reference, tolerance).
+    # The paper's numbers on its released corpus, one row each.
     rows = [
         ("heuristic accuracy", vote.heuristic_acc, 0.417, 0.005),
         ("strict majority accuracy", vote.majority_acc_strict, 0.346, 0.005),
@@ -374,21 +371,55 @@ def test_criterion_7_released_data_reproduction():
         ),
         ("mean lemma overlap", stats.overlap_lemma["all"].mean, 0.33, 0.03),
     ]
-    failed = []
-    for name, got, want, tol in rows:
-        ok = abs(got - want) <= tol
-        mark = "ok " if ok else "OUT"
-        print(f"  [{mark}] {name:34s} got {got:7.4f}  want {want:.4f} ± {tol}")
-        if not ok:
-            failed.append(name)
+    failed = [name for name, got, want, tol in rows if got is None or abs(got - want) > tol]
     if elapsed >= 60:
         failed.append(f"runtime {elapsed:.1f}s >= 60s")
+    return rows, failed
+
+
+def test_criterion_7_released_data_reproduction():
+    base = os.environ.get(RELEASED_ENV)
+    if not base:
+        print("acceptance 7 released-data-reproduction: SKIP (no MPE_RELEASED_DIR)")
+        pytest.skip(RELEASED_LAYOUT)
+    base = Path(base)
+    for name in ("train.items.jsonl", "dev.items.jsonl", "dev.pairs.tsv"):
+        if not (base / name).is_file():
+            print(f"acceptance 7 released-data-reproduction: SKIP (missing {name})")
+            pytest.skip(f"missing {base / name}; {RELEASED_LAYOUT}")
+
+    rows, failed = released_comparison(base)
+    for name, got, want, tol in rows:
+        mark = "OUT" if name in failed else "ok "
+        measured = "none" if got is None else f"{got:.4f}"
+        print(f"  [{mark}] {name:34s} got {measured:>7s}  want {want:.4f} ± {tol}")
     _verdict(
         7,
         "released-data-reproduction",
         not failed,
         "all tolerances met" if not failed else "failed: " + ", ".join(failed),
     )
+
+
+def test_released_comparison_reports_every_row(tmp_path):
+    """Criterion 7's comparison on a synthetic corpus: the golden items with
+    seeded judgments (flagged splits decided at random) and pair labels. It
+    must measure every row and fail, since random labels match no reference."""
+    rng = random.Random(7)
+    draw = lambda n: tuple(rng.choice("ENC") for _ in range(n))
+    items = load_items(Path(__file__).parent / "fixtures" / "golden_items.jsonl")
+    items = attach_judgments(items, {item.id: draw(5) for item in items})
+    items, _ = adjudicate(items, {item.id: draw(1)[0] for item in flagged_items(items)})
+    save_items(items, tmp_path / "train.items.jsonl")
+    save_items(items, tmp_path / "dev.items.jsonl")
+    (tmp_path / "dev.pairs.tsv").write_text(
+        "".join(f"{item.id}\t{','.join(draw(4))}\n" for item in items)
+    )
+    rows, failed = released_comparison(tmp_path)
+    assert len(rows) == len({name for name, *_ in rows}) == 15
+    assert all(got is not None for _, got, *_ in rows)
+    assert failed
+    assert set(failed) <= {name for name, *_ in rows}
 
 
 # --- 8: pipeline invariants ---------------------------------------------------------

@@ -661,7 +661,7 @@ class TestTrain:
         argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
         assert main(argv + TINY_TRAIN_FLAGS + [f"--{flag}", str(unlabeled)]) == 1
         assert capsys.readouterr().err == (
-            f"error: --{flag} {unlabeled}: item it-001 has no gold label\n"
+            f"error: --{flag} {unlabeled}: item 'it-001' has no gold label\n"
         )
         assert not (tmp_path / "m.ckpt").exists()
 
@@ -882,7 +882,10 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "items, expected",
-        [([], "holds no items"), ([make_item(0, "E", gold=False)], "item it-000 has no gold label")],
+        [
+            ([], "holds no items"),
+            ([make_item(0, "E", gold=False)], "item 'it-000' has no gold label"),
+        ],
         ids=["header-only", "unlabeled"],
     )
     def test_items_without_labels_exit_1_naming_file(

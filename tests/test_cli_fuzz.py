@@ -7,12 +7,20 @@ copies of the other inputs. Every run must exit 0 or 1, and every exit 1
 must name the mutated file: malformed input never gives a traceback or an
 error that does not say where it came from. The graph file, which no command
 reads, is fuzzed through `PhraseGraph.load` the same way.
+
+A second fuzz, with its own seed, stretches one field of each input kind to
+100,000 characters (or a list of ids to 20,000 entries). Besides the rules
+above, every message it draws must stay under 1 KB.
 """
 
+import json
 import random
+import string
 
+import numpy as np
 import pytest
 
+from mpe.autodiff import load_checkpoint, save_checkpoint
 from mpe.cli import main
 from mpe.dataset import Item, save_items
 from mpe.graph import PhraseGraph
@@ -20,6 +28,8 @@ from mpe.text import normalize
 
 SEED = 20170
 MUTANTS_PER_INPUT = 48
+STRETCH_SEED = 20171
+STRETCH = 100_000
 
 TINY_TRAIN = ["--model", "lstm", "--epochs", "1", "--state-dim", "2",
               "--embedding-dim", "2", "--batch-size", "4"]
@@ -183,3 +193,190 @@ def test_mutated_graph_loads_or_raises_value_error_naming_the_file(inputs, tmp_p
         except Exception as exc:
             failures.append(f"mutant {n} {data!r}\n  {type(exc).__name__}: {exc}")
     assert not failures, "\n".join(failures)
+
+
+# --- stretched fields -----------------------------------------------------------
+
+
+def on_line(lineno, make):
+    """Replace line `lineno` (from 1) with `make(line, long)`."""
+
+    def stretch(text, long):
+        lines = text.splitlines()
+        lines[lineno - 1] = make(lines[lineno - 1], long)
+        return "\n".join(lines) + "\n"
+
+    return stretch
+
+
+def in_record(lineno, edit):
+    """Pass the JSON record on line `lineno` through `edit(record, long)`,
+    which changes it in place."""
+
+    def make(line, long):
+        record = json.loads(line)
+        edit(record, long)
+        return json.dumps(record)
+
+    return on_line(lineno, make)
+
+
+def field(key, index=None):
+    def edit(record, long):
+        if index is None:
+            record[key] = long
+        else:
+            record[key][index] = long
+
+    return edit
+
+
+def whole(make):
+    """Replace the whole file with `make(long)`."""
+    return lambda text, long: make(long)
+
+
+def id_of_three_premises(record, long):
+    record.update(id=long, premises=record["premises"][:3])
+
+
+def many_unknown_ids(labels):
+    return whole(lambda long: "".join(f"nope-{i}\t{labels}\n" for i in range(20_000)))
+
+
+def in_meta(key, value=lambda long: long):
+    def edit(tensors, meta, long):
+        meta[key] = value(long)
+
+    return edit
+
+
+def stray_tensors(tensors, meta, long):
+    tensors.update({f"stray.{i}": np.zeros(1) for i in range(3000)})
+
+
+def long_tensor(tensors, meta, long):
+    tensors[long] = np.zeros(1)
+
+
+ITEMS_HEADER = '{"format": "mpe-items", "version": %s}'
+
+# kind -> case -> stretch. A text kind's stretch maps the valid file's text
+# and the long value to the new text; a checkpoint's edits its tensors and meta.
+STRETCHES = {
+    "captions": {
+        "group-id": on_line(1, lambda line, long: f"{long}\t0\tA dog runs."),
+        "caption-index": on_line(1, lambda line, long: f"g0\t{long}\tA dog runs."),
+        "caption-text": on_line(1, lambda line, long: f"g0\t0\t{long}"),
+        "repeated-index": whole(lambda long: f"{long}\t0\tA dog.\n{long}\t0\tA cat.\n"),
+        "no-tab": on_line(1, lambda line, long: long),
+    },
+    "items": {
+        "header-format": on_line(1, lambda line, long: json.dumps({"format": long})),
+        "header-version": on_line(1, lambda line, long: ITEMS_HEADER % json.dumps(long)),
+        "header-version-digits": on_line(1, lambda line, long: ITEMS_HEADER % ("1" * len(long))),
+        "header-not-json": on_line(1, lambda line, long: long),
+        **{
+            f"item-{key}": in_record(2, field(key))
+            for key in ("id", "scene_group_id", "hypothesis", "gold_label", "split",
+                        "label_source")
+        },
+        "item-id-three-premises": in_record(2, id_of_three_premises),
+        "item-premise": in_record(2, field("premises", 0)),
+        "item-judgment": in_record(2, field("judgments", 0)),
+        "item-pair-label": in_record(3, field("pair_labels", 0)),
+        "item-tag": in_record(2, lambda record, long: record.update(phenomenon_tags=[long])),
+        "record-not-json": on_line(2, lambda line, long: long),
+    },
+    "spe": {
+        "header-version": on_line(
+            1, lambda line, long: json.dumps({"format": "mpe-spe-items", "version": long})
+        ),
+        **{
+            f"pair-{key}": in_record(2, field(key))
+            for key in ("id", "premise", "hypothesis", "label")
+        },
+    },
+    "decisions": {
+        "unknown-id": whole(lambda long: f"{long}\tC\n"),
+        "repeated-id": whole(lambda long: f"{long}\tC\n{long}\tC\n"),
+        "label": whole(lambda long: f"it-1\t{long}\n"),
+        "no-tab": whole(lambda long: long),
+        "20000-unknown-ids": many_unknown_ids("C"),
+    },
+    "pairs": {
+        "unknown-id": whole(lambda long: f"{long}\tE,E,E,E\n"),
+        "repeated-id": whole(lambda long: f"{long}\tE,E,E,E\n{long}\tE,E,E,E\n"),
+        "label": whole(lambda long: f"it-0\tE,E,E,{long}\n"),
+        "no-tab": whole(lambda long: long),
+        "20000-unknown-ids": many_unknown_ids("E,E,E,E"),
+    },
+    "vectors": {
+        "token": whole(lambda long: f"{long} 0.1 0.2\ndog 0.3 0.4\n"),
+        "repeated-token": whole(lambda long: f"{long} 0.1 0.2\n{long} 0.3 0.4\n"),
+        "component": whole(lambda long: f"dog 0.1 {long}\n"),
+        "no-space": whole(lambda long: long),
+    },
+    "checkpoint": {
+        "architecture": in_meta("architecture"),
+        "keep-prob": in_meta("keep_prob"),
+        "dim": in_meta("dim"),
+        "vocab-token": in_meta("vocab", lambda long: [long]),
+        "tensor-name": long_tensor,
+        "3000-stray-tensors": stray_tensors,
+    },
+}
+
+
+# Graph files, read by `PhraseGraph.load` alone.
+GRAPH_STRETCHES = {
+    "header": on_line(1, lambda line, long: long),
+    "version": on_line(1, lambda line, long: f"mpe-graph\t{long}"),
+    "record-kind": lambda text, long: f"{text}{long}\n",
+    "phrase": lambda text, long: f"{text}node\t999\t{long}  x\tg0\t1\n",
+    "support": lambda text, long: f"{text}node\t999\tx\t{long},,\t1\n",
+    "caption": lambda text, long: f"{text}caption\t0\t{long}\ncaption\t0\t{long}\n",
+}
+
+
+def stretched(*case) -> str:
+    """The long value of `case`: STRETCH letters drawn from its own stream."""
+    rng = random.Random("-".join(map(str, (STRETCH_SEED, *case))))
+    return "".join(rng.choices(string.ascii_lowercase, k=STRETCH))
+
+
+@pytest.mark.parametrize(
+    "kind, case", [(kind, case) for kind in STRETCHES for case in STRETCHES[kind]]
+)
+def test_stretched_field_exits_0_or_1_with_a_short_message(inputs, kind, case, tmp_path, capsys):
+    long = stretched(kind, case)
+    stretch = STRETCHES[kind][case]
+    mutant = tmp_path / inputs[kind].name
+    if kind == "checkpoint":
+        tensors, meta = load_checkpoint(inputs[kind])
+        stretch(tensors, meta, long)
+        save_checkpoint(mutant, tensors, meta)
+    else:
+        mutant.write_text(stretch(inputs[kind].read_text(), long))
+    paths = {**inputs, kind: mutant}
+    failures = []
+    for argv in commands(paths, str(tmp_path / "out"))[kind]:
+        code = main(argv)
+        err = capsys.readouterr().err
+        if (
+            code not in (0, 1)
+            or (code == 1 and str(mutant) not in err)
+            or len(err.encode()) >= 1024
+        ):
+            failures.append(f"{argv[0]}: exit {code}, {len(err.encode())} B: {err[:300]}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("case", GRAPH_STRETCHES)
+def test_stretched_graph_field_raises_a_short_value_error(inputs, case, tmp_path):
+    mutant = tmp_path / inputs["graph"].name
+    mutant.write_text(GRAPH_STRETCHES[case](inputs["graph"].read_text(), stretched("graph", case)))
+    with pytest.raises(ValueError) as exc:
+        PhraseGraph.load(mutant)
+    assert str(mutant) in str(exc.value)
+    assert len(str(exc.value).encode()) < 1024, str(exc.value)[:300]
