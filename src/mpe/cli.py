@@ -81,6 +81,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits through `CliError`, and takes a long flag only when spelled out
+    in full: a unique prefix would otherwise run as the flag it abbreviates."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:
         raise CliError(f"{self.prog}: {message}")
 

@@ -15,20 +15,20 @@ count is the number of caption closures that hold it. Both identities follow
 from the stored reduction keeping reachability, so item generation needs no
 edges, and `build_graph` is the only producer of them.
 
-One stack walk, `_reachable`, serves both directions of use: the closure
-follows single rule steps from a caption, and `PhraseGraph.ancestors` follows
-stored parent edges from a node. A rule step reads the closed-class flags
-the rule set fixes per lexicon word when it is built. A phrase seldom
-recurs across captions, and within one closure walk each phrase is expanded
-once, so a walk's successor sets live for one caption: `build_graph` hands
-them to that caption's reduction and then drops them.
+One stack walk, `_reachable`, serves `apply_reductions`, which follows single
+rule steps from a caption, and `PhraseGraph.ancestors`, which follows stored
+parent edges from a node. A rule step reads the closed-class flags the rule
+set fixes per lexicon word when it is built. A phrase seldom recurs across
+captions, so `build_graph` walks each caption's closure on its own, interning
+each phrase to its discovery index; successor index lists live for one caption.
 
 Only the transitive reduction of the single-step DAG is stored. Every step
 shortens the phrase or swaps a word for its hypernym, so the generality key
 (length, sum of hypernym depths) strictly falls along every edge and sorting
 by it lists parents first. A phrase's ancestors all lie in the closure of any
 caption that reaches it, so the reduction runs once per caption closure, with
-each phrase's ancestors held as an int bitset over positions in that closure.
+each phrase's ancestors held as an int bitset over its discovery indexes.
+`save` writes edges from per-parent child lists, so it sorts no edge list.
 `graphlib` only checks for cycles (hypernym lexicon, graph files) and reports
 the cycle specific -> general; its walk of the lexicon also yields each
 word's hypernym depth.
@@ -216,20 +216,24 @@ def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     return closure
 
 
-def _closure_steps(start: Phrase, rules: ReductionRuleSet) -> dict[Phrase, set[Phrase]]:
-    """The closure of start, each phrase mapped to its single-step successors.
-
-    The walk expands each phrase once, so this is the same rule passes as
-    `apply_reductions`, kept for the caller's transitive reduction.
+def _closure_steps(start: Phrase, rules: ReductionRuleSet) -> tuple[list[Phrase], list[list[int]]]:
+    """The closure of start in discovery order (start at 0), with each
+    phrase's single-step successors as indexes into it. Each phrase is interned
+    when first found and expanded once: the rule passes of `apply_reductions`.
     """
-    steps: dict[Phrase, set[Phrase]] = {}
-
-    def step(phrase: Phrase) -> set[Phrase]:
-        found = steps[phrase] = rules.single_step(phrase)
-        return found
-
-    _reachable(start, step)
-    return steps
+    phrases = [start]
+    index = {start: 0}
+    steps: list[list[int]] = []
+    for phrase in phrases:  # grows as new phrases are found
+        found = []
+        for nxt in rules.single_step(phrase):
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(phrases)
+                phrases.append(nxt)
+            found.append(i)
+        steps.append(found)
+    return phrases, steps
 
 
 NodeRow = tuple[Phrase, tuple[str, ...], int]  # (phrase, support, caption_count)
@@ -264,7 +268,15 @@ class PhraseGraph:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((p, child) for child, ps in self._parents.items() for p in ps)
+        return [(p, child) for p, kids in enumerate(self._children()) for child in kids]
+
+    def _children(self) -> list[list[int]]:
+        """Each node's children, ascending, filled child by child: no edge sort."""
+        children: list[list[int]] = [[] for _ in self.nodes]
+        for child in range(len(self.nodes)):
+            for p in self._parents.get(child, ()):
+                children[p].append(child)
+        return children
 
     @property
     def edge_count(self) -> int:
@@ -294,14 +306,16 @@ class PhraseGraph:
 
     def save(self, path: str | Path) -> None:
         index = self.caption_index
-        lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}"]
+        lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}\n"]
         lines += [
-            f"node\t{nid}\t{' '.join(phrase)}\t{','.join(support)}\t{count}"
+            f"node\t{nid}\t{' '.join(phrase)}\t{','.join(support)}\t{count}\n"
             for nid, (phrase, support, count) in enumerate(self.nodes)
         ]
-        lines += [f"edge\t{parent}\t{child}" for parent, child in self.edges]
-        lines += [f"caption\t{index[raw]}\t{raw}" for raw in sorted(index)]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        lines += [f"edge\t{p}\t{c}\n" for p, kids in enumerate(self._children()) for c in kids]
+        lines += [f"caption\t{index[raw]}\t{raw}\n" for raw in sorted(index)]
+        text = "".join(lines)
+        del lines  # freed before _atomic_write encodes
+        _atomic_write(path, text)
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseGraph":
@@ -400,31 +414,30 @@ def _node_row(phrase_s: str, support_s: str, caption_count: int) -> NodeRow:
 
 
 def _transitive_reduction(
-    order: Sequence[_Node], step: Callable[[_Node], Iterable[_Node]]
-) -> dict[_Node, tuple[_Node, ...]]:
+    order: Sequence[int], step: Callable[[int], Iterable[int]]
+) -> dict[int, tuple[int, ...]]:
     """Drop edges implied by longer derivation paths (reachability preserved).
 
-    `order` lists nodes parents first and `step(node)` gives a node's direct
-    parents, all of them in `order`. Each node's ancestors are one int bitset
-    over positions in `order`, the OR of its direct parents' sets plus the
+    Nodes are the ints 0..len(order) - 1. `order` lists them parents first
+    and `step(node)` gives a node's direct parents. Each node's ancestors are
+    one int bitset over node ids, the OR of its direct parents' sets plus the
     bits of the parents it keeps. A direct parent whose bit is already set in
     that OR is implied by a longer path and dropped. Returns the kept parents,
-    in `order`, of every node that has any.
+    ascending, of every node that has any.
     """
-    position = {node: i for i, node in enumerate(order)}
-    ancestors: list[int] = []  # by position
-    reduced: dict[_Node, tuple[_Node, ...]] = {}
+    ancestors = [0] * len(order)  # by node id
+    reduced: dict[int, tuple[int, ...]] = {}
     for node in order:
-        direct = [position[p] for p in step(node)]
+        direct = step(node)
         implied = 0
-        for i in direct:
-            implied |= ancestors[i]
-        kept = sorted([i for i in direct if not implied >> i & 1])
+        for p in direct:
+            implied |= ancestors[p]
+        kept = sorted([p for p in direct if not implied >> p & 1])
         if kept:
-            reduced[node] = tuple([order[i] for i in kept])
-        for i in kept:
-            implied |= 1 << i
-        ancestors.append(implied)
+            reduced[node] = tuple(kept)
+        for p in kept:
+            implied |= 1 << p
+        ancestors[node] = implied
     return reduced
 
 
@@ -443,18 +456,19 @@ def build_graph(
     if not captions:
         raise ValueError("build_graph needs at least one caption")
     supports: dict[Phrase, set[str]] = {}
-    caption_counts: dict[Phrase, int] = {}
+    caption_counts: Counter[Phrase] = Counter()
     caption_starts: dict[str, Phrase] = {}
     reduced: dict[Phrase, tuple[Phrase, ...]] = {}
 
     for gid, sentence in captions:
         start = caption_starts[sentence.raw] = tuple(sentence.lemmas)
-        steps = _closure_steps(start, rules)  # held for this caption only
-        for phrase in steps:
+        closure, steps = _closure_steps(start, rules)  # held for this caption only
+        caption_counts.update(closure)
+        for phrase in closure:
             supports.setdefault(phrase, set()).add(gid)
-            caption_counts[phrase] = caption_counts.get(phrase, 0) + 1
-        order = sorted(steps, key=rules.generality)
-        reduced.update(_transitive_reduction(order, steps.__getitem__))
+        order = sorted(range(len(closure)), key=list(map(rules.generality, closure)).__getitem__)
+        for i, kept in _transitive_reduction(order, steps.__getitem__).items():
+            reduced[closure[i]] = tuple([closure[p] for p in kept])
 
     phrases = sorted(supports)
     phrase_ids = {phrase: nid for nid, phrase in enumerate(phrases)}

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -160,6 +161,13 @@ class TestBuildDataset:
         out = tmp_path / "items.jsonl"
         assert main(self.args(out, n=12, seed=seed) + ["--related-fraction", "0.0"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_abbreviated_flag_exits_1_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "items.jsonl"
+        argv = ["--n-item" if a == "--n-items" else a for a in self.args(out)]
+        assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "required: --n-items" in capsys.readouterr().err
 
     def test_invalid_overlap_max_exits_1(self, tmp_path, capsys):
         out = tmp_path / "items.jsonl"
@@ -1150,6 +1158,12 @@ class TestCliPlumbing:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_no_parser_takes_abbreviated_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert [name for name, p in sub.choices.items() if p.allow_abbrev] == []
+        assert not parser.allow_abbrev
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["stats"]) == 1

@@ -19,6 +19,7 @@ from mpe.graph import (
     PhraseGraph,
     ReductionRuleSet,
     UnknownCaptionError,
+    _closure_steps,
     _transitive_reduction,
     apply_reductions,
     build_graph,
@@ -271,6 +272,31 @@ class TestApplyReductions:
         sent = normalize(" ".join(tokens))
         for phrase in apply_reductions(sent, rules):
             assert 0 < len(phrase) <= len(sent.lemmas)
+
+
+class TestClosureSteps:
+    """`_closure_steps` against `apply_reductions` and `single_step`."""
+
+    LONG = "a young girl in a red dress runs with a small dog near the lake"  # 15 tokens
+
+    @pytest.mark.parametrize("source", ["fixture", "long"])
+    def test_phrases_and_steps_match_the_references(self, source):
+        rules = ReductionRuleSet.default()
+        if source == "fixture":
+            fixture = Path(__file__).parent / "fixtures/captions.tsv"
+            sentences = [sentence for _, sentence in graph_captions(load_captions(fixture))]
+        else:
+            sentences = [normalize(self.LONG)]
+            assert len(sentences[0].lemmas) >= 14
+        for sentence in sentences:
+            phrases, steps = _closure_steps(tuple(sentence.lemmas), rules)
+            assert phrases[0] == tuple(sentence.lemmas)
+            assert len(set(phrases)) == len(phrases)
+            assert set(phrases) == apply_reductions(sentence, rules)
+            assert len(steps) == len(phrases)
+            for phrase, found in zip(phrases, steps):
+                assert len(set(found)) == len(found)
+                assert {phrases[i] for i in found} == rules.single_step(phrase)
 
 
 def build_fixture_graph():
