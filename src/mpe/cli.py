@@ -364,10 +364,7 @@ def _train_config(args) -> TrainConfig:
         for f in fields(TrainConfig)
         if getattr(args, f.name) is not None
     }
-    try:
-        return replace(config, **overrides)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return replace(config, **overrides)
 
 
 def _load_examples(inputs, name: str):
@@ -630,3 +627,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -18,20 +18,18 @@ edges, and `build_graph` is the only producer of them.
 One stack walk, `_reachable`, serves `apply_reductions`, which follows single
 rule steps from a caption, and `PhraseGraph.ancestors`, which follows stored
 parent edges from a node. A rule step reads the closed-class flags the rule
-set fixes per lexicon word when it is built. A phrase seldom recurs across
-captions, so `build_graph` walks each caption's closure on its own, interning
-each phrase to its discovery index; successor index lists live for one caption.
+set fixes per lexicon word when it is built.
 
-Only the transitive reduction of the single-step DAG is stored. Every step
-shortens the phrase or swaps a word for its hypernym, so the generality key
-(length, sum of hypernym depths) strictly falls along every edge and sorting
-by it lists parents first. A phrase's ancestors all lie in the closure of any
-caption that reaches it, so the reduction runs once per caption closure, with
-each phrase's ancestors held as an int bitset over its discovery indexes.
-`save` writes edges from per-parent child lists, so it sorts no edge list.
-`graphlib` only checks for cycles (hypernym lexicon, graph files) and reports
-the cycle specific -> general; its walk of the lexicon also yields each
-word's hypernym depth.
+Only the transitive reduction of the single-step DAG is stored. A phrase's
+ancestors all lie in the closure of any caption that reaches it, and phrases
+seldom recur across captions, so `build_graph` reduces each caption's closure
+on its own, in the depth-first walk that finds it (`_reduced_closure`). Every
+step shortens the phrase or swaps a word for its hypernym, so the walk meets
+no cycle and finishes each phrase after its successors; a phrase's ancestors
+are the OR of theirs, as int bitsets over finishing indexes. `save` writes
+edges from per-parent child lists, so it sorts no edge list. `graphlib` only
+checks for cycles (hypernym lexicon, graph files) and reports the cycle
+specific -> general.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -41,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -115,10 +114,6 @@ class ReductionRuleSet:
     _flags: dict[str, int] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
-    # Hypernym depth of every lexicon word; any other word has depth 0.
-    _depths: dict[str, int] = field(
-        init=False, compare=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         lexicons = self.determiners, self.adjectives, self.prepositions, _CONJUNCTIONS
@@ -126,12 +121,7 @@ class ReductionRuleSet:
             for word in words:
                 self._flags[word] = self._flags.get(word, 0) | flag
         try:
-            # Generals come before their specifics, so each depth is known
-            # by the time a more specific word needs it.
-            for word in TopologicalSorter(self.hypernyms).static_order():
-                self._depths[word] = 1 + max(
-                    (self._depths[g] for g in self.hypernyms.get(word, ())), default=-1
-                )
+            TopologicalSorter(self.hypernyms).prepare()
         except CycleError as exc:
             # graphlib lists the cycle general -> specific; report it the other way.
             raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
@@ -144,16 +134,6 @@ class ReductionRuleSet:
             prepositions=frozenset(_read_word_list(_DATA_DIR / "prepositions.txt").values()),
             hypernyms=_load_hypernyms(_DATA_DIR / "hypernyms.txt"),
         )
-
-    def generality(self, phrase: Phrase) -> tuple[int, int]:
-        """(length, sum of hypernym depths), strictly lower for every single step.
-
-        A word's depth is 0 without a hypernym and otherwise 1 + the largest
-        depth among its hypernyms, so a substitution lowers the sum and every
-        other rule shortens the phrase. Sorting by it lists parents first.
-        """
-        depths = self._depths
-        return len(phrase), sum([depths.get(tok, 0) for tok in phrase])
 
     def single_step(self, phrase: Phrase) -> set[Phrase]:
         """All phrases reachable by one rule application.
@@ -216,24 +196,43 @@ def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     return closure
 
 
-def _closure_steps(start: Phrase, rules: ReductionRuleSet) -> tuple[list[Phrase], list[list[int]]]:
-    """The closure of start in discovery order (start at 0), with each
-    phrase's single-step successors as indexes into it. Each phrase is interned
-    when first found and expanded once: the rule passes of `apply_reductions`.
+def _reduced_closure(
+    start: Phrase, rules: ReductionRuleSet
+) -> tuple[list[Phrase], list[list[int]]]:
+    """The closure of start in finishing order, each phrase after its
+    single-step successors (start last), and the indexes of the parents its
+    transitive reduction keeps, each below its own.
+
+    One depth-first walk on an explicit stack expands each phrase once. A
+    finished phrase's ancestor bitset is the OR of its successors'; it keeps
+    each successor whose bit that OR lacks. A phrase met again is finished,
+    since one still on the stack would close a cycle.
     """
-    phrases = [start]
-    index = {start: 0}
-    steps: list[list[int]] = []
-    for phrase in phrases:  # grows as new phrases are found
-        found = []
-        for nxt in rules.single_step(phrase):
-            i = index.get(nxt)
-            if i is None:
-                i = index[nxt] = len(phrases)
-                phrases.append(nxt)
-            found.append(i)
-        steps.append(found)
-    return phrases, steps
+    index: dict[Phrase, int] = {}  # finished phrases, in finishing order
+    ancestors: list[int] = []  # bitsets over finishing indexes
+    kept_parents: list[list[int]] = []
+    steps = rules.single_step(start)
+    stack = [(start, steps, iter(steps))]
+    while stack:
+        phrase, steps, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in index:
+                nxt_steps = rules.single_step(nxt)
+                stack.append((nxt, nxt_steps, iter(nxt_steps)))
+                break
+        else:
+            stack.pop()
+            direct = [index[nxt] for nxt in steps]
+            implied = 0
+            for p in direct:
+                implied |= ancestors[p]
+            kept = [p for p in direct if not implied >> p & 1]
+            for p in kept:
+                implied |= 1 << p
+            index[phrase] = len(ancestors)
+            ancestors.append(implied)
+            kept_parents.append(kept)
+    return list(index), kept_parents
 
 
 NodeRow = tuple[Phrase, tuple[str, ...], int]  # (phrase, support, caption_count)
@@ -261,7 +260,6 @@ class PhraseGraph:
         self.nodes = nodes
         self._parents = parents
         self.caption_index = caption_index
-        self._phrase_ids = {row[0]: nid for nid, row in enumerate(nodes)}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -284,6 +282,10 @@ class PhraseGraph:
 
     def parents(self, node_id: int) -> tuple[int, ...]:
         return self._parents.get(node_id, ())
+
+    @cached_property
+    def _phrase_ids(self) -> dict[Phrase, int]:
+        return {row[0]: nid for nid, row in enumerate(self.nodes)}
 
     def node_id_for_phrase(self, phrase: Phrase) -> int | None:
         return self._phrase_ids.get(tuple(phrase))
@@ -413,34 +415,6 @@ def _node_row(phrase_s: str, support_s: str, caption_count: int) -> NodeRow:
     return phrase, support, caption_count
 
 
-def _transitive_reduction(
-    order: Sequence[int], step: Callable[[int], Iterable[int]]
-) -> dict[int, tuple[int, ...]]:
-    """Drop edges implied by longer derivation paths (reachability preserved).
-
-    Nodes are the ints 0..len(order) - 1. `order` lists them parents first
-    and `step(node)` gives a node's direct parents. Each node's ancestors are
-    one int bitset over node ids, the OR of its direct parents' sets plus the
-    bits of the parents it keeps. A direct parent whose bit is already set in
-    that OR is implied by a longer path and dropped. Returns the kept parents,
-    ascending, of every node that has any.
-    """
-    ancestors = [0] * len(order)  # by node id
-    reduced: dict[int, tuple[int, ...]] = {}
-    for node in order:
-        direct = step(node)
-        implied = 0
-        for p in direct:
-            implied |= ancestors[p]
-        kept = sorted([p for p in direct if not implied >> p & 1])
-        if kept:
-            reduced[node] = tuple(kept)
-        for p in kept:
-            implied |= 1 << p
-        ancestors[node] = implied
-    return reduced
-
-
 def build_graph(
     captions: Iterable[tuple[str, Sentence]],
     rules: ReductionRuleSet | None = None,
@@ -449,7 +423,8 @@ def build_graph(
 
     A node's support is the set of scene group ids whose captions reach it;
     caption_count is the number of captions (not groups) that reach it.
-    Parents come from a transitive reduction of each caption's closure.
+    Parents are the ones `_reduced_closure` keeps while walking each
+    caption's closure: no pass of its own, no sort of the closure.
     """
     rules = rules if rules is not None else ReductionRuleSet.default()
     captions = list(captions)
@@ -462,13 +437,12 @@ def build_graph(
 
     for gid, sentence in captions:
         start = caption_starts[sentence.raw] = tuple(sentence.lemmas)
-        closure, steps = _closure_steps(start, rules)  # held for this caption only
+        closure, kept_parents = _reduced_closure(start, rules)  # this caption only
         caption_counts.update(closure)
-        for phrase in closure:
+        for phrase, kept in zip(closure, kept_parents):
             supports.setdefault(phrase, set()).add(gid)
-        order = sorted(range(len(closure)), key=list(map(rules.generality, closure)).__getitem__)
-        for i, kept in _transitive_reduction(order, steps.__getitem__).items():
-            reduced[closure[i]] = tuple([closure[p] for p in kept])
+            if kept:
+                reduced[phrase] = tuple([closure[p] for p in kept])
 
     phrases = sorted(supports)
     phrase_ids = {phrase: nid for nid, phrase in enumerate(phrases)}

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -29,6 +31,7 @@ from mpe.text import normalize
 from mpe.training import TrainConfig, build_model
 
 CAPTIONS = Path(__file__).parent / "fixtures" / "captions.tsv"
+SRC = Path(__file__).resolve().parents[1] / "src"
 SPE_HEADER = '{"format": "mpe-spe-items", "version": 1}'
 
 MARKERS = {"E": "alpha", "N": "beta", "C": "gamma"}
@@ -644,6 +647,13 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [labeled_items_file]
 
+    def test_config_error_exits_1_without_checkpoint(self, labeled_items_file, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(ckpt)]
+        assert main(argv + TINY_TRAIN_FLAGS + ["--epochs", "0"]) == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == [labeled_items_file]
+
     @pytest.mark.parametrize("flag", ["items", "dev", "pretrain"])
     def test_empty_input_exits_1_naming_flag_and_file(
         self, labeled_items_file, tmp_path, capsys, flag
@@ -1154,6 +1164,21 @@ class TestCliPlumbing:
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
         assert "mpe" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["mpe", "mpe.cli"])
+    def test_module_runs_main(self, module, tmp_path):
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                cwd=tmp_path, capture_output=True, text=True,
+            )
+
+        version = run("--version")
+        assert (version.returncode, version.stdout) == (0, "mpe 0.1.0\n")
+        bad = run("build-dataset", "--captions", str(CAPTIONS), "--out", "x.jsonl", "--n-item", "3")
+        assert (bad.returncode, bad.stdout) == (1, "")
+        assert "required: --n-items" in bad.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

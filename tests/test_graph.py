@@ -19,8 +19,7 @@ from mpe.graph import (
     PhraseGraph,
     ReductionRuleSet,
     UnknownCaptionError,
-    _closure_steps,
-    _transitive_reduction,
+    _reduced_closure,
     apply_reductions,
     build_graph,
     caption_closures,
@@ -159,23 +158,27 @@ def rule_vocabulary(rules):
 DEFAULT_RULES = ReductionRuleSet.default()
 
 
+def generality_key(rules):
+    """(length, sum of hypernym depths) of a phrase (test side). A word's depth
+    is 0 without a hypernym, else 1 + the largest depth among its hypernyms."""
+    depths = {}
+    for word in TopologicalSorter(rules.hypernyms).static_order():
+        depths[word] = 1 + max((depths[g] for g in rules.hypernyms.get(word, ())), default=-1)
+    return lambda phrase: (len(phrase), sum(depths.get(tok, 0) for tok in phrase))
+
+
 class TestGenerality:
-    def test_depth_is_longest_hypernym_chain(self):
-        rules = tiny_rules()
-        assert rules.generality(("girl", "run")) == (2, 2)  # girl -> child -> person
-        assert rules.generality(("person", "run")) == (2, 0)
-        assert rules.generality(("a", "dog")) == (2, 1)
-        uneven = tiny_rules(hypernyms={"puppy": ("dog", "pet"), "dog": ("animal",)})
-        assert uneven.generality(("puppy",)) == (1, 2)
+    """Every single step makes progress, which is why closures are acyclic."""
 
     @pytest.mark.parametrize("rules", [tiny_rules(), DEFAULT_RULES], ids=["tiny", "default"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_key_strictly_falls_along_every_step(self, rules, data):
+        key = generality_key(rules)
         words = rule_vocabulary(rules)
         phrase = tuple(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8)))
         for parent in rules.single_step(phrase):
-            assert rules.generality(parent) < rules.generality(phrase), (phrase, parent)
+            assert key(parent) < key(phrase), (phrase, parent)
 
 
 class TestLexiconValidation:
@@ -274,13 +277,19 @@ class TestApplyReductions:
             assert 0 < len(phrase) <= len(sent.lemmas)
 
 
-class TestClosureSteps:
-    """`_closure_steps` against `apply_reductions` and `single_step`."""
+def kept_phrases(start, rules):
+    """`_reduced_closure`'s kept parents of each closure phrase, as phrases."""
+    phrases, kept_parents = _reduced_closure(start, rules)
+    return {phrase: {phrases[p] for p in kept} for phrase, kept in zip(phrases, kept_parents)}
+
+
+class TestReducedClosure:
+    """`_reduced_closure` against `apply_reductions` and `graphlib_reduction`."""
 
     LONG = "a young girl in a red dress runs with a small dog near the lake"  # 15 tokens
 
     @pytest.mark.parametrize("source", ["fixture", "long"])
-    def test_phrases_and_steps_match_the_references(self, source):
+    def test_closure_and_kept_parents_match_the_references(self, source):
         rules = ReductionRuleSet.default()
         if source == "fixture":
             fixture = Path(__file__).parent / "fixtures/captions.tsv"
@@ -289,14 +298,16 @@ class TestClosureSteps:
             sentences = [normalize(self.LONG)]
             assert len(sentences[0].lemmas) >= 14
         for sentence in sentences:
-            phrases, steps = _closure_steps(tuple(sentence.lemmas), rules)
-            assert phrases[0] == tuple(sentence.lemmas)
+            phrases, kept_parents = _reduced_closure(tuple(sentence.lemmas), rules)
+            assert phrases[-1] == tuple(sentence.lemmas)
             assert len(set(phrases)) == len(phrases)
             assert set(phrases) == apply_reductions(sentence, rules)
-            assert len(steps) == len(phrases)
-            for phrase, found in zip(phrases, steps):
-                assert len(set(found)) == len(found)
-                assert {phrases[i] for i in found} == rules.single_step(phrase)
+            assert len(kept_parents) == len(phrases)
+            expected = graphlib_reduction(phrases, rules)
+            for i, (phrase, kept) in enumerate(zip(phrases, kept_parents)):
+                assert all(p < i for p in kept)
+                assert len(set(kept)) == len(kept)
+                assert {phrases[p] for p in kept} == expected[phrase]
 
 
 def build_fixture_graph():
@@ -470,20 +481,25 @@ class TestReductionOracle:
 
 class TestTransitiveReduction:
     def test_ladder_keeps_only_the_next_rung(self):
-        # Node i has parents i+1 and i+2; the edge to i+2 is implied via i+1.
+        # w_i has hypernyms w_{i+1} and w_{i+2}; the one to w_{i+2} is implied
+        # via w_{i+1}. The walk is 3,000 phrases deep.
         n = 3000
-        step_parents = {i: {i + 1, i + 2} for i in range(n - 2)}
-        step_parents[n - 2] = {n - 1}
-        order = range(n - 1, -1, -1)
-        got = _transitive_reduction(order, lambda i: step_parents.get(i, ()))
-        assert got == {i: (i + 1,) for i in range(n - 1)}
+        hypernyms = {f"w{i}": (f"w{i + 1}", f"w{i + 2}") for i in range(n - 2)}
+        hypernyms[f"w{n - 2}"] = (f"w{n - 1}",)
+        got = kept_phrases(("w0",), tiny_rules(hypernyms=hypernyms))
+        expected = {(f"w{i}",): {(f"w{i + 1}",)} for i in range(n - 1)}
+        assert got == {**expected, (f"w{n - 1}",): set()}
 
     def test_diamond_shortcut_dropped(self):
-        # 0 -> {1, 2} -> 3 plus the shortcut 0 -> 3.
-        step_parents = {0: {1, 2, 3}, 1: {3}, 2: {3}}
-        order = [3, 1, 2, 0]
-        got = _transitive_reduction(order, lambda i: step_parents.get(i, ()))
-        assert got == {0: (1, 2), 1: (3,), 2: (3,)}
+        # w0 -> {w1, w2} -> w3 plus the shortcut w0 -> w3.
+        hypernyms = {"w0": ("w1", "w2", "w3"), "w1": ("w3",), "w2": ("w3",)}
+        got = kept_phrases(("w0",), tiny_rules(hypernyms=hypernyms))
+        assert got == {
+            ("w0",): {("w1",), ("w2",)},
+            ("w1",): {("w3",)},
+            ("w2",): {("w3",)},
+            ("w3",): set(),
+        }
 
 
 def fixture_closures():
