@@ -115,6 +115,9 @@ class SpePair:
         label_index(self.label)
 
     # An `Item`'s names, so training and evaluation read both kinds alike.
+    pair_labels = None
+    phenomenon_tags = frozenset()
+
     @property
     def premises(self) -> tuple[Sentence]:
         return (self.premise,)

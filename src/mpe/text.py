@@ -248,7 +248,6 @@ class Sentence:
     raw: str
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
-    content_tokens: frozenset[str]
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -259,16 +258,11 @@ def tokenize(raw: str) -> tuple[str, ...]:
 
 
 def normalize(raw: str) -> Sentence:
-    """Tokenize, lemmatize, and find the content tokens of one raw string."""
+    """Tokenize and lemmatize one raw string."""
     tokens = tokenize(raw)
     if not tokens:
         raise EmptySentenceError(f"no alphanumeric content in {_quote(raw)}")
-    return Sentence(
-        raw=raw,
-        tokens=tokens,
-        lemmas=tuple(_lemma(t) for t in tokens),
-        content_tokens=frozenset(t for t in tokens if t not in STOPWORDS),
-    )
+    return Sentence(raw, tokens, tuple(_lemma(t) for t in tokens))
 
 
 def word_overlap(
@@ -278,15 +272,16 @@ def word_overlap(
 ) -> float:
     """Fraction of hypothesis content token types found in any premise.
 
-    Set semantics over hypothesis content tokens in both modes; `lemma` mode
-    tests membership of each content token's lemma in the premise lemma
-    union, so the result is monotonically >= the `full` mode value.
+    The content tokens are the hypothesis's token types less `STOPWORDS`.
+    Set semantics over them in both modes; `lemma` mode tests membership of
+    each content token's lemma in the premise lemma union, so the result is
+    monotonically >= the `full` mode value.
     """
     if mode not in OVERLAP_MODES:
         raise ValueError(f"mode must be one of {OVERLAP_MODES}, got {mode!r}")
     if not premises:
         raise ValueError("need at least one premise")
-    content = hypothesis.content_tokens
+    content = set(hypothesis.tokens) - STOPWORDS
     if not content:
         raise OverlapUndefinedError(
             f"hypothesis has no content tokens: {_quote(hypothesis.raw)}"

@@ -8,7 +8,7 @@ one optimizer over the model's `params()` and two seeded random streams
 (shuffling and dropout) that persist across phases, so running a pretrain
 phase followed by a fine-tune phase on the same data is bitwise equivalent to
 one long run. It also holds the run's state: the model, the epoch logs and
-the best-epoch snapshot, which `save_best_checkpoint` writes.
+the best epoch's copy of `params()`, which `save_best_checkpoint` writes.
 Each mini-batch is one padded batch through the model: one taped forward
 given the dropout stream, one backward of its mean loss and one Adam step.
 Dropout masks are drawn item by item, so the mask stream is that of reading
@@ -17,10 +17,10 @@ up to summation order. Scoring passes no stream, so it runs without dropout.
 Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model in one call, its items in their original
 order; an `Item` and a `SpePair` (one premise) offer the same `premises`,
-`hypothesis` and `gold_label`. Every batch comes from one file or one phase,
-so its items share their number of premises; sum-of-experts refuses a batch
-that mixes 1- and 4-premise items. The single-item call `forward_logits` is
-the B = 1 call of `batch_logits`.
+`hypothesis`, `gold_label`, `pair_labels` and `phenomenon_tags`. Every batch
+comes from one file or one phase, so its items share their number of
+premises; sum-of-experts refuses a batch that mixes 1- and 4-premise items.
+The single-item call `forward_logits` is the B = 1 call of `batch_logits`.
 """
 
 from __future__ import annotations
@@ -236,9 +236,7 @@ class Trainer:
             self._best_metric = metric
             self.best_phase = phase
             self.best_epoch = epoch
-            self.best_params = {
-                name: t.values.copy() for name, t in self.model.tensors.items()
-            }
+            self.best_params = {t.name: t.values.copy() for t in self.model.params()}
 
     def run(
         self,
@@ -281,7 +279,10 @@ class Trainer:
         return phase_logs
 
     def save_best_checkpoint(self, path) -> None:
-        save_checkpoint(path, self.best_params, self.model._meta())
+        """The model's checkpoint with the best epoch's `params()`; no step
+        changes the other tensors (frozen embeddings), so they are the model's."""
+        arrays = {name: t.values for name, t in self.model.tensors.items()}
+        save_checkpoint(path, arrays | self.best_params, self.model._meta())
 
 
 def train(
@@ -394,7 +395,7 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
     confusion = [[0] * len(LABELS) for _ in LABELS]
     for gold, guess in zip(golds, predictions):
         confusion[label_index(gold)][label_index(guess)] += 1
-    pair_labels = [getattr(item, "pair_labels", None) for item in items]
+    pair_labels = [item.pair_labels for item in items]
     diagnostics: list[str] = []
 
     by_category: dict[int, Breakdown] | None = None
@@ -414,7 +415,7 @@ def evaluate(model, items: Sequence[Item]) -> EvalReport:
     by_phenomenon = _breakdowns(
         (tag, hit)
         for item, hit in zip(items, hits)
-        for tag in getattr(item, "phenomenon_tags", ())
+        for tag in item.phenomenon_tags
     )
     if not by_phenomenon:
         diagnostics.append("phenomenon breakdown skipped: no tagged items")

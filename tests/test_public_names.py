@@ -1,8 +1,12 @@
-"""Every public top-level function and class of the package has a caller in
-the program: in another module of `src/`, in `scripts/` or `perfbench/`, or
-elsewhere in its own module. A name that only tests reach is dead weight."""
+"""Every public top-level function and class of the package, and every
+public method and property of its classes, has a caller in the program: in
+another module of `src/`, in `scripts/` or `perfbench/`, or elsewhere in its
+own module. A name that only tests reach is dead weight. A method that
+overrides one of a base class outside the package (`cli._Parser.error`) is
+called by that base and needs no caller of its own."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,4 +52,30 @@ def test_every_public_name_has_a_caller_outside_tests():
                 if stmt is not node
             ):
                 uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    # Names referenced by each top-level statement of each program file, with
+    # each statement of a class body on its own, so a method's own body is
+    # not its caller but its sibling methods are.
+    units = []
+    for path in PROGRAM:
+        for node in ast.parse(path.read_text("utf-8")).body:
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            units += [(part, referenced_names(part)) for part in parts]
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            module = importlib.import_module(f"mpe.{path.stem}")
+            bases = getattr(module, node.name).__mro__[1:]
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                if any(hasattr(base, method.name) for base in bases):
+                    continue
+                if not any(method.name in names for unit, names in units if unit is not method):
+                    uncalled.append(f"{path.stem}.{node.name}.{method.name}")
     assert uncalled == []

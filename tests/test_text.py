@@ -179,12 +179,15 @@ class TestNormalizeFixtures:
         assert s.lemmas == ("two", "girl", "sit", "down")
 
     def test_stopwords_removed_from_content(self):
+        # content {man, runs}: "a" is in the premise but counts for nothing
         s = normalize("A man runs")
-        assert s.content_tokens == {"man", "runs"}
+        assert word_overlap(s, [normalize("a man sleeps")]) == 0.5
 
     def test_content_tokens_subset_of_tokens(self):
         s = normalize("The young boys are playing soccer near the old barn.")
-        assert s.content_tokens <= set(s.tokens)
+        assert word_overlap(s, [s]) == 1.0
+        content = normalize("young boys playing soccer near old barn")
+        assert word_overlap(s, [content]) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptySentenceError):
@@ -227,8 +230,9 @@ class TestOverlapFixtures:
 
     def test_no_content_tokens_error(self):
         h = sent("the of and")
-        with pytest.raises(OverlapUndefinedError):
-            word_overlap(h, [sent("a man runs")], "full")
+        for mode in ("full", "lemma"):
+            with pytest.raises(OverlapUndefinedError):
+                word_overlap(h, [sent("the of and a man runs")], mode)
 
     def test_bad_mode(self):
         h = sent("a man runs")
@@ -254,9 +258,10 @@ class TestOverlapProperties:
     def test_bounds_and_lemma_monotonicity(self, h_raw, p_raws):
         h = sent(h_raw)
         premises = [sent(p) for p in p_raws]
-        if not h.content_tokens:
+        try:
+            full = word_overlap(h, premises, "full")
+        except OverlapUndefinedError:
             return
-        full = word_overlap(h, premises, "full")
         lemma = word_overlap(h, premises, "lemma")
         assert 0.0 <= full <= 1.0
         assert 0.0 <= lemma <= 1.0
@@ -267,31 +272,34 @@ class TestOverlapProperties:
     def test_premise_permutation_invariance(self, h_raw, p_raws, rnd):
         h = sent(h_raw)
         premises = [sent(p) for p in p_raws]
-        if not h.content_tokens:
-            return
         shuffled = list(premises)
         rnd.shuffle(shuffled)
-        for mode in ("full", "lemma"):
-            assert word_overlap(h, premises, mode) == word_overlap(h, shuffled, mode)
+        try:
+            for mode in ("full", "lemma"):
+                assert word_overlap(h, premises, mode) == word_overlap(h, shuffled, mode)
+        except OverlapUndefinedError:
+            return
 
     @given(SENT_RAW, st.lists(SENT_RAW, min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_premise_duplication_invariance(self, h_raw, p_raws):
         h = sent(h_raw)
         premises = [sent(p) for p in p_raws]
-        if not h.content_tokens:
-            return
         doubled = premises + premises
-        for mode in ("full", "lemma"):
-            assert word_overlap(h, premises, mode) == word_overlap(h, doubled, mode)
+        try:
+            for mode in ("full", "lemma"):
+                assert word_overlap(h, premises, mode) == word_overlap(h, doubled, mode)
+        except OverlapUndefinedError:
+            return
 
     @given(SENT_RAW)
     @settings(max_examples=50, deadline=None)
     def test_self_overlap_is_one(self, raw):
         h = sent(raw)
-        if not h.content_tokens:
+        try:
+            assert word_overlap(h, [h], "full") == 1.0
+        except OverlapUndefinedError:
             return
-        assert word_overlap(h, [h], "full") == 1.0
         assert word_overlap(h, [h], "lemma") == 1.0
 
 

@@ -280,6 +280,18 @@ class TestTrainer:
         for name, values in result.best_params.items():
             assert np.array_equal(restored.tensors[name].values, values)
 
+    def test_snapshot_leaves_out_frozen_vectors(self, tmp_path):
+        items = synth_items(6)
+        vectors = {token: [0.1, 0.2, 0.3, 0.4] for token in vocabulary_from_items(items)}
+        config = tiny_config(epochs=1, trainable_embeddings=False)
+        result = train(items, config, vectors=vectors)
+        assert "embeddings.main" not in result.best_params
+        assert set(result.best_params) == {t.name for t in result.model.params()}
+        # One epoch is the best: its checkpoint is the final model's, byte for byte.
+        result.save_best_checkpoint(tmp_path / "best.ckpt")
+        result.model.save(tmp_path / "final.ckpt")
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
 
 class TestOverfit:
     def test_separable_set_reaches_full_accuracy(self):
