@@ -487,7 +487,9 @@ def lstm_sequence(
     # Time-major: gates[t] holds step t's pre-activations for every row, then
     # its activations i, f, o, g.
     rows = x.transpose(1, 0, 2).reshape(steps * batch, d)
-    gates = (rows @ wx + bias).reshape(steps, batch, 4 * k)
+    gates = rows @ wx
+    gates += bias  # in place: no second (T*B, 4k) array
+    gates = gates.reshape(steps, batch, 4 * k)
     h = np.empty((steps + 1, batch, k))
     c = np.empty((steps + 1, batch, k))
     tanh_c = np.empty((steps, batch, k))
@@ -519,9 +521,13 @@ def lstm_sequence(
         )
         dc = cell.grad if cell.grad is not None else np.zeros((batch, k))
         # Derivative of each activation with respect to its pre-activation.
-        slope = gates * (1.0 - gates)
-        slope[..., s:] = 1.0 - gates[..., s:] ** 2
-        tanh_slope = 1.0 - tanh_c**2
+        # Each built in place in one array: no gates-sized temporaries.
+        slope = 1.0 - gates
+        slope *= gates
+        tail = np.square(gates[..., s:], out=slope[..., s:])
+        np.subtract(1.0, tail, out=tail)
+        tanh_slope = np.square(tanh_c)
+        np.subtract(1.0, tanh_slope, out=tanh_slope)
         dz = np.empty_like(gates)
         dh = np.zeros((batch, k))
         for t in range(steps - 1, -1, -1):

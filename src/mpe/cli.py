@@ -201,7 +201,15 @@ def _load_corpus(inputs) -> list[CaptionGroup]:
 
 
 def cmd_build_graph(args, inputs, outputs) -> _Written:
-    graph = build_graph(graph_captions(_load_corpus(inputs)))
+    groups = _load_corpus(inputs)
+    # A node's support is written comma-joined, so its reader would split such an id.
+    comma = next((g.gid for g in groups if "," in g.gid), None)
+    if comma is not None:
+        raise CliError(
+            f"--captions {inputs['captions']}: scene group id {_quote(comma)} holds a comma, "
+            "which a graph file's support field cannot hold"
+        )
+    graph = build_graph(graph_captions(groups))
     graph.save(outputs["out"])
     print(f"graph: {len(graph)} nodes, {graph.edge_count} edges -> {outputs['out']}")
     return _Written()

@@ -26,9 +26,16 @@ seldom recur across captions, so `build_graph` reduces each caption's closure
 on its own, in the depth-first walk that finds it (`_reduced_closure`). Every
 step shortens the phrase or swaps a word for its hypernym, so the walk meets
 no cycle and finishes each phrase after its successors; a phrase's ancestors
-are the OR of theirs, as int bitsets over finishing indexes. `save` writes
-edges from per-parent child lists, so it sorts no edge list. `graphlib` only
-checks for cycles (hypernym lexicon, graph files) and reports the cycle
+are the OR of theirs, as int bitsets over finishing indexes.
+
+Ids flow as ints from the walk to the file. The walk looks each successor up
+once and returns kept parents as closure indexes. `build_graph` hashes each
+closure phrase once per caption into a first-seen id, and keeps supports,
+caption counts and kept parents in lists by that id; one sort of the phrases
+gives node ids, and one remap by list indexing moves parents and the caption
+index onto them. `save` formats each node id once and writes a parent's edge
+lines with one join over its child list, so it sorts no edge list. `graphlib`
+only checks for cycles (hypernym lexicon, graph files) and reports the cycle
 specific -> general.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .text import (
     Sentence,
@@ -203,35 +210,41 @@ def _reduced_closure(
     single-step successors (start last), and the indexes of the parents its
     transitive reduction keeps, each below its own.
 
-    One depth-first walk on an explicit stack expands each phrase once. A
-    finished phrase's ancestor bitset is the OR of its successors'; it keeps
-    each successor whose bit that OR lacks. A phrase met again is finished,
-    since one still on the stack would close a cycle.
+    One depth-first walk on an explicit stack expands each phrase once and
+    looks each successor up once: a finished one gives its index at once, a
+    new one is pushed and, when it finishes, appends its index to the frame
+    that pushed it. A finished phrase's ancestor bitset is the OR of its
+    successors'; it keeps each successor whose bit that OR lacks. A phrase met
+    again is finished, since one still on the stack would close a cycle.
     """
     index: dict[Phrase, int] = {}  # finished phrases, in finishing order
     ancestors: list[int] = []  # bitsets over finishing indexes
     kept_parents: list[list[int]] = []
-    steps = rules.single_step(start)
-    stack = [(start, steps, iter(steps))]
+    # (phrase, its successors not yet looked up, indexes of those finished)
+    stack: list[tuple[Phrase, Iterator[Phrase], list[int]]] = [
+        (start, iter(rules.single_step(start)), [])
+    ]
     while stack:
-        phrase, steps, pending = stack[-1]
+        phrase, pending, direct = stack[-1]
         for nxt in pending:
-            if nxt not in index:
-                nxt_steps = rules.single_step(nxt)
-                stack.append((nxt, nxt_steps, iter(nxt_steps)))
+            p = index.get(nxt)
+            if p is None:
+                stack.append((nxt, iter(rules.single_step(nxt)), []))
                 break
+            direct.append(p)
         else:
             stack.pop()
-            direct = [index[nxt] for nxt in steps]
             implied = 0
             for p in direct:
                 implied |= ancestors[p]
             kept = [p for p in direct if not implied >> p & 1]
             for p in kept:
                 implied |= 1 << p
-            index[phrase] = len(ancestors)
+            done = index[phrase] = len(ancestors)
             ancestors.append(implied)
             kept_parents.append(kept)
+            if stack:
+                stack[-1][2].append(done)
     return list(index), kept_parents
 
 
@@ -307,13 +320,20 @@ class PhraseGraph:
         return frozenset(_reachable(node_id, self.parents))
 
     def save(self, path: str | Path) -> None:
+        """Write the header, node rows, edges by parent then child, and
+        captions by text. Each node id is formatted once; a parent's edge
+        lines are one join over its children's ids."""
         index = self.caption_index
+        ids = list(map(str, range(len(self.nodes))))
         lines = [f"{GRAPH_FORMAT}\t{GRAPH_VERSION}\n"]
         lines += [
             f"node\t{nid}\t{' '.join(phrase)}\t{','.join(support)}\t{count}\n"
-            for nid, (phrase, support, count) in enumerate(self.nodes)
+            for nid, (phrase, support, count) in zip(ids, self.nodes)
         ]
-        lines += [f"edge\t{p}\t{c}\n" for p, kids in enumerate(self._children()) for c in kids]
+        for p, kids in enumerate(self._children()):
+            if kids:
+                head = f"edge\t{ids[p]}\t"
+                lines.append(head + f"\n{head}".join([ids[c] for c in kids]) + "\n")
         lines += [f"caption\t{index[raw]}\t{raw}\n" for raw in sorted(index)]
         text = "".join(lines)
         del lines  # freed before _atomic_write encodes
@@ -425,36 +445,55 @@ def build_graph(
     caption_count is the number of captions (not groups) that reach it.
     Parents are the ones `_reduced_closure` keeps while walking each
     caption's closure: no pass of its own, no sort of the closure.
+
+    Each closure phrase is hashed once per caption, into the id it was first
+    seen under; supports, counts and kept parents are lists by that id, and
+    a phrase's kept parents are taken the first time it is seen, since its
+    reduction is the same in every closure that holds it. The phrase table is
+    freed before one sort of the phrases orders the node ids, and parents and
+    the caption index are remapped onto them by list indexing.
     """
     rules = rules if rules is not None else ReductionRuleSet.default()
     captions = list(captions)
     if not captions:
         raise ValueError("build_graph needs at least one caption")
-    supports: dict[Phrase, set[str]] = {}
-    caption_counts: Counter[Phrase] = Counter()
-    caption_starts: dict[str, Phrase] = {}
-    reduced: dict[Phrase, tuple[Phrase, ...]] = {}
+    first_seen: dict[Phrase, int] = {}  # phrase -> first-seen id
+    supports: list[set[str]] = []  # these three by first-seen id
+    caption_counts: list[int] = []
+    kept_parents: list[list[int]] = []
+    caption_starts: dict[str, int] = {}  # raw caption -> first-seen id
 
     for gid, sentence in captions:
-        start = caption_starts[sentence.raw] = tuple(sentence.lemmas)
-        closure, kept_parents = _reduced_closure(start, rules)  # this caption only
-        caption_counts.update(closure)
-        for phrase, kept in zip(closure, kept_parents):
-            supports.setdefault(phrase, set()).add(gid)
-            if kept:
-                reduced[phrase] = tuple([closure[p] for p in kept])
+        closure, kept = _reduced_closure(tuple(sentence.lemmas), rules)  # this caption only
+        seen = len(supports)
+        # A new phrase takes the next id, so ids rise in closure order past seen.
+        ids = [first_seen.setdefault(phrase, len(first_seen)) for phrase in closure]
+        for pid, kept_here in zip(ids, kept):
+            if pid < seen:
+                supports[pid].add(gid)
+                caption_counts[pid] += 1
+            else:
+                supports.append({gid})
+                caption_counts.append(1)
+                kept_parents.append([ids[p] for p in kept_here])
+        caption_starts[sentence.raw] = ids[-1]
 
-    phrases = sorted(supports)
-    phrase_ids = {phrase: nid for nid, phrase in enumerate(phrases)}
+    phrases = list(first_seen)
+    del first_seen
+    order = sorted(range(len(phrases)), key=phrases.__getitem__)  # node id -> first-seen id
+    node_id = [0] * len(order)
+    for nid, pid in enumerate(order):
+        node_id[pid] = nid
     nodes = [
-        (phrase, tuple(sorted(supports[phrase])), caption_counts[phrase])
-        for phrase in phrases
+        (phrases[pid], tuple(sorted(supports[pid])), caption_counts[pid]) for pid in order
     ]
-    caption_index = {raw: phrase_ids[start] for raw, start in caption_starts.items()}
+    del phrases, supports, caption_counts, order
     parents = {
-        phrase_ids[phrase]: tuple(sorted([phrase_ids[p] for p in kept]))
-        for phrase, kept in reduced.items()
+        node_id[pid]: tuple(sorted([node_id[p] for p in kept]))
+        for pid, kept in enumerate(kept_parents)
+        if kept
     }
+    caption_index = {raw: node_id[pid] for raw, pid in caption_starts.items()}
     return PhraseGraph(nodes=nodes, parents=parents, caption_index=caption_index)
 
 

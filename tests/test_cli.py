@@ -116,6 +116,30 @@ class TestBuildGraph:
         assert not out.exists()
         assert "not found" in capsys.readouterr().err
 
+    def test_group_id_with_comma_exits_1_writing_nothing(self, tmp_path, capsys):
+        # Supports are comma-joined in the graph file, so its reader would refuse it.
+        captions = tmp_path / "captions.tsv"
+        captions.write_text("g,1\t0\tA dog runs.\ng2\t0\tA cat runs.\n")
+        out = tmp_path / "graph.tsv"
+        assert main(["build-graph", "--captions", str(captions), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --captions {captions}: scene group id 'g,1' holds a comma, "
+            "which a graph file's support field cannot hold\n"
+        )
+        assert list(tmp_path.iterdir()) == [captions]
+
+    def test_build_dataset_keeps_a_group_id_with_comma(self, tmp_path):
+        # Items hold the group id as a JSON string, which can hold a comma.
+        captions = tmp_path / "captions.tsv"
+        captions.write_text(
+            "".join(f"{line[0]},{line[1:]}" for line in CAPTIONS.read_text().splitlines(True))
+        )
+        items = tmp_path / "items.jsonl"
+        argv = ["build-dataset", "--captions", str(captions), "--out", str(items)]
+        assert main([*argv, "--n-items", "8", "--seed", "42"]) == 0
+        gids = [item.scene_group_id for item in load_items(items)]
+        assert len(gids) == 8 and all(gid.startswith("g,") for gid in gids)
+
 
 class TestBuildDataset:
     def args(self, out, n=6, seed=3):

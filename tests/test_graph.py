@@ -319,7 +319,39 @@ def build_fixture_graph():
     return build_graph(captions, tiny_rules()), captions
 
 
+@st.composite
+def grouped_captions(draw):
+    """(gid, caption) pairs over few texts and groups, so captions repeat,
+    within a group and across groups."""
+    words = "a the two red big young girl boy dog man park run in on with and".split()
+    texts = draw(
+        st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=5)
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["g1", "g2", "g3"]), st.sampled_from(texts)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return [(gid, normalize(" ".join(tokens))) for gid, tokens in pairs]
+
+
 class TestBuildGraph:
+    @settings(max_examples=80, deadline=None)
+    @given(grouped_captions())
+    def test_supports_and_counts_match_the_closures(self, captions):
+        rules = tiny_rules()
+        graph = build_graph(captions, rules)
+        closures = [(gid, apply_reductions(sent, rules)) for gid, sent in captions]
+        assert [phrase for phrase, _, _ in graph.nodes] == sorted(
+            set().union(*(closure for _, closure in closures))
+        )
+        for phrase, support, caption_count in graph.nodes:
+            holding = [gid for gid, closure in closures if phrase in closure]
+            assert support == tuple(sorted(set(holding))), phrase
+            assert caption_count == len(holding), phrase
+
     def test_single_fixpoint_caption(self):
         graph = build_graph(
             [("g1", normalize("Children sleep soundly."))], tiny_rules(hypernyms={})
@@ -651,7 +683,36 @@ class TestCaptionClosures:
                 assert len(held) <= bound, (f.name, len(held), bound)
 
 
+def reference_save_bytes(graph):
+    """Test-side writer: the header, one f-string per node, one per edge of
+    the sorted `graph.edges` list, then captions sorted by text."""
+    lines = ["mpe-graph\t1\n"]
+    lines += [
+        f"node\t{nid}\t{' '.join(phrase)}\t{','.join(support)}\t{count}\n"
+        for nid, (phrase, support, count) in enumerate(graph.nodes)
+    ]
+    lines += [f"edge\t{p}\t{c}\n" for p, c in sorted(graph.edges)]
+    index = graph.caption_index
+    lines += [f"caption\t{index[raw]}\t{raw}\n" for raw in sorted(index)]
+    return "".join(lines).encode("utf-8")
+
+
 class TestSerialization:
+    @settings(max_examples=80, deadline=None)
+    @given(grouped_captions())
+    def test_save_matches_the_reference_writer(self, captions):
+        # "Sky." reduces to nothing and no drawn caption reduces to it: a node with
+        # neither parents nor children.
+        graph = build_graph([*captions, ("g1", normalize("Sky."))], tiny_rules())
+        has_parent = {c for _, c in graph.edges}
+        has_child = {p for p, _ in graph.edges}
+        assert graph.node_id_for_phrase(("sky",)) not in has_parent | has_child
+        assert len(has_parent) < len(graph) and len(has_child) < len(graph)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.txt"
+            graph.save(path)
+            assert path.read_bytes() == reference_save_bytes(graph)
+
     def test_roundtrip(self, tmp_path):
         graph, _ = build_fixture_graph()
         path = tmp_path / "fixture.graph"
