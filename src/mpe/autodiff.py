@@ -327,11 +327,21 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, thunk)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 1/(1+z) for x >= 0 and z/(1+z) below, with z = exp(-|x|): finite for
-    # arbitrarily large |x|.
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    # arbitrarily large |x|. The numerator is max(x >= 0, z), the comparison
+    # written as floats: 1.0 where x >= 0 (z <= 1 there) and z below, picked
+    # without a branch and bit for bit the value `np.where(x >= 0, 1.0, z)`
+    # picks. x is read before out is written, so out may be x itself.
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    if out is None:
+        out = np.empty(x.shape)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(out, z, out=out)
+    np.add(1.0, z, out=z)
+    return np.divide(out, z, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -453,7 +463,12 @@ def lstm_sequence(
     input, forget, output, candidate. They are concatenated here, so each
     step's gates come from one (B, 4k) block: the forward computes X@Wx + b
     for all rows and steps at once, then per step one h@Wh, one sigmoid over
-    the first 3k columns and one tanh over the last k. Returns the hidden rows
+    the first 3k columns and one tanh over the last k. A step writes in place:
+    h@Wh into one (B, 4k) buffer per call, the activations over their gate
+    columns (the sigmoid picks its numerator without a branch), and the cell
+    update into c[t+1] with one (B, k) buffer; the backward writes its gate
+    products into dz's columns. Every value is bit for bit what the
+    select-and-copy form of the step gave. Returns the hidden rows
     (B, T, k) and the cell states after each row's last step (B, k). On a tape
     the whole read is one entry, with a hand-written backpropagation through
     time in which a frozen step passes dh and dc through unchanged and has a
@@ -495,12 +510,15 @@ def lstm_sequence(
     tanh_c = np.empty((steps, batch, k))
     h[0] = h0.values
     c[0] = c0.values
+    recurrent = np.empty((batch, 4 * k))
+    update = np.empty((batch, k))
     for t in range(steps):
         z = gates[t]
-        z += h[t] @ wh
-        z[:, :s] = _sigmoid(z[:, :s])
+        z += np.matmul(h[t], wh, out=recurrent)
+        _sigmoid(z[:, :s], out=z[:, :s])
         np.tanh(z[:, s:], out=z[:, s:])
-        c[t + 1] = z[:, k : 2 * k] * c[t] + z[:, :k] * z[:, s:]
+        np.multiply(z[:, k : 2 * k], c[t], out=c[t + 1])
+        c[t + 1] += np.multiply(z[:, :k], z[:, s:], out=update)
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(z[:, 2 * k : s], tanh_c[t], out=h[t + 1])
         if ragged[t]:
@@ -535,10 +553,10 @@ def lstm_sequence(
             dh = dh_in = dh + dh_rows[t]
             dc_in = dc
             dc = dc + dh * o * tanh_slope[t]
-            dz[t, :, :k] = dc * g
-            dz[t, :, k : 2 * k] = dc * c[t]
-            dz[t, :, 2 * k : s] = dh * tanh_c[t]
-            dz[t, :, s:] = dc * i
+            np.multiply(dc, g, out=dz[t, :, :k])
+            np.multiply(dc, c[t], out=dz[t, :, k : 2 * k])
+            np.multiply(dh, tanh_c[t], out=dz[t, :, 2 * k : s])
+            np.multiply(dc, i, out=dz[t, :, s:])
             dz[t] *= slope[t]
             dc = dc * f
             dh = dz[t] @ wh.T
@@ -596,13 +614,23 @@ class Adam:
             g = p.grad
             m = self._m[p.name]
             v = self._v[p.name]
+            # lr * m_hat / (sqrt(v_hat) + eps), each ufunc applied in place in
+            # one of two arrays: the moment increments, then the bias-corrected
+            # moments, then the step.
+            step = (1.0 - ADAM_BETA1) * g
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += step
+            root = (1.0 - ADAM_BETA2) * g
+            root *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += root
+            np.divide(m, correction1, out=step)
+            np.divide(v, correction2, out=root)
+            step *= self.lr
+            np.sqrt(root, out=root)
+            root += ADAM_EPS
+            step /= root
+            p.values -= step
 
 
 # --- gradient checking -------------------------------------------------------
@@ -707,7 +735,7 @@ def save_checkpoint(
         blob += struct.pack("<I", array.ndim)
         blob += struct.pack(f"<{array.ndim}Q", *array.shape)
         blob += array.astype("<f8", copy=False).tobytes(order="C")
-    _atomic_write_bytes(path, bytes(blob))
+    _atomic_write_bytes(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

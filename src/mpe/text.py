@@ -51,7 +51,7 @@ def _atomic_write(path: str | Path, content: str) -> None:
     _atomic_write_bytes(path, content.encode("utf-8"))
 
 
-def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def _atomic_write_bytes(path: str | Path, data: bytes | bytearray) -> None:
     """Replace path with data in one step; a failed write leaves the old
     file and no temp file behind. The file gets the mode a plain
     `open(path, "w")` would leave: the old file's, or 0o666 less the umask."""

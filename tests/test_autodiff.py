@@ -14,6 +14,7 @@ from mpe.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    _sigmoid,
     active_tape,
     add,
     concat,
@@ -242,6 +243,61 @@ class TestNonlinearities:
             out = sigmoid(Tensor([1000.0, -1000.0]))
         assert out.values[0] == 1.0
         assert out.values[1] == 0.0
+
+
+def reference_sigmoid(x):
+    """The select-by-`np.where` form `_sigmoid` replaced, kept as its oracle."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def sigmoid_inputs():
+    """Signed zeros, subnormals, the edges of exp's range, infinities and
+    seeded normals at three scales."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, tiny, 1e-310, 40.0, 709.0, 746.0, 1000.0, np.inf]
+    rng = np.random.default_rng(17)
+    normals = [rng.normal(scale=scale, size=200) for scale in (0.1, 1.0, 10.0)]
+    return np.concatenate([edges, np.negative(edges), *normals])
+
+
+class TestSigmoidKernel:
+    """`_sigmoid` is bit for bit the `np.where` form, whether it writes a new
+    array or over its input. exp(-|x|) underflows for |x| >= 709 in both
+    forms, so underflow is the one floating-point flag left unraised."""
+
+    def test_equals_reference_bitwise(self):
+        x = sigmoid_inputs()
+        with np.errstate(all="raise", under="ignore"):
+            got, want = _sigmoid(x), reference_sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_in_place_on_a_strided_gate_block(self):
+        """The step loop writes the sigmoid over the first 3k columns of its
+        (B, 4k) gate rows."""
+        k = 75
+        x = sigmoid_inputs()
+        block = np.resize(x, (len(x) // (3 * k) + 1) * 3 * k).reshape(-1, 3 * k)
+        gates = np.full((len(block), 4 * k), 7.0)
+        gates[:, : 3 * k] = block
+        view = gates[:, : 3 * k]
+        with np.errstate(all="raise", under="ignore"):
+            returned = _sigmoid(view, out=view)
+            want = reference_sigmoid(block)
+        assert returned is view
+        assert view.tobytes() == want.tobytes()
+        assert np.all(gates[:, 3 * k :] == 7.0)
+
+    def test_nan_stays_in_place(self):
+        x = sigmoid_inputs()
+        x[::7] = np.nan
+        got, want = _sigmoid(x), reference_sigmoid(x)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        assert np.array_equal(np.isnan(want), np.isnan(x))
+        assert got[~np.isnan(x)].tobytes() == want[~np.isnan(x)].tobytes()
+        view = x.copy()
+        _sigmoid(view, out=view)
+        assert view.tobytes() == got.tobytes()
 
 
 class TestSoftmax:
@@ -833,6 +889,22 @@ class TestAdam:
         it = iter(grads)
         expected = adam_reference([1.0], lambda _: next(it), 3, 0.01)
         assert np.allclose(w.values, expected, rtol=1e-12, atol=0)
+
+    def test_steps_equal_reference_bit_for_bit(self):
+        """The in-place step applies the reference's ufuncs in its order. The
+        weights start at zero, so the steps' last bits are not lost in a
+        larger weight."""
+        rng = np.random.default_rng(8)
+        w0 = np.zeros((6, 4))
+        grads = [rng.normal(scale=10.0 ** -e, size=(6, 4)) for e in range(5)]
+        w = Tensor(w0.copy(), name="w")
+        opt = Adam([w], lr=0.01)
+        for g in grads:
+            w.grad = g.copy()
+            opt.step()
+        it = iter(grads)
+        expected = adam_reference(w0, lambda _: next(it), len(grads), 0.01)
+        assert w.values.tobytes() == expected.tobytes()
 
     def test_zero_gradient_leaves_values_unchanged(self):
         w = Tensor([1.5, -2.5], name="w")

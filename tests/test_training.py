@@ -581,6 +581,45 @@ def test_golden_items_logits_pinned(preset):
     assert hashlib.sha256(logits.tobytes()).hexdigest() == PINNED_LOGITS[preset]
 
 
+# sha256 of one full eval chunk at each preset's size: the untaped (32, 3)
+# logits of `ragged_items(EVAL_CHUNK)`, and every parameter's gradient (name,
+# then bytes, in `params()` order) after one taped, undropped cross-entropy
+# batch over them. Ragged premises freeze rows mid-read, so both the forward
+# and the backward step loops run their padded branches.
+PINNED_CHUNK = {
+    "attn-mpe": (
+        "1c275462b69945078a1657038146473854acfc645145ed5d5469f3e6ab8b940a",
+        "975824b9e22f111869c8f16989cfb62384e10981ea76ddc7f73b2c7020c81a47",
+    ),
+    "lstm-mpe": (
+        "491803575a2ea1df6284799af187512a76fa1a0ebf9aca96395b15139ae194a0",
+        "b2195cbc4f0f867246f51c23349a4fedf32d8241d4b18adfe6d88d21f6a57e0e",
+    ),
+    "se-mpe": (
+        "dbbac67061b9a61ea643e18322d46f126e2eb3d984c8f437ecf5efcc2d215e03",
+        "c60695b50a4f7ac98f98b759b6c05cf750221f871151131c0d5c4d8118110738",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_CHUNK))
+def test_eval_chunk_logits_and_gradients_pinned(preset):
+    items = ragged_items(EVAL_CHUNK)
+    model = build_model(PRESETS[preset], vocabulary_from_items(items))
+    untaped = batch_logits(model, items).values
+    assert untaped.shape == (EVAL_CHUNK, 3)
+    zero_grad(model.params())
+    with Tape() as tape:
+        loss = tensor_sum(cross_entropy(batch_logits(model, items), labels_of(items)))
+    tape.backward(loss)
+    grads = hashlib.sha256()
+    for p in model.params():
+        grads.update(p.name.encode() + p.grad.tobytes())
+    pinned_logits, pinned_grads = PINNED_CHUNK[preset]
+    assert hashlib.sha256(untaped.tobytes()).hexdigest() == pinned_logits
+    assert grads.hexdigest() == pinned_grads
+
+
 class TestReportRendering:
     def test_text_table_sections(self):
         items = synth_items(9, with_pairs=True, with_tags=True)
