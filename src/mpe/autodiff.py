@@ -467,9 +467,8 @@ def lstm_sequence(
     h@Wh into one (B, 4k) buffer per call, the activations over their gate
     columns (the sigmoid picks its numerator without a branch), and the cell
     update into c[t+1] with one (B, k) buffer; the backward writes its gate
-    products into dz's columns. Every value is bit for bit what the
-    select-and-copy form of the step gave. Returns the hidden rows
-    (B, T, k) and the cell states after each row's last step (B, k). On a tape
+    products into dz's columns. Returns the hidden rows (B, T, k) and the
+    cell states after each row's last step (B, k). On a tape
     the whole read is one entry, with a hand-written backpropagation through
     time in which a frozen step passes dh and dc through unchanged and has a
     zero dz, so padding reaches no weight and no input row.
@@ -740,48 +739,48 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    view = memoryview(blob)
-    offset = 0
+    with path.open("rb") as fh:
+        size = path.stat().st_size
 
-    def take(count: int) -> memoryview:
-        nonlocal offset
-        if offset + count > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint at byte {offset}")
-        piece = view[offset : offset + count]
-        offset += count
-        return piece
+        def take(count: int, fresh: Callable = bytearray):
+            """The next count bytes, read straight into `fresh(count)` once the
+            file is known to hold them."""
+            start = fh.tell()
+            if start + count > size:
+                raise ValueError(f"{path}: truncated checkpoint at byte {start}")
+            piece = fresh(count)
+            fh.readinto(piece)
+            return piece
 
-    if bytes(take(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", take(4))
-    try:
-        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to convert
-        raise ValueError(f"{path}: bad checkpoint meta: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: checkpoint meta must be a JSON object")
-    (count,) = struct.unpack("<I", take(4))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
+        if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        (meta_len,) = struct.unpack("<I", take(4))
         try:
-            name = bytes(take(name_len)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: bad tensor name: {exc}") from None
-        if name in tensors:
-            raise ValueError(f"{path}: duplicate tensor name {_quote(name)}")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            data = data.reshape(shape)
-        except ValueError as exc:
-            raise ValueError(f"{path}: tensor {_quote(name)} has bad shape: {exc}") from None
-        tensors[name] = data.astype(np.float64)
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
+            meta = json.loads(take(meta_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to convert
+            raise ValueError(f"{path}: bad checkpoint meta: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: checkpoint meta must be a JSON object")
+        (count,) = struct.unpack("<I", take(4))
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: bad tensor name: {exc}") from None
+            if name in tensors:
+                raise ValueError(f"{path}: duplicate tensor name {_quote(name)}")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            data = take(8 * math.prod(shape), lambda n: np.empty(n // 8, "<f8"))
+            try:
+                tensors[name] = data.reshape(shape)
+            except ValueError as exc:
+                raise ValueError(f"{path}: tensor {_quote(name)} has bad shape: {exc}") from None
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes")
     return tensors, meta

@@ -473,9 +473,7 @@ def run_model_gradcheck(kind: str, dim: int, state_dim: int, seed: int):
     model = build_model(config, [f"w{i:02d}" for i in range(12)])
 
     def forward():
-        logits = model.batch_logits(
-            [[list(p) for p in GRADCHECK_PREMISES]], [list(GRADCHECK_HYPOTHESIS)]
-        )
+        logits = model.batch_logits([GRADCHECK_PREMISES], [GRADCHECK_HYPOTHESIS])
         return cross_entropy(flatten(logits), 1)
 
     return grad_check(

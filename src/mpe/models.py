@@ -18,19 +18,23 @@ premise cell, hypothesis cell, then the architecture's `_head_shapes`.
 `load_model` restores a checkpoint as the architecture its meta names, and
 `_restore` checks the names and shapes against the table that meta implies
 and wraps the stored arrays, drawing nothing. Everything else the three share
-is written once on `_ModelBase`: the two LSTM reads, checkpoint save, and
+is written once on `_ModelBase`: `_read` (the premise LSTM, then the
+hypothesis LSTM from the premise's final cells), checkpoint save, and
 `params()`, the one rule of what trains (the embedding matrix only when
 `trainable_embeddings` is set). Each architecture adds only `_head_shapes`
 and `_forward_batch`, its equations over a batch of B items, which applies
 `autodiff.dropout` at `keep_prob` to its pair vectors.
 
 `model.batch_logits(premises, hypotheses, rng)` scores B items at once, each
-given by its list of premise token lists; the conditional LSTM and attention
-join an item's premises with `concat_premises`, sum-of-experts reads them one
-at a time. The dropout stream `rng` is the only training switch: given, masks
-are drawn from it; omitted, there is no dropout. `forward` is the
+given by its premise token sequences and its hypothesis token sequence (the
+tuples a `Sentence` holds serve as they are); the conditional LSTM and
+attention join an item's premises with `concat_premises`, sum-of-experts reads
+them one at a time. The dropout stream `rng` is the only training switch:
+given, masks are drawn from it; omitted, there is no dropout. `forward` is the
 architecture's own single-item call form, the B = 1 batch, with the same
-`rng`, and also returns its extras (attention weights, per-premise experts).
+`rng`, and also returns its extras: attention's step weights, which
+`_forward_batch` gives as one (B, T, span) array with no weight on padded
+premise positions, and sum-of-experts' per-premise experts.
 
 A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
 zero past each sequence's end, with the length of each sequence. Each LSTM
@@ -326,33 +330,31 @@ class _ModelBase:
         hypotheses: Sequence[Sequence[str]],
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """(B, 3) logits of B items, each given by its list of premise token
-        lists and its hypothesis. With a dropout stream `rng` the masks are
+        """(B, 3) logits of B items, each given by its premise token
+        sequences and its hypothesis. With a dropout stream `rng` the masks are
         drawn from it item by item, so they equal those of B single-item
         calls in turn; without one there is no dropout."""
         return self._forward_batch(premises, hypotheses, rng)[0]
 
     def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, object]:
         """(logits (B, 3), the architecture's extras) of B items, each given
-        by its list of premise token lists."""
+        by its premise token sequences."""
         raise NotImplementedError
 
-    def _read_premise(self, premise: Padded) -> tuple[Tensor, Tensor]:
-        """Returns (premise hidden rows (B, T, k), final premise cell states)."""
+    def _read(self, premise: Padded, hypothesis: Padded) -> tuple[Tensor, Tensor]:
+        """(premise hidden rows, hypothesis hidden rows), each (B, T, k): the
+        premise LSTM from zero states, then the hypothesis LSTM from a zero
+        hidden state and the premise's final cell states."""
         zero = _zero_state(len(premise.lengths), self.state_dim)
-        return self.premise_cell.read(premise.rows, zero, zero, premise.lengths)
-
-    def _read_hypothesis(self, hypothesis: Padded, c: Tensor) -> Tensor:
-        """Hypothesis hidden rows (B, T, k), from zero hidden states and cell
-        states c."""
-        zero = _zero_state(len(hypothesis.lengths), self.state_dim)
-        hidden, _ = self.hypothesis_cell.read(hypothesis.rows, zero, c, hypothesis.lengths)
-        return hidden
+        premise_states, c = self.premise_cell.read(premise.rows, zero, zero, premise.lengths)
+        hypothesis_states, _ = self.hypothesis_cell.read(
+            hypothesis.rows, zero, c, hypothesis.lengths
+        )
+        return premise_states, hypothesis_states
 
     def _final_hidden(self, premise: Padded, hypothesis: Padded) -> tuple[Tensor, Tensor]:
         """(final premise hidden (B, k), final hypothesis hidden (B, k))."""
-        premise_states, c = self._read_premise(premise)
-        hypothesis_states = self._read_hypothesis(hypothesis, c)
+        premise_states, hypothesis_states = self._read(premise, hypothesis)
         return (
             pick(premise_states, premise.lengths - 1),
             pick(hypothesis_states, hypothesis.lengths - 1),
@@ -480,12 +482,11 @@ class AttentionModel(_ModelBase):
             "output.b": (3,),
         }
 
-    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, list[np.ndarray]]:
+    def _forward_batch(self, premises, hypotheses, rng) -> tuple[Tensor, np.ndarray]:
         wy, wh, wr, wt, wp, wx, score_w, out_w, out_b = self.head
         premise = self.embeddings.embed_batch([concat_premises(p) for p in premises])
         hypothesis = self.embeddings.embed_batch(hypotheses)
-        memory, c = self._read_premise(premise)
-        hypothesis_states = self._read_hypothesis(hypothesis, c)
+        memory, hypothesis_states = self._read(premise, hypothesis)
         batch, span, k = memory.values.shape
         projected = matmul(memory, wy)
         # -inf on padded premise positions, so the softmax gives them no weight.
@@ -500,7 +501,7 @@ class AttentionModel(_ModelBase):
             scored = tanh(add(projected, reshape(query, (batch, 1, k))))
             scores = matmul(scored, score_w)
             weights = softmax(scores if mask is None else add(scores, mask), axis=1)
-            weights_rows.append(weights.values[:, :, 0].copy())
+            weights_rows.append(weights.values[:, :, 0])
             mixed = reshape(matmul(transpose(weights), memory), (batch, k))
             state = add(mixed, tanh(matmul(attention_state, wt)))
             live = t < hypothesis.lengths
@@ -508,14 +509,7 @@ class AttentionModel(_ModelBase):
         last = pick(hypothesis_states, hypothesis.lengths - 1)
         pair = tanh(add(matmul(attention_state, wp), matmul(last, wx)))
         pair = dropout(pair, self.keep_prob, rng)
-        logits = add(matmul(pair, out_w), out_b)
-        weights = [
-            np.stack([rows[i, :premise_len] for rows in weights_rows[:hypothesis_len]])
-            for i, (premise_len, hypothesis_len) in enumerate(
-                zip(premise.lengths, hypothesis.lengths)
-            )
-        ]
-        return logits, weights
+        return add(matmul(pair, out_w), out_b), np.stack(weights_rows, axis=1)
 
     def forward(
         self,

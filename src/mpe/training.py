@@ -16,10 +16,11 @@ the items one at a time, and the gradient equals the per-item accumulated one
 up to summation order. Scoring passes no stream, so it runs without dropout.
 Prediction, accuracy and evaluation score items in chunks of `EVAL_CHUNK`.
 A batch or chunk reaches the model in one call, its items in their original
-order; an `Item` and a `SpePair` (one premise) offer the same `premises`,
-`hypothesis`, `gold_label`, `pair_labels` and `phenomenon_tags`. Every batch
-comes from one file or one phase, so its items share their number of
-premises; sum-of-experts refuses a batch that mixes 1- and 4-premise items.
+order, each as the token tuples its `Sentence`s hold, uncopied; an `Item` and
+a `SpePair` (one premise) offer the same `premises`, `hypothesis`,
+`gold_label`, `pair_labels` and `phenomenon_tags`. Every batch comes from one
+file or one phase, so its items share their number of premises;
+sum-of-experts refuses a batch that mixes 1- and 4-premise items.
 The single-item call `forward_logits` is the B = 1 call of `batch_logits`.
 """
 
@@ -101,10 +102,6 @@ def vocabulary_from_items(items: Iterable["Item | SpePair"]) -> list[str]:
     return sorted(tokens)
 
 
-def _token_lists(item: "Item | SpePair") -> tuple[list[list[str]], list[str]]:
-    return [list(p.tokens) for p in item.premises], list(item.hypothesis.tokens)
-
-
 def forward_logits(
     model,
     item: "Item | SpePair",
@@ -124,8 +121,8 @@ def batch_logits(
     """(B, 3) logits of B items in one model call, with dropout drawn from
     `rng` when one is given; sum-of-experts needs every item of the batch to
     have the same number of premises."""
-    premises, hypotheses = zip(*map(_token_lists, items))
-    return model.batch_logits(premises, hypotheses, rng)
+    premises = [[p.tokens for p in item.premises] for item in items]
+    return model.batch_logits(premises, [item.hypothesis.tokens for item in items], rng)
 
 
 def predict_all(model, items: Sequence["Item | SpePair"]) -> list[str]:

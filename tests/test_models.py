@@ -313,10 +313,9 @@ class TestConditionalEncoding:
         model = fresh("conditional-lstm", 2, 3, 0)
         rows = Tensor(np.ones((1, 4, 2)))
         premise = Padded(rows, np.array([4]))
-        states, _ = model._read_premise(premise)
-        final, _ = model._final_hidden(
-            premise, Padded(Tensor(rows.values[:, :2]), np.array([2]))
-        )
+        hypothesis = Padded(Tensor(rows.values[:, :2]), np.array([2]))
+        states = model._read(premise, hypothesis)[0]
+        final, _ = model._final_hidden(premise, hypothesis)
         assert len(states.values[0]) == 4
         assert np.array_equal(states.values[0, -1:], final.values)
 
@@ -601,8 +600,21 @@ def test_batch_attention_weights_match_single_items():
     _, weights = model._forward_batch(BATCH_PREMISES, BATCH_HYPOTHESES, None)
     for w, p, h in zip(weights, joined, BATCH_HYPOTHESES):
         _, single = model.forward(p, h)
-        assert w.shape == single.shape == (len(h), len(p))
-        assert np.max(np.abs(w - single)) <= 1e-12
+        assert single.shape == (len(h), len(p))
+        assert np.max(np.abs(w[: len(h), : len(p)] - single)) <= 1e-12
+
+
+def test_batch_attention_weights_are_one_array_with_no_weight_on_padding():
+    model = make_attention(seed=32)
+    joined = [concat_premises(p) for p in BATCH_PREMISES]
+    _, weights = model._forward_batch(BATCH_PREMISES, BATCH_HYPOTHESES, None)
+    span = max(map(len, joined))
+    assert weights.shape == (3, max(map(len, BATCH_HYPOTHESES)), span)
+    assert any(len(p) < span for p in joined)
+    for w, p in zip(weights, joined):
+        assert np.all(w[:, len(p) :] == 0.0)
+    # Every step row is a softmax, past a hypothesis's end too.
+    assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
 
 
 def test_embed_batch_pads_with_zero_rows_that_take_no_gradient():

@@ -3,7 +3,9 @@ public method and property of its classes, has a caller in the program: in
 another module of `src/`, in `scripts/` or `perfbench/`, or elsewhere in its
 own module. A name that only tests reach is dead weight. A method that
 overrides one of a base class outside the package (`cli._Parser.error`) is
-called by that base and needs no caller of its own."""
+called by that base and needs no caller of its own. Private functions and
+methods need a program caller too; only dunders, which Python calls, are
+exempt."""
 
 import ast
 import importlib
@@ -55,27 +57,55 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert uncalled == []
 
 
-def test_every_public_method_has_a_caller_outside_tests():
-    # Names referenced by each top-level statement of each program file, with
-    # each statement of a class body on its own, so a method's own body is
-    # not its caller but its sibling methods are.
+def program_units() -> list[tuple[Path, str | None, ast.AST, set[str]]]:
+    """(file, enclosing class name or None, statement, names it references)
+    for each top-level statement of each program file, with each statement of
+    a class body on its own, so a method's own body is not its caller but its
+    sibling methods are."""
     units = []
     for path in PROGRAM:
         for node in ast.parse(path.read_text("utf-8")).body:
-            parts = node.body if isinstance(node, ast.ClassDef) else [node]
-            units += [(part, referenced_names(part)) for part in parts]
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for part in node.body if owner else [node]:
+                units.append((path, owner, part, referenced_names(part)))
+    return units
+
+
+def has_caller(definition: ast.FunctionDef, units) -> bool:
+    """Whether a program statement other than the definition names it."""
+    return any(definition.name in names for _, _, unit, names in units if unit is not definition)
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    units = program_units()
     uncalled = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text("utf-8")).body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            module = importlib.import_module(f"mpe.{path.stem}")
-            bases = getattr(module, node.name).__mro__[1:]
-            for method in node.body:
-                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
-                    continue
-                if any(hasattr(base, method.name) for base in bases):
-                    continue
-                if not any(method.name in names for unit, names in units if unit is not method):
-                    uncalled.append(f"{path.stem}.{node.name}.{method.name}")
+    for path, owner, method, _ in units:
+        if path.parent != PACKAGE or owner is None:
+            continue
+        if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+            continue
+        bases = getattr(importlib.import_module(f"mpe.{path.stem}"), owner).__mro__[1:]
+        if any(hasattr(base, method.name) for base in bases):
+            continue
+        if not has_caller(method, units):
+            uncalled.append(f"{path.stem}.{owner}.{method.name}")
+    assert uncalled == []
+
+
+def test_every_private_function_and_method_has_a_caller_outside_tests():
+    units = program_units()
+    private = [
+        (path, owner, node)
+        for path, owner, node, _ in units
+        if path.parent == PACKAGE
+        and isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    uncalled = [
+        ".".join(filter(None, (path.stem, owner, node.name)))
+        for path, owner, node in private
+        if not has_caller(node, units)
+    ]
+    assert private
     assert uncalled == []
