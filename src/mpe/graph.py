@@ -15,10 +15,15 @@ count is the number of caption closures that hold it. Both identities follow
 from the stored reduction keeping reachability, so item generation needs no
 edges, and `build_graph` is the only producer of them.
 
-One stack walk, `_reachable`, serves `apply_reductions`, which follows single
-rule steps from a caption, and `PhraseGraph.ancestors`, which follows stored
-parent edges from a node. A rule step reads the closed-class flags the rule
-set fixes per lexicon word when it is built.
+One rule-step body, `ReductionRuleSet._step`, serves both stages; it reads
+the closed-class flags the rule set fixes per lexicon word when it is built,
+and takes the hypernym table whose substitutions it makes. `build_graph`
+steps with the whole lexicon. `apply_reductions` closes a caption over its
+skeleton, every step but the substitutions that keep closed-class flags,
+then expands each skeleton phrase by the product of its tokens' hypernym
+chains; the expansion is exact because those substitutions commute with
+every other rule. One stack walk, `_reachable`, follows skeleton steps from
+a caption and stored parent edges from a node (`PhraseGraph.ancestors`).
 
 Only the transitive reduction of the single-step DAG is stored. A phrase's
 ancestors all lie in the closure of any caption that reaches it, and phrases
@@ -33,10 +38,11 @@ once and returns kept parents as closure indexes. `build_graph` hashes each
 closure phrase once per caption into a first-seen id, and keeps supports,
 caption counts and kept parents in lists by that id; one sort of the phrases
 gives node ids, and one remap by list indexing moves parents and the caption
-index onto them. `save` formats each node id once and writes a parent's edge
-lines with one join over its child list, so it sorts no edge list. `graphlib`
-only checks for cycles (hypernym lexicon, graph files) and reports the cycle
-specific -> general.
+index onto them. A support is one group id until a second group reaches the
+phrase. `save` formats each node id once and writes a parent's edge lines
+with one join over its child list, so it sorts no edge list. `graphlib` only
+checks graph files for cycles and reports the cycle child -> parent; the
+rule set's own lexicon walk refuses a hypernym cycle, specific -> general.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -48,6 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain as chain_from, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -93,7 +100,8 @@ def _load_hypernyms(path: Path) -> dict[str, tuple[str, ...]]:
 
 
 def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_Node]:
-    """Every node reached from start by one or more steps.
+    """Every node reached from start by one or more steps: a caption's
+    skeleton closure (`apply_reductions`) or a node's ancestors.
 
     An explicit stack, so a deep chain cannot exhaust the interpreter's
     recursion limit; start itself is in the result only if a step returns to it.
@@ -110,28 +118,79 @@ def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_N
 
 @dataclass(frozen=True)
 class ReductionRuleSet:
-    """Closed-class lexicons driving the reduction rules."""
+    """Closed-class lexicons driving the reduction rules.
+
+    Built with one post-order walk over the hypernym lexicon, on an explicit
+    stack, that refuses a cycle and splits the lexicon in two. A word's chain
+    is itself and every general it reaches, its generals' chains joined. A
+    word whose whole chain has its own closed-class flags goes into
+    `_chains`, mapped to that chain; its substitutions commute with every
+    other rule (see `apply_reductions`). Every other word keeps its generals
+    as rule steps in `_steps`. The table holds each chain whole, so it grows
+    with the sum of chain lengths: quadratic only in a lexicon of very deep
+    chains.
+    """
 
     determiners: frozenset[str]
     adjectives: frozenset[str]
     prepositions: frozenset[str]
     hypernyms: Mapping[str, tuple[str, ...]]
-    # Closed-class flags of every lexicon word (and conjunction), filled once
-    # in __post_init__; any other token is content, with no flag.
+    # Closed-class flags of every lexicon word (and conjunction); any other
+    # token is content, with no flag. These three are filled once in
+    # __post_init__.
     _flags: dict[str, int] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
+    _chains: dict[str, tuple[str, ...]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
+    _steps: dict[str, tuple[str, ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
         lexicons = self.determiners, self.adjectives, self.prepositions, _CONJUNCTIONS
+        flags_of = self._flags
         for flag, words in zip((_DET, _ADJ, _PREP, _CONJ), lexicons):
             for word in words:
-                self._flags[word] = self._flags.get(word, 0) | flag
-        try:
-            TopologicalSorter(self.hypernyms).prepare()
-        except CycleError as exc:
-            # graphlib lists the cycle general -> specific; report it the other way.
-            raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
+                flags_of[word] = flags_of.get(word, 0) | flag
+        hypernyms, steps = self.hypernyms, self._steps
+        # Each finished word's chain: itself, then every general it reaches.
+        chains: dict[str, tuple[str, ...]] = {}
+        for root in hypernyms:
+            if root in chains:
+                continue
+            path = [root]  # the words on the stack, specific -> general
+            stack = [iter(hypernyms[root])]
+            while stack:
+                for general in stack[-1]:
+                    if general in chains:
+                        continue
+                    if general in path:
+                        cycle = path[path.index(general):] + [general]
+                        raise LexiconCycleError(" -> ".join(cycle))
+                    if general in hypernyms:
+                        path.append(general)
+                        stack.append(iter(hypernyms[general]))
+                        break
+                    chains[general] = (general,)
+                else:
+                    stack.pop()
+                    word = path.pop()
+                    generals = hypernyms[word]
+                    if len(generals) == 1:  # no general reached twice
+                        chain = chains[word] = (word, *chains[generals[0]])
+                    else:
+                        chain = chains[word] = tuple(
+                            dict.fromkeys(chain_from((word,), *map(chains.get, generals)))
+                        )
+                    # The whole chain has the word's flags when each general's
+                    # chain does and the general has them too.
+                    flags = flags_of.get(word, 0)
+                    if all(g not in steps and flags_of.get(g, 0) == flags for g in generals):
+                        self._chains[word] = chain
+                    else:
+                        steps[word] = generals
 
     @classmethod
     def default(cls) -> "ReductionRuleSet":
@@ -147,6 +206,11 @@ class ReductionRuleSet:
 
         Every result is strictly shorter than `phrase` or an equal-length
         hypernym substitution, so repeated application terminates.
+        """
+        return self._step(phrase, self.hypernyms)
+
+    def _step(self, phrase: Phrase, hypernyms: Mapping[str, tuple[str, ...]]) -> set[Phrase]:
+        """One rule application, with substitutions from `hypernyms` only.
 
         One right-to-left pass; at token i the state describes phrase[i + 1:].
         A token is content when it has no closed-class flag. An adjective is
@@ -185,7 +249,7 @@ class ReductionRuleSet:
                     adjective_droppable = False
                 if not flags & (_DET | _ADJ):
                     pp_end = i
-            generals = self.hypernyms.get(tok)
+            generals = hypernyms.get(tok)
             if generals:
                 head, tail = phrase[:i], phrase[i + 1:]
                 for general in generals:
@@ -196,10 +260,26 @@ class ReductionRuleSet:
 
 
 def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
-    """Closure of the lemmatized caption under the reduction rules."""
+    """Closure of the lemmatized caption under the reduction rules.
+
+    Walks the skeleton closure, under every rule step but the substitutions
+    of `rules._chains` words, then expands each skeleton phrase by the
+    product of its tokens' chains (a token with no chain stands for itself).
+    This is the whole closure, because a substitution is legal at any
+    position: one that keeps flags changes no closed-class flag and no
+    length, every other rule reads only flags, positions and length, and no
+    other substitution can replace a word of a flag-keeping chain; so in any
+    derivation those substitutions can move to the end. A substitution that
+    hung on context would break this, and its word would have to stay a
+    skeleton step.
+    """
     start = tuple(caption.lemmas)
-    closure = _reachable(start, rules.single_step)
-    closure.add(start)
+    skeleton = _reachable(start, lambda phrase: rules._step(phrase, rules._steps))
+    skeleton.add(start)
+    chains = rules._chains
+    closure: set[Phrase] = set()
+    for phrase in skeleton:
+        closure.update(product(*[chains.get(tok, (tok,)) for tok in phrase]))
     return closure
 
 
@@ -458,7 +538,9 @@ def build_graph(
     if not captions:
         raise ValueError("build_graph needs at least one caption")
     first_seen: dict[Phrase, int] = {}  # phrase -> first-seen id
-    supports: list[set[str]] = []  # these three by first-seen id
+    # These three by first-seen id; a support is one gid until a second,
+    # different group reaches the phrase, then a set.
+    supports: list[str | set[str]] = []
     caption_counts: list[int] = []
     kept_parents: list[list[int]] = []
     caption_starts: dict[str, int] = {}  # raw caption -> first-seen id
@@ -470,10 +552,14 @@ def build_graph(
         ids = [first_seen.setdefault(phrase, len(first_seen)) for phrase in closure]
         for pid, kept_here in zip(ids, kept):
             if pid < seen:
-                supports[pid].add(gid)
+                support = supports[pid]
+                if isinstance(support, set):
+                    support.add(gid)
+                elif support != gid:
+                    supports[pid] = {support, gid}
                 caption_counts[pid] += 1
             else:
-                supports.append({gid})
+                supports.append(gid)
                 caption_counts.append(1)
                 kept_parents.append([ids[p] for p in kept_here])
         caption_starts[sentence.raw] = ids[-1]
@@ -485,7 +571,9 @@ def build_graph(
     for nid, pid in enumerate(order):
         node_id[pid] = nid
     nodes = [
-        (phrases[pid], tuple(sorted(supports[pid])), caption_counts[pid]) for pid in order
+        (phrases[pid], tuple(sorted(s)) if isinstance(s := supports[pid], set) else (s,),
+         caption_counts[pid])
+        for pid in order
     ]
     del phrases, supports, caption_counts, order
     parents = {

@@ -1,7 +1,9 @@
 """Reduction rules, closure, graph construction, and hypothesis candidates."""
 
 import os
+import random
 import re
+import sys
 import tempfile
 from collections.abc import Mapping
 from dataclasses import fields
@@ -26,7 +28,7 @@ from mpe.graph import (
     simplify_hypothesis,
 )
 from mpe.dataset import Item, graph_captions, load_captions, load_items, save_items
-from mpe.text import normalize
+from mpe.text import Sentence, normalize
 
 # Characters at which str.splitlines breaks a line but "\n"-split file
 # formats do not: VT, FF, FS, GS, RS, NEL, LINE and PARAGRAPH SEPARATOR.
@@ -202,6 +204,38 @@ class TestLexiconValidation:
     def test_diamond_accepted(self):
         tiny_rules(hypernyms={"a": ("b", "c"), "b": ("d",), "c": ("d",)})
 
+    @staticmethod
+    def reported_cycle(hypernyms):
+        """The words of the reported cycle, once it is checked to be a closed
+        specific -> general path."""
+        with pytest.raises(LexiconCycleError) as info:
+            tiny_rules(hypernyms=hypernyms)
+        path = str(info.value).split(" -> ")
+        assert path[0] == path[-1] and len(set(path)) == len(path) - 1
+        for specific, general in zip(path, path[1:]):
+            assert general in hypernyms[specific]
+        return set(path)
+
+    def test_tail_into_cycle_names_only_the_cycle(self):
+        assert self.reported_cycle({"x": ("a",), "a": ("b",), "b": ("a",)}) == {"a", "b"}
+
+    def test_cycle_reached_from_a_later_root(self):
+        hypernyms = {
+            "girl": ("child",),
+            "child": ("person",),
+            "p": ("q",),
+            "q": ("child", "p"),
+        }
+        assert self.reported_cycle(hypernyms) == {"p", "q"}
+
+    def test_chain_deeper_than_the_recursion_limit_builds(self):
+        depth = 1100
+        assert depth > sys.getrecursionlimit()
+        rules = tiny_rules(hypernyms={f"w{i}": (f"w{i + 1}",) for i in range(depth)})
+        start = ("w0",)
+        got = apply_reductions(Sentence("w0", start, start), rules)
+        assert got == {(f"w{i}",) for i in range(depth + 1)}
+
     def test_default_lexicons_load(self):
         rules = ReductionRuleSet.default()
         assert "the" in rules.determiners
@@ -215,6 +249,46 @@ class TestLexiconValidation:
             ValueError, match=re.escape(f"{path}:3: bad hypernym entry") + ".*'boy child'"
         ):
             _load_hypernyms(path)
+
+
+def mixed_flag_lexicon():
+    """Overlapping flags, adjective -> content and content -> adjective
+    chains, a diamond and chains four deep, over tiny lexicons."""
+    rules = tiny_rules(
+        determiners=frozenset({"a", "the", "two", "that"}),
+        adjectives=frozenset({"red", "big", "two", "adult", "stone", "near", "old"}),
+        prepositions=frozenset({"in", "on", "near", "that"}),
+        hypernyms={
+            "girl": ("child",),
+            "child": ("kid",),
+            "kid": ("person",),
+            "adult": ("person",),  # adjective -> content
+            "old": ("elder",),  # adjective -> content -> content
+            "elder": ("person",),
+            "rock": ("stone",),  # content -> adjective
+            "boulder": ("rock",),  # content -> content -> adjective
+            "puppy": ("dog", "pet"),  # a diamond
+            "dog": ("animal",),
+            "pet": ("animal",),
+            "pair": ("two",),  # content -> determiner and adjective
+            "crimson": ("red",),  # adjective -> adjective
+        },
+    )
+    return rules, rule_vocabulary(rules)
+
+
+def default_lexicon_mix():
+    """The default lexicon's flag-changing words amid closed-class words."""
+    words = "adult rock stone pebble boulder a the two red big young old in on with near and"
+    return DEFAULT_RULES, words.split() + ["man", "dog", "park", "run", "person"]
+
+
+ORACLE_LEXICONS = {
+    "tiny": lambda: (tiny_rules(), rule_vocabulary(tiny_rules())),
+    "mixed-flags": mixed_flag_lexicon,
+    "default-mix": default_lexicon_mix,
+}
+ORACLE_PHRASES = 2000
 
 
 class TestApplyReductions:
@@ -259,6 +333,23 @@ class TestApplyReductions:
         ]:
             sent = normalize(raw)
             assert apply_reductions(sent, rules) == closure_of(sent.lemmas, rules)
+
+    def test_fixture_captions_match_breadth_first_oracle(self):
+        rules = ReductionRuleSet.default()
+        fixture = Path(__file__).parent / "fixtures/captions.tsv"
+        for _, sent in graph_captions(load_captions(fixture)):
+            assert apply_reductions(sent, rules) == closure_of(sent.lemmas, rules), sent.raw
+
+    @pytest.mark.parametrize("lexicon", sorted(ORACLE_LEXICONS))
+    def test_random_phrases_match_breadth_first_oracle(self, lexicon):
+        """Seeded phrases over lexicons whose hypernym chains keep, change
+        and share closed-class flags, against the plain single-step walk."""
+        rules, words = ORACLE_LEXICONS[lexicon]()
+        rng = random.Random(f"oracle-{lexicon}")
+        for _ in range(ORACLE_PHRASES):
+            phrase = tuple(rng.choice(words) for _ in range(rng.randint(1, 7)))
+            sent = Sentence(" ".join(phrase), phrase, phrase)
+            assert apply_reductions(sent, rules) == closure_of(phrase, rules), phrase
 
     @settings(max_examples=60, deadline=None)
     @given(
