@@ -40,9 +40,9 @@ caption counts and kept parents in lists by that id; one sort of the phrases
 gives node ids, and one remap by list indexing moves parents and the caption
 index onto them. A support is one group id until a second group reaches the
 phrase. `save` formats each node id once and writes a parent's edge lines
-with one join over its child list, so it sorts no edge list. `graphlib` only
-checks graph files for cycles and reports the cycle child -> parent; the
-rule set's own lexicon walk refuses a hypernym cycle, specific -> general.
+with one join over its child list, so it sorts no edge list. `graphlib`
+checks for cycles (hypernym lexicon, graph files), reported specific ->
+general and child -> parent, and orders the lexicon generals first.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain as chain_from, product
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -120,15 +120,15 @@ def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_N
 class ReductionRuleSet:
     """Closed-class lexicons driving the reduction rules.
 
-    Built with one post-order walk over the hypernym lexicon, on an explicit
-    stack, that refuses a cycle and splits the lexicon in two. A word's chain
-    is itself and every general it reaches, its generals' chains joined. A
+    Built with one pass over the hypernym lexicon in graphlib's topological
+    order, generals first, which refuses a cycle and splits the lexicon's
+    words in two. A word's chain is itself and every general it reaches. A
     word whose whole chain has its own closed-class flags goes into
-    `_chains`, mapped to that chain; its substitutions commute with every
-    other rule (see `apply_reductions`). Every other word keeps its generals
-    as rule steps in `_steps`. The table holds each chain whole, so it grows
-    with the sum of chain lengths: quadratic only in a lexicon of very deep
-    chains.
+    `_chains`, mapped to that chain (a word with no general, to itself); its
+    substitutions commute with every other rule (see `apply_reductions`).
+    Every other word keeps its generals as rule steps in `_steps`. The table
+    holds each chain whole, so it grows with the sum of chain lengths:
+    quadratic only in a lexicon of very deep chains.
     """
 
     determiners: frozenset[str]
@@ -154,43 +154,22 @@ class ReductionRuleSet:
         for flag, words in zip((_DET, _ADJ, _PREP, _CONJ), lexicons):
             for word in words:
                 flags_of[word] = flags_of.get(word, 0) | flag
-        hypernyms, steps = self.hypernyms, self._steps
-        # Each finished word's chain: itself, then every general it reaches.
-        chains: dict[str, tuple[str, ...]] = {}
-        for root in hypernyms:
-            if root in chains:
-                continue
-            path = [root]  # the words on the stack, specific -> general
-            stack = [iter(hypernyms[root])]
-            while stack:
-                for general in stack[-1]:
-                    if general in chains:
-                        continue
-                    if general in path:
-                        cycle = path[path.index(general):] + [general]
-                        raise LexiconCycleError(" -> ".join(cycle))
-                    if general in hypernyms:
-                        path.append(general)
-                        stack.append(iter(hypernyms[general]))
-                        break
-                    chains[general] = (general,)
-                else:
-                    stack.pop()
-                    word = path.pop()
-                    generals = hypernyms[word]
-                    if len(generals) == 1:  # no general reached twice
-                        chain = chains[word] = (word, *chains[generals[0]])
-                    else:
-                        chain = chains[word] = tuple(
-                            dict.fromkeys(chain_from((word,), *map(chains.get, generals)))
-                        )
-                    # The whole chain has the word's flags when each general's
-                    # chain does and the general has them too.
-                    flags = flags_of.get(word, 0)
-                    if all(g not in steps and flags_of.get(g, 0) == flags for g in generals):
-                        self._chains[word] = chain
-                    else:
-                        steps[word] = generals
+        try:
+            order = list(TopologicalSorter(self.hypernyms).static_order())
+        except CycleError as exc:
+            # graphlib lists the cycle general -> specific; report it the other way.
+            raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
+        # Generals come first, so a word's generals are classed before it: it
+        # keeps its flags along its whole chain when each general is a chain
+        # word with the same flags, and its chain joins theirs.
+        chains, steps = self._chains, self._steps
+        for word in order:
+            generals = self.hypernyms.get(word, ())
+            flags = flags_of.get(word, 0)
+            if all(g in chains and flags_of.get(g, 0) == flags for g in generals):
+                chains[word] = (word, *{w: None for g in generals for w in chains[g]})
+            else:
+                steps[word] = generals
 
     @classmethod
     def default(cls) -> "ReductionRuleSet":
