@@ -20,7 +20,9 @@ records one entry with two outputs (hidden rows and final cell states) and a
 hand-written backward through time, so a read costs one tape entry whatever
 its length or batch size. `matmul` and `transpose` also take a leading batch
 axis, `pick` takes one step per batch row along the time axis, and
-`cross_entropy` scores a batch of logit rows.
+`cross_entropy` scores a batch of logit rows. `lookup` reads rows from several
+tables as if stacked, each in place, and scatters each table's gradient rows
+in order of occurrence, so the result is bitwise that of one lookup per table.
 
 Everything is float64 on purpose: the models here are desk-scale, and exact
 finite-difference agreement is worth more than speed.
@@ -57,14 +59,6 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -387,23 +381,42 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Ten
     return _record(out, thunk)
 
 
-def lookup(table: Tensor, indices) -> Tensor:
-    """Gather rows of an embedding matrix by an index array of any shape S,
-    giving S + (d,); backward scatters into the rows."""
-    if table.values.ndim != 2:
-        raise ShapeError(f"lookup: table must be a matrix, got {table.values.shape}")
+def lookup(tables: Tensor | Sequence[Tensor], indices) -> Tensor:
+    """Gather rows by an index array of any shape S, giving S + (d,), from one
+    matrix or a sequence of matrices of width d read as their rows stacked in
+    order. Each table's rows are read where they live, so no table is copied.
+
+    Backward scatters each table's rows with np.add.at straight into that
+    table's gradient, in row-major order of occurrence: each table gets the
+    same additions in the same order as from a lookup of it alone, which keeps
+    gradients bitwise. (Summing into a joined copy first would round a row
+    read twice differently.) A table no index reaches keeps its gradient."""
+    tables = [tables] if isinstance(tables, Tensor) else list(tables)
+    shapes = [t.values.shape for t in tables]
+    if not tables or any(len(shape) != 2 for shape in shapes):
+        raise ShapeError(f"lookup: tables must be matrices, got {shapes}")
+    if len({shape[1] for shape in shapes}) != 1:
+        raise ShapeError(f"lookup: tables {shapes} differ in width")
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim == 0 or idx.size == 0:
         raise ShapeError(f"lookup: need a non-empty index array, got shape {idx.shape}")
-    rows = table.values.shape[0]
-    if idx.min() < 0 or idx.max() >= rows:
-        raise ValueError(f"lookup: index out of range for {rows} rows")
-    out = Tensor(table.values[idx])
+    offsets = np.cumsum([0] + [shape[0] for shape in shapes])
+    if idx.min() < 0 or idx.max() >= offsets[-1]:
+        raise ValueError(f"lookup: index out of range for {offsets[-1]} rows")
+    out = Tensor(np.empty(idx.shape + shapes[0][1:]))
+    reads = []
+    for table, start, stop in zip(tables, offsets, offsets[1:]):
+        mask = (idx >= start) & (idx < stop)
+        rows = idx[mask] - start
+        out.values[mask] = table.values[rows]
+        if rows.size:
+            reads.append((table, mask, rows))
 
     def thunk():
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, idx, out.grad)
+        for table, mask, rows in reads:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.values)
+            np.add.at(table.grad, rows, out.grad[mask])
 
     return _record(out, thunk)
 

@@ -432,8 +432,7 @@ def _moments(values: Sequence[float]) -> Moments | None:
         return None
     mean = _mean(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
-    # Population variance; tiny negatives from roundoff clamp to zero.
-    return Moments(mean=mean, sd=max(var, 0.0) ** 0.5)
+    return Moments(mean=mean, sd=var**0.5)
 
 
 @dataclass(frozen=True)
@@ -530,8 +529,9 @@ def _check_header(path: Path, line: str, fmt: str | None) -> str:
     if named not in expected:
         want = " or ".join(map(repr, expected))
         raise ValueError(f"{path}:1: expected format {want}, got {_quote(line)}")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}:1: unsupported version {_quote(header.get('version'))}")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"{path}:1: unsupported version {_quote(version)}")
     return named
 
 

@@ -36,15 +36,16 @@ architecture's own single-item call form, the B = 1 batch, with the same
 `_forward_batch` gives as one (B, T, span) array with no weight on padded
 premise positions, and sum-of-experts' per-premise experts.
 
-A batch is embedded as one `Padded` (B, T, d) tensor gathered by id arrays,
-zero past each sequence's end, with the length of each sequence. Each LSTM
-reads it with one `autodiff.lstm_sequence` call, which freezes a row once its
-sequence ends: `LstmCell` keeps its weights per gate (the checkpoint names
-`<prefix>.<gate>.{Wx,Wh,b}`) and the op concatenates them at call time, so a
-read is one tape entry whatever its length or batch size. Attention runs its
-attention recurrence once per hypothesis step over all B rows, with padded
-premise positions masked out of the softmax; sum-of-experts reads both LSTMs
-once per premise slot over the B items.
+A batch is embedded as one `Padded` (B, T, d) tensor, with the length of each
+sequence: one `autodiff.lookup` of an id array reads a zero padding row, the
+vocabulary matrix and the special rows in place, so rows past a sequence's end
+are zero. Each LSTM reads it with one `autodiff.lstm_sequence` call, which
+freezes a row once its sequence ends: `LstmCell` keeps its weights per gate
+(the checkpoint names `<prefix>.<gate>.{Wx,Wh,b}`) and the op concatenates
+them at call time, so a read is one tape entry whatever its length or batch
+size. Attention runs its attention recurrence once per hypothesis step over
+all B rows, with padded premise positions masked out of the softmax;
+sum-of-experts reads both LSTMs once per premise slot over the B items.
 """
 
 from __future__ import annotations
@@ -158,31 +159,11 @@ class EmbeddingTable:
     def _gather(self, ids: np.ndarray) -> Tensor:
         """Rows for an id array of any shape; -1 marks padding, a zero row.
 
-        Vocabulary and special rows are each gathered by one id array; when
-        kinds mix, one more lookup of the stacked parts puts every row in
-        place, so the vocabulary matrix is never copied."""
-        vocab_size = len(self.vocab)
-        kinds = (
-            (self.main, (ids >= 0) & (ids < vocab_size), 0),
-            (self.special, ids >= vocab_size, vocab_size),
-        )
-        for table, mask, offset in kinds:
-            if mask.all():
-                return lookup(table, ids - offset)
-        parts = []
-        position = np.empty(ids.shape, dtype=np.intp)
-        start = 0
-        for table, mask, offset in kinds:
-            count = int(mask.sum())
-            if count:
-                parts.append(lookup(table, ids[mask] - offset))
-                position[mask] = np.arange(start, start + count)
-                start += count
-        padding = ids < 0
-        if padding.any():
-            parts.append(Tensor(np.zeros((1, self.dim))))
-            position[padding] = start
-        return lookup(concat(parts), position)
+        One lookup reads a zero padding row, the vocabulary matrix and the
+        special rows as if stacked (hence the ids shift by one), each where it
+        lives, so the vocabulary matrix is never copied."""
+        padding = Tensor(np.zeros((1, self.dim)))
+        return lookup((padding, self.main, self.special), ids + 1)
 
 
 def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
@@ -251,8 +232,7 @@ class LstmCell:
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         """One step of B sequences: the T = 1 read of input rows x (B, d)."""
-        rows = np.arange(x.values.shape[0])
-        hidden, c = self.read(lookup(x, rows[:, None]), h_prev, c_prev)
+        hidden, c = self.read(reshape(x, (len(x.values), 1, -1)), h_prev, c_prev)
         return pick(hidden, 0), c
 
     def params(self) -> list[Tensor]:
@@ -564,8 +544,7 @@ class SumOfExpertsModel(_ModelBase):
         # Each item's experts in ascending value order, compared as tuples.
         values = np.stack([e.values for e in experts], axis=1)
         order = np.lexsort(values[:, :, ::-1].transpose(2, 0, 1), axis=-1)
-        stacked = concat(experts)
-        ranked = [lookup(stacked, order[:, r] * batch + np.arange(batch)) for r in range(4)]
+        ranked = [lookup(experts, order[:, r] * batch + np.arange(batch)) for r in range(4)]
         total = add(add(ranked[0], ranked[1]), add(ranked[2], ranked[3]))
         return total, experts
 

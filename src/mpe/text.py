@@ -192,15 +192,13 @@ def _lemma(token: str) -> str:
     (identity entries) stop the rules cold. Each rewriting pass strictly
     shortens the token, so iteration terminates.
     """
-    seen = {token}
     word = token
     while True:
         if word in _LEMMA_EXCEPTIONS:
             return _LEMMA_EXCEPTIONS[word]
         nxt = _rule_pass(word)
-        if nxt == word or nxt in seen:
+        if nxt == word:
             return nxt
-        seen.add(nxt)
         word = nxt
 
 

@@ -52,8 +52,8 @@ class TestTensor:
     def test_converts_to_float64(self):
         t = Tensor([[1, 2], [3, 4]])
         assert t.values.dtype == np.float64
-        assert t.shape == (2, 2)
-        assert t.size == 4
+        assert t.values.shape == (2, 2)
+        assert t.values.size == 4
 
     def test_defaults(self):
         t = Tensor(1.0)
@@ -137,7 +137,7 @@ class TestMatmul:
     def test_transpose_roundtrip_and_grad(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         out = transpose(x)
-        assert out.shape == (2, 3)
+        assert out.values.shape == (2, 3)
         assert np.array_equal(out.values, x.values.T)
         c = Tensor(np.arange(6.0).reshape(2, 3))
         run_backward(lambda: tensor_sum(mul(transpose(x), c)))
@@ -154,7 +154,7 @@ class TestMatmul:
         w = Tensor(rng.normal(size=(5, 2)))
         b = Tensor(rng.normal(size=(3, 5, 6)))
         shared, paired = matmul(a, w), matmul(a, b)
-        assert shared.shape == (3, 4, 2) and paired.shape == (3, 4, 6)
+        assert shared.values.shape == (3, 4, 2) and paired.values.shape == (3, 4, 6)
         for i in range(3):
             assert np.max(np.abs(shared.values[i] - a.values[i] @ w.values)) <= 1e-12
             assert np.max(np.abs(paired.values[i] - a.values[i] @ b.values[i])) <= 1e-12
@@ -399,7 +399,7 @@ class TestCrossEntropy:
         rows = np.random.default_rng(4).normal(size=(4, 3))
         classes = [2, 0, 1, 2]
         out = cross_entropy(Tensor(rows), classes)
-        assert out.shape == (4,)
+        assert out.values.shape == (4,)
         for row, klass, value in zip(rows, classes, out.values):
             assert value == cross_entropy(Tensor(row), klass).values
 
@@ -502,7 +502,7 @@ class TestLookup:
         table = Tensor(np.arange(12.0).reshape(4, 3), name="t")
         idx = np.array([[3, 0], [3, 3]])
         out = lookup(table, idx)
-        assert out.shape == (2, 2, 3)
+        assert out.values.shape == (2, 2, 3)
         assert np.array_equal(out.values, table.values[idx])
         run_backward(lambda: tensor_sum(lookup(table, idx)))
         assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 0.0, 3.0])
@@ -577,10 +577,10 @@ class TestLstmSequence:
         the final cell state alone."""
         rng = np.random.default_rng(99)
         hidden, cell = lstm_sequence(x, None, h0, c0, *gates)
-        on_cell = tensor_sum(mul(cell, Tensor(rng.normal(size=cell.shape))))
+        on_cell = tensor_sum(mul(cell, Tensor(rng.normal(size=cell.values.shape))))
         if not through_hidden:
             return on_cell
-        return add(tensor_sum(mul(hidden, Tensor(rng.normal(size=hidden.shape)))), on_cell)
+        return add(tensor_sum(mul(hidden, Tensor(rng.normal(size=hidden.values.shape)))), on_cell)
 
     @pytest.mark.parametrize("through_hidden", [True, False], ids=["hidden", "cell-only"])
     def test_gradients_match_finite_differences(self, through_hidden):
@@ -596,8 +596,8 @@ class TestLstmSequence:
     def test_shapes(self):
         x, h0, c0, gates = lstm_operands(2, d=3, k=4, steps=6)
         hidden, cell = lstm_sequence(x, None, h0, c0, *gates)
-        assert hidden.shape == (1, 6, 4)
-        assert cell.shape == (1, 4)
+        assert hidden.values.shape == (1, 6, 4)
+        assert cell.values.shape == (1, 4)
 
     def test_untaped_call_records_nothing_and_matches_taped(self):
         operands = lstm_operands(3)

@@ -546,10 +546,15 @@ class TestItemsIO:
             load_items(path)
 
     def test_wrong_version_rejected(self, tmp_path):
+        # JSON true and 1.0 compare equal to 1 in Python but are not version 1.
         path = tmp_path / "items.jsonl"
-        path.write_text('{"format": "mpe-items", "version": 99}\n')
-        with pytest.raises(ValueError, match="version"):
-            load_items(path)
+        for fmt, version in [
+            ("mpe-items", "99"), ("mpe-items", "true"), ("mpe-items", "1.0"),
+            ("mpe-spe-items", "true"), ("mpe-spe-items", "1.0"),
+        ]:
+            path.write_text(f'{{"format": "{fmt}", "version": {version}}}\n')
+            with pytest.raises(ValueError, match=":1: unsupported version"):
+                load_examples(path)
 
     def test_bad_record_has_line_number(self, tmp_path):
         path = tmp_path / "items.jsonl"

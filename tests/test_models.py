@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from mpe.autodiff import (
+    ShapeError,
     Tape,
     Tensor,
+    concat,
     cross_entropy,
     flatten,
     grad_check,
+    lookup,
     mul,
     save_checkpoint,
+    tanh,
     tensor_sum,
 )
 from mpe.models import (
@@ -102,7 +106,7 @@ class TestEmbeddingTable:
         table = self.table()
         assert list(table.vocab) == sorted(VOCAB)
         assert sorted(table.vocab.values()) == list(range(len(VOCAB)))
-        assert table.main.shape == (len(VOCAB), 4)
+        assert table.main.values.shape == (len(VOCAB), 4)
         assert table.dim == 4
 
     def test_known_token_uses_its_row(self):
@@ -178,6 +182,136 @@ class TestEmbeddingTable:
             build_model(config, VOCAB, {})
         with pytest.raises(ValueError, match="embedding_dim 1 differs"):
             build_model(config, VOCAB, {"a": [1.0, 2.0]})
+
+
+def joined_gather(main: Tensor, special: Tensor, ids: np.ndarray) -> Tensor:
+    """Reference embedding gather, -1 marking a zero padding row: one lookup
+    of all-vocabulary or all-special ids, else one lookup per kind of row,
+    joined with `concat` and gathered again by position. The one-lookup
+    gather of `EmbeddingTable` must match it bit for bit."""
+    vocab_size, dim = main.values.shape[0], special.values.shape[-1]
+    kinds = (
+        (main, (ids >= 0) & (ids < vocab_size), 0),
+        (special, ids >= vocab_size, vocab_size),
+    )
+    for table, mask, offset in kinds:
+        if mask.all():
+            return lookup(table, ids - offset)
+    parts = []
+    position = np.empty(ids.shape, dtype=np.intp)
+    start = 0
+    for table, mask, offset in kinds:
+        count = int(mask.sum())
+        if count:
+            parts.append(lookup(table, ids[mask] - offset))
+            position[mask] = np.arange(start, start + count)
+            start += count
+    padding = ids < 0
+    if padding.any():
+        parts.append(Tensor(np.zeros((1, dim))))
+        position[padding] = start
+    return lookup(concat(parts), position)
+
+
+def table_gather(main: Tensor, special: Tensor, ids: np.ndarray) -> Tensor:
+    vocab = {f"w{row}": row for row in range(len(main.values))}
+    return EmbeddingTable(vocab, main, special)._gather(ids)
+
+
+GATHERS = {"joined": joined_gather, "table": table_gather}
+
+
+class TestGatherMatchesJoinedLookups:
+    """`EmbeddingTable._gather` against the reference composition: the same
+    output and gradient bytes, and the same refusals. V = 5 vocabulary rows,
+    so id 5 is UNK, 6 the separator and -1 padding."""
+
+    def tables(self, seed=0):
+        rng = np.random.default_rng(seed)
+        main = Tensor(rng.normal(size=(5, 3)), name="main")
+        special = Tensor(rng.normal(size=(2, 3)), name="special")
+        return main, special
+
+    def draws(self, calls, prior_grad):
+        """(prior gradients of main and special or None, one weight array per
+        call) with magnitudes spanning twelve decades, so the bits of a sum
+        depend on the order of its terms."""
+        rng = np.random.default_rng(1)
+
+        def draw(shape):
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+        prior = (draw((5, 3)), draw((2, 3))) if prior_grad else None
+        return prior, [draw(np.shape(ids) + (3,)) for ids in calls]
+
+    def run(self, gather, calls, prior_grad):
+        """Output bytes of each call's gather, and gradient bytes (None if
+        never set) of one backward through the weighted sum of them all."""
+        main, special = self.tables()
+        prior, weights = self.draws(calls, prior_grad)
+        if prior:
+            main.grad, special.grad = (g.copy() for g in prior)
+        with Tape() as tape:
+            outs = [gather(main, special, np.array(ids)) for ids in calls]
+            weighted = [mul(out, Tensor(w)) for out, w in zip(outs, weights)]
+            loss = tensor_sum(concat([flatten(w) for w in weighted]))
+        tape.backward(loss)
+        grads = [t.grad.tobytes() if t.grad is not None else None for t in (main, special)]
+        return [out.values.tobytes() for out in outs], grads
+
+    def scattered(self, calls, prior_grad):
+        """Gradient bytes by the rule in numpy: the calls in reverse (tape)
+        order, each adding its weight rows into each table's gradient rows in
+        row-major order of occurrence."""
+        prior, weights = self.draws(calls, prior_grad)
+        grads = prior or (np.zeros((5, 3)), np.zeros((2, 3)))
+        for ids, w in reversed(list(zip(map(np.array, calls), weights))):
+            np.add.at(grads[0], ids[(ids >= 0) & (ids < 5)], w[(ids >= 0) & (ids < 5)])
+            np.add.at(grads[1], ids[ids >= 5] - 5, w[ids >= 5])
+        return [g.tobytes() for g in grads]
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [[[0, 3, 4], [2, 1, 0]]],
+            [[[5, 0, 6, 2], [6, 5, -1, -1]]],
+            [[3, 3, 1, 3, 3]],
+            [[[4, 2, 4], [4, 5, -1]], [4, 6, 4, 4]],
+        ],
+        ids=["vocabulary", "unk-sep-padding", "repeated-row", "two-calls"],
+    )
+    @pytest.mark.parametrize("prior_grad", [False, True], ids=["zero", "prior"])
+    def test_output_and_gradient_bytes(self, calls, prior_grad):
+        outs, grads = self.run(table_gather, calls, prior_grad)
+        assert (outs, grads) == self.run(joined_gather, calls, prior_grad)
+        # A table no id reaches keeps a gradient of None, zero by the rule.
+        zeros = [np.zeros(shape).tobytes() for shape in ((5, 3), (2, 3))]
+        grads = [z if g is None else g for g, z in zip(grads, zeros)]
+        assert grads == self.scattered(calls, prior_grad)
+
+    @pytest.mark.parametrize("gather", GATHERS.values(), ids=GATHERS.keys())
+    def test_gradcheck_over_two_tables(self, gather):
+        main, special = self.tables(seed=2)
+        ids = np.array([[1, 5, 4], [6, 1, -1]])
+        weights = Tensor(np.random.default_rng(3).normal(size=(2, 3, 3)))
+        report = grad_check(
+            lambda: tensor_sum(mul(tanh(gather(main, special, ids)), weights)),
+            [main, special],
+            np.random.default_rng(4),
+        )
+        assert report.passed, report.worst_by_param
+
+    @pytest.mark.parametrize("gather", GATHERS.values(), ids=GATHERS.keys())
+    def test_refusals(self, gather):
+        main, special = self.tables()
+        with pytest.raises(ShapeError):
+            gather(main, Tensor(np.zeros(3)), np.array([0, 5]))
+        with pytest.raises(ShapeError):
+            gather(main, special, np.array([], dtype=np.intp))
+        with pytest.raises(ValueError):
+            gather(main, special, np.array([0, 7]))
+        with pytest.raises(ShapeError):
+            gather(main, Tensor(np.zeros((2, 4))), np.array([0, 5]))
 
 
 class TestPretrainedVectorFile:
@@ -346,7 +480,7 @@ class TestConditionalLstmModel:
     def test_accepts_separator_joined_premises(self):
         model = make_lstm(seed=5)
         logits = model.forward(concat_premises(FOUR_PREMISES), HYPOTHESIS)
-        assert logits.shape == (3,)
+        assert logits.values.shape == (3,)
         assert np.all(np.isfinite(logits.values))
 
     def test_unknown_tokens_fall_back_to_unk(self):

@@ -154,7 +154,7 @@ class TestAdapters:
             model = build_model(tiny_config(model=kind), vocab)
             for example in (item, pair):
                 logits = forward_logits(model, example)
-                assert logits.shape == (3,)
+                assert logits.values.shape == (3,)
                 assert np.all(np.isfinite(logits.values))
 
     def test_foreign_item_type_rejected(self):
@@ -183,7 +183,7 @@ class TestAdapters:
         assert {"alpha", "beta", "gamma", "dog"} <= set(vocab)
         model = build_model(tiny_config(), vocab)
         logits = batch_logits(model, pairs)
-        assert logits.shape == (5, 3)
+        assert logits.values.shape == (5, 3)
         guesses = predict_all(model, pairs)
         hits = sum(guess == pair.label for guess, pair in zip(guesses, pairs))
         assert accuracy(model, pairs) == hits / 5
