@@ -23,7 +23,9 @@ hypothesis LSTM from the premise's final cells), checkpoint save, and
 `params()`, the one rule of what trains (the embedding matrix only when
 `trainable_embeddings` is set). Each architecture adds only `_head_shapes`
 and `_forward_batch`, its equations over a batch of B items, which applies
-`autodiff.dropout` at `keep_prob` to its pair vectors.
+`autodiff.dropout` at `keep_prob` to its pair vectors. The vocabulary is one
+token list in row order, held as it is by the checkpoint meta, and pretrained
+vectors are float64 rows by token (`load_pretrained_vectors`).
 
 `model.batch_logits(premises, hypotheses, rng)` scores B items at once, each
 given by its premise token sequences and its hypothesis token sequence (the
@@ -111,21 +113,18 @@ def initial_tensors(
 
 
 class EmbeddingTable:
-    """Token embeddings: a vocabulary matrix plus rows for the unknown token
-    and the premise separator."""
+    """Token embeddings: a vocabulary matrix, row i for the i-th of `tokens`
+    (`vocab` maps each to its row), plus rows for UNK and the separator."""
 
-    def __init__(
-        self,
-        vocab: Mapping[str, int],
-        main: Tensor,
-        special: Tensor,
-    ):
-        rows = len(main.values)
-        if len(vocab) != rows or sorted(vocab.values()) != list(range(rows)):
-            raise ValueError("vocabulary must map tokens onto rows 0..V-1 exactly")
-        if UNK_TOKEN in vocab or SEPARATOR in vocab:
+    def __init__(self, tokens: Sequence[str], main: Tensor, special: Tensor):
+        self.vocab = dict(zip(tokens, range(len(tokens))))
+        if len(self.vocab) != len(tokens):
+            repeated = next(t for row, t in enumerate(tokens) if self.vocab[t] != row)
+            raise ValueError(f"vocabulary repeats token {_quote(repeated)}")
+        if len(tokens) != len(main.values):
+            raise ValueError(f"{len(tokens)} tokens for {len(main.values)} rows")
+        if UNK_TOKEN in self.vocab or SEPARATOR in self.vocab:
             raise ValueError("reserved tokens cannot appear in the vocabulary")
-        self.vocab = dict(vocab)
         self.main = main
         self.special = special
 
@@ -166,10 +165,11 @@ class EmbeddingTable:
         return lookup((padding, self.main, self.special), ids + 1)
 
 
-def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
-    """Parse a text file of `token v1 .. vd` lines into a vector table."""
+def load_pretrained_vectors(path: str | Path) -> dict[str, np.ndarray]:
+    """Parse a text file of `token v1 .. vd` lines into float64 rows by token;
+    `<unk>` and `<sep>` lines are checked like any other, then left out."""
     path = Path(path)
-    vectors: dict[str, list[float]] = {}
+    vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in _lines(path):
         parts = line.split(" ")
@@ -177,7 +177,7 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
             raise ValueError(f"{path}:{lineno}: malformed vector line")
         token = parts[0]
         try:
-            values = [float(v) for v in parts[1:]]
+            values = np.array([float(v) for v in parts[1:]])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric component") from None
         if not np.isfinite(values).all():
@@ -191,6 +191,8 @@ def load_pretrained_vectors(path: str | Path) -> dict[str, list[float]]:
         if token in vectors:
             raise ValueError(f"{path}:{lineno}: duplicate token {_quote(token)}")
         vectors[token] = values
+    for token in (UNK_TOKEN, SEPARATOR):
+        vectors.pop(token, None)
     if not vectors:
         raise ValueError(f"{path}: no vectors found")
     return vectors
@@ -269,7 +271,7 @@ class _ModelBase:
 
     def __init__(
         self,
-        vocab: Mapping[str, int],
+        vocab: Sequence[str],
         tensors: Mapping[str, Tensor],
         state_dim: int,
         keep_prob: float,
@@ -354,7 +356,7 @@ class _ModelBase:
             "state_dim": self.state_dim,
             "keep_prob": self.keep_prob,
             "trainable_embeddings": self.trainable_embeddings,
-            "vocab": sorted(self.embeddings.vocab, key=self.embeddings.vocab.get),
+            "vocab": list(self.embeddings.vocab),
         }
 
     def save(self, path: str | Path) -> None:
@@ -392,7 +394,7 @@ class _ModelBase:
                     f"expected {shape}"
                 )
         return cls(
-            {token: row for row, token in enumerate(meta["vocab"])},
+            meta["vocab"],
             {name: Tensor(arrays[name], name=name) for name in shapes},
             meta["state_dim"],
             meta["keep_prob"],

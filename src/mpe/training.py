@@ -1,7 +1,8 @@
 """Training loops, the pretrain/fine-tune phases, and evaluation reports.
 
 `train` is the one entry point: it builds the run's model with `build_model`,
-the one place where fresh weights are drawn. Given `pretrain` items it runs a
+the one place where fresh weights are drawn, over the items' tokens or those
+of pretrained vectors, whose rows it stacks. Given `pretrain` items it runs a
 `pretrain` phase on them and then a `finetune` phase on the training items;
 otherwise it runs one `train` phase, and returns its Trainer. A Trainer owns
 one optimizer over the model's `params()` and two seeded random streams
@@ -44,7 +45,7 @@ from .autodiff import (
     zero_grad,
 )
 from .dataset import Item, LABELS, SpePair, label_index
-from .models import ARCHITECTURES, SEPARATOR, UNK_TOKEN, initial_tensors
+from .models import ARCHITECTURES, initial_tensors
 from .text import _quote
 from .voting import PAIR_COUNT, pair_agreement_category
 
@@ -82,6 +83,8 @@ class TrainConfig:
             )
         if self.state_dim < 1 or self.embedding_dim < 1:
             raise ValueError("state_dim and embedding_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 PRESETS: dict[str, TrainConfig] = {
@@ -151,41 +154,31 @@ def _check_labeled(items: Iterable["Item | SpePair"]) -> None:
 def build_model(
     config: TrainConfig,
     vocab_tokens: Sequence[str],
-    vectors: Mapping[str, Sequence[float]] | None = None,
+    vectors: Mapping[str, np.ndarray] | None = None,
 ):
     """A fresh `config.model` over `vocab_tokens`: its `shapes` table drawn
     from `default_rng(config.seed)` by the rule of `initial_tensors`.
 
-    Given pretrained `vectors` of width `config.embedding_dim`, their rows in
-    sorted token order are `embeddings.main` and their tokens the vocabulary;
-    `embeddings.special` is drawn from one `default_rng(config.seed)` and every
-    other tensor from a second one."""
+    Given pretrained `vectors`, rows of width `config.embedding_dim` by token,
+    their rows stacked in sorted token order are `embeddings.main` and their
+    tokens the vocabulary; `embeddings.special` is drawn from one
+    `default_rng(config.seed)` and every other tensor from a second one."""
     cls = ARCHITECTURES[config.model]
-    tokens = vocab_tokens if vectors is None else vectors
-    ordered = sorted({t for t in tokens if t not in (UNK_TOKEN, SEPARATOR)})
+    ordered = sorted(set(vocab_tokens if vectors is None else vectors))
     given: dict[str, Tensor] = {}
     if vectors is not None:
         if not ordered:
             raise ValueError("no vectors supplied")
-        dim = len(vectors[ordered[0]])
-        matrix = np.empty((len(ordered), dim))
-        for i, token in enumerate(ordered):
-            row = np.asarray(vectors[token], dtype=np.float64)
-            if row.shape != (dim,):
-                raise ValueError(
-                    f"vector for {_quote(token)} has length {row.shape[0]}, expected {dim}"
-                )
-            matrix[i] = row
-        if dim != config.embedding_dim:
+        matrix = np.array([vectors[token] for token in ordered])
+        if matrix.shape[1:] != (config.embedding_dim,):
             raise ValueError(
                 f"embedding_dim {config.embedding_dim} differs from the "
-                f"{dim}-d pretrained vectors"
+                f"{matrix.shape[-1]}-d pretrained vectors"
             )
+        special = {"embeddings.special": (2, config.embedding_dim)}
         given = {
             "embeddings.main": Tensor(matrix, name="embeddings.main"),
-            **initial_tensors(
-                {"embeddings.special": (2, dim)}, np.random.default_rng(config.seed)
-            ),
+            **initial_tensors(special, np.random.default_rng(config.seed)),
         }
     shapes = cls.shapes(len(ordered), config.embedding_dim, config.state_dim)
     drawn = initial_tensors(
@@ -193,7 +186,7 @@ def build_model(
         np.random.default_rng(config.seed),
     )
     return cls(
-        {token: i for i, token in enumerate(ordered)},
+        ordered,
         given | drawn,
         config.state_dim,
         config.keep_prob,
@@ -287,13 +280,13 @@ def train(
     config: TrainConfig,
     dev: Sequence["Item | SpePair"] | None = None,
     pretrain: Sequence["Item | SpePair"] | None = None,
-    vectors: Mapping[str, Sequence[float]] | None = None,
+    vectors: Mapping[str, np.ndarray] | None = None,
 ) -> Trainer:
     """Train a fresh `build_model` over both item sets' vocabulary (or over
     `vectors`) on `items` for `config.epochs` epochs, after as many epochs on
     `pretrain` when given, with one optimizer and one pair of random streams,
     and return the Trainer holding the model, logs and best snapshot."""
-    vocab = vocabulary_from_items([*(pretrain or ()), *items])
+    vocab = vocabulary_from_items([*(pretrain or ()), *items]) if vectors is None else ()
     trainer = Trainer(build_model(config, vocab, vectors), config)
     if pretrain is None:
         trainer.run(items, config.epochs, dev=dev, phase="train")

@@ -28,7 +28,7 @@ from mpe.dataset import Item, load_items, save_items
 from mpe.graph import PhraseGraph
 from mpe.models import load_model
 from mpe.text import normalize
-from mpe.training import TrainConfig, build_model
+from mpe.training import TrainConfig, build_model, vocabulary_from_items
 
 CAPTIONS = Path(__file__).parent / "fixtures" / "captions.tsv"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -678,6 +678,12 @@ class TestTrain:
         assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
         assert list(tmp_path.iterdir()) == [labeled_items_file]
 
+    def test_negative_seed_exits_1_writing_nothing(self, labeled_items_file, tmp_path, capsys):
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv + TINY_TRAIN_FLAGS + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == [labeled_items_file]
+
     @pytest.mark.parametrize("flag", ["items", "dev", "pretrain"])
     def test_empty_input_exits_1_naming_flag_and_file(
         self, labeled_items_file, tmp_path, capsys, flag
@@ -814,6 +820,55 @@ class TestTrain:
         assert "embedding_dim 300" in err and "3-d" in err
         assert f"--embeddings {vectors_3d}: " in err
         assert not ckpt.exists()
+
+    def test_embeddings_of_reserved_tokens_only_exit_1_naming_file(
+        self, labeled_items_file, tmp_path, capsys
+    ):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("<unk> 0.1 0.2\n<sep> 0.3 0.4\n")
+        argv = ["train", "--items", str(labeled_items_file), "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv + ["--embeddings", str(vectors)]) == 1
+        assert capsys.readouterr().err == f"error: {vectors}: no vectors found\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    # sha256 of (checkpoint, logs, stdout) of a run over vectors that hold a
+    # `<unk>` line, every other item token and one token no item has.
+    EMBEDDINGS_PINS = {
+        "frozen": (
+            "e7eaf1eab4942fb65e8f63aa22a946b80300576ed4296e5f998a871eb55657e1",
+            "9e620584045c245bd6cf23d839d5cd7f0d09a45e50d5fcbad5c61936d2d3cb59",
+            "eacc096afd34e88de31c2713cc04f0974c5708e9909e14adbb0037ae2e8e629e",
+        ),
+        "trainable": (
+            "b43ef949b434ab36833a321d2451ec416016c3610bd5e04c7754890c52bc1972",
+            "2d2d2c76bb8e0061d7b44df2db9d9f7daa14bb00a5e96a4e24ce16da0a41310d",
+            "eacc096afd34e88de31c2713cc04f0974c5708e9909e14adbb0037ae2e8e629e",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(EMBEDDINGS_PINS))
+    def test_pretrained_embeddings_bytes_pinned(
+        self, labeled_items_file, tmp_path, monkeypatch, capsys, mode
+    ):
+        tokens = vocabulary_from_items(load_items(labeled_items_file))
+        lines = [
+            " ".join([tok] + [f"{0.37 * np.sin(7 * i + j):.6f}" for j in range(4)])
+            for i, tok in enumerate(["<unk>", *tokens[::2], "zebra"])
+        ]
+        (tmp_path / "vectors.txt").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--items", str(labeled_items_file), "--out", "model.ckpt"]
+        argv += TINY_TRAIN_FLAGS + ["--keep-prob", "0.8", "--embeddings", "vectors.txt"]
+        assert main(argv + ["--trainable-embeddings"] * (mode == "trainable")) == 0
+        digests = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (
+                Path("model.ckpt").read_bytes(),
+                Path("model.ckpt.logs.jsonl").read_bytes(),
+                capsys.readouterr().out.encode(),
+            )
+        )
+        assert digests == self.EMBEDDINGS_PINS[mode]
 
     # Each settable TrainConfig field, the flags that set it and the value,
     # unlike the default, that they give it.
@@ -1017,8 +1072,10 @@ class TestEval:
             # without building a model of that size first.
             (lambda t, m: m.update(dim=10**13), ", 10000000000000)"),
             (lambda t, m: m.update(state_dim=4.0), "must be integers"),
+            (lambda t, m: m.update(vocab=[*m["vocab"][:-1], "a"]), "repeats token 'a'"),
         ],
-        ids=["missing-tensor", "extra-tensor", "misshaped-tensor", "huge-dim", "float-dim"],
+        ids=["missing-tensor", "extra-tensor", "misshaped-tensor", "huge-dim", "float-dim",
+             "repeated-token"],
     )
     def test_checkpoint_tensors_not_matching_meta_exit_1(
         self, checkpoint, labeled_items_file, tmp_path, capsys, edit, expected
@@ -1178,6 +1235,10 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert f"{flag} must be >= 1" in captured.err
         assert "[PASS]" not in captured.out
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["gradcheck", "--model", "lstm", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
 
 
 class TestCliPlumbing:

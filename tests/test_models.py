@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,13 +159,15 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable({UNK_TOKEN: 0}, Tensor(np.zeros((1, 4))), table.special)
 
-    def test_row_map_must_be_dense(self):
+    def test_tokens_name_each_row_once(self):
         table = self.table()
-        with pytest.raises(ValueError):
-            EmbeddingTable({"a": 0, "b": 2}, Tensor(np.zeros((2, 4))), table.special)
+        with pytest.raises(ValueError, match="vocabulary repeats token 'a'"):
+            EmbeddingTable(["a", "b", "a"], Tensor(np.zeros((3, 4))), table.special)
+        with pytest.raises(ValueError, match="2 tokens for 3 rows"):
+            EmbeddingTable(["a", "b"], Tensor(np.zeros((3, 4))), table.special)
 
     def test_from_vectors_exact_and_trainable_per_config(self):
-        vectors = {"b": [1.0, 2.0], "a": [3.0, 4.0], UNK_TOKEN: [5.0, 6.0]}
+        vectors = {"b": [1.0, 2.0], "a": [3.0, 4.0]}
         for trainable in (True, False):
             config = TrainConfig(embedding_dim=2, trainable_embeddings=trainable)
             model = build_model(config, VOCAB, vectors)
@@ -176,7 +179,7 @@ class TestEmbeddingTable:
 
     def test_from_vectors_length_mismatch(self):
         config = TrainConfig(embedding_dim=1)
-        with pytest.raises(ValueError, match="length 2, expected 1"):
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
             build_model(config, VOCAB, {"a": [1.0], "b": [1.0, 2.0]})
         with pytest.raises(ValueError, match="no vectors supplied"):
             build_model(config, VOCAB, {})
@@ -318,7 +321,9 @@ class TestPretrainedVectorFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0\ndog 3.5 -4.0\n")
-        assert load_pretrained_vectors(path) == {
+        vectors = load_pretrained_vectors(path)
+        assert all(row.dtype == np.float64 for row in vectors.values())
+        assert {t: row.tolist() for t, row in vectors.items()} == {
             "cat": [1.0, 2.0],
             "dog": [3.5, -4.0],
         }
@@ -350,6 +355,40 @@ class TestPretrainedVectorFile:
         path.write_text("")
         with pytest.raises(ValueError):
             load_pretrained_vectors(path)
+
+    @pytest.mark.parametrize("reserved", [UNK_TOKEN, SEPARATOR])
+    def test_reserved_lines_checked_then_left_out(self, tmp_path, reserved):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"cat 1.0 2.0\n{reserved} 3.0\n")
+        with pytest.raises(ValueError, match=":2: expected 2 components, got 1"):
+            load_pretrained_vectors(path)
+        path.write_text(f"cat 1.0 2.0\n{reserved} 3.0 nan\n")
+        with pytest.raises(ValueError, match=":2: non-finite component"):
+            load_pretrained_vectors(path)
+        path.write_text(f"{reserved} 3.0 4.0\ncat 1.0 2.0\n{reserved} 5.0 6.0\n")
+        with pytest.raises(ValueError, match=f":3: duplicate token '{reserved}'"):
+            load_pretrained_vectors(path)
+        path.write_text(f"{reserved} 3.0 4.0\ncat 1.0 2.0\n")
+        assert list(load_pretrained_vectors(path)) == ["cat"]
+
+    def test_load_and_build_peak_memory_within_three_matrices(self, tmp_path):
+        """Loading a 2,000 x 100 file and building a model over it holds at
+        most three times the float64 matrix's bytes at once."""
+        rows, dim = 2000, 100
+        rng = np.random.default_rng(0)
+        path = tmp_path / "vecs.txt"
+        with path.open("w") as f:
+            for i, row in enumerate(rng.normal(size=(rows, dim))):
+                f.write(f"w{i:04d} " + " ".join(f"{v:.6f}" for v in row) + "\n")
+        config = TrainConfig(embedding_dim=dim, state_dim=2)
+        tracemalloc.start()
+        try:
+            model = build_model(config, [], load_pretrained_vectors(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.embeddings.main.values.shape == (rows, dim)
+        assert peak <= 3 * rows * dim * 8
 
 
 def reference_lstm_step(cell: LstmCell, x, h, c):
