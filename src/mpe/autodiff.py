@@ -34,6 +34,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -384,7 +385,9 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Ten
 def lookup(tables: Tensor | Sequence[Tensor], indices) -> Tensor:
     """Gather rows by an index array of any shape S, giving S + (d,), from one
     matrix or a sequence of matrices of width d read as their rows stacked in
-    order. Each table's rows are read where they live, so no table is copied.
+    order. Each table's rows are read where they live, so no table is copied:
+    one `take` fills every row from the table that holds most of the ids,
+    then the other tables' rows are written over theirs by position.
 
     Backward scatters each table's rows with np.add.at straight into that
     table's gradient, in row-major order of occurrence: each table gets the
@@ -400,23 +403,30 @@ def lookup(tables: Tensor | Sequence[Tensor], indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim == 0 or idx.size == 0:
         raise ShapeError(f"lookup: need a non-empty index array, got shape {idx.shape}")
-    offsets = np.cumsum([0] + [shape[0] for shape in shapes])
+    offsets = [0, *accumulate(shape[0] for shape in shapes)]
     if idx.min() < 0 or idx.max() >= offsets[-1]:
         raise ValueError(f"lookup: index out of range for {offsets[-1]} rows")
-    out = Tensor(np.empty(idx.shape + shapes[0][1:]))
+    flat = idx.ravel()
+    table_of = np.searchsorted(offsets, flat, side="right") - 1
+    counts = np.bincount(table_of, minlength=len(tables)).tolist()
+    main = counts.index(max(counts))
+    values = tables[main].values.take(flat - offsets[main], axis=0, mode="clip")
     reads = []
-    for table, start, stop in zip(tables, offsets, offsets[1:]):
-        mask = (idx >= start) & (idx < stop)
-        rows = idx[mask] - start
-        out.values[mask] = table.values[rows]
-        if rows.size:
-            reads.append((table, mask, rows))
+    for t, (table, start, count) in enumerate(zip(tables, offsets, counts)):
+        if count:
+            at = np.flatnonzero(table_of == t) if count < flat.size else slice(None)
+            rows = flat[at] - start
+            if t != main:
+                values[at] = table.values[rows]
+            reads.append((table, at, rows))
+    out = Tensor(values.reshape(idx.shape + shapes[0][1:]))
 
     def thunk():
-        for table, mask, rows in reads:
+        grad = out.grad.reshape(len(flat), -1)
+        for table, at, rows in reads:
             if table.grad is None:
                 table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, rows, out.grad[mask])
+            np.add.at(table.grad, rows, grad[at])
 
     return _record(out, thunk)
 

@@ -17,32 +17,42 @@ edges, and `build_graph` is the only producer of them.
 
 One rule-step body, `ReductionRuleSet._step`, serves both stages; it reads
 the closed-class flags the rule set fixes per lexicon word when it is built,
-and takes the hypernym table whose substitutions it makes. `build_graph`
-steps with the whole lexicon. `apply_reductions` closes a caption over its
-skeleton, every step but the substitutions that keep closed-class flags,
-then expands each skeleton phrase by the product of its tokens' hypernym
-chains; the expansion is exact because those substitutions commute with
-every other rule. One stack walk, `_reachable`, follows skeleton steps from
-a caption and stored parent edges from a node (`PhraseGraph.ancestors`).
+takes the hypernym table whose substitutions it makes, and returns each
+result with the span of the phrase it keeps. Both stages walk a caption's
+skeleton, every step but the substitutions that keep closed-class flags (the
+chain steps), and take the product of each skeleton phrase's hypernym
+chains; the expansion is exact because chain steps commute with every other
+rule. One stack walk, `_reachable`, follows skeleton steps from a caption
+(`apply_reductions`) and stored parent edges from a node
+(`PhraseGraph.ancestors`).
 
 Only the transitive reduction of the single-step DAG is stored. A phrase's
 ancestors all lie in the closure of any caption that reaches it, and phrases
 seldom recur across captions, so `build_graph` reduces each caption's closure
-on its own, in the depth-first walk that finds it (`_reduced_closure`). Every
-step shortens the phrase or swaps a word for its hypernym, so the walk meets
-no cycle and finishes each phrase after its successors; a phrase's ancestors
-are the OR of theirs, as int bitsets over finishing indexes.
+on its own (`_reduced_closure`), and of it only the skeleton: a depth-first
+walk that finishes each skeleton phrase after its successors keeps ancestor
+bitsets over finishing indexes. Each skeleton phrase's chain product is then
+one mixed-radix block of closure indexes, a digit per token, generals first,
+so the block ends with the skeleton phrase and the caption's block ends the
+closure. Kept edges are integer arithmetic on blocks: a chain step to each
+direct general, and each kept skeleton edge lifted to the same choices unless
+a token it removes can still take a chain step. This is exact when no phrase
+has two origins, so a word reached from two positions of the caption, or
+along two hypernym edges from one (`man ... man`, `adult ... girl`, a
+lexicon shortcut), and every word whose chain holds it, are walked as
+skeleton steps instead (`_walked_words`).
 
-Ids flow as ints from the walk to the file. The walk looks each successor up
-once and returns kept parents as closure indexes. `build_graph` hashes each
-closure phrase once per caption into a first-seen id, and keeps supports,
-caption counts and kept parents in lists by that id; one sort of the phrases
-gives node ids, and one remap by list indexing moves parents and the caption
-index onto them. A support is one group id until a second group reaches the
-phrase. `save` formats each node id once and writes a parent's edge lines
-with one join over its child list, so it sorts no edge list. `graphlib`
-checks for cycles (hypernym lexicon, graph files), reported specific ->
-general and child -> parent, and orders the lexicon generals first.
+Ids flow as ints from the walk to the file. `build_graph` hashes each
+closure phrase once per caption into a first-seen id, keeps supports and
+caption counts in lists by that id, and maps each caption's kept edges onto
+those ids as arrays, keeping the edges of phrases new to the caption; one
+sort of the phrases gives node ids, and one lexsort of the remapped edges
+groups each node's parents. A support is one group id until a second group
+reaches the phrase. `save` formats each node id once and writes a parent's
+edge lines with one join over its child list, so it sorts no edge list.
+`graphlib` checks for cycles (hypernym lexicon, graph files), reported
+specific -> general and child -> parent, and orders the lexicon generals
+first.
 
 The rules are shallow chunk patterns over closed-class lexicons, not a
 parser; nodes are phrases in lemma space.
@@ -52,11 +62,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .text import (
     Sentence,
@@ -116,19 +128,24 @@ def _reachable(start: _Node, step: Callable[[_Node], Iterable[_Node]]) -> set[_N
     return seen
 
 
+Span = tuple[int, int, int, int]  # (lo, a, b, hi): see ReductionRuleSet._step
+
+
 @dataclass(frozen=True)
 class ReductionRuleSet:
     """Closed-class lexicons driving the reduction rules.
 
     Built with one pass over the hypernym lexicon in graphlib's topological
     order, generals first, which refuses a cycle and splits the lexicon's
-    words in two. A word's chain is itself and every general it reaches. A
-    word whose whole chain has its own closed-class flags goes into
-    `_chains`, mapped to that chain (a word with no general, to itself); its
-    substitutions commute with every other rule (see `apply_reductions`).
-    Every other word keeps its generals as rule steps in `_steps`. The table
-    holds each chain whole, so it grows with the sum of chain lengths:
-    quadratic only in a lexicon of very deep chains.
+    words in two. A word whose generals are all chain words with its own
+    closed-class flags is a chain word, and so is a word with no general;
+    its substitutions commute with every other rule (see `apply_reductions`).
+    Every other word keeps its generals as rule steps in `_steps`.
+
+    A chain word's chain is itself and every general it reaches. `_chain`
+    builds it, and its table of general digits, the first time a walk meets
+    the word, with an explicit stack, so the rule set grows with the words
+    its walks meet and never holds a deep lexicon's chains all at once.
     """
 
     determiners: frozenset[str]
@@ -136,12 +153,12 @@ class ReductionRuleSet:
     prepositions: frozenset[str]
     hypernyms: Mapping[str, tuple[str, ...]]
     # Closed-class flags of every lexicon word (and conjunction); any other
-    # token is content, with no flag. These three are filled once in
-    # __post_init__.
+    # token is content, with no flag. `_flags` and `_steps` are filled once
+    # in __post_init__, `_chains` by `_chain`.
     _flags: dict[str, int] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
-    _chains: dict[str, tuple[str, ...]] = field(
+    _chains: dict[str, tuple[Phrase, tuple[tuple[int, ...], ...]]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
     _steps: dict[str, tuple[str, ...]] = field(
@@ -159,16 +176,12 @@ class ReductionRuleSet:
         except CycleError as exc:
             # graphlib lists the cycle general -> specific; report it the other way.
             raise LexiconCycleError(" -> ".join(reversed(exc.args[1]))) from None
-        # Generals come first, so a word's generals are classed before it: it
-        # keeps its flags along its whole chain when each general is a chain
-        # word with the same flags, and its chain joins theirs.
-        chains, steps = self._chains, self._steps
+        # Generals come first, so a word's generals are classed before it.
+        steps = self._steps
         for word in order:
             generals = self.hypernyms.get(word, ())
             flags = flags_of.get(word, 0)
-            if all(g in chains and flags_of.get(g, 0) == flags for g in generals):
-                chains[word] = (word, *{w: None for g in generals for w in chains[g]})
-            else:
+            if not all(g not in steps and flags_of.get(g, 0) == flags for g in generals):
                 steps[word] = generals
 
     @classmethod
@@ -180,25 +193,58 @@ class ReductionRuleSet:
             hypernyms=_load_hypernyms(_DATA_DIR / "hypernyms.txt"),
         )
 
-    def single_step(self, phrase: Phrase) -> set[Phrase]:
-        """All phrases reachable by one rule application.
+    def _chain(self, word: str) -> tuple[Phrase, tuple[tuple[int, ...], ...]]:
+        """word's chain, generals first and word last, and each chain word's
+        generals as their digits (positions) in it; `(word,)` alone for a word
+        with no general or with rule steps.
 
-        Every result is strictly shorter than `phrase` or an equal-length
-        hypernym substitution, so repeated application terminates.
+        The chain is the depth-first finishing order of the walk from word, so
+        each word comes after its generals. It is kept for later calls, so the
+        table holds only the words walks have met.
         """
-        return self._step(phrase, self.hypernyms)
+        table = self._chains.get(word)
+        if table is not None:
+            return table
+        hypernyms = self.hypernyms
+        if word in self._steps or word not in hypernyms:
+            table = self._chains[word] = (word,), ((),)
+            return table
+        chain: list[str] = []
+        seen = {word}
+        stack = [(word, iter(hypernyms[word]))]
+        while stack:
+            current, generals = stack[-1]
+            for general in generals:
+                if general not in seen:
+                    seen.add(general)
+                    stack.append((general, iter(hypernyms.get(general, ()))))
+                    break
+            else:
+                stack.pop()
+                chain.append(current)
+        digit = {w: d for d, w in enumerate(chain)}
+        gens = tuple(tuple(digit[g] for g in hypernyms.get(w, ())) for w in chain)
+        table = self._chains[word] = (tuple(chain), gens)
+        return table
 
-    def _step(self, phrase: Phrase, hypernyms: Mapping[str, tuple[str, ...]]) -> set[Phrase]:
-        """One rule application, with substitutions from `hypernyms` only.
+    def _step(self, phrase: Phrase, hypernyms: Mapping[str, tuple[str, ...]]) -> dict[Phrase, Span]:
+        """One rule application, with substitutions from `hypernyms` only:
+        each result phrase with the span of phrase it keeps.
+
+        A span `(lo, a, b, hi)` says the result is `phrase[lo:a]`, then the
+        general of a substitution if the result is one longer, then
+        `phrase[b:hi]`. Two applications with one result keep the last span.
 
         One right-to-left pass; at token i the state describes phrase[i + 1:].
         A token is content when it has no closed-class flag. An adjective is
         dropped when the first non-adjective after its run is content; a
         prepositional phrase spans its determiner/adjective run and at most
         one content word after it; noun chunks are the runs between
-        prepositions and conjunctions that hold a content word.
+        prepositions and conjunctions that hold a content word. Every result
+        is shorter than phrase or an equal-length substitution, so repeated
+        steps end.
         """
-        out: set[Phrase] = set()
+        out: dict[Phrase, Span] = {}
         n = len(phrase)
         flags_of = self._flags
         adjective_droppable = False  # the first non-adjective is content
@@ -215,12 +261,12 @@ class ReductionRuleSet:
                 chunk_content = True
             else:
                 if flags & _DET and n > 1 or flags & _ADJ and adjective_droppable:
-                    out.add(phrase[:i] + phrase[i + 1:])
+                    out[phrase[:i] + phrase[i + 1:]] = (0, i, i + 1, n)
                 if flags & _PREP and pp_end - i < n:
-                    out.add(phrase[:i] + phrase[pp_end:])
+                    out[phrase[:i] + phrase[pp_end:]] = (0, i, pp_end, n)
                 if flags & (_PREP | _CONJ):
                     if chunk_content:
-                        out.add(phrase[i + 1:chunk_end])
+                        out[phrase[i + 1:chunk_end]] = (i + 1, chunk_end, n, n)
                     chunk_end, chunk_content = 0, False
                 else:
                     chunk_end = chunk_end or i + 1
@@ -232,9 +278,9 @@ class ReductionRuleSet:
             if generals:
                 head, tail = phrase[:i], phrase[i + 1:]
                 for general in generals:
-                    out.add(head + (general,) + tail)
+                    out[head + (general,) + tail] = (0, i, i + 1, n)
         if chunk_content and chunk_end < n:
-            out.add(phrase[:chunk_end])
+            out[phrase[:chunk_end]] = (0, chunk_end, n, n)
         return out
 
 
@@ -242,69 +288,216 @@ def apply_reductions(caption: Sentence, rules: ReductionRuleSet) -> set[Phrase]:
     """Closure of the lemmatized caption under the reduction rules.
 
     Walks the skeleton closure, under every rule step but the substitutions
-    of `rules._chains` words, then expands each skeleton phrase by the
-    product of its tokens' chains (a token with no chain stands for itself).
-    This is the whole closure, because a substitution is legal at any
-    position: one that keeps flags changes no closed-class flag and no
-    length, every other rule reads only flags, positions and length, and no
-    other substitution can replace a word of a flag-keeping chain; so in any
-    derivation those substitutions can move to the end. A substitution that
-    hung on context would break this, and its word would have to stay a
-    skeleton step.
+    of chain words, then expands each skeleton phrase by the product of its
+    tokens' chains (`ReductionRuleSet._chain`). This is the whole closure,
+    because a substitution is legal at any position: one that keeps flags
+    changes no closed-class flag and no length, every other rule reads only
+    flags, positions and length, and no other substitution can replace a word
+    of a flag-keeping chain; so in any derivation those substitutions can move
+    to the end. A substitution that hung on context would break this, and its
+    word would have to stay a skeleton step.
     """
     start = tuple(caption.lemmas)
     skeleton = _reachable(start, lambda phrase: rules._step(phrase, rules._steps))
     skeleton.add(start)
-    chains = rules._chains
+    known = rules._chains
     closure: set[Phrase] = set()
     for phrase in skeleton:
-        closure.update(product(*[chains.get(tok, (tok,)) for tok in phrase]))
+        closure.update(product(*[(known.get(tok) or rules._chain(tok))[0] for tok in phrase]))
     return closure
+
+
+def _walked_words(
+    start: Phrase, hypernyms: Mapping[str, tuple[str, ...]]
+) -> dict[str, tuple[str, ...]]:
+    """The words of start's hypernym reach that `_reduced_closure` walks as
+    skeleton steps, with their generals: each word whose reach, itself
+    included, holds a word reached from two positions of start, or along two
+    hypernym edges from one.
+
+    One explicit-stack walk from every position counts how often each word is
+    reached (a repeated token, and each edge from a word already expanded,
+    counts again), and lists the words generals first.
+    """
+    reached: dict[str, int] = {}
+    order: list[str] = []  # generals before the words that reach them
+    for tok in start:
+        if tok in reached:
+            reached[tok] += 1
+            continue
+        reached[tok] = 1
+        stack = [(tok, iter(hypernyms.get(tok, ())))]
+        while stack:
+            word, generals = stack[-1]
+            for general in generals:
+                if general in reached:
+                    reached[general] += 1
+                else:
+                    reached[general] = 1
+                    stack.append((general, iter(hypernyms.get(general, ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(word)
+    # A word reached twice passes it on to its generals ...
+    shared = {word for word in order if reached[word] > 1}
+    stack = list(shared)
+    while stack:
+        for general in hypernyms.get(stack.pop(), ()):
+            if general not in shared:
+                shared.add(general)
+                stack.append(general)
+    # ... and every word that reaches one is walked.
+    walked: dict[str, tuple[str, ...]] = {}
+    for word in order:
+        generals = hypernyms.get(word, ())
+        if word in shared or any(g in walked for g in generals):
+            walked[word] = generals
+    return walked
 
 
 def _reduced_closure(
     start: Phrase, rules: ReductionRuleSet
-) -> tuple[list[Phrase], list[list[int]]]:
-    """The closure of start in finishing order, each phrase after its
-    single-step successors (start last), and the indexes of the parents its
-    transitive reduction keeps, each below its own.
+) -> tuple[list[Phrase], list[int], list[int]]:
+    """The closure of start, each phrase after its single-step successors
+    (start last), and the edges its transitive reduction keeps, as (child,
+    parent) closure indexes in two lists, each parent below its child.
 
-    One depth-first walk on an explicit stack expands each phrase once and
-    looks each successor up once: a finished one gives its index at once, a
-    new one is pushed and, when it finishes, appends its index to the frame
-    that pushed it. A finished phrase's ancestor bitset is the OR of its
-    successors'; it keeps each successor whose bit that OR lacks. A phrase met
-    again is finished, since one still on the stack would close a cycle.
+    Only the skeleton is reduced, by a depth-first walk on an explicit stack
+    that steps each phrase once with `_steps` and `_walked_words` and looks
+    each successor up once. A finished phrase's ancestor bitset, over
+    finishing indexes, is the OR of its successors'; it keeps each successor
+    whose bit that OR lacks, with the span of the step. A phrase met again is
+    finished, since one still on the stack would close a cycle.
+
+    Each skeleton phrase s, in finishing order, then lays out its chain
+    product as one mixed-radix block of closure indexes. A token's digit is
+    its choice's place in its chain, generals first, so the block's last index
+    is s itself and every chain step goes down. No chain word is reached twice
+    (`_walked_words`), so no closure phrase has two origins, and s's kept
+    edges are:
+    - a chain step to each direct general (no chain holds a shortcut);
+    - each kept skeleton edge s -> s', lifted to the same choices on the
+      tokens its span keeps, unless a token it removes can still take a chain
+      step: the path through that chain step makes the direct edge redundant.
     """
-    index: dict[Phrase, int] = {}  # finished phrases, in finishing order
+    walked = _walked_words(start, rules.hypernyms)
+    steps = {**rules._steps, **walked} if walked else rules._steps
+    index: dict[Phrase, int] = {}  # skeleton phrases, in finishing order
     ancestors: list[int] = []  # bitsets over finishing indexes
-    kept_parents: list[list[int]] = []
-    # (phrase, its successors not yet looked up, indexes of those finished)
-    stack: list[tuple[Phrase, Iterator[Phrase], list[int]]] = [
-        (start, iter(rules.single_step(start)), [])
-    ]
+    kept_steps: list[list[tuple[int, Span]]] = []
+    # (phrase, its successors and spans not yet looked up, (index, span) of
+    # those finished, the span of the step that pushed it)
+    stack: list[
+        tuple[Phrase, Iterator[tuple[Phrase, Span]], list[tuple[int, Span]], Span | None]
+    ] = [(start, iter(rules._step(start, steps).items()), [], None)]
     while stack:
-        phrase, pending, direct = stack[-1]
-        for nxt in pending:
+        phrase, pending, direct, pushed_by = stack[-1]
+        for nxt, span in pending:
             p = index.get(nxt)
             if p is None:
-                stack.append((nxt, iter(rules.single_step(nxt)), []))
+                stack.append((nxt, iter(rules._step(nxt, steps).items()), [], span))
                 break
-            direct.append(p)
+            direct.append((p, span))
         else:
             stack.pop()
             implied = 0
-            for p in direct:
+            for p, _ in direct:
                 implied |= ancestors[p]
-            kept = [p for p in direct if not implied >> p & 1]
-            for p in kept:
+            kept = [(p, span) for p, span in direct if not implied >> p & 1]
+            for p, _ in kept:
                 implied |= 1 << p
             done = index[phrase] = len(ancestors)
             ancestors.append(implied)
-            kept_parents.append(kept)
+            kept_steps.append(kept)
             if stack:
-                stack[-1][2].append(done)
-    return list(index), kept_parents
+                stack[-1][2].append((done, pushed_by))
+    del ancestors
+    skeleton = list(index)
+    chain_of = {
+        tok: (tok,) if tok in walked else rules._chain(tok)[0] for tok in set().union(*skeleton)
+    }
+    choosy = {tok for tok, chain in chain_of.items() if len(chain) > 1}
+    # Each skeleton phrase's block: its first closure index and its tokens
+    # with more than one choice, which key its layout.
+    layouts: dict[tuple[str, ...], tuple] = {}
+    closure: list[Phrase] = []
+    bases: list[int] = []
+    keys: list[tuple[str, ...]] = []
+    for phrase in skeleton:
+        bases.append(len(closure))
+        closure.extend(product(*map(chain_of.__getitem__, phrase)))
+        key = tuple(filter(choosy.__contains__, phrase))
+        keys.append(key)
+        if key not in layouts:
+            layouts[key] = _layout(tuple([rules._chain(tok)[1] for tok in key]))
+    bases.append(len(closure))
+    grids: dict[tuple[tuple[str, ...], tuple[int, ...]], list[int]] = {}
+    children: list[int] = []
+    parents: list[int] = []
+    for k, (phrase, key, kept) in enumerate(zip(skeleton, keys, kept_steps)):
+        base, end = bases[k], bases[k + 1]
+        values, tops, moved_from, moved_to = layouts[key]
+        if moved_from:
+            children.extend(map(base.__add__, moved_from))
+            parents.extend(map(base.__add__, moved_to))
+        # A kept skeleton step keeps the digits of the tokens its span keeps,
+        # in order, so its parents run through the target's block in order.
+        for p, (lo, a, b, hi) in kept:
+            target = range(bases[p], bases[p + 1])
+            there = skeleton[p]
+            if len(keys[p]) < len(key):
+                # It removes a token with choices, which must be at a top
+                # digit. Children list the removed tokens' digits first, so the
+                # parents repeat once per choice of tops.
+                at = [j for j, tok in enumerate(phrase) if tok in choosy]
+                out = tuple([i for i, j in enumerate(at) if not (lo <= j < a or b <= j < hi)])
+                grid = grids.get((key, out))
+                if grid is None:
+                    grid = grids[key, out] = list(map(sum, product(
+                        *[tops[i] for i in out], *[v for i, v in enumerate(values) if i not in out]
+                    )))
+                children.extend(map(base.__add__, grid))
+                for _ in range(len(grid) // len(target)):
+                    parents.extend(target)
+                continue
+            if len(there) > a - lo + hi - b and there[a] in choosy:
+                # A substitution's general is itself, its last digit.
+                pin = sum(map(choosy.__contains__, there[:a]))
+                digits = [v[-1:] if i == pin else v for i, v in enumerate(layouts[keys[p]][0])]
+                target = list(map(sum, product((bases[p],), *digits)))
+            children.extend(range(base, end))
+            parents.extend(target)
+    return closure, children, parents
+
+
+@cache
+def _layout(gens: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple:
+    """Mixed-radix layout of a block whose tokens with choices have these
+    general digits, in order: each token's digit values (digit times stride,
+    the last token's stride 1) and top digits' values (a top chain word has no
+    general), and the block's chain steps as (child, parent) offsets. Cached:
+    it depends only on the chains' shapes, which are few."""
+    values: list[tuple[int, ...]] = []
+    tops: list[tuple[int, ...]] = []
+    size = 1
+    for generals in reversed(gens):
+        values.append(tuple(range(0, len(generals) * size, size)))
+        tops.append(tuple([d * size for d, up in enumerate(generals) if not up]))
+        size *= len(generals)
+    values.reverse()
+    tops.reverse()
+    moved_from: list[int] = []
+    moved_to: list[int] = []
+    for i, generals in enumerate(gens):
+        stride = values[i][1]
+        for d, up in enumerate(generals):
+            if up:
+                at = list(map(sum, product(*values[:i], (d * stride,), *values[i + 1:])))
+                for g in up:
+                    moved_from += at
+                    moved_to += map(((g - d) * stride).__add__, at)
+    return tuple(values), tuple(tops), tuple(moved_from), tuple(moved_to)
 
 
 NodeRow = tuple[Phrase, tuple[str, ...], int]  # (phrase, support, caption_count)
@@ -502,15 +695,16 @@ def build_graph(
 
     A node's support is the set of scene group ids whose captions reach it;
     caption_count is the number of captions (not groups) that reach it.
-    Parents are the ones `_reduced_closure` keeps while walking each
-    caption's closure: no pass of its own, no sort of the closure.
+    Parents are the ones `_reduced_closure` keeps for each caption's closure:
+    no pass of its own, no sort of the closure.
 
     Each closure phrase is hashed once per caption, into the id it was first
-    seen under; supports, counts and kept parents are lists by that id, and
-    a phrase's kept parents are taken the first time it is seen, since its
-    reduction is the same in every closure that holds it. The phrase table is
-    freed before one sort of the phrases orders the node ids, and parents and
-    the caption index are remapped onto them by list indexing.
+    seen under; supports and counts are lists by that id. A caption's kept
+    edges are mapped onto ids as arrays and kept for its new phrases only,
+    since a phrase's reduction is the same in every closure that holds it.
+    The phrase table is freed before one sort of the phrases orders the node
+    ids; the edges are remapped onto them and grouped by child with one
+    lexsort, each child's parents ascending.
     """
     rules = rules if rules is not None else ReductionRuleSet.default()
     captions = list(captions)
@@ -521,15 +715,17 @@ def build_graph(
     # different group reaches the phrase, then a set.
     supports: list[str | set[str]] = []
     caption_counts: list[int] = []
-    kept_parents: list[list[int]] = []
+    # Kept edges of each caption's new phrases, as (child, parent) id arrays.
+    edge_children: list[np.ndarray] = []
+    edge_parents: list[np.ndarray] = []
     caption_starts: dict[str, int] = {}  # raw caption -> first-seen id
 
     for gid, sentence in captions:
-        closure, kept = _reduced_closure(tuple(sentence.lemmas), rules)  # this caption only
+        closure, children, parents = _reduced_closure(tuple(sentence.lemmas), rules)
         seen = len(supports)
         # A new phrase takes the next id, so ids rise in closure order past seen.
         ids = [first_seen.setdefault(phrase, len(first_seen)) for phrase in closure]
-        for pid, kept_here in zip(ids, kept):
+        for pid in ids:
             if pid < seen:
                 support = supports[pid]
                 if isinstance(support, set):
@@ -537,30 +733,39 @@ def build_graph(
                 elif support != gid:
                     supports[pid] = {support, gid}
                 caption_counts[pid] += 1
-            else:
-                supports.append(gid)
-                caption_counts.append(1)
-                kept_parents.append([ids[p] for p in kept_here])
+        fresh = len(first_seen) - seen
+        supports += [gid] * fresh
+        caption_counts += [1] * fresh
+        ids_of = np.array(ids)
+        child_ids = ids_of[children]
+        new = child_ids >= seen
+        edge_children.append(child_ids[new])
+        edge_parents.append(ids_of[parents][new])
         caption_starts[sentence.raw] = ids[-1]
 
     phrases = list(first_seen)
     del first_seen
     order = sorted(range(len(phrases)), key=phrases.__getitem__)  # node id -> first-seen id
-    node_id = [0] * len(order)
-    for nid, pid in enumerate(order):
-        node_id[pid] = nid
+    node_id = np.empty(len(order), dtype=np.intp)
+    node_id[order] = np.arange(len(order))
     nodes = [
         (phrases[pid], tuple(sorted(s)) if isinstance(s := supports[pid], set) else (s,),
          caption_counts[pid])
         for pid in order
     ]
     del phrases, supports, caption_counts, order
+    child = node_id[np.concatenate(edge_children)]
+    parent = node_id[np.concatenate(edge_parents)]
+    by_child = np.lexsort((parent, child))
+    child, parent = child[by_child], parent[by_child]
+    starts = np.flatnonzero(np.diff(child, prepend=-1)).tolist()
+    parent_list = parent.tolist()
     parents = {
-        node_id[pid]: tuple(sorted([node_id[p] for p in kept]))
-        for pid, kept in enumerate(kept_parents)
-        if kept
+        nid: tuple(parent_list[lo:hi])
+        for nid, lo, hi in zip(child[starts].tolist(), starts, starts[1:] + [len(parent_list)])
     }
-    caption_index = {raw: node_id[pid] for raw, pid in caption_starts.items()}
+    node_of = node_id.tolist()
+    caption_index = {raw: node_of[pid] for raw, pid in caption_starts.items()}
     return PhraseGraph(nodes=nodes, parents=parents, caption_index=caption_index)
 
 

@@ -6,7 +6,9 @@ import re
 import tempfile
 from collections.abc import Mapping
 from dataclasses import fields
+from functools import reduce
 from graphlib import TopologicalSorter
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,12 @@ def tiny_rules(**overrides):
     return ReductionRuleSet(**base)
 
 
+def single_step(rules, phrase):
+    """All phrases one rule application reaches: the rule pass run with the
+    whole lexicon's substitutions."""
+    return set(rules._step(phrase, rules.hypernyms))
+
+
 def closure_of(phrase, rules):
     """Brute-force closure by repeated single steps (test-side oracle)."""
     seen = {tuple(phrase)}
@@ -58,7 +66,7 @@ def closure_of(phrase, rules):
     while frontier:
         nxt = set()
         for p in frontier:
-            nxt |= rules.single_step(p)
+            nxt |= single_step(rules, p)
         frontier = [p for p in nxt if p not in seen]
         seen |= set(frontier)
     return seen
@@ -66,85 +74,102 @@ def closure_of(phrase, rules):
 
 class TestSingleStep:
     def test_drop_determiner(self):
-        out = tiny_rules().single_step(("a", "dog", "run"))
+        out = single_step(tiny_rules(), ("a", "dog", "run"))
         assert ("dog", "run") in out
 
     def test_lone_determiner_not_dropped_to_empty(self):
-        out = tiny_rules().single_step(("the",))
+        out = single_step(tiny_rules(), ("the",))
         assert out == set()
 
     def test_drop_adjective_before_noun(self):
-        out = tiny_rules().single_step(("big", "dog"))
+        out = single_step(tiny_rules(), ("big", "dog"))
         assert ("dog",) in out
 
     def test_drop_adjective_through_adjective_run(self):
-        out = tiny_rules().single_step(("big", "red", "dog"))
+        out = single_step(tiny_rules(), ("big", "red", "dog"))
         assert ("red", "dog") in out
         assert ("big", "dog") in out
 
     def test_trailing_adjective_kept(self):
         # Predicate position: no following noun to modify.
-        out = tiny_rules().single_step(("dog", "is", "red"))
+        out = single_step(tiny_rules(), ("dog", "is", "red"))
         assert ("dog", "is") not in out
 
     def test_adjective_before_conjunction_kept(self):
-        out = tiny_rules().single_step(("red", "and", "blue"))
+        out = single_step(tiny_rules(), ("red", "and", "blue"))
         assert ("and", "blue") not in out
 
     def test_drop_prepositional_phrase(self):
-        out = tiny_rules().single_step(("dog", "run", "in", "the", "park"))
+        out = single_step(tiny_rules(), ("dog", "run", "in", "the", "park"))
         assert ("dog", "run") in out
 
     def test_pp_chunk_includes_det_adj_run(self):
-        out = tiny_rules().single_step(("man", "in", "a", "big", "red", "hat", "smile"))
+        out = single_step(tiny_rules(), ("man", "in", "a", "big", "red", "hat", "smile"))
         assert ("man", "smile") in out
 
     def test_pp_covering_whole_phrase_not_dropped(self):
-        out = tiny_rules().single_step(("in", "the", "park"))
+        out = single_step(tiny_rules(), ("in", "the", "park"))
         assert () not in out
         assert all(p for p in out)
 
     def test_pp_chunk_stops_at_conjunction(self):
-        out = tiny_rules().single_step(("look", "in", "and", "wave"))
+        out = single_step(tiny_rules(), ("look", "in", "and", "wave"))
         assert ("look", "and", "wave") in out
 
     def test_hypernym_substitution(self):
-        out = tiny_rules().single_step(("girl", "run"))
+        out = single_step(tiny_rules(), ("girl", "run"))
         assert ("child", "run") in out
 
     def test_hypernym_substitutes_each_position(self):
-        out = tiny_rules().single_step(("girl", "watch", "girl"))
+        out = single_step(tiny_rules(), ("girl", "watch", "girl"))
         assert ("child", "watch", "girl") in out
         assert ("girl", "watch", "child") in out
 
     def test_noun_phrase_extraction(self):
-        out = tiny_rules().single_step(("a", "dog", "in", "the", "park"))
+        out = single_step(tiny_rules(), ("a", "dog", "in", "the", "park"))
         assert ("a", "dog") in out
         assert ("the", "park") in out
 
     def test_whole_phrase_chunk_not_reemitted(self):
-        out = tiny_rules().single_step(("a", "dog"))
+        out = single_step(tiny_rules(), ("a", "dog"))
         assert ("a", "dog") not in out
 
     def test_chunk_without_content_not_emitted(self):
-        out = tiny_rules().single_step(("the", "and", "red"))
+        out = single_step(tiny_rules(), ("the", "and", "red"))
         assert ("the",) not in out
         assert ("red",) not in out
         assert out == {("and", "red")}
 
     def test_conjunction_splits_chunks(self):
-        out = tiny_rules().single_step(("dog", "and", "cat"))
+        out = single_step(tiny_rules(), ("dog", "and", "cat"))
         assert ("dog",) in out
         assert ("cat",) in out
 
     def test_results_never_longer(self):
         phrase = ("two", "young", "girl", "in", "a", "red", "dress", "dance")
-        for p in tiny_rules().single_step(phrase):
+        for p in single_step(tiny_rules(), phrase):
             assert 0 < len(p) <= len(phrase)
 
     def test_no_self_loop(self):
         phrase = ("girl", "run")
-        assert phrase not in tiny_rules().single_step(phrase)
+        assert phrase not in single_step(tiny_rules(), phrase)
+
+    def test_spans_rebuild_each_result(self):
+        # (lo, a, b, hi): phrase[lo:a], a substituted general if the result is
+        # one longer, then phrase[b:hi].
+        rules = tiny_rules()
+        words = rule_vocabulary(rules)
+        rng = random.Random("spans")
+        for _ in range(300):
+            phrase = tuple(rng.choice(words) for _ in range(rng.randint(1, 7)))
+            for result, (lo, a, b, hi) in rules._step(phrase, rules.hypernyms).items():
+                kept = phrase[lo:a] + phrase[b:hi]
+                if len(result) == len(kept):
+                    assert result == kept, (phrase, result)
+                else:
+                    assert len(result) == len(kept) + 1
+                    assert result[a - lo] in rules.hypernyms[phrase[a]], (phrase, result)
+                    assert result == phrase[lo:a] + result[a - lo:a - lo + 1] + phrase[b:hi]
 
 
 def rule_vocabulary(rules):
@@ -178,7 +203,7 @@ class TestGenerality:
         key = generality_key(rules)
         words = rule_vocabulary(rules)
         phrase = tuple(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8)))
-        for parent in rules.single_step(phrase):
+        for parent in single_step(rules, phrase):
             assert key(parent) < key(phrase), (phrase, parent)
 
 
@@ -335,37 +360,71 @@ class TestApplyReductions:
             assert 0 < len(phrase) <= len(sent.lemmas)
 
 
+def reduced_closure(start, rules):
+    """`_reduced_closure`'s closure and each phrase's kept parent indexes,
+    in the order its edges list them."""
+    phrases, children, parents = _reduced_closure(start, rules)
+    kept_parents = [[] for _ in phrases]
+    for child, parent in zip(children, parents):
+        kept_parents[child].append(parent)
+    return phrases, kept_parents
+
+
 def kept_phrases(start, rules):
     """`_reduced_closure`'s kept parents of each closure phrase, as phrases."""
-    phrases, kept_parents = _reduced_closure(start, rules)
+    phrases, kept_parents = reduced_closure(start, rules)
     return {phrase: {phrases[p] for p in kept} for phrase, kept in zip(phrases, kept_parents)}
+
+
+REDUCTION_PHRASES = 400
 
 
 class TestReducedClosure:
     """`_reduced_closure` against `apply_reductions` and `graphlib_reduction`."""
 
     LONG = "a young girl in a red dress runs with a small dog near the lake"  # 15 tokens
+    # ROADMAP item 2's 20-token caption.
+    ROADMAP = "a young girl in a red dress runs with a small dog near the big lake on a sunny day"
 
-    @pytest.mark.parametrize("source", ["fixture", "long"])
+    def assert_matches_the_references(self, start, rules):
+        phrases, kept_parents = reduced_closure(start, rules)
+        assert phrases[-1] == start
+        assert len(set(phrases)) == len(phrases)
+        assert set(phrases) == apply_reductions(Sentence(" ".join(start), start, start), rules)
+        assert len(kept_parents) == len(phrases)
+        expected = graphlib_reduction(phrases, rules)
+        for i, (phrase, kept) in enumerate(zip(phrases, kept_parents)):
+            assert all(p < i for p in kept), phrase
+            assert len(set(kept)) == len(kept), phrase
+            assert {phrases[p] for p in kept} == expected[phrase], (start, phrase)
+
+    @pytest.mark.parametrize("source", ["fixture", "long", "roadmap"])
     def test_closure_and_kept_parents_match_the_references(self, source):
         rules = ReductionRuleSet.default()
         if source == "fixture":
             fixture = Path(__file__).parent / "fixtures/captions.tsv"
             sentences = [sentence for _, sentence in graph_captions(load_captions(fixture))]
         else:
-            sentences = [normalize(self.LONG)]
-            assert len(sentences[0].lemmas) >= 14
+            sentences = [normalize(self.LONG if source == "long" else self.ROADMAP)]
+            assert len(sentences[0].lemmas) >= (14 if source == "long" else 20)
         for sentence in sentences:
-            phrases, kept_parents = _reduced_closure(tuple(sentence.lemmas), rules)
-            assert phrases[-1] == tuple(sentence.lemmas)
-            assert len(set(phrases)) == len(phrases)
-            assert set(phrases) == apply_reductions(sentence, rules)
-            assert len(kept_parents) == len(phrases)
-            expected = graphlib_reduction(phrases, rules)
-            for i, (phrase, kept) in enumerate(zip(phrases, kept_parents)):
-                assert all(p < i for p in kept)
-                assert len(set(kept)) == len(kept)
-                assert {phrases[p] for p in kept} == expected[phrase]
+            self.assert_matches_the_references(tuple(sentence.lemmas), rules)
+
+    @pytest.mark.parametrize("lexicon", sorted(ORACLE_LEXICONS))
+    def test_random_phrases_match_graphlib_reduction(self, lexicon):
+        """Seeded phrases over lexicons whose tokens repeat and share hypernym
+        reach (`man ... man`, `adult ... girl`, `puppy ... dog`), so that one
+        word is reached from two positions; and whose steps remove tokens that
+        can still take a chain step."""
+        rules, words = ORACLE_LEXICONS[lexicon]()
+        rng = random.Random(f"reduction-{lexicon}")
+        for _ in range(REDUCTION_PHRASES):
+            phrase = tuple(rng.choice(words) for _ in range(rng.randint(1, 7)))
+            self.assert_matches_the_references(phrase, rules)
+
+    def test_repeated_token_keeps_one_edge(self):
+        # Dropping either determiner gives ("a",): one parent, one edge.
+        assert reduced_closure(("a", "a"), tiny_rules()) == ([("a",), ("a", "a")], [[], [0]])
 
 
 def build_fixture_graph():
@@ -453,7 +512,7 @@ class TestBuildGraph:
         graph, _ = build_fixture_graph()
         rules = tiny_rules()
         for parent, child in graph.edges:
-            assert phrase_of(graph, parent) in rules.single_step(phrase_of(graph, child))
+            assert phrase_of(graph, parent) in single_step(rules, phrase_of(graph, child))
 
     def test_acyclic(self):
         graph, _ = build_fixture_graph()
@@ -530,7 +589,7 @@ class TestAncestors:
         _, captions = build_fixture_graph()
         rules = tiny_rules()
         graph = build_graph([*captions, ("g3", normalize("A dog runs in the park."))], rules)
-        steps = sum(len(rules.single_step(phrase)) for phrase, _, _ in graph.nodes)
+        steps = sum(len(single_step(rules, phrase)) for phrase, _, _ in graph.nodes)
         assert len(graph.edges) < steps
         for parent, child in graph.edges:
             others = set(graph.parents(child)) - {parent}
@@ -539,15 +598,18 @@ class TestAncestors:
 
 def graphlib_reduction(phrases, rules):
     """Parents per phrase of the single-step DAG's transitive reduction, with
-    ancestors gathered in graphlib's parents-first order (test-side oracle)."""
-    steps = {phrase: rules.single_step(phrase) for phrase in phrases}
-    ancestors = {}
+    ancestors gathered in graphlib's parents-first order, as int bitsets over
+    that order (test-side oracle)."""
+    steps = {phrase: single_step(rules, phrase) for phrase in phrases}
+    bit, ancestors = {}, {}
     for phrase in TopologicalSorter(steps).static_order():
-        ancestors[phrase] = set().union(*(ancestors[p] | {p} for p in steps[phrase]))
-    return {
-        phrase: {p for p in direct if not any(p in ancestors[q] for q in direct)}
-        for phrase, direct in steps.items()
-    }
+        bit[phrase] = 1 << len(bit)
+        ancestors[phrase] = reduce(or_, [ancestors[p] | bit[p] for p in steps[phrase]], 0)
+    kept = {}
+    for phrase, direct in steps.items():
+        implied = reduce(or_, [ancestors[p] for p in direct], 0)
+        kept[phrase] = {p for p in direct if not implied & bit[p]}
+    return kept
 
 
 class TestReductionOracle:
@@ -576,16 +638,30 @@ class TestReductionOracle:
             assert list(graph.parents(nid)) == sorted(graph.parents(nid))
 
 
+def ladder_rules(n=3000):
+    """w_i has hypernyms w_{i+1} and w_{i+2}: one chain, n words deep."""
+    hypernyms = {f"w{i}": (f"w{i + 1}", f"w{i + 2}") for i in range(n - 2)}
+    hypernyms[f"w{n - 2}"] = (f"w{n - 1}",)
+    return tiny_rules(hypernyms=hypernyms)
+
+
 class TestTransitiveReduction:
     def test_ladder_keeps_only_the_next_rung(self):
-        # w_i has hypernyms w_{i+1} and w_{i+2}; the one to w_{i+2} is implied
-        # via w_{i+1}. The walk is 3,000 phrases deep.
+        # The hypernym to w_{i+2} is implied via w_{i+1}. The walk is 3,000
+        # phrases deep.
         n = 3000
-        hypernyms = {f"w{i}": (f"w{i + 1}", f"w{i + 2}") for i in range(n - 2)}
-        hypernyms[f"w{n - 2}"] = (f"w{n - 1}",)
-        got = kept_phrases(("w0",), tiny_rules(hypernyms=hypernyms))
+        got = kept_phrases(("w0",), ladder_rules(n))
         expected = {(f"w{i}",): {(f"w{i + 1}",)} for i in range(n - 1)}
         assert got == {**expected, (f"w{n - 1}",): set()}
+
+    def test_ladder_chain_built_on_first_use(self):
+        # Deeper than the recursion limit; only the word a walk meets gets a chain.
+        n = 3000
+        rules = ladder_rules(n)
+        assert rules._chains == {}
+        closure = apply_reductions(Sentence("w0", ("w0",), ("w0",)), rules)
+        assert closure == {(f"w{i}",) for i in range(n)}
+        assert list(rules._chains) == ["w0"]
 
     def test_diamond_shortcut_dropped(self):
         # w0 -> {w1, w2} -> w3 plus the shortcut w0 -> w3.
